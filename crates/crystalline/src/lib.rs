@@ -5,9 +5,11 @@
 //! Memory Efficient Wait-Free Reclamation"* (Nikolaev & Ravindran — the same
 //! author lineage as Hyaline). It reuses the Hyaline batch/reference-counting
 //! skeleton (`hyaline::batch`: one `NRef` counter per batch of retired nodes,
-//! three header words per node) and the robust per-thread-slot layout of
-//! Hyaline-1S (birth eras + per-slot access eras), then removes the two
-//! places where Hyaline's progress is merely lock-free:
+//! three header words per node), the per-handle half every Hyaline variant
+//! shares (`hyaline::local`: batch, traverse, free loop, padding, era stamp,
+//! flush) and the robust per-thread-slot layout of Hyaline-1S (birth eras +
+//! per-slot access eras), then removes the two places where Hyaline's
+//! progress is merely lock-free:
 //!
 //! * **Wait-free `retire` — [`CrystallineL`].** Hyaline inserts a batch into
 //!   each active slot's retirement list with a CAS loop, which concurrent
@@ -68,14 +70,12 @@
 #![warn(missing_docs)]
 
 use crossbeam_utils::CachePadded;
-use hyaline::batch::{
-    adjust_refs, chain_next, decrement, free_batch, free_batch_into, header, FinalizedBatch,
-    LocalBatch, W_NEXT,
-};
+use hyaline::batch::{adjust_refs, chain_next, free_batch, header, FinalizedBatch, W_NEXT};
 use hyaline::head::{AtomicHead1, Head1Word, HeadWord};
+use hyaline::local::Local;
 use smr_core::{
-    Atomic, EraClock, LocalStats, Magazine, NodePool, Shared, SlotRegistry, Smr, SmrConfig,
-    SmrHandle, SmrNode, SmrStats,
+    Atomic, EraClock, LocalStats, NodePool, Shared, SlotRegistry, Smr, SmrConfig, SmrHandle,
+    SmrNode, SmrStats,
 };
 use std::marker::PhantomData;
 use std::ptr;
@@ -260,13 +260,9 @@ impl<T: Send + 'static, const HELPING: bool> Smr<T> for Crystalline<T, HELPING> 
             domain: self,
             handle: ptr::null_mut(),
             active: false,
-            batch: LocalBatch::new(),
-            reap: Vec::new(),
             adopted: Vec::new(),
-            local_stats: LocalStats::new(),
-            alloc_counter: 0,
             access_cache: 0,
-            mag: self.pool.magazine(),
+            local: Local::new(&self.pool, &self.stats),
         }
     }
 
@@ -354,23 +350,21 @@ pub struct CrystallineHandle<'d, T: Send + 'static, const HELPING: bool> {
     slot: usize,
     handle: *mut SmrNode<T>,
     active: bool,
-    batch: LocalBatch<T>,
-    reap: Vec<*mut SmrNode<T>>,
     adopted: Vec<Adopted<T>>,
-    local_stats: LocalStats,
-    mag: Magazine,
-    alloc_counter: u64,
     /// Lower bound on our slot's access era. Exact in Crystalline-L (the
     /// handle is the sole writer); in Crystalline-W helpers may have raised
     /// the real value further, which only strengthens protection.
     access_cache: u64,
+    /// The Hyaline half: batch, reap list, statistics, magazine.
+    local: Local<'d, T>,
 }
 
-// SAFETY: owned raw node pointers (local batch, reap list, adopted handoff
-// entries, slot head snapshot) plus plain counters and a `Sync` domain
-// borrow; the cached access era is a lower bound that remains valid from
-// any thread (only this handle and — in Crystalline-W — helpers write the
-// slot's access, and helpers only raise it). Nothing is thread-affine.
+// SAFETY: owned raw node pointers (the local batch, reap list and magazine
+// inside `local`, adopted handoff entries, slot head snapshot) plus plain
+// counters and `Sync` domain, pool and stats borrows; the cached access era
+// is a lower bound that remains valid from any thread (only this handle and
+// — in Crystalline-W — helpers write the slot's access, and helpers only
+// raise it). Nothing is thread-affine.
 unsafe impl<T: Send + 'static, const HELPING: bool> Send for CrystallineHandle<'_, T, HELPING> {}
 
 impl<T: Send + 'static, const HELPING: bool> std::fmt::Debug
@@ -396,29 +390,6 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
         self.adopted.len()
     }
 
-    /// Decrements every batch from `next` down to (and including) the
-    /// handle node (the Hyaline-1S single-list traversal).
-    ///
-    /// # Safety
-    ///
-    /// `next` must be a node this slot's reference still pins (the detached
-    /// head, or a `Next` link read while inside the operation); every node
-    /// on the sublist stays live until its decrement below.
-    unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>) {
-        let handle = self.handle;
-        loop {
-            let curr = next;
-            if curr.is_null() {
-                break;
-            }
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
-            if curr == handle {
-                break;
-            }
-        }
-    }
-
     /// Disposes of a displaced handoff entry: releases its batch reference
     /// when the tag proves the deposit-time occupancy ended, otherwise
     /// adopts it for a later retry.
@@ -440,7 +411,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
             // its sole owner after the displacing swap; the deposit-time
             // occupant has left, so releasing cannot free a batch any
             // protected reader still uses.
-            unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut self.reap) };
+            unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut self.local.reap) };
         } else {
             // Same low 16 bits: the occupancy *may* still be the one the
             // entry guards (a 2^16-leave wrap also lands here, which only
@@ -460,7 +431,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
             if now != tag {
                 // SAFETY: same argument as `release_or_adopt`'s release arm
                 // — the guarded occupancy ended, the reference is ours.
-                unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut self.reap) };
+                unsafe { adjust_refs(refs, 1usize.wrapping_neg(), &mut self.local.reap) };
             } else {
                 still.push((idx, tag, refs));
             }
@@ -490,7 +461,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
                     adjust_refs(
                         refs_bits as *mut SmrNode<T>,
                         1usize.wrapping_neg(),
-                        &mut self.reap,
+                        &mut self.local.reap,
                     )
                 };
             } else {
@@ -552,9 +523,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
                     insert_node
                 } else {
                     if spare.is_null() {
-                        spare = fin.extend_with_dummy();
-                        self.local_stats.on_alloc(&domain.stats);
-                        self.local_stats.on_retire(&domain.stats);
+                        spare = self.local.spare_dummy(&mut fin);
                     }
                     spare
                 };
@@ -578,25 +547,17 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
                 attempts += 1;
             }
         }
-        adjust_refs(fin.refs_node, inserts, &mut self.reap);
+        adjust_refs(fin.refs_node, inserts, &mut self.local.reap);
     }
 
     fn finalize_partial(&mut self) {
-        if self.batch.is_empty() {
+        if self.local.batch.is_empty() {
             return;
         }
-        let domain = self.domain;
-        while self.batch.count() < 2 {
-            // SAFETY: dummy nodes have no payload; the allocation is fresh
-            // (or freshly renewed by the recycle pool).
-            let dummy = unsafe { domain.pool.alloc_dummy::<T>(&mut self.mag, &domain.stats) };
-            self.local_stats.on_alloc(&domain.stats);
-            self.local_stats.on_retire(&self.domain.stats);
-            // SAFETY: `dummy` is exclusively owned until pushed.
-            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
-        }
+        // REFS + one insertion candidate; `insert_batch` extends on demand.
+        self.local.pad_batch(2);
         // SAFETY: all batch nodes are owned by this handle and unpublished.
-        let fin = unsafe { self.batch.finalize(0) };
+        let fin = unsafe { self.local.batch.finalize(0) };
         // SAFETY: `fin` is this handle's own freshly finalized batch.
         unsafe { self.insert_batch(fin) };
     }
@@ -604,18 +565,7 @@ impl<T: Send + 'static, const HELPING: bool> CrystallineHandle<'_, T, HELPING> {
     fn drain(&mut self) {
         self.retry_adopted();
         self.sweep_orphans();
-        if self.reap.is_empty() {
-            return;
-        }
-        let mut freed = 0;
-        let domain = self.domain;
-        let mag = &mut self.mag;
-        for refs in std::mem::take(&mut self.reap) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
-            // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, &domain.pool, mag, &domain.stats) };
-        }
-        self.local_stats.on_free(&domain.stats, freed);
+        self.local.drain();
     }
 
     /// Crystalline-W slow-path protect: publish a request, let era
@@ -694,13 +644,13 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
             // handle (now leaving — by the SMR contract it no longer
             // dereferences protected pointers) or an earlier occupancy that
             // already left; releasing the cell's reference is safe.
-            unsafe { adjust_refs(cell_refs, 1usize.wrapping_neg(), &mut self.reap) };
+            unsafe { adjust_refs(cell_refs, 1usize.wrapping_neg(), &mut self.local.reap) };
         }
         let head: *mut SmrNode<T> = old.ptr();
         if !head.is_null() {
             // SAFETY: `leave` detached the list; its nodes stay live until
             // this traversal applies our decrement to each batch.
-            unsafe { self.traverse(head) };
+            unsafe { self.local.traverse(head, self.handle) };
         }
         self.handle = ptr::null_mut();
         self.drain();
@@ -722,7 +672,7 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
             let next =
                 unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
             // SAFETY: as above — the sublist is pinned until traversed.
-            unsafe { self.traverse(next) };
+            unsafe { self.local.traverse(next, self.handle) };
             self.handle = curr;
         }
         self.drain();
@@ -730,8 +680,7 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
 
     fn alloc(&mut self, value: T) -> Shared<T> {
         let domain = self.domain;
-        self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(domain.era_freq) {
+        if self.local.era_due(domain.era_freq) {
             if HELPING {
                 // Crystalline-W: complete pending protect requests before
                 // advancing the era — advancers are the threads that can
@@ -740,25 +689,13 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
             }
             domain.era.advance();
         }
-        self.local_stats.on_alloc(&domain.stats);
-        let node = domain.pool.alloc(&mut self.mag, &domain.stats, value);
-        // SAFETY: `node` is a fresh, unshared allocation; stamping its birth
-        // era in the header word races with nobody.
-        unsafe {
-            (*node.as_ptr())
-                .header()
-                .word(W_NEXT)
-                .store(domain.era.current() as usize, Ordering::Relaxed);
-        }
-        Shared::from_node(node)
+        self.local.alloc(value, Some(&domain.era))
     }
 
     // SAFETY: per the `SmrHandle::dealloc` contract the node was never
     // published, so this thread owns it outright and may free it in place.
     unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        let domain = self.domain;
-        self.local_stats.on_dealloc(&domain.stats);
-        domain.pool.dispose(&mut self.mag, &domain.stats, ptr.as_node_ptr(), true);
+        self.local.dealloc(ptr);
     }
 
     fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
@@ -801,13 +738,9 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
     unsafe fn retire(&mut self, ptr: Shared<T>) {
         debug_assert!(self.active, "retire outside an operation");
         let domain = self.domain;
-        let node = ptr.as_node_ptr();
-        let birth = header(node).word(W_NEXT).load(Ordering::Relaxed) as u64;
-        self.local_stats.on_retire(&domain.stats);
-        self.batch.push(node, birth, true);
         let target = domain.batch_min.max(domain.registry.claimed() + 1);
-        if self.batch.count() >= target {
-            let fin = self.batch.finalize(0);
+        if self.local.retire(ptr, true) >= target {
+            let fin = self.local.batch.finalize(0);
             self.insert_batch(fin);
             self.drain();
         }
@@ -816,9 +749,7 @@ impl<T: Send + 'static, const HELPING: bool> SmrHandle<T> for CrystallineHandle<
     fn flush(&mut self) {
         self.finalize_partial();
         self.drain();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
+        self.local.flush();
     }
 }
 
@@ -842,10 +773,8 @@ impl<T: Send + 'static, const HELPING: bool> Drop for CrystallineHandle<'_, T, H
                 orphans.push((idx, tag, refs as usize));
             }
         }
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
-        domain.registry.release(self.slot);
+        self.local.flush();
+        self.domain.registry.release(self.slot);
     }
 }
 

@@ -1,0 +1,343 @@
+//! The unit-test cases that hold for more than one variant, each written
+//! once over `D: Smr`. [`cases!`] stamps the ones every alias must pass into
+//! that alias's test module; the era-only cases are called from the two era
+//! modules by name.
+
+use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Barrier};
+
+use crate::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
+
+/// A small layout every variant accepts: few slots, short batches, a fast
+/// era clock and a low stall threshold.
+pub(crate) fn small() -> SmrConfig {
+    SmrConfig {
+        slots: 4,
+        batch_min: 4,
+        era_freq: 4,
+        ack_threshold: 64,
+        max_threads: 32,
+        ..SmrConfig::default()
+    }
+}
+
+/// One operation per value: allocate it, retire it unpublished.
+pub(crate) fn churn<H: SmrHandle<u64>>(h: &mut H, values: std::ops::Range<u64>) {
+    for v in values {
+        h.enter();
+        let node = h.alloc(v);
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { h.retire(node) };
+        h.leave();
+    }
+}
+
+/// After every handle is gone nothing may be left: no leak, no node still
+/// waiting, and nothing released through the unpublished path.
+pub(crate) fn assert_all_freed<D: Smr<u64>>(domain: &D) {
+    assert!(domain.stats().balanced());
+    assert_eq!(
+        domain.stats().allocated(),
+        domain.stats().freed(),
+        "all retired + dummy nodes freed after quiescence"
+    );
+}
+
+pub(crate) fn single_thread<D: Smr<u64>>() {
+    let domain = D::with_config(small());
+    churn(&mut domain.handle(), 0..200);
+    assert_all_freed(&domain);
+}
+
+/// More threads than cores or slots; `adaptive` lets Hyaline-S grow.
+pub(crate) fn stress<D: Smr<u64>>() {
+    let domain = &D::with_config(SmrConfig {
+        batch_min: 8,
+        adaptive: true,
+        ..small()
+    });
+    std::thread::scope(|s| {
+        for t in 0..12 {
+            s.spawn(move || churn(&mut domain.handle(), t * 100_000..t * 100_000 + 1_500));
+        }
+    });
+    assert_all_freed(domain);
+}
+
+pub(crate) fn partial_batch_finalized_on_drop<D: Smr<u64>>() {
+    let domain = D::with_config(small());
+    // One node in the local batch; drop must dummy-pad and insert.
+    churn(&mut domain.handle(), 0..1);
+    assert!(domain.stats().balanced());
+    assert!(domain.stats().freed() >= 1);
+}
+
+pub(crate) fn dealloc_unpublished_node<D: Smr<u64>>() {
+    let domain = D::with_config(small());
+    let mut h = domain.handle();
+    let node = h.alloc(5);
+    // SAFETY: `node` was never published; dealloc-in-place is allowed.
+    unsafe { h.dealloc(node) };
+    drop(h);
+    assert!(domain.stats().balanced());
+    assert_eq!(domain.stats().deallocated(), 1);
+}
+
+/// A reader inside an operation pins batches retired after its `enter`;
+/// once it leaves they are freed. A robust variant may skip a reader that
+/// never dereferenced anything, so only the others must show the pin.
+pub(crate) fn reader_pins_until_leave<D: Smr<u64>>() {
+    let domain = &D::with_config(small());
+    let entered = &Barrier::new(2);
+    let retired = &Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut reader = domain.handle();
+            reader.enter();
+            entered.wait();
+            retired.wait();
+            let pinned = domain.stats().unreclaimed();
+            assert!(D::robust() || pinned > 0, "expected pinned batches");
+            reader.leave();
+        });
+        let mut writer = domain.handle();
+        entered.wait();
+        churn(&mut writer, 0..64); // several full batches
+        writer.flush();
+        retired.wait();
+    });
+    assert_all_freed(domain);
+}
+
+/// §3.3 `trim` frees what was retired since `enter` without leaving. Each
+/// node is protected before it is retired, so an era variant's slot is
+/// fresh enough to be handed every batch.
+pub(crate) fn trim_reclaims_mid_operation<D: Smr<u64>>() {
+    let domain = D::with_config(SmrConfig {
+        slots: 1, // single list: the trimming thread sees every batch
+        batch_min: 2,
+        max_threads: 4,
+        ..small()
+    });
+    let link = Atomic::null();
+    let mut h = domain.handle();
+    h.enter();
+    for i in 0..16u64 {
+        link.store(h.alloc(i), Ordering::Release);
+        let node = h.protect(0, &link);
+        // SAFETY: `link` is local to this test; no other thread sees `node`.
+        unsafe { h.retire(node) };
+    }
+    h.flush(); // insert any partial batch
+    let before = domain.stats().freed();
+    h.trim();
+    let after = domain.stats().freed();
+    assert!(
+        after > before,
+        "trim must reclaim batches retired since enter (before={before}, after={after})"
+    );
+    h.leave();
+    drop(h);
+    assert!(domain.stats().balanced());
+}
+
+pub(crate) fn recycling_reuses_memory_and_stays_balanced<D: Smr<u64>>() {
+    let domain = &D::with_config(SmrConfig {
+        slots: 2,
+        batch_min: 3,
+        recycle: true,
+        recycle_capacity: 1024,
+        recycle_magazine: 8,
+        ..small()
+    });
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            s.spawn(move || churn(&mut domain.handle(), t * 10_000..t * 10_000 + 2_000));
+        }
+    });
+    // Logical accounting is untouched by recycling...
+    assert_all_freed(domain);
+    // ...while the allocator fast path actually engaged.
+    assert!(domain.stats().recycled() > 0, "reclaim fed the pool");
+    assert!(domain.stats().pool_hits() > 0, "alloc drew from the pool");
+}
+
+/// A payload that counts itself live, per test so that parallel tests do
+/// not see each other.
+pub(crate) struct Tracked(Arc<AtomicI64>);
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        let prev = self.0.fetch_sub(1, Ordering::Relaxed);
+        assert!(prev > 0, "double drop detected");
+    }
+}
+
+pub(crate) fn payload_drops_exactly_once<D: Smr<Tracked>>() {
+    let live = &Arc::new(AtomicI64::new(0));
+    let domain = &D::with_config(SmrConfig {
+        slots: 2,
+        batch_min: 3,
+        ..small()
+    });
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(move || {
+                let mut h = domain.handle();
+                for _ in 0..1_000 {
+                    h.enter();
+                    live.fetch_add(1, Ordering::Relaxed);
+                    let node = h.alloc(Tracked(Arc::clone(live)));
+                    // SAFETY: the node is thread-local until retired.
+                    unsafe { h.retire(node) };
+                    h.leave();
+                }
+            });
+        }
+    });
+    assert_eq!(
+        live.load(Ordering::Relaxed),
+        0,
+        "payload leak or double drop"
+    );
+    assert!(domain.stats().balanced());
+}
+
+/// The robustness property (`ERAS`): a thread parked inside an operation
+/// must not pin nodes allocated *after* its slot era went stale.
+pub(crate) fn stalled_thread_is_skipped<D: Smr<u64>>() {
+    let domain = &D::with_config(SmrConfig {
+        slots: 2,
+        ..small()
+    });
+    let entered = &Barrier::new(2);
+    let done = &Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut stalled = domain.handle();
+            stalled.enter();
+            entered.wait();
+            done.wait(); // "stalled" inside the operation
+            stalled.leave();
+        });
+        entered.wait();
+        let mut worker = domain.handle();
+        // Every node is born after the stalled thread's access era, so its
+        // slot is skipped and memory keeps being reclaimed.
+        churn(&mut worker, 0..10_000);
+        worker.flush();
+        let unreclaimed = domain.stats().unreclaimed();
+        assert!(
+            unreclaimed < 1_000,
+            "stalled thread pinned {unreclaimed} nodes; {} must be robust",
+            D::name()
+        );
+        done.wait();
+    });
+    assert!(domain.stats().balanced());
+}
+
+/// The other side (`ERAS`): a reader whose access era is current must pin
+/// the batches it could reference; they reclaim once it leaves.
+pub(crate) fn fresh_reader_is_tracked_not_skipped<D: Smr<u64>>() {
+    let domain = &D::with_config(small());
+    let published = &Barrier::new(2);
+    let protected = &Barrier::new(2);
+    let release = &Barrier::new(2);
+    let link = &Atomic::<u64>::null();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut reader = domain.handle();
+            reader.enter();
+            published.wait();
+            let seen = reader.protect(0, link);
+            assert!(!seen.is_null());
+            // SAFETY: `seen` came from `protect` inside the operation.
+            assert_eq!(unsafe { *seen.deref() }, 42);
+            protected.wait();
+            release.wait();
+            // SAFETY: still protected — the era reservation pins `seen`.
+            assert_eq!(unsafe { *seen.deref() }, 42);
+            reader.leave();
+        });
+        let mut writer = domain.handle();
+        writer.enter();
+        let node = writer.alloc(42);
+        link.store(node, Ordering::Release);
+        published.wait();
+        protected.wait();
+        // Unlink and retire while the reader holds a protected pointer.
+        let unlinked = link.swap(Shared::null(), Ordering::AcqRel);
+        // SAFETY: the swap unlinked the node from the only shared link.
+        unsafe { writer.retire(unlinked) };
+        writer.leave();
+        writer.flush();
+        release.wait();
+    });
+    assert_all_freed(domain);
+}
+
+/// What each alias tells generic code about itself (the paper's Table 1 and
+/// the `Sharded`/seek-validation contracts), against the values the four
+/// separate implementations declared.
+#[test]
+fn capability_flags() {
+    fn flags<D: Smr<u64>>() -> (&'static str, [bool; 5]) {
+        let flags = [
+            D::robust(),
+            D::supports_trim(),
+            D::needs_seek_validation(),
+            D::shardable_by_pointer(),
+            D::wait_free_retire(),
+        ];
+        (D::name(), flags)
+    }
+    let plain = [false, true, false, true, false];
+    let eras = [true, true, true, false, false];
+    assert_eq!(flags::<Hyaline<u64>>(), ("Hyaline", plain));
+    assert_eq!(flags::<Hyaline1<u64>>(), ("Hyaline-1", plain));
+    assert_eq!(flags::<HyalineS<u64>>(), ("Hyaline-S", eras));
+    assert_eq!(flags::<Hyaline1S<u64>>(), ("Hyaline-1S", eras));
+}
+
+/// Instantiates the cases every variant must pass for one alias. The four
+/// leading names are what that variant's tests have always been called;
+/// the suite's test ids are a tracked floor, so they stay.
+macro_rules! cases {
+    ($alias:ident: $single:ident, $stress:ident, $trim:ident, $reader:ident) => {
+        #[test]
+        fn $single() {
+            crate::battery::single_thread::<$alias<u64>>();
+        }
+        #[test]
+        fn $stress() {
+            crate::battery::stress::<$alias<u64>>();
+        }
+        #[test]
+        fn $trim() {
+            crate::battery::trim_reclaims_mid_operation::<$alias<u64>>();
+        }
+        #[test]
+        fn $reader() {
+            crate::battery::reader_pins_until_leave::<$alias<u64>>();
+        }
+        #[test]
+        fn partial_batch_finalized_on_drop() {
+            crate::battery::partial_batch_finalized_on_drop::<$alias<u64>>();
+        }
+        #[test]
+        fn dealloc_unpublished_node() {
+            crate::battery::dealloc_unpublished_node::<$alias<u64>>();
+        }
+        #[test]
+        fn recycling_reuses_memory_and_stays_balanced() {
+            crate::battery::recycling_reuses_memory_and_stays_balanced::<$alias<u64>>();
+        }
+        #[test]
+        fn payload_drops_exactly_once() {
+            crate::battery::payload_drops_exactly_once::<$alias<crate::battery::Tracked>>();
+        }
+    };
+}
+pub(crate) use cases;

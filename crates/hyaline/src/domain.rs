@@ -1,0 +1,655 @@
+//! The one Hyaline domain. Figures 3, 4 and 5 of the paper are one algorithm
+//! with two independent switches, and that is how it is written here:
+//! `SINGLE` picks the single-entry head of Figure 4 over the multi-entry
+//! head of Figure 3, `ERAS` adds the birth and access eras of Figure 5.
+//! Each `if SINGLE` / `if ERAS` below is a constant the compiler folds, and
+//! sits where the figures differ; everything else is shared, and the part
+//! Crystalline shares too lives in [`Local`].
+
+use smr_core::{
+    Atomic, EraClock, NodePool, Shared, SlotRegistry, Smr, SmrConfig, SmrHandle, SmrNode, SmrStats,
+};
+use std::marker::PhantomData;
+use std::ptr;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+
+use crate::batch::{adjust_refs, adjust_slot_credit, chain_next, header, FinalizedBatch, W_NEXT};
+use crate::head::{Head1Word, HeadWord};
+use crate::local::Local;
+use crate::slots::{Slot, SlotDirectory};
+
+/// Computes the paper's `Adjs` constant: `⌊(2^64 - 1) / k⌋ + 1 = 2^64 / k`
+/// for power-of-two `k`, so that `k * Adjs == 0 (mod 2^64)`.
+pub(crate) fn adjs_for(slots: usize) -> usize {
+    debug_assert!(slots.is_power_of_two());
+    (usize::MAX >> slots.trailing_zeros()).wrapping_add(1)
+}
+
+/// Figure 5's `touch`: raises a shared slot's access era to at least `era`
+/// with a CAS-max loop (multiple threads share each slot), returning what it
+/// now is.
+fn touch(slot: &Slot, era: u64) -> u64 {
+    let mut access = slot.access.load(Ordering::SeqCst);
+    while access < era {
+        match slot
+            .access
+            .compare_exchange_weak(access, era, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => return era,
+            Err(now) => access = now,
+        }
+    }
+    access
+}
+
+/// A Hyaline reclamation domain; see the aliases [`Hyaline`](crate::Hyaline),
+/// [`Hyaline1`](crate::Hyaline1), [`HyalineS`](crate::HyalineS) and
+/// [`Hyaline1S`](crate::Hyaline1S) for what each switch setting is.
+///
+/// Slots each hold the head of a retirement list. `enter` takes a reference
+/// on a slot; `retire` accumulates nodes into local batches and appends full
+/// batches to every active slot; `leave` drops the reference and walks the
+/// sublist of batches retired during the operation, decrementing per-batch
+/// reference counters. The thread that brings a batch's counter to zero
+/// frees the whole batch — *asynchronous tracking*: nobody ever re-checks
+/// other threads' state.
+///
+/// * `SINGLE = false` (Figure 3): `k` = [`SmrConfig::slots`] shared slots
+///   with a `[HRef, HPtr]` head, any number of handles, `Adjs` wrap-around
+///   accounting. `SINGLE = true` (Figure 4): every handle owns a slot
+///   (capacity [`SmrConfig::max_threads`]), `HRef` is one bit, `enter` and
+///   `leave` are wait-free, and `retire` counts its insertions instead.
+/// * `ERAS = true` (Figure 5): allocations stamp a birth era, `protect`
+///   raises the slot's access era, and `retire` skips slots whose access
+///   era is older than the batch's minimum birth era, so a stalled thread
+///   pins only nodes born before its stall. On shared slots the `Ack`
+///   counter lets `enter` avoid slots held by stalled threads, growing the
+///   slot directory when all are (Figure 6, [`SmrConfig::adaptive`]).
+pub struct Domain<T: Send + 'static, const SINGLE: bool, const ERAS: bool> {
+    pub(crate) dir: SlotDirectory,
+    /// `SINGLE`: hands every handle its own index into `dir`.
+    registry: SlotRegistry,
+    pub(crate) era: EraClock,
+    era_freq: u64,
+    batch_min: usize,
+    ack_threshold: i64,
+    /// `!SINGLE`: round-robin starting slot for new handles.
+    next_slot: AtomicUsize,
+    stats: SmrStats,
+    pool: NodePool,
+    _marker: PhantomData<fn(T) -> T>,
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> std::fmt::Debug
+    for Domain<T, SINGLE, ERAS>
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(Self::name())
+            .field("dir", &self.dir)
+            .field("registered", &self.registry.claimed())
+            .field("era", &self.era.current())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Domain<T, SINGLE, ERAS> {
+    /// The current number of slots (grows under `adaptive`; the capacity
+    /// when every handle owns its slot).
+    pub fn slot_count(&self) -> usize {
+        self.dir.k()
+    }
+
+    /// The current global era (stays at 1 without `ERAS`).
+    pub fn era(&self) -> u64 {
+        self.era.current()
+    }
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<T, SINGLE, ERAS> {
+    type Handle<'d> = Handle<'d, T, SINGLE, ERAS>;
+
+    fn with_config(config: SmrConfig) -> Self {
+        let (k_min, max_k) = if SINGLE {
+            (config.max_threads, config.max_threads)
+        } else {
+            assert!(
+                config.slots.is_power_of_two(),
+                "{} requires a power-of-two slot count",
+                Self::name()
+            );
+            if ERAS && config.adaptive {
+                // Bounded by the registry-style cap so directory growth stops
+                // at a sane power of two even under pathological stalling.
+                let cap = config.max_threads.next_power_of_two();
+                (config.slots, cap.max(config.slots))
+            } else {
+                (config.slots, config.slots)
+            }
+        };
+        Self {
+            dir: SlotDirectory::new(k_min, max_k),
+            registry: SlotRegistry::new(if SINGLE { k_min } else { 0 }),
+            era: EraClock::new(),
+            era_freq: config.era_freq,
+            batch_min: config.batch_min,
+            ack_threshold: config.ack_threshold,
+            next_slot: AtomicUsize::new(0),
+            stats: SmrStats::new(),
+            pool: NodePool::for_node::<T>(&config),
+            _marker: PhantomData,
+        }
+    }
+
+    fn handle(&self) -> Handle<'_, T, SINGLE, ERAS> {
+        let slot = if SINGLE {
+            self.registry.claim()
+        } else {
+            self.next_slot.fetch_add(1, Ordering::Relaxed) & (self.dir.k() - 1)
+        };
+        Handle {
+            domain: self,
+            slot,
+            handle: ptr::null_mut(),
+            active: false,
+            access_cache: 0,
+            local: Local::new(&self.pool, &self.stats),
+        }
+    }
+
+    fn stats(&self) -> &SmrStats {
+        &self.stats
+    }
+
+    fn name() -> &'static str {
+        match (SINGLE, ERAS) {
+            (false, false) => "Hyaline",
+            (true, false) => "Hyaline-1",
+            (false, true) => "Hyaline-S",
+            (true, true) => "Hyaline-1S",
+        }
+    }
+
+    fn robust() -> bool {
+        ERAS
+    }
+
+    fn supports_trim() -> bool {
+        true
+    }
+
+    fn needs_seek_validation() -> bool {
+        // With eras, a batch whose `min_birth` outruns a slot's access era
+        // skips the slot permanently; a later `deref` of one of its nodes
+        // (reachable only through an unlinked frozen region) would not be
+        // covered. Validated traversals guarantee every protected node was
+        // still reachable — and therefore unretired — when its era was
+        // certified.
+        ERAS
+    }
+
+    fn shardable_by_pointer() -> bool {
+        // Without eras protection is purely enter-scoped (slot references;
+        // protect is a plain load) and alloc stamps no shard-local metadata.
+        !ERAS
+    }
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Drop for Domain<T, SINGLE, ERAS> {
+    fn drop(&mut self) {
+        // All handles borrowed `self`, so by now every thread has left and
+        // flushed: each slot's final leave detached and reaped its list.
+        // Zero is the empty head in both encodings.
+        if cfg!(debug_assertions) {
+            for i in 0..self.dir.k() {
+                assert_eq!(
+                    self.dir.slot(i).head.load(Ordering::Acquire),
+                    HeadWord::EMPTY,
+                    "{} domain dropped with a non-empty slot {i}",
+                    Self::name()
+                );
+            }
+        }
+    }
+}
+
+/// Per-thread handle to a [`Domain`]. With `SINGLE` it owns one slot for its
+/// whole life; otherwise it shares slots freely and needs no registration.
+pub struct Handle<'d, T: Send + 'static, const SINGLE: bool, const ERAS: bool> {
+    domain: &'d Domain<T, SINGLE, ERAS>,
+    pub(crate) slot: usize,
+    handle: *mut SmrNode<T>,
+    active: bool,
+    /// `SINGLE && ERAS`: cached copy of our slot's access era — valid
+    /// because this handle is the only writer ("Hyaline-1S: touch is an
+    /// ordinary memory write").
+    access_cache: u64,
+    local: Local<'d, T>,
+}
+
+// SAFETY: the raw pointers are exclusively owned retired/reaped nodes (the
+// local batch, reap list, and recycle magazine inside `local`) plus the
+// last-seen slot head, all usable from whichever thread drives the handle
+// next; the domain, pool and stats borrows are `Sync`; the cached access
+// era stays valid because this handle remains its slot's only writer
+// wherever it runs. Nothing is thread-affine, so a parked handle may move
+// between tasks.
+unsafe impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Send
+    for Handle<'_, T, SINGLE, ERAS>
+{
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> std::fmt::Debug
+    for Handle<'_, T, SINGLE, ERAS>
+{
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Handle")
+            .field("scheme", &Domain::<T, SINGLE, ERAS>::name())
+            .field("slot", &self.slot)
+            .field("active", &self.active)
+            .field("batch_len", &self.local.batch.count())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Handle<'_, T, SINGLE, ERAS> {
+    /// The slot this handle enters through: its own with `SINGLE`, else the
+    /// one it last used (Hyaline-S moves between operations to avoid
+    /// stalled slots).
+    pub fn slot(&self) -> usize {
+        self.slot
+    }
+
+    /// Figure 5's `enter` loop: stay away from slots saturated by stalled
+    /// threads; grow the directory when everything is saturated.
+    fn unsaturated_slot(&self) -> usize {
+        let domain = self.domain;
+        let mut k = domain.dir.k();
+        let mut slot = self.slot & (k - 1);
+        let mut scanned = 0;
+        let mut best = (i64::MAX, slot);
+        loop {
+            let ack = domain.dir.slot(slot).ack.load(Ordering::Relaxed);
+            if ack < domain.ack_threshold {
+                return slot;
+            }
+            if ack < best.0 {
+                best = (ack, slot);
+            }
+            slot = (slot + 1) & (k - 1);
+            scanned += 1;
+            if scanned >= k {
+                if !domain.dir.grow() {
+                    // Capped (non-adaptive): settle for the least-saturated
+                    // slot — this is the regime where Figure 10a shows the
+                    // capped variant starting to interfere.
+                    return best.1;
+                }
+                // New slots start with Ack = 0; rescan including them.
+                k = domain.dir.k();
+                scanned = 0;
+            }
+        }
+    }
+
+    /// Whether a batch may skip `slot` although a thread is inside it: with
+    /// eras, no thread whose access era is older than the batch's minimum
+    /// birth era can ever have dereferenced one of its nodes.
+    fn too_stale(slot: &Slot, fin: &FinalizedBatch<T>) -> bool {
+        ERAS && slot.access.load(Ordering::SeqCst) < fin.min_birth
+    }
+
+    /// Figure 3's `retire`: appends the batch to every active slot `0..k`,
+    /// where `k` is the slot count the batch was finalized against.
+    ///
+    /// # Safety
+    ///
+    /// `fin` must come from this handle's own `LocalBatch::finalize`, with a
+    /// chain of at least `k + 1` nodes that no other thread has seen yet.
+    unsafe fn insert_shared(&mut self, fin: FinalizedBatch<T>, k: usize) {
+        let domain = self.domain;
+        let adjs = adjs_for(k);
+        let mut insert_node = fin.chain_head;
+        let mut empty_adjs: usize = 0;
+        let mut any_empty = false;
+        for i in 0..k {
+            let slot = domain.dir.slot(i);
+            loop {
+                let head = slot.head.load(Ordering::Acquire);
+                if head.refs() == 0 || Self::too_stale(slot, &fin) {
+                    // REF #1#: no active threads (or none that matter);
+                    // account an Adjs for this slot directly on the batch at
+                    // the end.
+                    any_empty = true;
+                    empty_adjs = empty_adjs.wrapping_add(adjs);
+                    break;
+                }
+                debug_assert!(
+                    insert_node != fin.refs_node,
+                    "batch has fewer nodes than slots + 1"
+                );
+                header(insert_node)
+                    .word(W_NEXT)
+                    .store(head.ptr_bits(), Ordering::Relaxed);
+                let new = head.with_ptr(insert_node);
+                if slot
+                    .head
+                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    // REF #2#: credit the predecessor with Adjs plus the
+                    // snapshot of HRef taken by the winning CAS.
+                    let pred: *mut SmrNode<T> = head.ptr();
+                    if !pred.is_null() {
+                        adjust_slot_credit(pred, head.refs(), &mut self.local.reap);
+                    }
+                    if ERAS {
+                        // Track un-acknowledged references for stall
+                        // detection.
+                        slot.ack.fetch_add(head.refs() as i64, Ordering::Relaxed);
+                    }
+                    insert_node = chain_next(insert_node);
+                    break;
+                }
+            }
+        }
+        if any_empty {
+            // REF #3#: contribute the skipped slots' Adjs in one shot. When
+            // *all* slots were empty this wraps to zero and frees the
+            // untouched batch immediately.
+            adjust_refs(fin.refs_node, empty_adjs, &mut self.local.reap);
+        }
+    }
+
+    /// Figure 4's `retire`: push the batch to every *active* claimed slot,
+    /// counting insertions, then adjust `NRef` by the count.
+    ///
+    /// # Safety
+    ///
+    /// `fin` must come from this handle's own `LocalBatch::finalize` and be
+    /// unpublished: no other thread may have seen any chain node yet.
+    unsafe fn insert_owned(&mut self, mut fin: FinalizedBatch<T>) {
+        let domain = self.domain;
+        let mut insert_node = fin.chain_head;
+        // Once the chain is exhausted (more active slots than insertion
+        // nodes, e.g. a dummy-padded partial batch at flush time), every
+        // remaining slot gets a *fresh* dummy. A chain node that is already
+        // linked into one slot's list must never be pushed onto a second
+        // list: its `Next` word is the first list's link, and overwriting it
+        // corrupts that list.
+        let mut spare: *mut SmrNode<T> = ptr::null_mut();
+        let mut inserts: usize = 0;
+        for idx in domain.registry.iter_claimed() {
+            let slot = domain.dir.slot(idx);
+            let slot_head = slot.head.single();
+            loop {
+                let head = slot_head.load(Ordering::Acquire);
+                if !head.active() || Self::too_stale(slot, &fin) {
+                    break;
+                }
+                let node = if insert_node != fin.refs_node {
+                    insert_node
+                } else {
+                    if spare.is_null() {
+                        spare = self.local.spare_dummy(&mut fin);
+                    }
+                    spare
+                };
+                header(node)
+                    .word(W_NEXT)
+                    .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
+                let new = Head1Word::pack(true, node);
+                if slot_head
+                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    inserts += 1; // replaces REF #2#
+                    if node == insert_node {
+                        insert_node = chain_next(insert_node);
+                    } else {
+                        spare = ptr::null_mut(); // dummy consumed
+                    }
+                    break;
+                }
+            }
+        }
+        // Replaces REF #3#: one adjustment by the number of insertions. If
+        // no slot was active, `inserts == 0` frees the batch immediately.
+        adjust_refs(fin.refs_node, inserts, &mut self.local.reap);
+    }
+
+    /// Strictly more nodes than slots a batch can be inserted into (Section
+    /// 3.2), and at least `batch_min`.
+    fn batch_target(&self) -> usize {
+        let domain = self.domain;
+        let k = if SINGLE {
+            domain.registry.claimed()
+        } else {
+            domain.dir.k()
+        };
+        domain.batch_min.max(k + 1)
+    }
+
+    /// Freezes the local batch and inserts it, padding a partial batch with
+    /// dummies first: up to `k + 1` nodes for the *current* `k` on shared
+    /// slots (the directory may have grown since the batch was sized), whose
+    /// `Adjs = 2^64 / k` the batch then carries; on owned slots up to two
+    /// (REFS + one insertion candidate), because `insert_owned` extends on
+    /// demand.
+    fn finalize_and_insert(&mut self) {
+        if self.local.batch.is_empty() {
+            return;
+        }
+        if ERAS {
+            // Order the pre-retire unlinks before the access-era reads of
+            // the insertion loop.
+            fence(Ordering::SeqCst);
+        }
+        if SINGLE {
+            self.local.pad_batch(2);
+            // SAFETY: the batch is non-empty and wholly owned by this
+            // handle; `fin` is its own freshly finalized, unpublished batch.
+            unsafe {
+                let fin = self.local.batch.finalize(0);
+                self.insert_owned(fin);
+            }
+        } else {
+            let k = self.domain.dir.k();
+            self.local.pad_batch(k + 1);
+            // SAFETY: as above, and the padding brought the chain to at
+            // least `k + 1` nodes, all owned by this handle.
+            unsafe {
+                let fin = self.local.batch.finalize(adjs_for(k));
+                self.insert_shared(fin, k);
+            }
+        }
+    }
+}
+
+impl<T, const SINGLE: bool, const ERAS: bool> SmrHandle<T> for Handle<'_, T, SINGLE, ERAS>
+where
+    T: Send + 'static,
+{
+    fn enter(&mut self) {
+        debug_assert!(!self.active, "enter while already inside an operation");
+        if SINGLE {
+            self.domain.dir.slot(self.slot).head.single().enter();
+            self.handle = ptr::null_mut();
+        } else {
+            if ERAS {
+                self.slot = self.unsaturated_slot();
+            }
+            let old = self.domain.dir.slot(self.slot).head.enter_faa();
+            self.handle = old.ptr();
+        }
+        self.active = true;
+    }
+
+    fn leave(&mut self) {
+        debug_assert!(self.active, "leave without a matching enter");
+        self.active = false;
+        let slot = self.domain.dir.slot(self.slot);
+        if SINGLE {
+            // The swap detaches the whole list: the slot owner holds exactly
+            // one reference to every node in it, the head included.
+            let head: *mut SmrNode<T> = slot.head.single().leave().ptr();
+            if !head.is_null() {
+                // SAFETY: `leave` detached the list; its nodes stay live
+                // until this traversal applies our decrement to each batch.
+                unsafe { self.local.traverse(head, self.handle) };
+            }
+        } else {
+            let (old_head, curr, next) = loop {
+                let head = slot.head.load(Ordering::Acquire);
+                let curr: *mut SmrNode<T> = head.ptr();
+                let mut next = ptr::null_mut();
+                if curr != self.handle {
+                    debug_assert!(!curr.is_null());
+                    // SAFETY: a non-handle head exists only while we (an
+                    // active thread) hold a reference to it, so reading its
+                    // Next is safe.
+                    next = unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) }
+                        as *mut SmrNode<T>;
+                }
+                let mut new = head.with_refs(head.refs() - 1);
+                if head.refs() == 1 {
+                    new = new.with_ptr(ptr::null_mut::<SmrNode<T>>());
+                }
+                if slot
+                    .head
+                    .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    break (head, curr, next);
+                }
+            };
+            if old_head.refs() == 1 && !curr.is_null() {
+                // We detached the list: the head node never gets a successor,
+                // so give it its final per-slot Adjs as if it were a
+                // predecessor.
+                // SAFETY: `curr` was the head we just detached; the batch
+                // stays live until this final credit is applied.
+                unsafe { adjust_slot_credit(curr, 0, &mut self.local.reap) };
+            }
+            if curr != self.handle {
+                // SAFETY: `next` was read from `curr` while our slot
+                // reference pinned the sublist; traverse releases it exactly
+                // once.
+                let count = unsafe { self.local.traverse(next, self.handle) };
+                if ERAS {
+                    slot.ack.fetch_sub(count, Ordering::Relaxed);
+                }
+            }
+        }
+        self.handle = ptr::null_mut();
+        self.local.drain();
+    }
+
+    /// Hyaline's real §3.3 trimming: dereferences the sublist retired since
+    /// `enter` (or the previous `trim`) without touching the slot `Head`.
+    fn trim(&mut self) {
+        debug_assert!(self.active, "trim outside an operation");
+        let slot = self.domain.dir.slot(self.slot);
+        let curr: *mut SmrNode<T> = if SINGLE {
+            slot.head.single().load(Ordering::Acquire).ptr()
+        } else {
+            slot.head.load(Ordering::Acquire).ptr()
+        };
+        if curr != self.handle {
+            debug_assert!(!curr.is_null());
+            // SAFETY: we are still inside the operation, so the head and its
+            // sublist are pinned by our slot reference.
+            let next =
+                unsafe { header(curr).word(W_NEXT).load(Ordering::Acquire) } as *mut SmrNode<T>;
+            // SAFETY: as above — the sublist is pinned until traversed.
+            let count = unsafe { self.local.traverse(next, self.handle) };
+            if ERAS && !SINGLE {
+                slot.ack.fetch_sub(count, Ordering::Relaxed);
+            }
+            self.handle = curr;
+        }
+        self.local.drain();
+    }
+
+    fn alloc(&mut self, value: T) -> Shared<T> {
+        let domain = self.domain;
+        // Figure 5's init_node: advance the clock every `Freq` allocations
+        // and stamp the node's birth era.
+        if ERAS && self.local.era_due(domain.era_freq) {
+            domain.era.advance();
+        }
+        self.local.alloc(value, ERAS.then_some(&domain.era))
+    }
+
+    // SAFETY: per the `SmrHandle::dealloc` contract the node was never
+    // published, so this thread owns it outright and may free it in place.
+    unsafe fn dealloc(&mut self, ptr: Shared<T>) {
+        self.local.dealloc(ptr);
+    }
+
+    /// Without eras a plain load: active threads are tracked through the
+    /// slot references alone (Figure 1a: "No deref in basic Hyaline").
+    ///
+    /// With eras, Figure 5's `deref`: certify that this slot's access era
+    /// matches the global clock *before* the pointer read that is returned.
+    /// The re-read each iteration is what makes the certification sound: a
+    /// pointer obtained after the era sync cannot belong to a batch that
+    /// already skipped this slot.
+    fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
+        if !ERAS {
+            return src.load(Ordering::Acquire);
+        }
+        let domain = self.domain;
+        let slot = domain.dir.slot(self.slot);
+        let mut access = if SINGLE {
+            self.access_cache
+        } else {
+            slot.access.load(Ordering::SeqCst)
+        };
+        loop {
+            let node = src.load(Ordering::Acquire);
+            let alloc = domain.era.current();
+            if access == alloc {
+                return node;
+            }
+            if SINGLE {
+                // Sole owner: an ordinary store replaces the CAS-max `touch`.
+                slot.access.store(alloc, Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+                self.access_cache = alloc;
+                access = alloc;
+            } else {
+                access = touch(slot, alloc);
+            }
+        }
+    }
+
+    // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
+    // every shared structure, so batching it for deferred free is sound.
+    unsafe fn retire(&mut self, ptr: Shared<T>) {
+        debug_assert!(self.active, "retire outside an operation");
+        if self.local.retire(ptr, ERAS) >= self.batch_target() {
+            self.finalize_and_insert();
+            self.local.drain();
+        }
+    }
+
+    fn flush(&mut self) {
+        self.finalize_and_insert();
+        self.local.drain();
+        self.local.flush();
+    }
+}
+
+impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Drop for Handle<'_, T, SINGLE, ERAS> {
+    fn drop(&mut self) {
+        if self.active {
+            self.leave();
+        }
+        // A dropped handle finalizes its partial batch with dummy nodes, so
+        // the thread is immediately "off the hook".
+        self.flush();
+        if SINGLE {
+            self.domain.registry.release(self.slot);
+        }
+    }
+}

@@ -93,20 +93,30 @@ impl HeadWord {
     }
 }
 
-/// The atomic per-slot head used by Hyaline and Hyaline-S.
+/// The atomic per-slot head word. Its own methods speak the `[HRef, HPtr]`
+/// encoding of Hyaline and Hyaline-S; [`AtomicHead::single`] is the same
+/// word under the Hyaline-1/Hyaline-1S encoding.
 #[derive(Debug, Default)]
-pub struct AtomicHead(AtomicUsize);
+pub struct AtomicHead(AtomicHead1);
 
 impl AtomicHead {
     /// An empty head.
     pub const fn new() -> Self {
-        AtomicHead(AtomicUsize::new(0))
+        AtomicHead(AtomicHead1::new())
+    }
+
+    /// The word under Figure 4's single-bit encoding. A domain drives all
+    /// its slots through one encoding for its whole life; both agree that
+    /// zero is the empty, inactive head.
+    #[inline]
+    pub fn single(&self) -> &AtomicHead1 {
+        &self.0
     }
 
     /// Loads the current tuple.
     #[inline]
     pub fn load(&self, order: Ordering) -> HeadWord {
-        HeadWord(self.0.load(order))
+        HeadWord(self.0 .0.load(order))
     }
 
     /// The paper's `enter` FAA: atomically increments `HRef` and returns the
@@ -116,7 +126,7 @@ impl AtomicHead {
     /// bits, so `HPtr` is read and preserved atomically.
     #[inline]
     pub fn enter_faa(&self) -> HeadWord {
-        let old = HeadWord(self.0.fetch_add(REF_UNIT, Ordering::AcqRel));
+        let old = HeadWord(self.0 .0.fetch_add(REF_UNIT, Ordering::AcqRel));
         debug_assert!(old.refs() < MAX_REFS, "too many concurrent enters");
         old
     }
@@ -134,7 +144,7 @@ impl AtomicHead {
         success: Ordering,
         failure: Ordering,
     ) -> Result<HeadWord, HeadWord> {
-        self.0
+        (self.0 .0)
             .compare_exchange(current.0, new.0, success, failure)
             .map(HeadWord)
             .map_err(HeadWord)

@@ -1,19 +1,36 @@
 //! Hyaline: fast and transparent lock-free memory reclamation.
 //!
 //! This crate implements every algorithm of *"Hyaline: Fast and Transparent
-//! Lock-Free Memory Reclamation"* (Nikolaev & Ravindran, PODC 2019):
+//! Lock-Free Memory Reclamation"* (Nikolaev & Ravindran, PODC 2019). The
+//! paper presents them as one algorithm with two independent switches, and
+//! so does the code: one [`Domain`] and one [`Handle`] with two `const`
+//! parameters, and four aliases naming the settings.
 //!
-//! * [`Hyaline`] — the general multiple-list algorithm (Figure 3), including
-//!   the §3.3 `trim` operation.
-//! * [`Hyaline1`] — the single-width-CAS specialization with wait-free
-//!   `enter`/`leave` (Figure 4).
-//! * [`HyalineS`] — the robust extension using birth eras, per-slot access
-//!   eras and `Ack`-based stall detection (Figure 5), with optional §4.3
-//!   adaptive slot resizing (Figure 6).
-//! * [`Hyaline1S`] — the robust per-thread-slot variant.
-//! * [`llsc`] — a software model of single-width LL/SC reservation granules
-//!   and the Figure 7 head operations built on them (the paper's PPC/MIPS
-//!   port, §4.4).
+//! | alias | `SINGLE` | `ERAS` | paper |
+//! |---|---|---|---|
+//! | [`Hyaline`] | no | no | Figure 3, the general multiple-list algorithm |
+//! | [`Hyaline1`] | yes | no | Figure 4, single-width CAS, wait-free `enter`/`leave` |
+//! | [`HyalineS`] | no | yes | Figure 5, robust; Figure 6 (§4.3 adaptive resizing) when `adaptive` |
+//! | [`Hyaline1S`] | yes | yes | Figures 4 + 5, robust with one slot per thread |
+//!
+//! Where the figures differ, and so where `domain.rs` branches:
+//!
+//! | step | multi-entry head (`!SINGLE`) | single-entry head (`SINGLE`) | `ERAS` adds |
+//! |---|---|---|---|
+//! | slot | shared round-robin, `k = slots` | owned, claimed from a registry of `max_threads` | shared slots only: `enter` avoids slots with `Ack ≥ ack_threshold`, growing the directory when `adaptive` |
+//! | `enter` | fetch-add on `HRef`; the old `HPtr` is the handle | store the active bit | — |
+//! | `leave` | CAS loop; the last one out detaches the list | swap; traverse the detached list | shared slots: `Ack -=` nodes traversed |
+//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment | every claimed slot; count the insertions; spare dummies past the chain | fence, then also skip slots with `access < min_birth`; shared slots: `Ack += HRef` |
+//! | batch size | `max(batch_min, k + 1)`, `Adjs = 2^64 / k` | `max(batch_min, claimed + 1)`, `Adjs = 0` | `k` read when the batch is finalized |
+//! | `alloc` | pool | pool | advance the clock every `era_freq`, stamp the birth era |
+//! | `protect` | load | load | raise the slot's access era: CAS-max on shared slots, owner store + fence on owned |
+//!
+//! The rest — batches ([`batch`]), the per-handle state and its traverse,
+//! free loop, padding and flush ([`local`], shared with the `crystalline`
+//! crate), §3.3 `trim`, the slot table — exists once. [`head`] holds both
+//! head encodings and [`llsc`] a software model of single-width LL/SC
+//! reservation granules with the Figure 7 head operations built on them
+//! (the paper's PPC/MIPS port, §4.4).
 //!
 //! All variants implement the [`smr_core::Smr`] interface, so any data
 //! structure written against it (see the `lockfree-ds` crate) can use them
@@ -42,15 +59,430 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+#[cfg(test)]
+mod battery;
+mod domain;
 pub mod head;
-mod hyaline;
-mod hyaline1;
-mod hyaline1_s;
-mod hyaline_s;
 pub mod llsc;
-mod registry;
+pub mod local;
+mod slots;
 
+pub use crate::domain::{Domain, Handle};
 pub use crate::hyaline::{Hyaline, HyalineHandle};
 pub use crate::hyaline1::{Hyaline1, Hyaline1Handle};
 pub use crate::hyaline1_s::{Hyaline1S, Hyaline1SHandle};
 pub use crate::hyaline_s::{HyalineS, HyalineSHandle};
+
+// One section per alias: what the switch setting is, and the unit tests that
+// make sense for that setting only. The cases all four share are in
+// `battery`.
+
+mod hyaline {
+    /// The general Hyaline reclamation domain (paper Sections 3.1–3.3,
+    /// Figure 3): multiple slot retirement lists, batched retirement, and
+    /// `Adjs` wrap-around accounting.
+    ///
+    /// Hyaline is fully *transparent*: handles need no registration, any
+    /// number of threads may share the fixed `k` slots, and a dropped handle
+    /// finalizes its partial batch with dummy nodes so the thread is
+    /// immediately "off the hook". It is **not robust**: a stalled thread
+    /// inside an operation pins every batch retired in its slot since it
+    /// entered (use [`HyalineS`](crate::HyalineS) when robustness matters).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hyaline::Hyaline;
+    /// use smr_core::{Smr, SmrHandle};
+    ///
+    /// let domain: Hyaline<u64> = Hyaline::new();
+    /// let mut h = domain.handle();
+    /// h.enter();
+    /// let node = h.alloc(7);
+    /// unsafe { h.retire(node) };
+    /// h.leave();
+    /// ```
+    pub type Hyaline<T> = crate::Domain<T, false, false>;
+
+    /// Per-thread handle to a [`Hyaline`] domain.
+    pub type HyalineHandle<'d, T> = crate::Handle<'d, T, false, false>;
+
+    #[cfg(test)]
+    mod tests {
+        use super::Hyaline;
+        use crate::battery::{self, small};
+        use crate::domain::adjs_for;
+        use smr_core::{Atomic, Smr, SmrHandle};
+
+        battery::cases!(Hyaline:
+            single_thread_retire_reclaims_everything,
+            many_threads_stress_reclaims_all,
+            trim_reclaims_without_leaving,
+            concurrent_stalled_reader_blocks_then_releases);
+
+        #[test]
+        fn adjs_constant_matches_paper() {
+            // k = 1 -> Adjs = 0 (unsigned overflow); k = 8 with 64-bit -> 2^61.
+            assert_eq!(adjs_for(1), 0);
+            assert_eq!(adjs_for(8), 1usize << 61);
+            // k * Adjs == 0 (mod 2^64) for every power of two.
+            for shift in 0..16 {
+                let k = 1usize << shift;
+                assert_eq!(adjs_for(k), (usize::MAX / k).wrapping_add(1));
+                assert_eq!(adjs_for(k).wrapping_mul(k), 0);
+            }
+        }
+
+        #[test]
+        fn protect_is_plain_load() {
+            let domain = Hyaline::<u64>::with_config(small());
+            let mut h = domain.handle();
+            h.enter();
+            let node = h.alloc(42);
+            let link = Atomic::new(node);
+            let seen = h.protect(0, &link);
+            assert_eq!(seen, node);
+            // SAFETY: we are inside the operation, so `seen` is pinned and live.
+            assert_eq!(unsafe { *seen.deref() }, 42);
+            // SAFETY: `link` is local to this test; no other thread sees `node`.
+            unsafe { h.retire(node) };
+            h.leave();
+        }
+    }
+}
+
+mod hyaline1 {
+    /// The Hyaline-1 reclamation domain (Figure 4): the single-width-CAS
+    /// specialization.
+    ///
+    /// Every handle owns a dedicated slot, so the slot's `HRef` degenerates
+    /// to a single bit merged into the head pointer. Hyaline-1 works with
+    /// single-width CAS on any architecture and makes `enter`/`leave`
+    /// wait-free (a store and a swap), at the cost of requiring one slot per
+    /// live handle (threads register by claiming a slot, so it is *almost*
+    /// transparent — the paper's Table 1). `retire` counts how many slots a
+    /// batch was inserted into instead of the `Adjs` accounting.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hyaline::Hyaline1;
+    /// use smr_core::{Smr, SmrHandle};
+    ///
+    /// let domain: Hyaline1<u32> = Hyaline1::new();
+    /// let mut h = domain.handle();
+    /// h.enter();
+    /// let node = h.alloc(1);
+    /// unsafe { h.retire(node) };
+    /// h.leave();
+    /// ```
+    pub type Hyaline1<T> = crate::Domain<T, true, false>;
+
+    /// Per-thread handle to a [`Hyaline1`] domain; owns one slot.
+    pub type Hyaline1Handle<'d, T> = crate::Handle<'d, T, true, false>;
+
+    #[cfg(test)]
+    mod tests {
+        use super::Hyaline1;
+        use crate::battery::{self, assert_all_freed, churn, small};
+        use smr_core::{Smr, SmrConfig, SmrHandle};
+
+        battery::cases!(Hyaline1:
+            single_thread_reclaims_everything,
+            oversubscribed_stress,
+            trim_reclaims_mid_operation,
+            reader_pins_batches_until_leave);
+
+        #[test]
+        fn handles_own_distinct_slots() {
+            let domain = Hyaline1::<u64>::with_config(small());
+            let h1 = domain.handle();
+            let h2 = domain.handle();
+            assert_ne!(h1.slot(), h2.slot());
+            drop(h1);
+            let h3 = domain.handle();
+            // The released slot is reused.
+            assert_eq!(h3.slot(), 0);
+            drop(h2);
+            drop(h3);
+        }
+
+        #[test]
+        fn partial_batch_flush_with_many_active_slots() {
+            // Regression test: a partial batch (2 nodes after dummy padding)
+            // flushed while more than 2 slots are active must extend with a
+            // fresh dummy *per slot* — re-inserting a chain node into a second
+            // slot list corrupts the first list.
+            let domain = &Hyaline1::<u64>::with_config(SmrConfig {
+                batch_min: 64, // never filled during the test: flush is partial
+                ..small()
+            });
+            let readers = 6;
+            let inside = &std::sync::Barrier::new(readers + 1);
+            let flushed = &std::sync::Barrier::new(readers + 1);
+            std::thread::scope(|s| {
+                for _ in 0..readers {
+                    s.spawn(move || {
+                        let mut h = domain.handle();
+                        h.enter(); // slot active: the flusher must cover us
+                        inside.wait();
+                        flushed.wait();
+                        h.leave(); // traverses whatever the flusher inserted
+                    });
+                }
+                let mut w = domain.handle();
+                inside.wait();
+                churn(&mut w, 7..8);
+                w.flush(); // 1 real node + dummies, inserted into 6+ active slots
+                flushed.wait();
+            });
+            assert_all_freed(domain);
+        }
+
+        #[test]
+        fn churn_of_handles_is_transparent() {
+            // Threads (handles) created and destroyed dynamically, with retired
+            // nodes in flight: dropped handles must leave nothing on the hook.
+            let domain = Hyaline1::<u64>::with_config(small());
+            for round in 0..50u64 {
+                // Dropping finalizes the partial batch with dummies.
+                churn(&mut domain.handle(), round..round + 1);
+            }
+            assert_all_freed(&domain);
+        }
+    }
+}
+
+mod hyaline_s {
+    /// The robust Hyaline-S reclamation domain (Figure 5, plus the §4.3
+    /// adaptive slot resizing of Figure 6 when
+    /// [`SmrConfig::adaptive`](smr_core::SmrConfig::adaptive) is set).
+    ///
+    /// Hyaline-S partially adopts *birth eras* from HE/IBR — but, unlike
+    /// them, keeps no retire eras and uses eras only to *detect stalled
+    /// threads*, not to define reclamation intervals. Every allocation
+    /// stamps the node with the global era clock; every guarded pointer read
+    /// (`protect`) raises the calling slot's access era to the current
+    /// clock; `retire` skips slots whose access era is older than the
+    /// batch's minimum birth era (no thread in that slot can hold a
+    /// reference to any node of the batch). Slots occupied by stalled
+    /// threads accumulate un-acknowledged insertions in an `Ack` counter,
+    /// and `enter` avoids slots past a threshold.
+    ///
+    /// With `adaptive: false` the slot count is capped at
+    /// [`SmrConfig::slots`](smr_core::SmrConfig::slots) (the paper's Figure
+    /// 10a shows this configuration "running out of slots" once more stalled
+    /// threads than slots exist). With `adaptive: true` the slot directory
+    /// doubles whenever `enter` finds every slot saturated, making the
+    /// scheme fully robust.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hyaline::HyalineS;
+    /// use smr_core::{Smr, SmrConfig, SmrHandle};
+    ///
+    /// let domain: HyalineS<u64> = HyalineS::with_config(SmrConfig {
+    ///     slots: 8,
+    ///     adaptive: true,
+    ///     ..SmrConfig::default()
+    /// });
+    /// let mut h = domain.handle();
+    /// h.enter();
+    /// let node = h.alloc(1);
+    /// unsafe { h.retire(node) };
+    /// h.leave();
+    /// ```
+    pub type HyalineS<T> = crate::Domain<T, false, true>;
+
+    /// Per-thread handle to a [`HyalineS`] domain.
+    pub type HyalineSHandle<'d, T> = crate::Handle<'d, T, false, true>;
+
+    #[cfg(test)]
+    mod tests {
+        use super::HyalineS;
+        use crate::batch::W_NEXT;
+        use crate::battery::{self, churn, small};
+        use smr_core::{Atomic, Smr, SmrConfig, SmrHandle};
+        use std::sync::atomic::Ordering;
+
+        fn domain(slots: usize, adaptive: bool) -> HyalineS<u64> {
+            HyalineS::with_config(SmrConfig {
+                slots,
+                adaptive,
+                max_threads: 256,
+                ..small()
+            })
+        }
+
+        /// Marks slots `0..n` as held by stalled threads (or clears them).
+        fn saturate(d: &HyalineS<u64>, n: usize, ack: i64) {
+            for i in 0..n {
+                d.dir.slot(i).ack.store(ack, Ordering::Relaxed);
+            }
+        }
+
+        battery::cases!(HyalineS:
+            single_thread_reclaims_everything,
+            multithreaded_stress_reclaims_all,
+            trim_reclaims_mid_operation,
+            reader_pins_batches_until_leave);
+
+        #[test]
+        fn stalled_thread_does_not_block_new_batches() {
+            battery::stalled_thread_is_skipped::<HyalineS<u64>>();
+        }
+
+        #[test]
+        fn fresh_reader_is_tracked_not_skipped() {
+            battery::fresh_reader_is_tracked_not_skipped::<HyalineS<u64>>();
+        }
+
+        #[test]
+        fn birth_era_recorded_on_alloc() {
+            let d = domain(2, false);
+            let mut h = d.handle();
+            h.enter();
+            let node = h.alloc(1);
+            // SAFETY: `node` is live and local; reading its header word is safe.
+            let birth = unsafe { node.header() }
+                .word(W_NEXT)
+                .load(Ordering::Relaxed) as u64;
+            assert!(birth >= 1, "birth era must be stamped");
+            assert!(birth <= d.era());
+            // SAFETY: `node` was never published; no other reference exists.
+            unsafe { h.retire(node) };
+            h.leave();
+        }
+
+        #[test]
+        fn protect_raises_access_era() {
+            let d = domain(2, false);
+            let mut h = d.handle();
+            h.enter();
+            let node = h.alloc(5);
+            let link = Atomic::new(node);
+            // Advance the clock so the slot's era is stale.
+            for _ in 0..10 {
+                d.era.advance();
+            }
+            let seen = h.protect(0, &link);
+            assert_eq!(seen, node);
+            let slot_era = d.dir.slot(h.slot()).access.load(Ordering::SeqCst);
+            assert_eq!(slot_era, d.era(), "deref must sync the slot era");
+            // SAFETY: `link` is local to this test; no other thread sees `node`.
+            unsafe { h.retire(node) };
+            h.leave();
+        }
+
+        #[test]
+        fn enter_avoids_saturated_slots() {
+            let d = domain(4, false);
+            saturate(&d, 1, 1 << 20);
+            let mut h = d.handle();
+            // Force the preferred slot to 0, then enter: it must move away.
+            h.slot = 0;
+            h.enter();
+            assert_ne!(h.slot(), 0, "enter must skip the saturated slot");
+            h.leave();
+        }
+
+        #[test]
+        fn adaptive_growth_when_all_slots_saturated() {
+            let d = domain(2, true);
+            saturate(&d, 2, 1 << 20);
+            assert_eq!(d.slot_count(), 2);
+            let mut h = d.handle();
+            h.enter();
+            // The directory must have grown and the handle moved to a new slot.
+            assert!(d.slot_count() >= 4, "directory did not grow");
+            assert!(h.slot() >= 2, "handle still in a saturated slot");
+            h.leave();
+        }
+
+        #[test]
+        fn capped_variant_falls_back_to_least_saturated() {
+            let d = domain(2, false);
+            saturate(&d, 1, 1 << 20);
+            d.dir.slot(1).ack.store(1 << 30, Ordering::Relaxed);
+            let mut h = d.handle();
+            h.enter();
+            assert_eq!(d.slot_count(), 2, "capped directory must not grow");
+            assert_eq!(h.slot(), 0, "expected the least-saturated slot");
+            h.leave();
+        }
+
+        #[test]
+        fn drop_checks_every_grown_bank() {
+            // Grow twice, work through the new banks, quiesce: the domain's
+            // drop check walks all eight slots and finds them empty.
+            let d = domain(2, true);
+            for k in [2, 4] {
+                saturate(&d, k, 1 << 20);
+                churn(&mut d.handle(), 0..100);
+            }
+            assert_eq!(d.slot_count(), 8);
+            assert!(d.stats().balanced());
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "non-empty slot 3")]
+        fn drop_check_reaches_grown_banks() {
+            let d = domain(2, true);
+            saturate(&d, 2, 1 << 20);
+            churn(&mut d.handle(), 0..1); // grows to 4 slots
+            d.dir.slot(3).head.enter_faa(); // a thread that never left
+        }
+    }
+}
+
+mod hyaline1_s {
+    /// The robust Hyaline-1S reclamation domain: Hyaline-1's per-thread
+    /// slots (Figure 4) with Hyaline-S's birth eras (Figure 5).
+    ///
+    /// Because each slot has exactly one owner, `touch` is an ordinary
+    /// memory write and no `Ack` bookkeeping is needed — a stalled thread
+    /// only makes its *own* slot stale, and retirement skips it by the era
+    /// check, so the scheme is fully robust.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hyaline::Hyaline1S;
+    /// use smr_core::{Smr, SmrHandle};
+    ///
+    /// let domain: Hyaline1S<u32> = Hyaline1S::new();
+    /// let mut h = domain.handle();
+    /// h.enter();
+    /// let node = h.alloc(1);
+    /// unsafe { h.retire(node) };
+    /// h.leave();
+    /// ```
+    pub type Hyaline1S<T> = crate::Domain<T, true, true>;
+
+    /// Per-thread handle to a [`Hyaline1S`] domain; owns one slot.
+    pub type Hyaline1SHandle<'d, T> = crate::Handle<'d, T, true, true>;
+
+    #[cfg(test)]
+    mod tests {
+        use super::Hyaline1S;
+        use crate::battery;
+
+        battery::cases!(Hyaline1S:
+            single_thread_reclaims_everything,
+            multithreaded_stress,
+            trim_reclaims_mid_operation,
+            reader_pins_batches_until_leave);
+
+        #[test]
+        fn stalled_thread_is_skipped_by_era() {
+            battery::stalled_thread_is_skipped::<Hyaline1S<u64>>();
+        }
+
+        #[test]
+        fn fresh_reader_is_tracked_not_skipped() {
+            battery::fresh_reader_is_tracked_not_skipped::<Hyaline1S<u64>>();
+        }
+    }
+}

@@ -1,0 +1,193 @@
+//! The half of a handle that no variant changes.
+//!
+//! Between the slot heads and the allocator every Hyaline variant — and
+//! Crystalline, which builds on the same batches — does the same things: it
+//! collects retired nodes into a [`LocalBatch`], walks retirement sublists
+//! decrementing `NRef`s, frees the batches that reached zero, pads partial
+//! batches with dummies, stamps birth eras, and buffers statistics and
+//! recycled memory. [`Local`] is that state and those steps, written once;
+//! what a scheme adds is how batches reach the slot heads.
+
+use smr_core::{EraClock, LocalStats, Magazine, NodePool, Shared, SmrNode, SmrStats};
+use std::sync::atomic::Ordering;
+
+use crate::batch::{decrement, free_batch_into, header, FinalizedBatch, LocalBatch, W_NEXT};
+
+/// The scheme-independent per-handle state of the Hyaline family.
+pub struct Local<'d, T> {
+    pool: &'d NodePool,
+    stats: &'d SmrStats,
+    /// The batch under construction.
+    pub batch: LocalBatch<T>,
+    /// REFS nodes of batches whose `NRef` crossed zero, freed by
+    /// [`Local::drain`].
+    pub reap: Vec<*mut SmrNode<T>>,
+    local_stats: LocalStats,
+    mag: Magazine,
+    allocs: u64,
+}
+
+impl<'d, T> Local<'d, T> {
+    /// Empty state for a handle of the domain owning `pool` and `stats`.
+    pub fn new(pool: &'d NodePool, stats: &'d SmrStats) -> Self {
+        Self {
+            pool,
+            stats,
+            batch: LocalBatch::new(),
+            reap: Vec::new(),
+            local_stats: LocalStats::new(),
+            mag: pool.magazine(),
+            allocs: 0,
+        }
+    }
+
+    /// Walks the retirement sublist from `next` down to (and including)
+    /// `handle`, decrementing each batch's `NRef` (Figure 3, `traverse`).
+    /// Returns the number of loop iterations, a terminating null hop
+    /// included: Figure 5 subtracts exactly that from the slot's `Ack`,
+    /// balancing the `HRef` snapshots `retire` added.
+    ///
+    /// # Safety
+    ///
+    /// `next` must be a node the caller's slot reference still pins — the
+    /// detached head, or a `Next` link read while the reference was held —
+    /// so every node on the sublist is live until its decrement below.
+    pub unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>, handle: *mut SmrNode<T>) -> i64 {
+        let mut count = 0;
+        loop {
+            let curr = next;
+            count += 1;
+            if curr.is_null() {
+                break;
+            }
+            // Read the link *before* the decrement: our decrement may be the
+            // batch's last, after which the node may be freed by `drain`.
+            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
+            decrement(curr, &mut self.reap);
+            if curr == handle {
+                break;
+            }
+        }
+        count
+    }
+
+    /// Frees all reaped batches, oldest first (the paper's deferred
+    /// deallocation list that reverses LIFO reaping into FIFO freeing).
+    /// Most calls find nothing reaped, so that check is all a caller
+    /// inlines.
+    #[inline]
+    pub fn drain(&mut self) {
+        if !self.reap.is_empty() {
+            self.free_reaped();
+        }
+    }
+
+    #[inline(never)]
+    fn free_reaped(&mut self) {
+        let mut freed = 0;
+        // `drain(..)` keeps the list's capacity for the next burst.
+        for refs in self.reap.drain(..) {
+            // SAFETY: a REFS node enters `reap` only when its batch's NRef
+            // crossed zero, so no thread can still reference the batch.
+            freed += unsafe { free_batch_into(refs, self.pool, &mut self.mag, self.stats) };
+        }
+        self.local_stats.on_free(self.stats, freed);
+    }
+
+    /// Pads the batch with payload-less dummy nodes up to `min` nodes
+    /// (Section 2.4: partial batches "can be immediately finalized by
+    /// allocating a finite number of dummy nodes").
+    pub fn pad_batch(&mut self, min: usize) {
+        while self.batch.count() < min {
+            // SAFETY: dummy nodes have no payload; the pool hands out fresh
+            // or recycled exclusively-owned memory either way.
+            let dummy = unsafe { self.pool.alloc_dummy::<T>(&mut self.mag, self.stats) };
+            self.count_dummy();
+            // SAFETY: `dummy` is exclusively owned until pushed.
+            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
+        }
+    }
+
+    /// [`FinalizedBatch::extend_with_dummy`], with the dummy accounted for.
+    ///
+    /// # Safety
+    ///
+    /// Same contract: only the inserting thread, before the batch's final
+    /// `adjust_refs`.
+    pub unsafe fn spare_dummy(&mut self, fin: &mut FinalizedBatch<T>) -> *mut SmrNode<T> {
+        self.count_dummy();
+        fin.extend_with_dummy()
+    }
+
+    /// A dummy is allocated and retired in one step.
+    fn count_dummy(&mut self) {
+        self.local_stats.on_alloc(self.stats);
+        self.local_stats.on_retire(self.stats);
+    }
+
+    /// Counts one allocation; `true` on every `freq`-th, when Figure 5's
+    /// `init_node` advances the era clock before [`Local::alloc`].
+    pub fn era_due(&mut self, freq: u64) -> bool {
+        self.allocs += 1;
+        self.allocs.is_multiple_of(freq)
+    }
+
+    /// Allocates a node for `value`. With `era`, stamps the node's birth
+    /// era, which shares the header word with `Next` because it need not
+    /// survive `retire`.
+    pub fn alloc(&mut self, value: T, era: Option<&EraClock>) -> Shared<T> {
+        self.local_stats.on_alloc(self.stats);
+        let node = self.pool.alloc(&mut self.mag, self.stats, value);
+        if let Some(era) = era {
+            // SAFETY: `node` is a fresh, unshared allocation; stamping its
+            // birth era in the header word races with nobody.
+            unsafe {
+                (*node.as_ptr())
+                    .header()
+                    .word(W_NEXT)
+                    .store(era.current() as usize, Ordering::Relaxed);
+            }
+        }
+        Shared::from_node(node)
+    }
+
+    /// Adds a retired node to the batch, reading back the birth era that
+    /// [`Local::alloc`] stamped when `eras` is set. Returns the batch's new
+    /// node count.
+    ///
+    /// # Safety
+    ///
+    /// The [`SmrHandle::retire`](smr_core::SmrHandle::retire) contract:
+    /// `ptr` is unlinked from every shared structure and retired once.
+    pub unsafe fn retire(&mut self, ptr: Shared<T>, eras: bool) -> usize {
+        let node = ptr.as_node_ptr();
+        let birth = if eras {
+            header(node).word(W_NEXT).load(Ordering::Relaxed) as u64
+        } else {
+            0
+        };
+        self.local_stats.on_retire(self.stats);
+        self.batch.push(node, birth, true);
+        self.batch.count()
+    }
+
+    /// Frees a node that was never published.
+    ///
+    /// # Safety
+    ///
+    /// The [`SmrHandle::dealloc`](smr_core::SmrHandle::dealloc) contract:
+    /// this thread owns `ptr` outright.
+    pub unsafe fn dealloc(&mut self, ptr: Shared<T>) {
+        self.local_stats.on_dealloc(self.stats);
+        self.pool
+            .dispose(&mut self.mag, self.stats, ptr.as_node_ptr(), true);
+    }
+
+    /// Publishes the buffered statistics and spills the recycle magazine,
+    /// so a parked handle (`HandlePool` check-in flushes before parking)
+    /// never strands pool capacity.
+    pub fn flush(&mut self) {
+        self.pool.flush(&mut self.mag, self.stats);
+        self.local_stats.flush(self.stats);
+    }
+}

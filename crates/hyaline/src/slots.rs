@@ -1,20 +1,23 @@
-//! The adaptive slot directory of Section 4.3 (Figure 6) used by Hyaline-S.
+//! The slot table every Hyaline variant keeps its heads in: the adaptive
+//! directory of Section 4.3 (Figure 6). Only Hyaline-S with `adaptive` set
+//! ever grows it; the other variants build it with `max_k == k_min`.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use crate::head::AtomicHead;
 
-/// One Hyaline-S slot: the list head, the per-slot access era, and the
-/// stall-detection `Ack` counter (Figure 5), padded to its own cache lines.
+/// One slot: the list head (Figure 3 or Figure 4 encoding), the access era
+/// of the era variants and Hyaline-S's stall-detection `Ack` counter
+/// (Figure 5), padded to its own cache lines.
 #[derive(Debug)]
-pub(crate) struct SlotS {
+pub(crate) struct Slot {
     pub(crate) head: AtomicHead,
     pub(crate) access: AtomicU64,
     pub(crate) ack: AtomicI64,
 }
 
-impl SlotS {
+impl Slot {
     fn new() -> Self {
         Self {
             head: AtomicHead::new(),
@@ -36,7 +39,7 @@ const DIR_ENTRIES: usize = 64;
 /// CAS-installing one new bank; the arrays already handed out are never
 /// moved, so readers need no synchronization beyond an acquire load.
 pub(crate) struct SlotDirectory {
-    banks: [AtomicPtr<CachePadded<SlotS>>; DIR_ENTRIES],
+    banks: [AtomicPtr<CachePadded<Slot>>; DIR_ENTRIES],
     k_min: usize,
     k: AtomicUsize,
     max_k: usize,
@@ -44,9 +47,10 @@ pub(crate) struct SlotDirectory {
 
 impl SlotDirectory {
     /// Creates a directory with `k_min` initial slots, growable up to
-    /// `max_k` (both powers of two; `max_k == k_min` disables growth).
+    /// `max_k`. `max_k == k_min` disables growth; a growable directory
+    /// needs both to be powers of two.
     pub(crate) fn new(k_min: usize, max_k: usize) -> Self {
-        assert!(k_min.is_power_of_two() && max_k.is_power_of_two());
+        assert!(max_k == k_min || (k_min.is_power_of_two() && max_k.is_power_of_two()));
         assert!(max_k >= k_min);
         let dir = Self {
             banks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
@@ -59,11 +63,10 @@ impl SlotDirectory {
         dir
     }
 
-    fn alloc_bank(len: usize) -> *mut CachePadded<SlotS> {
-        let bank: Box<[CachePadded<SlotS>]> = (0..len)
-            .map(|_| CachePadded::new(SlotS::new()))
-            .collect();
-        Box::into_raw(bank) as *mut CachePadded<SlotS>
+    fn alloc_bank(len: usize) -> *mut CachePadded<Slot> {
+        let bank: Box<[CachePadded<Slot>]> =
+            (0..len).map(|_| CachePadded::new(Slot::new())).collect();
+        Box::into_raw(bank) as *mut CachePadded<Slot>
     }
 
     /// Size of directory bank `s`.
@@ -85,14 +88,16 @@ impl SlotDirectory {
     }
 
     /// Directory entry covering slot `i` (Figure 6's `s = log2(⌊i/k_min⌋)+1`
-    /// with `log2(0) = -1`, computed with a leading-zero count).
+    /// with `log2(0) = -1`). Bank 0 is one compare away; past it — only in
+    /// a grown, hence power-of-two, directory — the quotient is a shift, so
+    /// no variant's `enter` pays an integer division for the lookup.
     #[inline]
     fn bank_index(&self, i: usize) -> usize {
-        let q = i / self.k_min;
-        if q == 0 {
+        if i < self.k_min {
             0
         } else {
-            (usize::BITS - 1 - q.leading_zeros()) as usize + 1
+            let q = i >> self.k_min.trailing_zeros();
+            (usize::BITS - q.leading_zeros()) as usize
         }
     }
 
@@ -108,7 +113,7 @@ impl SlotDirectory {
     ///
     /// Debug-panics if `i` is outside the current `k`.
     #[inline]
-    pub(crate) fn slot(&self, i: usize) -> &SlotS {
+    pub(crate) fn slot(&self, i: usize) -> &Slot {
         let s = self.bank_index(i);
         let base = self.bank_base(s);
         debug_assert!(i < self.k());
@@ -158,7 +163,7 @@ impl SlotDirectory {
     ///
     /// `ptr`/`len` must describe a bank from `alloc_bank` that is no longer
     /// reachable by any thread.
-    unsafe fn drop_bank(ptr: *mut CachePadded<SlotS>, len: usize) {
+    unsafe fn drop_bank(ptr: *mut CachePadded<Slot>, len: usize) {
         drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)));
     }
 }
@@ -243,8 +248,14 @@ mod tests {
 
     #[test]
     fn non_adaptive_directory_never_grows() {
-        let dir = SlotDirectory::new(8, 8);
-        assert!(!dir.grow());
-        assert_eq!(dir.k(), 8);
+        // A fixed directory may have any size (Hyaline-1 sizes it by
+        // `max_threads`): every slot is in bank 0.
+        for k in [8, 12] {
+            let dir = SlotDirectory::new(k, k);
+            assert!(!dir.grow());
+            assert_eq!(dir.k(), k);
+            assert_eq!(dir.bank_index(k - 1), 0);
+            dir.slot(k - 1).ack.store(1, Ordering::Relaxed);
+        }
     }
 }
