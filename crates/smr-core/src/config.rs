@@ -80,8 +80,10 @@ pub struct SmrConfig {
     /// (`Freq` in Figure 5). Also used as the epoch-advance frequency for EBR
     /// and the era-advance frequency for HE/IBR.
     pub era_freq: u64,
-    /// Number of locally retired nodes that triggers a reclamation scan in
-    /// the scan-based schemes (EBR, HP, HE, IBR).
+    /// Minimum retires between scans in the scan-based schemes (EBR, HP, HE,
+    /// IBR); the interval doubles with the survivors: after a scan that
+    /// leaves `s` nodes pinned, the next one runs `max(scan_threshold, s)`
+    /// retires later.
     pub scan_threshold: usize,
     /// Number of protection indices available per thread for pointer-based
     /// schemes (HP, HE). `protect(idx, ..)` requires `idx < max_protect`.
