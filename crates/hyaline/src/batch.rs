@@ -306,21 +306,23 @@ pub unsafe fn free_batch_into<T>(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
-    static DROPS: AtomicU64 = AtomicU64::new(0);
-    struct Payload;
+    /// Counts its drops in its own test's counter: the tests run in
+    /// parallel.
+    struct Payload(Arc<AtomicU64>);
     impl Drop for Payload {
         fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::Relaxed);
+            self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     #[test]
     fn batch_chain_and_free() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = Arc::new(AtomicU64::new(0));
         let mut batch = LocalBatch::<Payload>::new();
         for i in 0..5 {
-            let node = SmrNode::alloc(Payload);
+            let node = SmrNode::alloc(Payload(Arc::clone(&drops)));
             // SAFETY: `node` was just allocated and is exclusively owned.
             unsafe { batch.push(node.as_ptr(), 100 + i, true) };
         }
@@ -343,14 +345,14 @@ mod tests {
         // SAFETY: no other reference to the batch remains; freeing is final.
         let freed = unsafe { free_batch(fin.refs_node) };
         assert_eq!(freed, 5);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 5);
+        assert_eq!(drops.load(Ordering::Relaxed), 5);
     }
 
     #[test]
     fn dummy_nodes_freed_without_drop() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = Arc::new(AtomicU64::new(0));
         let mut batch = LocalBatch::<Payload>::new();
-        let real = SmrNode::alloc(Payload);
+        let real = SmrNode::alloc(Payload(Arc::clone(&drops)));
         // SAFETY: `real` was just allocated and is exclusively owned.
         unsafe { batch.push(real.as_ptr(), 1, true) };
         for _ in 0..3 {
@@ -366,7 +368,7 @@ mod tests {
         // SAFETY: the batch was never published; this thread owns it outright.
         let freed = unsafe { free_batch(fin.refs_node) };
         assert_eq!(freed, 4);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 1, "only the real payload drops");
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "only the real payload drops");
     }
 
     #[test]

@@ -43,7 +43,11 @@
 //! `smr_core::recycle` — magazine spills (`push_block`) racing refills
 //! (`take_all`) — whose safety rests on an ABA-freedom-by-construction
 //! argument, and demonstrates via a fault-injected Treiber *pop-one*
-//! mutant why that operation is deliberately absent from the pool.
+//! mutant why that operation is deliberately absent from the pool. The
+//! [`pool`] module explores `smr_core::HandlePool`: blocking, awaited and
+//! cancelled checkouts against check-ins, with the publish-then-read
+//! `waiting` handshake stepped action by action and its swapped order
+//! caught as a lost wake-up.
 //!
 //! The exploration assumes **sequential consistency**: it interleaves atomic
 //! actions but does not model weaker memory orderings. The production crates
@@ -79,6 +83,6 @@ pub use crystalline::{CrystalFault, CrystalOutcome, CrystalScenario, CrystalViol
 pub use explorer::{Explorer, Outcome, Violation};
 pub use llsc::{LlscFault, LlscOutcome, LlscScenario, LlscViolation};
 pub use model::{HyalineModel, ModelConfig, ThreadProgram, Variant};
-pub use pool::{PoolOp, PoolOutcome, PoolScenario, PoolViolation};
+pub use pool::{PoolFault, PoolOp, PoolOutcome, PoolScenario, PoolViolation};
 pub use reclaimer::{ReclaimerFault, ReclaimerOutcome, ReclaimerScenario, ReclaimerViolation};
 pub use recycle::{RecycleOp, RecycleOutcome, RecycleScenario, RecycleViolation};

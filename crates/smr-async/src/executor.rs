@@ -24,24 +24,48 @@
 //! Worker threads are OS threads, so `scope(workers, ..)` with `workers >=
 //! 1` makes progress even on a single-core host; tens of thousands of
 //! cooperative tasks multiplex over that fixed worker set.
+//!
+//! A loaded executor stays out of the kernel and out of its own way. The
+//! injector counts the threads asleep on its condvar (under the mutex the
+//! wait releases, so exactly) and a push notifies only when there is one:
+//! `Condvar::notify_one` with nobody asleep is still a `futex_wake` system
+//! call, and with a few hundred runnable tasks nobody ever is. And a task
+//! woken while it is being polled — what [`yield_now`] does to itself — is
+//! not pushed at once (the worker that popped it would only block on the
+//! task's future) but handed back to its worker, which puts it at the back
+//! of the queue in the lock section that pops the next task: a yield is
+//! one trip through the injector mutex.
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// The run queue and who is asleep waiting for it, under one mutex.
+#[derive(Default)]
+struct Injector {
+    /// FIFO of runnable tasks; tasks are pushed here when spawned or woken.
+    queue: VecDeque<Arc<Task>>,
+    /// Threads inside a wait on [`Shared::available`]. Changed only under
+    /// this mutex, which the wait releases, so it is exact.
+    sleepers: usize,
+    /// `notify_one` calls made by [`Shared::push`], for the tests that
+    /// show a busy executor makes none.
+    #[cfg(test)]
+    notifies: u64,
+}
+
 /// State shared between the scope owner, the workers, and every task waker.
 struct Shared {
-    /// FIFO injector; tasks are pushed here when spawned or woken.
-    injector: Mutex<VecDeque<Arc<Task>>>,
-    /// Signalled when the injector gains a task, a task completes, or
-    /// shutdown begins.
+    injector: Mutex<Injector>,
+    /// Signalled when the injector gains a task while somebody sleeps, when
+    /// the scope quiesces, and when shutdown begins.
     available: Condvar,
     /// Tasks spawned but not yet run to completion.
     live: AtomicUsize,
@@ -54,7 +78,7 @@ struct Shared {
 impl Shared {
     fn new() -> Self {
         Shared {
-            injector: Mutex::new(VecDeque::new()),
+            injector: Mutex::default(),
             available: Condvar::new(),
             live: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -62,15 +86,61 @@ impl Shared {
         }
     }
 
-    fn lock_injector(&self) -> std::sync::MutexGuard<'_, VecDeque<Arc<Task>>> {
+    fn lock_injector(&self) -> MutexGuard<'_, Injector> {
         // Poisoning only happens if a worker panicked outside catch_unwind;
         // the queue itself is always in a consistent state.
         self.injector.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Queues a runnable task. With every worker busy — the steady state
+    /// of a loaded service — that is one lock section and no system call:
+    /// `notify_one` is a `futex_wake` even when nobody is asleep, so it is
+    /// made only for a sleeper, after the lock is released.
     fn push(&self, task: Arc<Task>) {
-        self.lock_injector().push_back(task);
-        self.available.notify_one();
+        let mut injector = self.lock_injector();
+        injector.queue.push_back(task);
+        let asleep = injector.sleepers > 0;
+        #[cfg(test)]
+        {
+            injector.notifies += u64::from(asleep);
+        }
+        drop(injector);
+        if asleep {
+            self.available.notify_one();
+        }
+    }
+
+    /// Pops the next runnable task, sleeping while the queue is empty and
+    /// `done` does not hold; `None` once `done` does. `requeue` — the task
+    /// this thread just polled, if it was woken meanwhile — goes to the
+    /// back of the queue in the same lock section, so a `yield_now` costs
+    /// one trip through the injector, not two. (Nobody is notified for it:
+    /// one task in, one task out.)
+    fn next_task(&self, requeue: Option<Arc<Task>>, done: impl Fn() -> bool) -> Option<Arc<Task>> {
+        let mut injector = self.lock_injector();
+        injector.queue.extend(requeue);
+        loop {
+            if let Some(task) = injector.queue.pop_front() {
+                return Some(task);
+            }
+            if done() {
+                return None;
+            }
+            injector.sleepers += 1;
+            injector = self
+                .available
+                .wait(injector)
+                .unwrap_or_else(|e| e.into_inner());
+            injector.sleepers -= 1;
+        }
+    }
+
+    /// Polls tasks until the queue is empty and `done` holds.
+    fn run_until(&self, done: impl Fn() -> bool) {
+        let mut requeue = None;
+        while let Some(task) = self.next_task(requeue.take(), &done) {
+            requeue = run_task(task);
+        }
     }
 
     /// Marks one task complete; wakes everyone when the scope quiesces so
@@ -88,20 +158,40 @@ impl Shared {
     }
 }
 
-/// One spawned task: the future plus its re-queue latch.
+/// The task is neither queued nor being polled; a wake queues it.
+const IDLE: u8 = 0;
+/// The task sits in the injector; further wakes change nothing.
+const QUEUED: u8 = 1;
+/// A worker is polling the task.
+const RUNNING: u8 = 2;
+/// Woken while being polled: its worker re-queues it after the poll.
+const WOKEN: u8 = 3;
+
+/// One spawned task: the future plus its scheduling state.
 struct Task {
-    /// `None` once the future has completed (or panicked); stale wakeups
-    /// after that are no-ops.
+    /// `None` once the future has completed (or panicked).
     future: Mutex<Option<BoxFuture>>,
-    /// True while the task sits in the injector, so concurrent wakes
-    /// enqueue it exactly once.
-    queued: AtomicBool,
+    /// [`IDLE`], [`QUEUED`], [`RUNNING`] or [`WOKEN`]: concurrent wakes
+    /// enqueue the task exactly once, and never while it is being polled —
+    /// a second worker would only block on `future` — so a finished task,
+    /// which stays `RUNNING`, is never queued again either.
+    state: AtomicU8,
     shared: Arc<Shared>,
 }
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
+        // ORDERING: the `state` transitions order a waker's writes before
+        // the poll they announce: every transition out of a poll is a
+        // release, every one into or towards a poll an acquire.
+        let woken =
+            self.state
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |state| match state {
+                    IDLE => Some(QUEUED),
+                    RUNNING => Some(WOKEN),
+                    _ => None,
+                });
+        if woken == Ok(IDLE) {
             let shared = self.shared.clone();
             shared.push(self);
         }
@@ -109,19 +199,29 @@ impl Wake for Task {
 }
 
 /// Polls one task, catching panics so a failing task cannot take its worker
-/// thread (and the whole scope) down with it.
-fn run_task(task: Arc<Task>) {
-    // Clear the latch *before* polling: a wake that lands mid-poll must
-    // re-queue the task or its readiness would be lost.
-    task.queued.store(false, Ordering::Release);
+/// thread (and the whole scope) down with it. Returns the task if it was
+/// woken during the poll (`yield_now` does that itself) and has to go back
+/// into the queue.
+fn run_task(task: Arc<Task>) -> Option<Arc<Task>> {
+    task.state.store(RUNNING, Ordering::Release);
     let waker = Waker::from(task.clone());
     let mut cx = Context::from_waker(&waker);
     let mut slot = task.future.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(future) = slot.as_mut() else {
-        return; // stale wakeup of a completed task
-    };
+    let future = slot.as_mut().expect("a finished task is never queued");
     match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
-        Ok(Poll::Pending) => {}
+        Ok(Poll::Pending) => {
+            drop(slot);
+            // A wake that landed mid-poll must re-queue the task or its
+            // readiness would be lost; one that lands after this finds it
+            // idle and queues it itself.
+            let idle =
+                task.state
+                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire);
+            if idle.is_err() {
+                task.state.store(QUEUED, Ordering::Release);
+                return Some(task);
+            }
+        }
         Ok(Poll::Ready(())) => {
             *slot = None;
             drop(slot);
@@ -134,56 +234,17 @@ fn run_task(task: Arc<Task>) {
             task.shared.task_done();
         }
     }
+    None
 }
 
 /// Worker thread body: pop-and-poll until shutdown with an empty queue.
 fn worker_loop(shared: &Shared) {
-    loop {
-        let task = {
-            let mut queue = shared.lock_injector();
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break Some(task);
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match task {
-            Some(task) => run_task(task),
-            None => return,
-        }
-    }
+    shared.run_until(|| shared.shutdown.load(Ordering::Acquire));
 }
 
 /// The scope owner helps run tasks until every spawned task has completed.
 fn help_until_quiescent(shared: &Shared) {
-    loop {
-        let task = {
-            let mut queue = shared.lock_injector();
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break Some(task);
-                }
-                if shared.live.load(Ordering::Acquire) == 0 {
-                    break None;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match task {
-            Some(task) => run_task(task),
-            None => return,
-        }
-    }
+    shared.run_until(|| shared.live.load(Ordering::Acquire) == 0);
 }
 
 /// Spawns borrowed futures into the surrounding [`scope`].
@@ -228,7 +289,7 @@ impl<'scope, 'env> Spawner<'scope, 'env> {
         let boxed: BoxFuture = unsafe { std::mem::transmute(boxed) };
         let task = Arc::new(Task {
             future: Mutex::new(Some(boxed)),
-            queued: AtomicBool::new(true),
+            state: AtomicU8::new(QUEUED),
             shared: self.shared.clone(),
         });
         self.shared.live.fetch_add(1, Ordering::AcqRel);
@@ -474,5 +535,71 @@ mod tests {
             }
         });
         assert_eq!(turns.load(Ordering::Relaxed), 200);
+    }
+
+    impl Shared {
+        fn notifies(&self) -> u64 {
+            self.lock_injector().notifies
+        }
+
+        fn sleepers(&self) -> usize {
+            self.lock_injector().sleepers
+        }
+    }
+
+    #[test]
+    fn busy_executor_makes_no_notification() {
+        // 256 tasks on 2 workers (plus the helping owner): the injector is
+        // never empty, nobody sleeps, and 25,600 yields make no system
+        // call. Start-up and wind-down are kept out of the window: a task
+        // starts counting once every task runs and every thread is awake,
+        // and stays runnable until every task has stopped counting.
+        const TASKS: usize = 256;
+        let started = AtomicUsize::new(0);
+        let counted = AtomicUsize::new(0);
+        let notified = AtomicU64::new(0);
+        scope(2, |sp| {
+            for _ in 0..TASKS {
+                let (started, counted, notified) = (&started, &counted, &notified);
+                let shared = Arc::clone(sp.shared);
+                sp.spawn(async move {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    while started.load(Ordering::SeqCst) < TASKS || shared.sleepers() != 0 {
+                        yield_now().await;
+                    }
+                    let before = shared.notifies();
+                    for _ in 0..100 {
+                        yield_now().await;
+                    }
+                    notified.fetch_add(shared.notifies() - before, Ordering::SeqCst);
+                    counted.fetch_add(1, Ordering::SeqCst);
+                    while counted.load(Ordering::SeqCst) < TASKS {
+                        yield_now().await;
+                    }
+                });
+            }
+        });
+        assert_eq!(notified.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn sleeping_worker_is_woken_by_a_push() {
+        let ran = AtomicBool::new(false);
+        scope(2, |sp| {
+            // Both workers go to sleep on the empty injector.
+            while sp.shared.sleepers() < 2 {
+                std::thread::yield_now();
+            }
+            let before = sp.shared.notifies();
+            sp.spawn(async {
+                ran.store(true, Ordering::SeqCst);
+            });
+            assert_eq!(
+                sp.shared.notifies(),
+                before + 1,
+                "one push, one sleeper woken"
+            );
+        });
+        assert!(ran.load(Ordering::SeqCst));
     }
 }

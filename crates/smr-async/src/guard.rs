@@ -7,24 +7,34 @@
 //!
 //! * [`TaskGuard::acquire`] returns the handle the classic way: the drop
 //!   flushes the handle's deferred retire list inline before parking it.
-//! * [`TaskGuard::acquire_deferred`] parks the handle **dirty** (retire
-//!   list unflushed) and hands a [`ReclaimTicket`] to a background
-//!   reclaimer via its shard's [`DrainQueue`], taking the flush entirely
-//!   off the connection's critical path. If the queue is full or closed
-//!   the guard flushes one dirty handle inline instead, preserving the
-//!   one-ticket-per-dirty-handle invariant the reclaimer protocol (and the
-//!   `interleave::reclaimer` model check) is built on.
+//! * [`TaskGuard::acquire_deferred`] hands the flush to a background
+//!   reclaimer when the reclaimer can take it: the drop parks the handle
+//!   **dirty** (retire list unflushed) and pushes a [`ReclaimTicket`] into
+//!   its shard's [`DrainQueue`]. It asks the queue first
+//!   ([`DrainQueue::is_refusing`], one relaxed load): if the hand-off
+//!   would be refused — full, the normal case under load, or closed — the
+//!   drop is the plain check-in of `acquire`, *flush, then park clean*,
+//!   and the handle is published once instead of parked dirty, taken back,
+//!   flushed and parked again. If the queue fills or closes between the
+//!   question and the push, the guard flushes one dirty handle inline,
+//!   preserving the one-ticket-per-dirty-handle invariant the reclaimer
+//!   protocol (and the `interleave::reclaimer` model check) is built on.
+//!
+//! Either way the flush comes before the handle is visible to the next
+//! checkout, or a ticket for it exists.
 //!
 //! ```text
 //!   TaskGuard::acquire_deferred(pool, queue).await
-//!        │  (awaits pool.check_out(): FIFO waker queue)
+//!        │  pool.check_out(): nobody waiting → CAS on this worker's slot
+//!        │                    else           → FIFO waker queue
 //!        ▼
-//!   ┌─ task owns PooledHandle ── enter/op/leave bursts ──┐
+//!   ┌─ task holds its slot ───── enter/op/leave bursts ──┐
 //!   └────────────────────────────────────────────────────┘
 //!        │ drop
-//!        ├── check_in_dirty()  ──► pool.dirty list
-//!        └── try_push(ticket)  ──► reclaimer: flush_one_dirty()
-//!                 └─ Full/Closed ──► flush_one_dirty() inline
+//!        ├── queue.is_refusing()          ──► flush, slot := CLEAN   (1 store)
+//!        └── else  check_in_dirty()       ──► slot := DIRTY          (1 store)
+//!                  try_push(ticket)       ──► reclaimer: flush_one_dirty()
+//!                   └─ Full/Closed since  ──► flush_one_dirty() inline
 //! ```
 
 use std::ops::{Deref, DerefMut};
@@ -102,14 +112,16 @@ impl<T: Send + 'static, S: Smr<T>> Drop for TaskGuard<'_, '_, T, S> {
         let Some(handle) = self.handle.take() else {
             return;
         };
-        match self.reclaim {
+        // A queue that is full or closed — the reclaimer behind, or gone —
+        // would hand the work straight back: that is no queue.
+        match self.reclaim.filter(|queue| !queue.is_refusing()) {
             None => drop(handle), // PooledHandle drop: flush + park clean
             Some(queue) => {
                 handle.check_in_dirty();
                 if queue.try_push(ReclaimTicket).is_err() {
-                    // Reclaimer behind (Full) or shutting down (Closed):
-                    // do its unit of work inline so no dirty handle is
-                    // left without a ticket.
+                    // Filled or closed since `is_refusing`: do the
+                    // reclaimer's unit of work inline so no dirty handle
+                    // is left without a ticket.
                     self.pool.flush_one_dirty();
                 }
             }
@@ -201,5 +213,44 @@ mod tests {
         });
         assert_eq!(ops.load(std::sync::atomic::Ordering::Relaxed), 32);
         assert!(pool.issued() <= 2);
+    }
+
+    #[test]
+    fn refused_hand_off_is_one_lock_free_check_in() {
+        // A full queue is the normal case under load (see `reclaimer`):
+        // the deferred guard must then cost what the plain one does — no
+        // queue mutex, no pool mutex, no notification, nothing parked
+        // dirty on the way.
+        let domain: Ebr<u64> = Ebr::with_config(config());
+        let pool = HandlePool::new(&domain, 2);
+        let queue = DrainQueue::new(1);
+        queue.try_push(ReclaimTicket).unwrap();
+        let locks = || queue.locks.load(std::sync::atomic::Ordering::Relaxed);
+        let before = locks();
+        block_on(async {
+            for i in 0..10_000u64 {
+                let mut guard = TaskGuard::acquire_deferred(&pool, &queue).await;
+                guard.enter();
+                let node = guard.alloc(i);
+                // SAFETY: the node was just allocated and never published.
+                unsafe { guard.retire(node) };
+                guard.leave();
+                drop(guard);
+                assert_eq!(pool.dirty(), 0);
+            }
+        });
+        assert_eq!(locks(), before, "the refusal is read from the mirror");
+        assert_eq!(pool.slow_path(), smr_core::SlowPath::default());
+        assert_eq!(pool.issued(), 1);
+
+        // Room again: the hand-off is taken, and refused again once full.
+        assert_eq!(block_on(queue.recv()), Some(ReclaimTicket));
+        block_on(async { drop(TaskGuard::acquire_deferred(&pool, &queue).await) });
+        assert_eq!((pool.dirty(), queue.len()), (1, 1));
+        assert!(queue.is_refusing());
+        queue.close();
+        assert_eq!(block_on(queue.recv()), Some(ReclaimTicket));
+        assert!(queue.is_refusing(), "closed refuses for good");
+        assert!(pool.flush_one_dirty());
     }
 }

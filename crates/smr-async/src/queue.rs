@@ -9,10 +9,18 @@
 //! once the queue is closed **and** drained — the property the shutdown
 //! handshake (and the `interleave::reclaimer` model check) relies on: no
 //! item pushed before `close` is ever dropped.
+//!
+//! A producer that would rather not park its work at all when the hand-off
+//! is going to be refused asks [`DrainQueue::is_refusing`] first: "full or
+//! closed" is mirrored in one atomic flag, written under the queue's lock
+//! and read without it. At 256 connections on 2 workers that is the normal
+//! answer (the reclaimers run a few times per thousand requests), so the
+//! common check-in never touches this queue's mutex.
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
@@ -48,6 +56,12 @@ struct QueueState<T> {
 pub struct DrainQueue<T> {
     capacity: usize,
     state: Mutex<QueueState<T>>,
+    /// Mirror of "full or closed", written under `state`'s lock.
+    refusing: AtomicBool,
+    /// Acquisitions of `state`'s lock, for the tests that show a refused
+    /// hand-off takes none.
+    #[cfg(test)]
+    pub(crate) locks: std::sync::atomic::AtomicU64,
 }
 
 impl<T> std::fmt::Debug for DrainQueue<T> {
@@ -74,11 +88,34 @@ impl<T> DrainQueue<T> {
                 waiters: VecDeque::new(),
                 next_key: 0,
             }),
+            refusing: AtomicBool::new(false),
+            #[cfg(test)]
+            locks: Default::default(),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        #[cfg(test)]
+        self.locks.fetch_add(1, Ordering::Relaxed);
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Refreshes the `refusing` mirror; called with the lock held after
+    /// every change to the backlog or the closed flag.
+    fn mirror(&self, state: &QueueState<T>) {
+        let refusing = state.closed || state.items.len() >= self.capacity;
+        // ORDERING: the flag is advice — `try_push` decides under the
+        // lock — so nothing is ordered against it.
+        self.refusing.store(refusing, Ordering::Relaxed);
+    }
+
+    /// Whether a [`try_push`](DrainQueue::try_push) would just now have
+    /// been refused (`Full` or `Closed`), answered without the queue's
+    /// lock. Advisory: the state may change before the caller acts, and
+    /// `try_push` remains the authority.
+    pub fn is_refusing(&self) -> bool {
+        // ORDERING: see `mirror`.
+        self.refusing.load(Ordering::Relaxed)
     }
 
     /// Maximum number of queued items.
@@ -112,6 +149,7 @@ impl<T> DrainQueue<T> {
                 return Err(PushError::Full(item));
             }
             state.items.push_back(item);
+            self.mirror(&state);
             state.waiters.pop_front().map(|(_, waker)| waker)
         };
         if let Some(waker) = waker {
@@ -127,6 +165,7 @@ impl<T> DrainQueue<T> {
         let waiters = {
             let mut state = self.lock();
             state.closed = true;
+            self.mirror(&state);
             std::mem::take(&mut state.waiters)
         };
         for (_, waker) in waiters {
@@ -158,6 +197,7 @@ impl<T> Future for Recv<'_, T> {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
         let mut state = self.queue.lock();
         if let Some(item) = state.items.pop_front() {
+            self.queue.mirror(&state);
             if let Some(key) = self.key.take() {
                 state.waiters.retain(|(k, _)| *k != key);
             }

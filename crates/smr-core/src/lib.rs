@@ -79,7 +79,7 @@ pub mod typed;
 pub use config::{ShardRouting, SmrConfig};
 pub use era::EraClock;
 pub use header::{NodeHeader, SmrNode};
-pub use pool::{CheckOut, HandlePool, PooledHandle};
+pub use pool::{CheckOut, HandlePool, PooledHandle, SlowPath};
 pub use recycle::{Magazine, NodePool};
 pub use registry::SlotRegistry;
 pub use shared::{Atomic, Shared};

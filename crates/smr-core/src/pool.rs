@@ -7,7 +7,7 @@
 //! runtimes and oversubscribed thread pools run far more short-lived tasks
 //! than that; a [`HandlePool`] caps the number of live handles and lets
 //! tasks take turns: checkout hands out a parked handle (or creates one
-//! while under the cap) and blocks when everything is checked out, instead
+//! while under the cap) and waits when everything is checked out, instead
 //! of exploding the registry.
 //!
 //! Checkout comes in three flavours: blocking [`HandlePool::checkout`] for
@@ -28,15 +28,119 @@
 //! flush later. Checkout happily re-issues dirty handles — their batches
 //! simply keep accumulating, exactly as if one task had kept the handle —
 //! so deferred flushing never reduces availability.
+//!
+//! # Layout: one slot per handle, a mutex only for waiting
+//!
+//! The pool is a fixed array of `capacity` cache-padded slots. A slot is a
+//! state word — `VACANT` (no handle created yet), `HELD` (checked out,
+//! being created or being flushed), `CLEAN` or `DIRTY` (parked) — next to
+//! the handle itself, which never moves: a [`PooledHandle`] is a reference
+//! to its slot and checks in by storing the slot's new state. There is no
+//! stack of pointers to pop, so there is no ABA to defend against (the
+//! shape `recycle`'s partitions use): the only transitions *into* `HELD`
+//! are compare-exchanges, and only the holder leaves it.
+//!
+//! A claim scans from a thread-local hint — the slot this thread used last
+//! — so a worker thread re-takes the handle whose batch, magazine and slot
+//! line are already in its cache, and two workers settle on two different
+//! slots and stop sharing a cache line at all.
+//!
+//! The `Mutex`, the `Condvar` and the FIFO queue of async waiters exist
+//! only for *waiting*, behind one atomic `waiting` counter (blocked threads
+//! plus queued futures, changed only under the mutex, read without it):
+//!
+//! * a check-in **publishes its slot, then reads `waiting`** and takes the
+//!   mutex to wake somebody only when it is non-zero;
+//! * a waiter **registers and bumps `waiting` under the mutex, then scans
+//!   the slots again** before it sleeps or returns `Pending`.
+//!
+//! All four accesses are `SeqCst`, so of a racing check-in and waiter at
+//! least one sees the other (`interleave::pool` steps the handshake action
+//! by action and catches the swapped order as a deadlock). A fresh async
+//! `check_out` takes the fast path only while `waiting == 0`; otherwise it
+//! queues behind the futures already waiting, which keeps the FIFO order.
+//! Wakers are cloned under the mutex and woken after it is released, and
+//! the condvar is notified only when a thread is asleep on it — with no
+//! sleeper `notify_one` is still a `futex_wake` system call.
+//!
+//! # What a call costs
+//!
+//! Counted per call while nobody waits — [`HandlePool::slow_path`] then
+//! stays at zero, which the tests assert over 10,000 cycles of each. The
+//! second column is the pool this replaced: `Vec`s of parked and dirty
+//! handles under one `Mutex`, every signal a `notify_one` under the lock.
+//!
+//! | call | before: locks / system calls | now |
+//! |------|------------------------------|-----|
+//! | `checkout`, `try_check_out` | 1 / 0 | one compare-exchange |
+//! | `check_out` poll, handle parked | 1 / 1 | one load, one compare-exchange |
+//! | check-in (drop) | 1 / 1 | flush, one store, one load |
+//! | `check_in_dirty` | 1 / 1 | one store, one load |
+//! | `flush_one_dirty` | 2 / 1 | one compare-exchange, then a check-in |
+//! | `smr-async`'s deferred guard, queue refuses | 3 + 1 (queue) / 2 | one load, then a check-in |
+//!
+//! Measured with `benchmark … run --trace 1` on a shared 2-thread host,
+//! four runs of the parent and three of this code (CHANGES.md, PR 22, has
+//! every row): `pool.checkout_checkin_ns` 230–241 → 23–24,
+//! `pool.checkout_contended_ns` 1,028–1,366 → 23 (two threads settle on
+//! two slots), `taskguard.acquire_release_ns` 427–462 → 25, and of a
+//! traced `kv-service` request `checkout` 318–335 → 54 and `checkin`
+//! 1,325–1,431 → 312–337 ns.
+//!
+//! The slot array had to earn its place against the smaller change: the
+//! same three steps — counted sleepers, wake after unlock, a worker
+//! re-taking its own handle — with the `Vec`s and the mutex kept, under
+//! the same `smr-async`. That version read `kv-service` `throughput_mops` 13.43 (quartiles 13.28 –
+//! 13.50) against the slot array's 14.69 (14.58 – 14.84) in ten
+//! alternating 33 s pairs, the slot array winning all ten, with
+//! `pool.checkout_contended_ns` 712 against 23 and
+//! `trace.kv-service.checkin_self_ns` 448 against 329; the parent of both
+//! reads 8.03.
 
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::future::Future;
+use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 
+use crossbeam_utils::CachePadded;
+
 use crate::{Smr, SmrHandle};
+
+/// No handle has been created in the slot; claiming it creates one.
+const VACANT: usize = 0;
+/// Somebody owns the slot's cell: a [`PooledHandle`], a creation in
+/// progress, or [`HandlePool::flush_one_dirty`].
+const HELD: usize = 1;
+/// A flushed handle is parked in the slot.
+const CLEAN: usize = 2;
+/// A handle parked by [`PooledHandle::check_in_dirty`] still owes a flush.
+const DIRTY: usize = 3;
+
+thread_local! {
+    /// The slot index this thread claimed last, in whichever pool: where
+    /// its next claim starts scanning. One word for every pool type (a
+    /// generic `thread_local` cannot exist), and only ever a hint.
+    static LAST_SLOT: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Slot<H> {
+    state: AtomicUsize,
+    /// The slot's handle, `Some` from its creation on. Owned by whoever
+    /// moved `state` to `HELD`.
+    cell: UnsafeCell<Option<H>>,
+}
+
+// SAFETY: `state` is an atomic. `cell` is only touched by the one party
+// that moved `state` to `HELD` (a compare-exchange) until that party stores
+// another state, so a shared `Slot` hands its handle from thread to thread
+// but never to two at once — which needs `H: Send`, like a `Mutex<H>`.
+unsafe impl<H: Send> Sync for Slot<H> {}
 
 /// One pending async checkout, FIFO-ordered by arrival.
 struct PoolWaiter {
@@ -44,23 +148,30 @@ struct PoolWaiter {
     waker: Waker,
 }
 
-struct PoolState<H> {
-    /// Flushed handles ready for immediate reissue.
-    parked: Vec<H>,
-    /// Handles parked via [`PooledHandle::check_in_dirty`]: usable for
-    /// checkout, but still owing a flush to a background reclaimer.
-    dirty: Vec<H>,
-    issued: usize,
+/// Everything about waiting, under the pool's only mutex.
+#[derive(Default)]
+struct Waiters {
     /// Pending [`CheckOut`] futures in arrival order; only the front waiter
     /// may take a handle, which makes the async path FIFO-fair.
-    waiters: VecDeque<PoolWaiter>,
+    queue: VecDeque<PoolWaiter>,
     next_ticket: u64,
+    /// Threads inside [`HandlePool::checkout`]'s condvar wait. Changed only
+    /// under this mutex, which the wait releases, so it is exact.
+    sleepers: usize,
+    counts: SlowPath,
 }
 
-impl<H> PoolState<H> {
-    fn take_parked(&mut self) -> Option<H> {
-        self.parked.pop().or_else(|| self.dirty.pop())
-    }
+/// How often a [`HandlePool`] left its lock-free path, from
+/// [`HandlePool::slow_path`]: the counters a service reads to show that
+/// its request path never waits and never enters the kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlowPath {
+    /// Acquisitions of the waiting mutex.
+    pub locks: u64,
+    /// `Condvar::notify_one` calls — each a `futex_wake` system call.
+    pub notifies: u64,
+    /// Async waiters woken.
+    pub wakes: u64,
 }
 
 /// A pool of reusable handles over one domain.
@@ -91,9 +202,11 @@ impl<H> PoolState<H> {
 /// ```
 pub struct HandlePool<'d, T: Send + 'static, S: Smr<T>> {
     domain: &'d S,
-    state: Mutex<PoolState<S::Handle<'d>>>,
+    slots: Box<[CachePadded<Slot<S::Handle<'d>>>]>,
+    /// Blocked threads plus queued futures; see the module docs.
+    waiting: AtomicUsize,
+    waiters: Mutex<Waiters>,
     available: Condvar,
-    capacity: usize,
 }
 
 impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
@@ -109,72 +222,106 @@ impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
         assert!(capacity > 0, "a handle pool needs a nonzero capacity");
         Self {
             domain,
-            state: Mutex::new(PoolState {
-                parked: Vec::with_capacity(capacity),
-                dirty: Vec::new(),
-                issued: 0,
-                waiters: VecDeque::new(),
-                next_ticket: 0,
-            }),
+            slots: (0..capacity)
+                .map(|_| {
+                    CachePadded::new(Slot {
+                        state: AtomicUsize::new(VACANT),
+                        cell: UnsafeCell::new(None),
+                    })
+                })
+                .collect(),
+            waiting: AtomicUsize::new(0),
+            waiters: Mutex::default(),
             available: Condvar::new(),
-            capacity,
         }
     }
 
     /// The maximum number of concurrently issued handles.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Handles created so far (parked or checked out). Never exceeds
     /// [`HandlePool::capacity`].
     pub fn issued(&self) -> usize {
-        self.lock().issued
+        self.count(|state| state != VACANT)
     }
 
     /// Handles currently parked and ready for immediate checkout
     /// (flushed and dirty alike).
     pub fn parked(&self) -> usize {
-        let state = self.lock();
-        state.parked.len() + state.dirty.len()
+        self.count(|state| state == CLEAN || state == DIRTY)
     }
 
     /// Handles currently held by callers: created minus parked. The
     /// companion of [`HandlePool::capacity`] for load probes — a service
     /// can shed work when `checked_out() == capacity()`.
     pub fn checked_out(&self) -> usize {
-        let state = self.lock();
-        state.issued - state.parked.len() - state.dirty.len()
+        self.count(|state| state == HELD)
     }
 
     /// Handles parked via [`PooledHandle::check_in_dirty`] that still owe
     /// a deferred flush.
     pub fn dirty(&self) -> usize {
-        self.lock().dirty.len()
+        self.count(|state| state == DIRTY)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState<S::Handle<'d>>> {
-        // A task panicking mid-operation poisons the mutex; the pool state
-        // itself (Vecs and counters) is never left half-updated, so keep
-        // serving the remaining tasks.
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// How often the pool has taken its waiting mutex, notified its
+    /// condvar and woken an async waiter so far.
+    pub fn slow_path(&self) -> SlowPath {
+        let waiters = self.waiters.lock().unwrap_or_else(|p| p.into_inner());
+        waiters.counts
     }
 
-    /// Passes an availability signal on: wakes the front async waiter (only
-    /// the front may take, preserving FIFO order) and one blocked thread.
-    /// Called whenever a handle is parked, a capacity slot is released, or
-    /// a waiter leaves the queue while handles remain available — a woken
-    /// waiter that disappears (cancelled future) must hand the signal on,
-    /// or the availability it absorbed would be lost.
-    fn notify_next(&self, state: &PoolState<S::Handle<'d>>) {
-        if !state.parked.is_empty() || !state.dirty.is_empty() || state.issued < self.capacity {
-            if let Some(front) = state.waiters.front() {
-                front.waker.wake_by_ref();
-            }
-            self.available.notify_one();
+    fn count(&self, wanted: impl Fn(usize) -> bool) -> usize {
+        let states = self.slots.iter().map(|s| s.state.load(Ordering::SeqCst));
+        states.filter(|&state| wanted(state)).count()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Waiters> {
+        // A task panicking mid-operation poisons the mutex; the waiter
+        // state is never left half-updated, so keep serving the others.
+        let mut waiters = self.waiters.lock().unwrap_or_else(|p| p.into_inner());
+        waiters.counts.locks += 1;
+        waiters
+    }
+
+    /// Claims the first slot from `start` round that is parked (or, with
+    /// `parked` false, vacant) by moving it to `HELD`.
+    fn claim_from(&self, start: usize, parked: bool) -> Option<usize> {
+        (start..self.slots.len()).chain(0..start).find(|&i| {
+            let state = &self.slots[i].state;
+            let seen = state.load(Ordering::SeqCst);
+            let wanted = if parked {
+                seen == CLEAN || seen == DIRTY
+            } else {
+                seen == VACANT
+            };
+            wanted
+                && state
+                    .compare_exchange(seen, HELD, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+        })
+    }
+
+    /// Claims a parked handle's slot, or failing that a vacant one; `None`
+    /// when every slot is held. Never waits, and creates nothing: callers
+    /// that hold the waiting mutex release it before [`Claim::issue`].
+    fn try_claim(&self) -> Option<Claim<'_, 'd, T, S>> {
+        let hint = LAST_SLOT.get();
+        let start = if hint < self.slots.len() { hint } else { 0 };
+        let (index, vacant) = match self.claim_from(start, true) {
+            Some(index) => (index, false),
+            None => (self.claim_from(start, false)?, true),
+        };
+        if index != hint {
+            LAST_SLOT.set(index);
         }
+        Some(Claim {
+            pool: self,
+            slot: &self.slots[index],
+            vacant,
+        })
     }
 
     /// Takes a handle, blocking until one is parked or the pool is under
@@ -184,36 +331,39 @@ impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
     /// `leave`): a handle parked mid-operation would hold its reservation —
     /// and pin reclamation — for as long as it sits in the pool.
     pub fn checkout(&self) -> PooledHandle<'_, 'd, T, S> {
-        let mut state = self.lock();
-        loop {
-            if let Some(handle) = state.take_parked() {
-                return self.guard(handle);
-            }
-            if state.issued < self.capacity {
-                state.issued += 1;
-                drop(state);
-                return self.guard(self.create());
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        match self.try_claim() {
+            Some(claim) => claim.issue(),
+            None => self.checkout_blocking(),
         }
+    }
+
+    #[cold]
+    fn checkout_blocking(&self) -> PooledHandle<'_, 'd, T, S> {
+        let mut waiters = self.lock();
+        waiters.sleepers += 1;
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        // Scanning only after the bump is the waiter's half of the
+        // handshake: a check-in that read `waiting == 0` published its
+        // slot before the bump, so this scan sees it.
+        let claim = loop {
+            if let Some(claim) = self.try_claim() {
+                break claim;
+            }
+            waiters = self
+                .available
+                .wait(waiters)
+                .unwrap_or_else(|p| p.into_inner());
+        };
+        waiters.sleepers -= 1;
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        drop(waiters);
+        claim.issue()
     }
 
     /// Takes a handle if one is immediately available (parked, or the pool
     /// is under its cap); `None` when the pool is exhausted.
     pub fn try_check_out(&self) -> Option<PooledHandle<'_, 'd, T, S>> {
-        let mut state = self.lock();
-        if let Some(handle) = state.take_parked() {
-            return Some(self.guard(handle));
-        }
-        if state.issued < self.capacity {
-            state.issued += 1;
-            drop(state);
-            return Some(self.guard(self.create()));
-        }
-        None
+        self.try_claim().map(Claim::issue)
     }
 
     /// Asynchronously takes a handle: resolves once one is parked or the
@@ -235,49 +385,64 @@ impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
         }
     }
 
-    /// Creates a fresh handle for an already-reserved `issued` slot
-    /// (outside the lock: registry claiming can contend). If creation
-    /// panics — e.g. the scheme's registry is exhausted by handles living
-    /// outside the pool — the reservation is rolled back and a waiter is
-    /// woken, so the panic cannot permanently shrink the pool.
-    fn create(&self) -> S::Handle<'d> {
+    /// Creates the handle of a slot just claimed `VACANT` → `HELD` (outside
+    /// any lock: registry claiming can contend). If creation panics — e.g.
+    /// the scheme's registry is exhausted by handles living outside the
+    /// pool — the slot goes back to `VACANT` and a waiter is woken, so the
+    /// panic cannot permanently shrink the pool.
+    fn create(&self, slot: &Slot<S::Handle<'d>>) {
         struct Rollback<'r, 'd, T: Send + 'static, S: Smr<T>> {
             pool: &'r HandlePool<'d, T, S>,
+            slot: &'r Slot<S::Handle<'d>>,
         }
         impl<T: Send + 'static, S: Smr<T>> Drop for Rollback<'_, '_, T, S> {
             fn drop(&mut self) {
-                let mut state = self.pool.lock();
-                state.issued -= 1;
-                self.pool.notify_next(&state);
+                self.pool.publish(self.slot, VACANT);
             }
         }
-        let rollback = Rollback { pool: self };
+        let rollback = Rollback { pool: self, slot };
         let handle = self.domain.handle();
         std::mem::forget(rollback);
-        handle
+        // SAFETY: the caller holds the slot, so nobody else reads or
+        // writes its cell.
+        unsafe { *slot.cell.get() = Some(handle) };
     }
 
-    fn guard(&self, handle: S::Handle<'d>) -> PooledHandle<'_, 'd, T, S> {
-        PooledHandle {
-            pool: self,
-            handle: Some(handle),
+    /// Gives up a held slot: stores its new state, then — the check-in's
+    /// half of the handshake — reads `waiting` and passes a signal on only
+    /// if somebody is waiting.
+    fn publish(&self, slot: &Slot<S::Handle<'d>>, state: usize) {
+        slot.state.store(state, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) != 0 {
+            self.signal(self.lock());
         }
     }
 
-    fn check_in(&self, mut handle: S::Handle<'d>) {
-        // Push retired nodes out so nothing lingers while the handle parks.
-        handle.flush();
-        let mut state = self.lock();
-        state.parked.push(handle);
-        self.notify_next(&state);
-    }
-
-    /// Parks a handle without flushing (the deferred-flush path of
-    /// [`PooledHandle::check_in_dirty`]).
-    fn park_dirty(&self, handle: S::Handle<'d>) {
-        let mut state = self.lock();
-        state.dirty.push(handle);
-        self.notify_next(&state);
+    /// Passes an availability signal on and releases the mutex: wakes the
+    /// front async waiter (only the front may take, preserving FIFO order)
+    /// and one blocked thread, if there is anything to take. Called
+    /// whenever a slot is published while somebody waits, or a waiter
+    /// leaves the queue — a woken waiter that disappears (cancelled
+    /// future) must hand the signal on, or the availability it absorbed
+    /// would be lost. The waker is cloned under the mutex and woken after
+    /// it: a waker may take locks of its own (the `smr-async` executor's
+    /// injector), or come straight back to this pool.
+    #[cold]
+    fn signal(&self, mut waiters: MutexGuard<'_, Waiters>) {
+        if self.count(|state| state != HELD) == 0 {
+            return;
+        }
+        let waker = waiters.queue.front().map(|front| front.waker.clone());
+        let notify = waiters.sleepers > 0;
+        waiters.counts.wakes += u64::from(waker.is_some());
+        waiters.counts.notifies += u64::from(notify);
+        drop(waiters);
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+        if notify {
+            self.available.notify_one();
+        }
     }
 
     /// Flushes one dirty handle, if any, and parks it clean. Returns
@@ -288,15 +453,22 @@ impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
     /// off the hot path. The handle is held out of the pool only for the
     /// duration of the flush; checkout keeps serving the rest.
     pub fn flush_one_dirty(&self) -> bool {
-        let Some(mut handle) = self.lock().dirty.pop() else {
+        let claimed = self.slots.iter().find(|slot| {
+            slot.state.load(Ordering::SeqCst) == DIRTY
+                && slot
+                    .state
+                    .compare_exchange(DIRTY, HELD, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+        });
+        let Some(slot) = claimed else {
             return false;
         };
-        // Flush outside the lock: scans and batch finalization can be the
-        // most expensive operation the pool ever performs.
-        handle.flush();
-        let mut state = self.lock();
-        state.parked.push(handle);
-        self.notify_next(&state);
+        // The rest is a plain check-in: flush, then park clean.
+        drop(PooledHandle {
+            pool: self,
+            slot,
+            _handle: PhantomData,
+        });
         true
     }
 
@@ -314,25 +486,47 @@ impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
 
 impl<T: Send + 'static, S: Smr<T>> std::fmt::Debug for HandlePool<'_, T, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.lock();
         f.debug_struct("HandlePool")
             .field("scheme", &S::name())
-            .field("capacity", &self.capacity)
-            .field("issued", &state.issued)
-            .field("parked", &state.parked.len())
-            .field("dirty", &state.dirty.len())
-            .field("waiters", &state.waiters.len())
+            .field("capacity", &self.capacity())
+            .field("issued", &self.issued())
+            .field("parked", &self.parked())
+            .field("dirty", &self.dirty())
+            .field("waiting", &self.waiting.load(Ordering::SeqCst))
             .finish()
+    }
+}
+
+/// A slot moved to `HELD` on behalf of a checkout that has not been handed
+/// its guard yet.
+struct Claim<'p, 'd, T: Send + 'static, S: Smr<T>> {
+    pool: &'p HandlePool<'d, T, S>,
+    slot: &'p Slot<S::Handle<'d>>,
+    /// The slot was `VACANT`: its handle still has to be created.
+    vacant: bool,
+}
+
+impl<'p, 'd, T: Send + 'static, S: Smr<T>> Claim<'p, 'd, T, S> {
+    fn issue(self) -> PooledHandle<'p, 'd, T, S> {
+        if self.vacant {
+            self.pool.create(self.slot);
+        }
+        PooledHandle {
+            pool: self.pool,
+            slot: self.slot,
+            _handle: PhantomData,
+        }
     }
 }
 
 /// The future returned by [`HandlePool::check_out`].
 ///
-/// Registers itself in the pool's FIFO waiter queue on first poll when no
-/// handle is available; resolves to a [`PooledHandle`] once it reaches the
-/// front of the queue and a handle (or capacity slot) frees up. Dropping
-/// the future deregisters it and forwards any pending wake to the next
-/// waiter, so cancelled tasks never strand the queue.
+/// Resolves on its first poll when nobody is waiting and a handle is
+/// available. Otherwise it registers itself in the pool's FIFO waiter
+/// queue and resolves to a [`PooledHandle`] once it reaches the front of
+/// the queue and a handle (or capacity slot) frees up. Dropping the future
+/// deregisters it and forwards any pending wake to the next waiter, so
+/// cancelled tasks never strand the queue.
 pub struct CheckOut<'p, 'd, T: Send + 'static, S: Smr<T>> {
     pool: &'p HandlePool<'d, T, S>,
     ticket: Option<u64>,
@@ -349,12 +543,49 @@ impl<T: Send + 'static, S: Smr<T>> std::fmt::Debug for CheckOut<'_, '_, T, S> {
 
 impl<'p, 'd, T: Send + 'static, S: Smr<T>> CheckOut<'p, 'd, T, S> {
     /// Removes this future's waiter entry (no-op if never registered).
-    fn deregister(&mut self, state: &mut PoolState<S::Handle<'d>>) {
+    fn deregister(&mut self, waiters: &mut Waiters) {
         if let Some(ticket) = self.ticket.take() {
-            if let Some(pos) = state.waiters.iter().position(|w| w.ticket == ticket) {
-                state.waiters.remove(pos);
+            waiters.queue.retain(|w| w.ticket != ticket);
+            self.pool.waiting.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The poll of a future that is queued or has to queue: everything
+    /// happens under the waiting mutex, the same one a check-in takes
+    /// before it wakes anybody.
+    #[cold]
+    fn poll_queued(&mut self, cx: &mut Context<'_>) -> Poll<PooledHandle<'p, 'd, T, S>> {
+        let pool = self.pool;
+        let mut waiters = pool.lock();
+        let ticket = match self.ticket {
+            Some(ticket) => ticket,
+            None => {
+                let ticket = waiters.next_ticket;
+                waiters.next_ticket += 1;
+                waiters.queue.push_back(PoolWaiter {
+                    ticket,
+                    waker: cx.waker().clone(),
+                });
+                // The claim below comes after this bump: the waiter's half
+                // of the handshake, as in `checkout_blocking`.
+                pool.waiting.fetch_add(1, Ordering::SeqCst);
+                self.ticket = Some(ticket);
+                ticket
+            }
+        };
+        // FIFO fairness: only the front of the queue may take a handle.
+        if waiters.queue.front().is_some_and(|w| w.ticket == ticket) {
+            if let Some(claim) = pool.try_claim() {
+                self.deregister(&mut waiters);
+                // Hand any *remaining* availability to the next waiter.
+                pool.signal(waiters);
+                return Poll::Ready(claim.issue());
             }
         }
+        if let Some(w) = waiters.queue.iter_mut().find(|w| w.ticket == ticket) {
+            w.waker.clone_from(cx.waker());
+        }
+        Poll::Pending
     }
 }
 
@@ -364,52 +595,13 @@ impl<'p, 'd, T: Send + 'static, S: Smr<T>> Future for CheckOut<'p, 'd, T, S> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         // No self-references: the future is plain data, hence Unpin.
         let this = self.get_mut();
-        let mut state = this.pool.lock();
-        // FIFO fairness: only the front of the queue (or a fresh future
-        // arriving at an empty queue) may take a handle.
-        let at_front = match this.ticket {
-            None => state.waiters.is_empty(),
-            Some(ticket) => state.waiters.front().is_some_and(|w| w.ticket == ticket),
-        };
-        if at_front {
-            if let Some(handle) = state.take_parked() {
-                this.deregister(&mut state);
-                // Hand any *remaining* availability to the next waiter.
-                this.pool.notify_next(&state);
-                drop(state);
-                return Poll::Ready(this.pool.guard(handle));
-            }
-            if state.issued < this.pool.capacity {
-                state.issued += 1;
-                this.deregister(&mut state);
-                this.pool.notify_next(&state);
-                drop(state);
-                // If `create` panics its Rollback guard releases the slot
-                // and re-notifies, same as the blocking path.
-                return Poll::Ready(this.pool.guard(this.pool.create()));
+        // With nobody queued or asleep a fresh future overtakes nobody.
+        if this.ticket.is_none() && this.pool.waiting.load(Ordering::SeqCst) == 0 {
+            if let Some(claim) = this.pool.try_claim() {
+                return Poll::Ready(claim.issue());
             }
         }
-        // Not servable now: (re)register with the current waker. All waker
-        // registration happens under the pool lock — the same lock every
-        // check-in takes before waking — so a wake cannot slip between the
-        // availability check above and the registration below.
-        match this.ticket {
-            None => {
-                let ticket = state.next_ticket;
-                state.next_ticket += 1;
-                state.waiters.push_back(PoolWaiter {
-                    ticket,
-                    waker: cx.waker().clone(),
-                });
-                this.ticket = Some(ticket);
-            }
-            Some(ticket) => {
-                if let Some(w) = state.waiters.iter_mut().find(|w| w.ticket == ticket) {
-                    w.waker.clone_from(cx.waker());
-                }
-            }
-        }
-        Poll::Pending
+        this.poll_queued(cx)
     }
 }
 
@@ -418,12 +610,12 @@ impl<T: Send + 'static, S: Smr<T>> Drop for CheckOut<'_, '_, T, S> {
         if self.ticket.is_none() {
             return;
         }
-        let mut state = self.pool.lock();
-        self.deregister(&mut state);
+        let mut waiters = self.pool.lock();
+        self.deregister(&mut waiters);
         // A check-in may have woken this future right before it was
         // cancelled; that signal would otherwise be lost with the handle
         // sitting parked, so pass it on.
-        self.pool.notify_next(&state);
+        self.pool.signal(waiters);
     }
 }
 
@@ -431,24 +623,27 @@ impl<T: Send + 'static, S: Smr<T>> Drop for CheckOut<'_, '_, T, S> {
 /// the pool on drop (flushing first).
 pub struct PooledHandle<'p, 'd, T: Send + 'static, S: Smr<T>> {
     pool: &'p HandlePool<'d, T, S>,
-    handle: Option<S::Handle<'d>>,
+    /// The slot this guard holds; its handle stays in place.
+    slot: &'p Slot<S::Handle<'d>>,
+    /// The guard *is* exclusive access to the handle: `Send` and `Sync`
+    /// exactly when `&mut Handle` is, not when a shared `Slot` is.
+    _handle: PhantomData<&'p mut S::Handle<'d>>,
 }
 
 impl<T: Send + 'static, S: Smr<T>> PooledHandle<'_, '_, T, S> {
     /// Returns the handle to the pool *without* flushing it.
     ///
     /// The deferred-flush half of the reclaimer protocol: the task-side
-    /// check-in becomes a queue push, and a background reclaimer performs
+    /// check-in becomes one store, and a background reclaimer performs
     /// the flush later via [`HandlePool::flush_one_dirty`]. The caller (or
     /// its reclaimer) is responsible for ensuring dirty handles are
     /// eventually flushed — on an orderly shutdown, drain with
     /// [`HandlePool::flush_dirty`]. As with a plain drop, the handle must
     /// be outside an operation (after `leave`).
-    pub fn check_in_dirty(mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.pool.park_dirty(handle);
-        }
-        // Drop is now a no-op: the handle is already parked.
+    pub fn check_in_dirty(self) {
+        // Not dropped: the drop would flush.
+        let this = ManuallyDrop::new(self);
+        this.pool.publish(this.slot, DIRTY);
     }
 }
 
@@ -464,21 +659,29 @@ impl<'d, T: Send + 'static, S: Smr<T>> Deref for PooledHandle<'_, 'd, T, S> {
     type Target = S::Handle<'d>;
 
     fn deref(&self) -> &Self::Target {
-        self.handle.as_ref().expect("handle present until drop")
+        // SAFETY: this guard holds the slot from its claim to its drop, so
+        // nobody else touches the cell.
+        unsafe { &*self.slot.cell.get() }
+            .as_ref()
+            .expect("a held slot has a handle")
     }
 }
 
 impl<T: Send + 'static, S: Smr<T>> DerefMut for PooledHandle<'_, '_, T, S> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        self.handle.as_mut().expect("handle present until drop")
+        // SAFETY: as in `deref`, and `&mut self` makes the borrow unique.
+        unsafe { &mut *self.slot.cell.get() }
+            .as_mut()
+            .expect("a held slot has a handle")
     }
 }
 
 impl<T: Send + 'static, S: Smr<T>> Drop for PooledHandle<'_, '_, T, S> {
     fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.pool.check_in(handle);
-        }
+        // Push retired nodes out so nothing lingers while the handle
+        // parks: the flush comes before the slot is visible again.
+        self.flush();
+        self.pool.publish(self.slot, CLEAN);
     }
 }
 
@@ -901,5 +1104,112 @@ mod tests {
         assert_eq!(completed.load(Ordering::SeqCst), 16);
         assert!(pool.issued() <= 2);
         assert_eq!(d.stats.allocated(), 16);
+    }
+
+    #[test]
+    fn uncontended_cycles_never_leave_the_fast_path() {
+        let d = domain(2);
+        let pool = HandlePool::new(&d, 2);
+        let (_flag, waker) = Flag::pair();
+        for _ in 0..10_000 {
+            drop(pool.checkout());
+            let Poll::Ready(h) = poll_once(&mut pool.check_out(), &waker) else {
+                panic!("an idle pool resolves on the first poll");
+            };
+            h.check_in_dirty();
+            assert!(pool.flush_one_dirty());
+            drop(pool.try_check_out().expect("idle pool"));
+        }
+        assert_eq!(pool.issued(), 1, "one thread keeps re-taking its own slot");
+        assert_eq!(
+            pool.slow_path(),
+            SlowPath::default(),
+            "no mutex, no condvar notification, no wake without a waiter"
+        );
+    }
+
+    #[test]
+    fn blocked_checkout_is_woken_by_one_notification() {
+        let d = domain(1);
+        let pool = &HandlePool::new(&d, 1);
+        let held = pool.checkout();
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(move || drop(pool.checkout()));
+            // The waiting mutex is free again only once the thread is
+            // inside the condvar wait.
+            while pool.waiters.lock().unwrap().sleepers == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.slow_path().notifies, 0);
+            drop(held);
+            blocked.join().unwrap();
+        });
+        let counts = pool.slow_path();
+        assert_eq!(counts.notifies, 1, "one sleeper, one notification");
+        assert_eq!(counts.wakes, 0);
+        // Nobody waits any more: the next cycle is lock-free again.
+        drop(pool.checkout());
+        assert_eq!(pool.slow_path(), counts);
+    }
+
+    /// A waker that takes the pool's waiting mutex when woken, as any waker
+    /// that comes back to the pool (or holds a lock the pool's callers
+    /// hold) does.
+    struct Reentrant {
+        pool: &'static HandlePool<'static, u64, CappedDomain>,
+        wakes: AtomicUsize,
+    }
+
+    impl Wake for Reentrant {
+        fn wake(self: Arc<Self>) {
+            self.pool.slow_path();
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn wakers_are_woken_outside_the_pool_lock() {
+        let d: &'static CappedDomain = Box::leak(Box::new(domain(1)));
+        let pool: &'static HandlePool<'static, u64, CappedDomain> =
+            Box::leak(Box::new(HandlePool::new(d, 1)));
+        let reentrant = Arc::new(Reentrant {
+            pool,
+            wakes: AtomicUsize::new(0),
+        });
+        let waker = Waker::from(Arc::clone(&reentrant));
+        let woken = || reentrant.wakes.swap(0, Ordering::SeqCst);
+
+        // Check-in, dirty check-in and the deferred flush.
+        let held = pool.checkout();
+        let mut a = pool.check_out();
+        assert!(poll_once(&mut a, &waker).is_pending());
+        drop(held);
+        assert_eq!(woken(), 1);
+        let Poll::Ready(held) = poll_once(&mut a, &waker) else {
+            panic!("the woken waiter takes the handle");
+        };
+        let mut b = pool.check_out();
+        assert!(poll_once(&mut b, &waker).is_pending());
+        held.check_in_dirty();
+        assert_eq!(woken(), 1);
+        assert!(pool.flush_one_dirty());
+        assert_eq!(woken(), 1);
+
+        // A waiter that leaves the queue hands the signal on: by resolving
+        // (nothing is left to take, so nobody is woken) and by being
+        // cancelled.
+        let mut c = pool.check_out();
+        assert!(poll_once(&mut c, &waker).is_pending());
+        let Poll::Ready(held) = poll_once(&mut b, &waker) else {
+            panic!("b is at the front");
+        };
+        assert_eq!(woken(), 0);
+        let mut e = pool.check_out();
+        assert!(poll_once(&mut e, &waker).is_pending());
+        drop(held);
+        assert_eq!(woken(), 1);
+        drop(c);
+        assert_eq!(woken(), 1, "the cancelled front waiter wakes the next");
+        assert!(poll_once(&mut e, &waker).is_ready());
     }
 }
