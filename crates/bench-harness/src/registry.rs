@@ -7,7 +7,7 @@ use lockfree_ds::{
     BonsaiTree, BoundedMpmcQueue, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree,
     SkipListMap,
 };
-use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::Sharded;
 
 use crate::driver::{run_bench, BenchParams, RunResult};
@@ -26,8 +26,8 @@ pub const FIGURE_SCHEMES: &[&str] = &[
     "HP",
 ];
 
-/// All schemes available in the registry: the figure set, the LFRC
-/// ablation, the sharded-domain variants (`SmrConfig::shards` selects
+/// All schemes available in the registry: the figure set, the
+/// sharded-domain variants (`SmrConfig::shards` selects
 /// the shard count; `1` makes them behave like the plain scheme behind the
 /// adapter), and the wait-free Crystalline variants
 /// (`SmrConfig::handoff_attempts` bounds the retire CAS attempts).
@@ -41,7 +41,6 @@ pub const ALL_SCHEMES: &[&str] = &[
     "IBR",
     "HE",
     "HP",
-    "LFRC",
     "Sharded-Hyaline",
     "Sharded-Hyaline-S",
     "Sharded-Epoch",
@@ -60,11 +59,9 @@ pub const STRUCTURES: &[&str] = &["list", "hashmap", "bonsai", "nmtree", "skipli
 /// protection; HP and HE cannot cover an unbounded path with a bounded set
 /// of protection indices, so — exactly as in the paper ("HP and HE are not
 /// implemented for this benchmark") — those combinations are excluded.
-/// LFRC's counted protection also cannot pin a whole snapshot path, and the
-/// paper does not run it on any throughput figure.
 pub fn supports(scheme: &str, structure: &str) -> bool {
     if structure == "bonsai" {
-        ALL_SCHEMES.contains(&scheme) && !matches!(scheme, "HP" | "HE" | "LFRC")
+        ALL_SCHEMES.contains(&scheme) && !matches!(scheme, "HP" | "HE")
     } else {
         ALL_SCHEMES.contains(&scheme) && STRUCTURES.contains(&structure)
     }
@@ -103,7 +100,6 @@ pub fn run_combo(scheme: &str, structure: &str, params: &BenchParams) -> Option<
         "IBR" => on_structures!(Ibr<_>),
         "HE" => on_structures!(He<_>),
         "HP" => on_structures!(Hp<_>),
-        "LFRC" => on_structures!(Lfrc<_>),
         // Sharded-domain variants: `params.config.shards` inner domains
         // behind the `Sharded` adapter (ByKey routing; the hash map routes
         // per bucket group, the other structures stay in shard 0).
@@ -181,7 +177,6 @@ mod tests {
     fn bonsai_excludes_pointer_schemes() {
         assert!(!supports("HP", "bonsai"));
         assert!(!supports("HE", "bonsai"));
-        assert!(!supports("LFRC", "bonsai"));
         assert!(supports("IBR", "bonsai"));
         assert!(supports("Hyaline-S", "bonsai"));
     }

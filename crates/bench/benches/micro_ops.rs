@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Atomic, Smr, SmrConfig, SmrHandle};
 use std::hint::black_box;
 
@@ -76,7 +76,6 @@ fn benches(c: &mut Criterion) {
     bench_scheme::<Ibr<u64>>(c, "IBR");
     bench_scheme::<He<u64>>(c, "HE");
     bench_scheme::<Hp<u64>>(c, "HP");
-    bench_scheme::<Lfrc<u64>>(c, "LFRC");
 }
 
 fn configured() -> Criterion {

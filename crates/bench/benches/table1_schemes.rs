@@ -4,23 +4,21 @@
 //! The qualitative columns come from the algorithms themselves (robustness
 //! and trim support are queried from the implementations); the measured
 //! columns run the Michael hash map at the core count, once write-intensive
-//! and once read-mostly. The paper's ratings to check: LFRC far slowest
-//! (especially reading), HP slow, Epoch/HE/IBR fast, Hyaline variants very
-//! fast.
+//! and once read-mostly. The paper's ratings to check: HP slow,
+//! Epoch/HE/IBR fast, Hyaline variants very fast.
 
 use bench_harness::cli::BenchScale;
 use bench_harness::driver::BenchParams;
 use bench_harness::registry::{run_combo, ALL_SCHEMES};
 use bench_harness::workload::OpMix;
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::Smr;
 
 /// Static rows of Table 1 (scheme, based-on, reclamation cost, usage/API).
 fn qualitative(scheme: &str) -> (&'static str, &'static str, &'static str) {
     match scheme {
         "Leaky" => ("-", "none (leaks)", "none"),
-        "LFRC" => ("-", "O(1) (swap)", "intrusive"),
         "HP" => ("-", "O(mn)", "harder"),
         "Epoch" => ("RCU", "O(n)", "very simple"),
         "HE" => ("EBR, HP", "O(mn)", "harder"),
@@ -48,10 +46,6 @@ fn robust(scheme: &str) -> &'static str {
         }
         "IBR" => {
             assert!(<Ibr<u64> as Smr<u64>>::robust());
-            "yes"
-        }
-        "LFRC" => {
-            assert!(<Lfrc<u64> as Smr<u64>>::robust());
             "yes"
         }
         "Hyaline-S" => {
@@ -86,7 +80,6 @@ fn transparent(scheme: &str) -> &'static str {
     match scheme {
         "Hyaline" | "Hyaline-S" => "yes",
         "Hyaline-1" | "Hyaline-1S" => "almost",
-        "LFRC" => "partially",
         "Leaky" => "yes",
         _ => "no",
     }

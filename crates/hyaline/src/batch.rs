@@ -24,11 +24,11 @@ use smr_core::{Magazine, NodeHeader, NodePool, SmrNode, SmrStats};
 use std::sync::atomic::Ordering;
 
 /// Header word holding the slot-list `Next` / birth era / `NRef`.
-pub const W_NEXT: usize = 0;
+pub(crate) const W_NEXT: usize = 0;
 /// Header word holding `batch_link` / the batch `Adjs`.
-pub const W_LINK: usize = 1;
+pub(crate) const W_LINK: usize = 1;
 /// Header word holding the `batch_next` chain (low bit: payload-live flag).
-pub const W_CHAIN: usize = 2;
+pub(crate) const W_CHAIN: usize = 2;
 
 /// Low bit of `W_CHAIN`: set when the node has a live payload.
 const LIVE_BIT: usize = 1;
@@ -40,7 +40,7 @@ const LIVE_BIT: usize = 1;
 /// `node` must point to a live `SmrNode<T>` allocation, and the returned
 /// reference must not outlive the node's reclamation.
 #[inline]
-pub unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader {
+pub(crate) unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader {
     (*node).header()
 }
 
@@ -49,7 +49,7 @@ pub unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader {
 /// The first node pushed becomes the batch's REFS node (the chain tail); all
 /// later nodes prepend to the chain and point at the REFS node through
 /// `word 1`.
-pub struct LocalBatch<T> {
+pub(crate) struct LocalBatch<T> {
     chain_head: *mut SmrNode<T>,
     refs_node: *mut SmrNode<T>,
     count: usize,
@@ -64,7 +64,7 @@ impl<T> Default for LocalBatch<T> {
 
 impl<T> LocalBatch<T> {
     /// An empty batch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             chain_head: std::ptr::null_mut(),
             refs_node: std::ptr::null_mut(),
@@ -74,12 +74,12 @@ impl<T> LocalBatch<T> {
     }
 
     /// Number of nodes pushed so far.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
     /// Whether no node has been pushed yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
@@ -89,7 +89,7 @@ impl<T> LocalBatch<T> {
     ///
     /// `node` must be exclusively owned (already unlinked and retired) and
     /// must remain untouched until the batch is finalized and inserted.
-    pub unsafe fn push(&mut self, node: *mut SmrNode<T>, birth: u64, live: bool) {
+    pub(crate) unsafe fn push(&mut self, node: *mut SmrNode<T>, birth: u64, live: bool) {
         let live_flag = if live { LIVE_BIT } else { 0 };
         header(node)
             .word(W_CHAIN)
@@ -114,7 +114,7 @@ impl<T> LocalBatch<T> {
     /// # Safety
     ///
     /// The batch must be non-empty.
-    pub unsafe fn finalize(&mut self, adjs: usize) -> FinalizedBatch<T> {
+    pub(crate) unsafe fn finalize(&mut self, adjs: usize) -> FinalizedBatch<T> {
         debug_assert!(!self.is_empty());
         let refs = self.refs_node;
         header(refs).word(W_NEXT).store(0, Ordering::Relaxed); // NRef = 0
@@ -135,15 +135,15 @@ impl<T> LocalBatch<T> {
 }
 
 /// A frozen batch ready for insertion into the slot lists.
-pub struct FinalizedBatch<T> {
+pub(crate) struct FinalizedBatch<T> {
     /// The REFS node carrying the batch's `NRef` counter (chain tail).
-    pub refs_node: *mut SmrNode<T>,
+    pub(crate) refs_node: *mut SmrNode<T>,
     /// First node of the batch chain.
-    pub chain_head: *mut SmrNode<T>,
+    pub(crate) chain_head: *mut SmrNode<T>,
     /// Smallest birth era among the batch's nodes (`u64::MAX` for dummies).
-    pub min_birth: u64,
+    pub(crate) min_birth: u64,
     /// Total nodes in the batch, dummies included.
-    pub count: usize,
+    pub(crate) count: usize,
 }
 
 impl<T> FinalizedBatch<T> {
@@ -160,7 +160,7 @@ impl<T> FinalizedBatch<T> {
     ///
     /// Must only be called by the inserting thread before the batch's final
     /// [`adjust_refs`] call.
-    pub unsafe fn extend_with_dummy(&mut self) -> *mut SmrNode<T> {
+    pub(crate) unsafe fn extend_with_dummy(&mut self) -> *mut SmrNode<T> {
         let dummy = SmrNode::<T>::alloc_dummy().as_ptr();
         header(dummy)
             .word(W_LINK)
@@ -184,7 +184,7 @@ impl<T> FinalizedBatch<T> {
 ///
 /// `node` must be a live batch node.
 #[inline]
-pub unsafe fn chain_next<T>(node: *mut SmrNode<T>) -> *mut SmrNode<T> {
+pub(crate) unsafe fn chain_next<T>(node: *mut SmrNode<T>) -> *mut SmrNode<T> {
     // ORDERING: Relaxed suffices — `word 2` chain links are written before the
     // batch is published (finalize/retire is the release point), so any thread
     // walking the chain already synchronized via the slot-list Acquire load.
@@ -200,7 +200,7 @@ pub unsafe fn chain_next<T>(node: *mut SmrNode<T>) -> *mut SmrNode<T> {
 /// `node` must be a non-REFS batch node whose batch has been finalized, and
 /// the caller must still hold a logical reference to it.
 #[inline]
-pub unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<*mut SmrNode<T>>) {
+pub(crate) unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<*mut SmrNode<T>>) {
     let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
     adjust_refs(refs, 1usize.wrapping_neg(), reap);
 }
@@ -215,7 +215,7 @@ pub unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<*mut SmrNode<T>
 ///
 /// Same requirements as [`decrement`].
 #[inline]
-pub unsafe fn adjust_slot_credit<T>(
+pub(crate) unsafe fn adjust_slot_credit<T>(
     node: *mut SmrNode<T>,
     href_snapshot: usize,
     reap: &mut Vec<*mut SmrNode<T>>,
@@ -232,7 +232,7 @@ pub unsafe fn adjust_slot_credit<T>(
 ///
 /// `refs` must be a finalized batch's REFS node.
 #[inline]
-pub unsafe fn adjust_refs<T>(
+pub(crate) unsafe fn adjust_refs<T>(
     refs: *mut SmrNode<T>,
     val: usize,
     reap: &mut Vec<*mut SmrNode<T>>,
@@ -243,43 +243,19 @@ pub unsafe fn adjust_refs<T>(
     }
 }
 
-/// Frees every node of the batch owned by `refs`, returning how many nodes
-/// were freed (dummies included).
+/// Frees every node of the batch owned by `refs` through the domain's
+/// recycle pool, returning how many nodes were freed (dummies included):
+/// payloads are dropped immediately (per the chain's live bits) while the
+/// node memory is handed to `pool`/`mag` for reuse by subsequent
+/// allocations — or, with recycling disabled, straight back to the
+/// allocator. This is the hyaline-family half of the common `dispose` hook,
+/// and the family's only free loop.
 ///
 /// # Safety
 ///
 /// The batch's `NRef` must have crossed zero: no thread can still reference
-/// any node of the batch.
-pub unsafe fn free_batch<T>(refs: *mut SmrNode<T>) -> u64 {
-    let refs_word = header(refs).word(W_CHAIN).load(Ordering::Acquire);
-    let mut cur = (refs_word & !LIVE_BIT) as *mut SmrNode<T>;
-    let mut freed = 0u64;
-    while cur != refs {
-        let w = header(cur).word(W_CHAIN).load(Ordering::Relaxed);
-        let next = (w & !LIVE_BIT) as *mut SmrNode<T>;
-        SmrNode::dealloc(cur, w & LIVE_BIT != 0);
-        freed += 1;
-        cur = next;
-    }
-    SmrNode::dealloc(refs, refs_word & LIVE_BIT != 0);
-    freed + 1
-}
-
-/// [`free_batch`], but routing every node through the domain's recycle pool:
-/// payloads are dropped immediately (per the chain's live bits, exactly as
-/// `free_batch` would) while the node memory is handed to `pool`/`mag` for
-/// reuse by subsequent allocations. This is the hyaline-family half of the
-/// common `dispose` hook.
-///
-/// With recycling disabled the pool falls through to [`SmrNode::dealloc`],
-/// making this byte-for-byte equivalent to [`free_batch`].
-///
-/// # Safety
-///
-/// Same contract as [`free_batch`]: the batch's `NRef` must have crossed
-/// zero, so no thread can still reference any node of the batch. `mag` must
-/// belong to `pool`.
-pub unsafe fn free_batch_into<T>(
+/// any node of the batch. `mag` must belong to `pool`.
+pub(crate) unsafe fn free_batch_into<T>(
     refs: *mut SmrNode<T>,
     pool: &NodePool,
     mag: &mut Magazine,
@@ -305,8 +281,20 @@ pub unsafe fn free_batch_into<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smr_core::SmrConfig;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
+
+    /// [`free_batch_into`] a pool with recycling off, as `Local::drain`
+    /// does by default.
+    ///
+    /// # Safety
+    ///
+    /// [`free_batch_into`]'s contract.
+    unsafe fn free_now<T>(refs: *mut SmrNode<T>) -> u64 {
+        let pool = NodePool::for_node::<T>(&SmrConfig::default());
+        free_batch_into(refs, &pool, &mut pool.magazine(), &SmrStats::new())
+    }
 
     /// Counts its drops in its own test's counter: the tests run in
     /// parallel.
@@ -343,7 +331,7 @@ mod tests {
         assert_eq!(hops, 4);
 
         // SAFETY: no other reference to the batch remains; freeing is final.
-        let freed = unsafe { free_batch(fin.refs_node) };
+        let freed = unsafe { free_now(fin.refs_node) };
         assert_eq!(freed, 5);
         assert_eq!(drops.load(Ordering::Relaxed), 5);
     }
@@ -366,9 +354,13 @@ mod tests {
         let fin = unsafe { batch.finalize(0) };
         assert_eq!(fin.min_birth, 1);
         // SAFETY: the batch was never published; this thread owns it outright.
-        let freed = unsafe { free_batch(fin.refs_node) };
+        let freed = unsafe { free_now(fin.refs_node) };
         assert_eq!(freed, 4);
-        assert_eq!(drops.load(Ordering::Relaxed), 1, "only the real payload drops");
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            1,
+            "only the real payload drops"
+        );
     }
 
     #[test]
@@ -394,7 +386,7 @@ mod tests {
         assert_eq!(reap.len(), 1);
         assert_eq!(reap[0], fin.refs_node);
         // SAFETY: NRef crossed zero and no other reference remains.
-        unsafe { free_batch(fin.refs_node) };
+        unsafe { free_now(fin.refs_node) };
     }
 
     #[test]
@@ -423,7 +415,7 @@ mod tests {
         unsafe { adjust_slot_credit(fin.chain_head, 0, &mut reap) };
         assert_eq!(reap.len(), 1);
         // SAFETY: NRef crossed zero and no other reference remains.
-        unsafe { free_batch(fin.refs_node) };
+        unsafe { free_now(fin.refs_node) };
     }
 
     #[test]
@@ -443,7 +435,7 @@ mod tests {
         unsafe { adjust_refs(fin.refs_node, 0, &mut reap) };
         assert_eq!(reap.len(), 1);
         // SAFETY: NRef is zero and this thread holds the only reference.
-        unsafe { free_batch(fin.refs_node) };
+        unsafe { free_now(fin.refs_node) };
     }
 
     #[test]
@@ -455,6 +447,6 @@ mod tests {
         // SAFETY: the single pushed node is live and unshared.
         let fin = unsafe { batch.finalize(0) };
         // SAFETY: the batch was never published; freeing is safe and final.
-        assert_eq!(unsafe { free_batch(fin.refs_node) }, 1);
+        assert_eq!(unsafe { free_now(fin.refs_node) }, 1);
     }
 }

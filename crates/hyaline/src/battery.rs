@@ -1,13 +1,13 @@
 //! The unit-test cases that hold for more than one variant, each written
 //! once over `D: Smr`. [`cases!`] stamps the ones every alias must pass into
-//! that alias's test module; the era-only cases are called from the two era
+//! that alias's test module; the era-only cases are called from the era
 //! modules by name.
 
 use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use crate::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
+use crate::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
 
 /// A small layout every variant accepts: few slots, short batches, a fast
 /// era clock and a low stall threshold.
@@ -279,10 +279,10 @@ pub(crate) fn fresh_reader_is_tracked_not_skipped<D: Smr<u64>>() {
 }
 
 /// What each alias tells generic code about itself (the paper's Table 1 and
-/// the `Sharded`/seek-validation contracts), against the values the four
+/// the `Sharded`/seek-validation contracts), against the values the six
 /// separate implementations declared.
 #[test]
-fn capability_flags() {
+pub(crate) fn capability_flags() {
     fn flags<D: Smr<u64>>() -> (&'static str, [bool; 5]) {
         let flags = [
             D::robust(),
@@ -295,10 +295,13 @@ fn capability_flags() {
     }
     let plain = [false, true, false, true, false];
     let eras = [true, true, true, false, false];
+    let wait_free = [true, true, true, false, true];
     assert_eq!(flags::<Hyaline<u64>>(), ("Hyaline", plain));
     assert_eq!(flags::<Hyaline1<u64>>(), ("Hyaline-1", plain));
     assert_eq!(flags::<HyalineS<u64>>(), ("Hyaline-S", eras));
     assert_eq!(flags::<Hyaline1S<u64>>(), ("Hyaline-1S", eras));
+    assert_eq!(flags::<CrystallineL<u64>>(), ("Crystalline-L", wait_free));
+    assert_eq!(flags::<CrystallineW<u64>>(), ("Crystalline-W", wait_free));
 }
 
 /// Instantiates the cases every variant must pass for one alias. The four

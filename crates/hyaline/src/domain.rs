@@ -1,10 +1,13 @@
-//! The one Hyaline domain. Figures 3, 4 and 5 of the paper are one algorithm
-//! with two independent switches, and that is how it is written here:
-//! `SINGLE` picks the single-entry head of Figure 4 over the multi-entry
-//! head of Figure 3, `ERAS` adds the birth and access eras of Figure 5.
-//! Each `if SINGLE` / `if ERAS` below is a constant the compiler folds, and
-//! sits where the figures differ; everything else is shared, and the part
-//! Crystalline shares too lives in [`Local`].
+//! The one batch-scheme domain. Figures 3, 4 and 5 of the paper are one
+//! algorithm with two independent switches, and that is how it is written
+//! here: `SINGLE` picks the single-entry head of Figure 4 over the
+//! multi-entry head of Figure 3, `ERAS` adds the birth and access eras of
+//! Figure 5. Crystalline is two more on top of `SINGLE && ERAS`: `HANDOFF`
+//! bounds `retire`'s CAS attempts per slot, `HELPING` bounds `protect`'s
+//! rounds. Each `if SINGLE` / `if ERAS` / `if HANDOFF` / `if HELPING` below
+//! is a constant the compiler folds, and sits where the papers differ;
+//! what the last two switch *in* lives in [`crate::waitfree`], everything
+//! else is shared.
 
 use smr_core::{
     Atomic, EraClock, NodePool, Shared, SlotRegistry, Smr, SmrConfig, SmrHandle, SmrNode, SmrStats,
@@ -12,11 +15,13 @@ use smr_core::{
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::batch::{adjust_refs, adjust_slot_credit, chain_next, header, FinalizedBatch, W_NEXT};
 use crate::head::{Head1Word, HeadWord};
 use crate::local::Local;
 use crate::slots::{Slot, SlotDirectory};
+use crate::waitfree::{Adopted, PROTECT_FAST_ROUNDS};
 
 /// Computes the paper's `Adjs` constant: `⌊(2^64 - 1) / k⌋ + 1 = 2^64 / k`
 /// for power-of-two `k`, so that `k * Adjs == 0 (mod 2^64)`.
@@ -25,10 +30,12 @@ pub(crate) fn adjs_for(slots: usize) -> usize {
     (usize::MAX >> slots.trailing_zeros()).wrapping_add(1)
 }
 
-/// Figure 5's `touch`: raises a shared slot's access era to at least `era`
-/// with a CAS-max loop (multiple threads share each slot), returning what it
-/// now is.
-fn touch(slot: &Slot, era: u64) -> u64 {
+/// Figure 5's `touch`: raises a slot's access era to at least `era` with a
+/// CAS-max loop, returning what it now is. For slots with more than one
+/// writer: the shared slots of Hyaline-S, and Crystalline-W's owned ones,
+/// where a plain owner store could undo a helper's raise and let a retirer
+/// skip the slot while the owner holds a helper-certified pointer.
+pub(crate) fn touch(slot: &Slot, era: u64) -> u64 {
     let mut access = slot.access.load(Ordering::SeqCst);
     while access < era {
         match slot
@@ -43,8 +50,10 @@ fn touch(slot: &Slot, era: u64) -> u64 {
 }
 
 /// A Hyaline reclamation domain; see the aliases [`Hyaline`](crate::Hyaline),
-/// [`Hyaline1`](crate::Hyaline1), [`HyalineS`](crate::HyalineS) and
-/// [`Hyaline1S`](crate::Hyaline1S) for what each switch setting is.
+/// [`Hyaline1`](crate::Hyaline1), [`HyalineS`](crate::HyalineS),
+/// [`Hyaline1S`](crate::Hyaline1S), [`CrystallineL`](crate::CrystallineL)
+/// and [`CrystallineW`](crate::CrystallineW) for what each switch setting
+/// is.
 ///
 /// Slots each hold the head of a retirement list. `enter` takes a reference
 /// on a slot; `retire` accumulates nodes into local batches and appends full
@@ -65,23 +74,49 @@ fn touch(slot: &Slot, era: u64) -> u64 {
 ///   pins only nodes born before its stall. On shared slots the `Ack`
 ///   counter lets `enter` avoid slots held by stalled threads, growing the
 ///   slot directory when all are (Figure 6, [`SmrConfig::adaptive`]).
-pub struct Domain<T: Send + 'static, const SINGLE: bool, const ERAS: bool> {
+/// * `HANDOFF = true` (Crystalline-L, needs `SINGLE && ERAS`): `retire`
+///   makes at most [`SmrConfig::handoff_attempts`] CAS attempts per slot,
+///   then deposits the batch in the slot's handoff cell with one swap, so
+///   it is wait-free. `HELPING = true` (Crystalline-W, needs `HANDOFF`):
+///   `protect` publishes a request after a bounded number of rounds and
+///   era advancers certify it first. Any other combination does not build:
+///
+/// ```compile_fail,E0080
+/// use smr_core::Smr;
+/// // Handoff on shared slots: the cell is collected by the slot's *owner*.
+/// hyaline::Domain::<u64, false, true, true, false>::new();
+/// ```
+pub struct Domain<
+    T: Send + 'static,
+    const SINGLE: bool,
+    const ERAS: bool,
+    const HANDOFF: bool = false,
+    const HELPING: bool = false,
+> {
     pub(crate) dir: SlotDirectory,
     /// `SINGLE`: hands every handle its own index into `dir`.
-    registry: SlotRegistry,
+    pub(crate) registry: SlotRegistry,
     pub(crate) era: EraClock,
     era_freq: u64,
     batch_min: usize,
     ack_threshold: i64,
+    handoff_attempts: usize,
+    /// `HANDOFF`: adopted entries whose handle dropped before the guarded
+    /// occupancy ended. Swept opportunistically by draining handles and
+    /// finally at domain drop. REFS pointers are stored as `usize` so the
+    /// domain stays auto-`Send`/`Sync`.
+    pub(crate) orphans: Mutex<Vec<(usize, usize, usize)>>,
     /// `!SINGLE`: round-robin starting slot for new handles.
     next_slot: AtomicUsize,
-    stats: SmrStats,
-    pool: NodePool,
+    pub(crate) stats: SmrStats,
+    pub(crate) pool: NodePool,
     _marker: PhantomData<fn(T) -> T>,
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> std::fmt::Debug
-    for Domain<T, SINGLE, ERAS>
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool>
+    std::fmt::Debug for Domain<T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct(Self::name())
@@ -92,7 +127,11 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> std::fmt::Debug
     }
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Domain<T, SINGLE, ERAS> {
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool>
+    Domain<T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
+{
     /// The current number of slots (grows under `adaptive`; the capacity
     /// when every handle owns its slot).
     pub fn slot_count(&self) -> usize {
@@ -105,10 +144,24 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Domain<T, SINGLE, 
     }
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<T, SINGLE, ERAS> {
-    type Handle<'d> = Handle<'d, T, SINGLE, ERAS>;
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool> Smr<T>
+    for Domain<T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
+{
+    type Handle<'d> = Handle<'d, T, SINGLE, ERAS, HANDOFF, HELPING>;
 
     fn with_config(config: SmrConfig) -> Self {
+        const {
+            assert!(
+                !HANDOFF || (SINGLE && ERAS),
+                "HANDOFF is Hyaline-1S plus a handoff cell"
+            );
+            assert!(
+                !HELPING || HANDOFF,
+                "HELPING is Crystalline-L plus helped protects"
+            );
+        }
         let (k_min, max_k) = if SINGLE {
             (config.max_threads, config.max_threads)
         } else {
@@ -133,6 +186,8 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<
             era_freq: config.era_freq,
             batch_min: config.batch_min,
             ack_threshold: config.ack_threshold,
+            handoff_attempts: config.handoff_attempts,
+            orphans: Mutex::new(Vec::new()),
             next_slot: AtomicUsize::new(0),
             stats: SmrStats::new(),
             pool: NodePool::for_node::<T>(&config),
@@ -140,7 +195,7 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<
         }
     }
 
-    fn handle(&self) -> Handle<'_, T, SINGLE, ERAS> {
+    fn handle(&self) -> Handle<'_, T, SINGLE, ERAS, HANDOFF, HELPING> {
         let slot = if SINGLE {
             self.registry.claim()
         } else {
@@ -152,6 +207,7 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<
             handle: ptr::null_mut(),
             active: false,
             access_cache: 0,
+            adopted: Vec::new(),
             local: Local::new(&self.pool, &self.stats),
         }
     }
@@ -161,11 +217,13 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<
     }
 
     fn name() -> &'static str {
-        match (SINGLE, ERAS) {
-            (false, false) => "Hyaline",
-            (true, false) => "Hyaline-1",
-            (false, true) => "Hyaline-S",
-            (true, true) => "Hyaline-1S",
+        match (SINGLE, ERAS, HANDOFF, HELPING) {
+            (false, false, ..) => "Hyaline",
+            (true, false, ..) => "Hyaline-1",
+            (false, true, ..) => "Hyaline-S",
+            (true, true, false, _) => "Hyaline-1S",
+            (true, true, true, false) => "Crystalline-L",
+            (true, true, true, true) => "Crystalline-W",
         }
     }
 
@@ -192,9 +250,17 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Smr<T> for Domain<
         // protect is a plain load) and alloc stamps no shard-local metadata.
         !ERAS
     }
+
+    fn wait_free_retire() -> bool {
+        HANDOFF
+    }
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Drop for Domain<T, SINGLE, ERAS> {
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool> Drop
+    for Domain<T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
+{
     fn drop(&mut self) {
         // All handles borrowed `self`, so by now every thread has left and
         // flushed: each slot's final leave detached and reaped its list.
@@ -209,49 +275,77 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Drop for Domain<T,
                 );
             }
         }
+        if HANDOFF {
+            self.sweep_teardown();
+        }
     }
 }
 
 /// Per-thread handle to a [`Domain`]. With `SINGLE` it owns one slot for its
 /// whole life; otherwise it shares slots freely and needs no registration.
-pub struct Handle<'d, T: Send + 'static, const SINGLE: bool, const ERAS: bool> {
-    domain: &'d Domain<T, SINGLE, ERAS>,
+pub struct Handle<
+    'd,
+    T: Send + 'static,
+    const SINGLE: bool,
+    const ERAS: bool,
+    const HANDOFF: bool = false,
+    const HELPING: bool = false,
+> {
+    pub(crate) domain: &'d Domain<T, SINGLE, ERAS, HANDOFF, HELPING>,
     pub(crate) slot: usize,
     handle: *mut SmrNode<T>,
     active: bool,
     /// `SINGLE && ERAS`: cached copy of our slot's access era — valid
     /// because this handle is the only writer ("Hyaline-1S: touch is an
-    /// ordinary memory write").
-    access_cache: u64,
-    local: Local<'d, T>,
+    /// ordinary memory write"). With `HELPING` a lower bound: helpers may
+    /// have raised the real value further, which only strengthens
+    /// protection.
+    pub(crate) access_cache: u64,
+    /// `HANDOFF`: displaced handoff entries this handle holds until the
+    /// occupancy they guard ends.
+    pub(crate) adopted: Vec<Adopted<T>>,
+    pub(crate) local: Local<'d, T>,
 }
 
 // SAFETY: the raw pointers are exclusively owned retired/reaped nodes (the
-// local batch, reap list, and recycle magazine inside `local`) plus the
-// last-seen slot head, all usable from whichever thread drives the handle
-// next; the domain, pool and stats borrows are `Sync`; the cached access
-// era stays valid because this handle remains its slot's only writer
-// wherever it runs. Nothing is thread-affine, so a parked handle may move
-// between tasks.
-unsafe impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Send
-    for Handle<'_, T, SINGLE, ERAS>
+// local batch, reap list, and recycle magazine inside `local`, adopted
+// handoff entries) plus the last-seen slot head, all usable from whichever
+// thread drives the handle next; the domain, pool and stats borrows are
+// `Sync`; the cached access era stays valid because this handle remains its
+// slot's only writer wherever it runs (with `HELPING` it is a lower bound,
+// and helpers only raise the slot's era). Nothing is thread-affine, so a
+// parked handle may move between tasks.
+unsafe impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool> Send
+    for Handle<'_, T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
 {
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> std::fmt::Debug
-    for Handle<'_, T, SINGLE, ERAS>
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool>
+    std::fmt::Debug for Handle<'_, T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handle")
-            .field("scheme", &Domain::<T, SINGLE, ERAS>::name())
+            .field(
+                "scheme",
+                &Domain::<T, SINGLE, ERAS, HANDOFF, HELPING>::name(),
+            )
             .field("slot", &self.slot)
             .field("active", &self.active)
             .field("batch_len", &self.local.batch.count())
+            .field("adopted", &self.adopted.len())
             .finish_non_exhaustive()
     }
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Handle<'_, T, SINGLE, ERAS> {
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool>
+    Handle<'_, T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
+{
     /// The slot this handle enters through: its own with `SINGLE`, else the
     /// one it last used (Hyaline-S moves between operations to avoid
     /// stalled slots).
@@ -361,7 +455,9 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Handle<'_, T, SING
     }
 
     /// Figure 4's `retire`: push the batch to every *active* claimed slot,
-    /// counting insertions, then adjust `NRef` by the count.
+    /// counting insertions, then adjust `NRef` by the count. Lock-free — a
+    /// slot's CAS can lose to other inserters forever — unless `HANDOFF`
+    /// bounds the attempts.
     ///
     /// # Safety
     ///
@@ -381,9 +477,18 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Handle<'_, T, SING
         for idx in domain.registry.iter_claimed() {
             let slot = domain.dir.slot(idx);
             let slot_head = slot.head.single();
+            let mut attempts = 0;
             loop {
                 let head = slot_head.load(Ordering::Acquire);
                 if !head.active() || Self::too_stale(slot, &fin) {
+                    break;
+                }
+                if HANDOFF && attempts >= domain.handoff_attempts {
+                    // Crystalline: deposit in the slot's handoff cell. The
+                    // entry holds one `NRef` reference like a list insertion
+                    // but consumes no chain node.
+                    self.hand_off(idx, fin.refs_node);
+                    inserts += 1;
                     break;
                 }
                 let node = if insert_node != fin.refs_node {
@@ -410,6 +515,7 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Handle<'_, T, SING
                     }
                     break;
                 }
+                attempts += 1;
             }
         }
         // Replaces REF #3#: one adjustment by the number of insertions. If
@@ -463,9 +569,21 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Handle<'_, T, SING
             }
         }
     }
+
+    /// Frees the batches whose `NRef` reached zero. Crystalline first
+    /// retries the references it could not release when it took them over.
+    #[inline]
+    fn drain(&mut self) {
+        if HANDOFF {
+            self.retry_adopted();
+            self.sweep_orphans();
+        }
+        self.local.drain();
+    }
 }
 
-impl<T, const SINGLE: bool, const ERAS: bool> SmrHandle<T> for Handle<'_, T, SINGLE, ERAS>
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool> SmrHandle<T>
+    for Handle<'_, T, SINGLE, ERAS, HANDOFF, HELPING>
 where
     T: Send + 'static,
 {
@@ -492,6 +610,9 @@ where
             // The swap detaches the whole list: the slot owner holds exactly
             // one reference to every node in it, the head included.
             let head: *mut SmrNode<T> = slot.head.single().leave().ptr();
+            if HANDOFF {
+                self.collect_handoff();
+            }
             if !head.is_null() {
                 // SAFETY: `leave` detached the list; its nodes stay live
                 // until this traversal applies our decrement to each batch.
@@ -541,11 +662,14 @@ where
             }
         }
         self.handle = ptr::null_mut();
-        self.local.drain();
+        self.drain();
     }
 
     /// Hyaline's real §3.3 trimming: dereferences the sublist retired since
     /// `enter` (or the previous `trim`) without touching the slot `Head`.
+    /// Nor the handoff cell: its entry may guard pointers this very
+    /// occupancy read after the trim point, and cannot be released while the
+    /// occupancy sequence stands still.
     fn trim(&mut self) {
         debug_assert!(self.active, "trim outside an operation");
         let slot = self.domain.dir.slot(self.slot);
@@ -567,7 +691,7 @@ where
             }
             self.handle = curr;
         }
-        self.local.drain();
+        self.drain();
     }
 
     fn alloc(&mut self, value: T) -> Shared<T> {
@@ -575,6 +699,11 @@ where
         // Figure 5's init_node: advance the clock every `Freq` allocations
         // and stamp the node's birth era.
         if ERAS && self.local.era_due(domain.era_freq) {
+            if HELPING {
+                // Era advancers are exactly the threads that can starve a
+                // protect loop, so they help first.
+                domain.help_pending();
+            }
             domain.era.advance();
         }
         self.local.alloc(value, ERAS.then_some(&domain.era))
@@ -593,7 +722,8 @@ where
     /// matches the global clock *before* the pointer read that is returned.
     /// The re-read each iteration is what makes the certification sound: a
     /// pointer obtained after the era sync cannot belong to a batch that
-    /// already skipped this slot.
+    /// already skipped this slot. Advancing threads can starve the loop;
+    /// with `HELPING` it asks them for help after a few rounds instead.
     fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         if !ERAS {
             return src.load(Ordering::Acquire);
@@ -605,20 +735,29 @@ where
         } else {
             slot.access.load(Ordering::SeqCst)
         };
+        let mut rounds = 0;
         loop {
             let node = src.load(Ordering::Acquire);
             let alloc = domain.era.current();
             if access == alloc {
                 return node;
             }
-            if SINGLE {
-                // Sole owner: an ordinary store replaces the CAS-max `touch`.
+            if SINGLE && !HELPING {
+                // Sole writer: an ordinary store replaces the CAS-max `touch`.
                 slot.access.store(alloc, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                self.access_cache = alloc;
                 access = alloc;
             } else {
                 access = touch(slot, alloc);
+            }
+            if SINGLE {
+                fence(Ordering::SeqCst);
+                self.access_cache = access;
+            }
+            if HELPING {
+                rounds += 1;
+                if rounds == PROTECT_FAST_ROUNDS {
+                    return self.protect_slow(src);
+                }
             }
         }
     }
@@ -629,18 +768,22 @@ where
         debug_assert!(self.active, "retire outside an operation");
         if self.local.retire(ptr, ERAS) >= self.batch_target() {
             self.finalize_and_insert();
-            self.local.drain();
+            self.drain();
         }
     }
 
     fn flush(&mut self) {
         self.finalize_and_insert();
-        self.local.drain();
+        self.drain();
         self.local.flush();
     }
 }
 
-impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Drop for Handle<'_, T, SINGLE, ERAS> {
+impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING: bool> Drop
+    for Handle<'_, T, SINGLE, ERAS, HANDOFF, HELPING>
+where
+    T: Send + 'static,
+{
     fn drop(&mut self) {
         if self.active {
             self.leave();
@@ -648,6 +791,9 @@ impl<T: Send + 'static, const SINGLE: bool, const ERAS: bool> Drop for Handle<'_
         // A dropped handle finalizes its partial batch with dummy nodes, so
         // the thread is immediately "off the hook".
         self.flush();
+        if HANDOFF {
+            self.orphan_adopted();
+        }
         if SINGLE {
             self.domain.registry.release(self.slot);
         }

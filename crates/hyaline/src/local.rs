@@ -1,27 +1,27 @@
 //! The half of a handle that no variant changes.
 //!
-//! Between the slot heads and the allocator every Hyaline variant — and
-//! Crystalline, which builds on the same batches — does the same things: it
-//! collects retired nodes into a [`LocalBatch`], walks retirement sublists
-//! decrementing `NRef`s, frees the batches that reached zero, pads partial
-//! batches with dummies, stamps birth eras, and buffers statistics and
-//! recycled memory. [`Local`] is that state and those steps, written once;
-//! what a scheme adds is how batches reach the slot heads.
+//! Between the slot heads and the allocator every variant, the Crystalline
+//! settings included, does the same things: it collects retired nodes into
+//! a [`LocalBatch`], walks retirement sublists decrementing `NRef`s, frees
+//! the batches that reached zero, pads partial batches with dummies, stamps
+//! birth eras, and buffers statistics and recycled memory. [`Local`] is that
+//! state and those steps, written once; what a variant adds is how batches
+//! reach the slot heads.
 
 use smr_core::{EraClock, LocalStats, Magazine, NodePool, Shared, SmrNode, SmrStats};
 use std::sync::atomic::Ordering;
 
 use crate::batch::{decrement, free_batch_into, header, FinalizedBatch, LocalBatch, W_NEXT};
 
-/// The scheme-independent per-handle state of the Hyaline family.
-pub struct Local<'d, T> {
+/// The variant-independent per-handle state.
+pub(crate) struct Local<'d, T> {
     pool: &'d NodePool,
     stats: &'d SmrStats,
     /// The batch under construction.
-    pub batch: LocalBatch<T>,
+    pub(crate) batch: LocalBatch<T>,
     /// REFS nodes of batches whose `NRef` crossed zero, freed by
     /// [`Local::drain`].
-    pub reap: Vec<*mut SmrNode<T>>,
+    pub(crate) reap: Vec<*mut SmrNode<T>>,
     local_stats: LocalStats,
     mag: Magazine,
     allocs: u64,
@@ -29,7 +29,7 @@ pub struct Local<'d, T> {
 
 impl<'d, T> Local<'d, T> {
     /// Empty state for a handle of the domain owning `pool` and `stats`.
-    pub fn new(pool: &'d NodePool, stats: &'d SmrStats) -> Self {
+    pub(crate) fn new(pool: &'d NodePool, stats: &'d SmrStats) -> Self {
         Self {
             pool,
             stats,
@@ -52,7 +52,11 @@ impl<'d, T> Local<'d, T> {
     /// `next` must be a node the caller's slot reference still pins — the
     /// detached head, or a `Next` link read while the reference was held —
     /// so every node on the sublist is live until its decrement below.
-    pub unsafe fn traverse(&mut self, mut next: *mut SmrNode<T>, handle: *mut SmrNode<T>) -> i64 {
+    pub(crate) unsafe fn traverse(
+        &mut self,
+        mut next: *mut SmrNode<T>,
+        handle: *mut SmrNode<T>,
+    ) -> i64 {
         let mut count = 0;
         loop {
             let curr = next;
@@ -76,7 +80,7 @@ impl<'d, T> Local<'d, T> {
     /// Most calls find nothing reaped, so that check is all a caller
     /// inlines.
     #[inline]
-    pub fn drain(&mut self) {
+    pub(crate) fn drain(&mut self) {
         if !self.reap.is_empty() {
             self.free_reaped();
         }
@@ -97,7 +101,7 @@ impl<'d, T> Local<'d, T> {
     /// Pads the batch with payload-less dummy nodes up to `min` nodes
     /// (Section 2.4: partial batches "can be immediately finalized by
     /// allocating a finite number of dummy nodes").
-    pub fn pad_batch(&mut self, min: usize) {
+    pub(crate) fn pad_batch(&mut self, min: usize) {
         while self.batch.count() < min {
             // SAFETY: dummy nodes have no payload; the pool hands out fresh
             // or recycled exclusively-owned memory either way.
@@ -114,7 +118,7 @@ impl<'d, T> Local<'d, T> {
     ///
     /// Same contract: only the inserting thread, before the batch's final
     /// `adjust_refs`.
-    pub unsafe fn spare_dummy(&mut self, fin: &mut FinalizedBatch<T>) -> *mut SmrNode<T> {
+    pub(crate) unsafe fn spare_dummy(&mut self, fin: &mut FinalizedBatch<T>) -> *mut SmrNode<T> {
         self.count_dummy();
         fin.extend_with_dummy()
     }
@@ -127,7 +131,7 @@ impl<'d, T> Local<'d, T> {
 
     /// Counts one allocation; `true` on every `freq`-th, when Figure 5's
     /// `init_node` advances the era clock before [`Local::alloc`].
-    pub fn era_due(&mut self, freq: u64) -> bool {
+    pub(crate) fn era_due(&mut self, freq: u64) -> bool {
         self.allocs += 1;
         self.allocs.is_multiple_of(freq)
     }
@@ -135,7 +139,7 @@ impl<'d, T> Local<'d, T> {
     /// Allocates a node for `value`. With `era`, stamps the node's birth
     /// era, which shares the header word with `Next` because it need not
     /// survive `retire`.
-    pub fn alloc(&mut self, value: T, era: Option<&EraClock>) -> Shared<T> {
+    pub(crate) fn alloc(&mut self, value: T, era: Option<&EraClock>) -> Shared<T> {
         self.local_stats.on_alloc(self.stats);
         let node = self.pool.alloc(&mut self.mag, self.stats, value);
         if let Some(era) = era {
@@ -159,7 +163,7 @@ impl<'d, T> Local<'d, T> {
     ///
     /// The [`SmrHandle::retire`](smr_core::SmrHandle::retire) contract:
     /// `ptr` is unlinked from every shared structure and retired once.
-    pub unsafe fn retire(&mut self, ptr: Shared<T>, eras: bool) -> usize {
+    pub(crate) unsafe fn retire(&mut self, ptr: Shared<T>, eras: bool) -> usize {
         let node = ptr.as_node_ptr();
         let birth = if eras {
             header(node).word(W_NEXT).load(Ordering::Relaxed) as u64
@@ -177,7 +181,7 @@ impl<'d, T> Local<'d, T> {
     ///
     /// The [`SmrHandle::dealloc`](smr_core::SmrHandle::dealloc) contract:
     /// this thread owns `ptr` outright.
-    pub unsafe fn dealloc(&mut self, ptr: Shared<T>) {
+    pub(crate) unsafe fn dealloc(&mut self, ptr: Shared<T>) {
         self.local_stats.on_dealloc(self.stats);
         self.pool
             .dispose(&mut self.mag, self.stats, ptr.as_node_ptr(), true);
@@ -186,7 +190,7 @@ impl<'d, T> Local<'d, T> {
     /// Publishes the buffered statistics and spills the recycle magazine,
     /// so a parked handle (`HandlePool` check-in flushes before parking)
     /// never strands pool capacity.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.pool.flush(&mut self.mag, self.stats);
         self.local_stats.flush(self.stats);
     }

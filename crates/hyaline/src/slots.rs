@@ -1,6 +1,6 @@
-//! The slot table every Hyaline variant keeps its heads in: the adaptive
-//! directory of Section 4.3 (Figure 6). Only Hyaline-S with `adaptive` set
-//! ever grows it; the other variants build it with `max_k == k_min`.
+//! The slot table every variant keeps its heads in: the adaptive directory
+//! of Section 4.3 (Figure 6). Only Hyaline-S with `adaptive` set ever grows
+//! it; the other variants build it with `max_k == k_min`.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -8,13 +8,32 @@ use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use crate::head::AtomicHead;
 
 /// One slot: the list head (Figure 3 or Figure 4 encoding), the access era
-/// of the era variants and Hyaline-S's stall-detection `Ack` counter
-/// (Figure 5), padded to its own cache lines.
+/// of the era variants, Hyaline-S's stall-detection `Ack` counter (Figure 5)
+/// and the five words only Crystalline touches ([`crate::waitfree`]). All
+/// eight share the one padded line a slot has always had, so the Hyaline
+/// variants pay nothing for the last five.
 #[derive(Debug)]
 pub(crate) struct Slot {
     pub(crate) head: AtomicHead,
+    /// In Crystalline-W helpers raise it too, so there it only ever rises.
     pub(crate) access: AtomicU64,
     pub(crate) ack: AtomicI64,
+    /// `HANDOFF`: occupancy sequence, bumped by the owner at `leave`. Its
+    /// low 16 bits tag handoff-cell entries so displacers can tell whether
+    /// the deposit-time occupancy has ended.
+    pub(crate) seq: AtomicU64,
+    /// `HANDOFF`: the handoff cell, a [`HeadWord`](crate::head::HeadWord)-
+    /// packed (16-bit tag | 48-bit REFS pointer) entry, or 0 when empty.
+    /// Each non-empty entry holds one `NRef` reference on its batch.
+    pub(crate) handoff: AtomicUsize,
+    /// `HELPING`: pending request sequence (0 = no request).
+    pub(crate) req: AtomicU64,
+    /// `HELPING`: `EMPTY_BIT | seq` while pending, the certified era once
+    /// helped.
+    pub(crate) result: AtomicU64,
+    /// `HELPING`: monotone request counter. Lives in the slot (not the
+    /// handle) so sequences never repeat across handle reuse of the slot.
+    pub(crate) help_seq: AtomicU64,
 }
 
 impl Slot {
@@ -23,6 +42,11 @@ impl Slot {
             head: AtomicHead::new(),
             access: AtomicU64::new(0),
             ack: AtomicI64::new(0),
+            seq: AtomicU64::new(0),
+            handoff: AtomicUsize::new(0),
+            req: AtomicU64::new(0),
+            result: AtomicU64::new(0),
+            help_seq: AtomicU64::new(0),
         }
     }
 }
@@ -196,6 +220,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn slot_fits_its_padded_line() {
+        // Eight words of sixteen: a field that spills past the line would
+        // silently double every directory bank.
+        assert_eq!(std::mem::size_of::<CachePadded<Slot>>(), 128);
+    }
+
+    #[test]
     fn directory_indexing_matches_figure6() {
         let dir = SlotDirectory::new(4, 64);
         assert_eq!(dir.bank_index(0), 0);
@@ -235,9 +266,7 @@ mod tests {
         let dir = &SlotDirectory::new(2, 128);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| {
-                    while dir.grow() {}
-                });
+                s.spawn(|| while dir.grow() {});
             }
         });
         assert_eq!(dir.k(), 128);

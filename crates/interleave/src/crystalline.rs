@@ -2,19 +2,25 @@
 //! wait-free batch **handoff** (Crystalline-L) and the era-certification
 //! **helping** of stalled protect loops (Crystalline-W).
 //!
-//! The `crystalline` crate's two additions to the Hyaline-1S skeleton each
-//! introduce a new cross-thread accounting discipline:
+//! Crystalline's two additions to the Hyaline-1S skeleton — the `HANDOFF`
+//! and `HELPING` switches of `hyaline::Domain`, implemented in that crate's
+//! `waitfree` module — each introduce a new cross-thread accounting
+//! discipline:
 //!
 //! * a retirer that exhausts its CAS attempts deposits the batch's REFS
 //!   pointer into the slot's *handoff cell* with an unconditional swap,
-//!   tagged with the slot's occupancy sequence. The entry carries one
-//!   `NRef` reference. A later retirer that displaces the entry must
-//!   release that reference **only** when the tag proves the deposit-time
-//!   occupancy ended — otherwise it adopts the entry and retries later;
-//! * a helper raises a stalled slot's access era (CAS-max touch) and only
-//!   **then** certifies the raised era into the slot's result word; the
-//!   owner consumes the certificate by *reloading* the protected pointer
-//!   and checking the global era has not passed the certified value.
+//!   tagged with the slot's occupancy sequence (`hand_off`, called from
+//!   the one `insert_owned` loop). The entry carries one `NRef` reference,
+//!   which the slot's owner releases at `leave` (`collect_handoff`). A
+//!   later retirer that displaces the entry must release that reference
+//!   **only** when the tag proves the deposit-time occupancy ended —
+//!   otherwise it adopts the entry and retries later (`release_or_adopt`,
+//!   `retry_adopted`, both through `release_if_ended`);
+//! * a helper raises a stalled slot's access era (the CAS-max `touch`) and
+//!   only **then** certifies the raised era into the slot's result word
+//!   (`help_pending`); the owner consumes the certificate by *reloading*
+//!   the protected pointer and checking the global era has not passed the
+//!   certified value (`protect_slow`).
 //!
 //! Like [`crate::pool`], every transition is one atomic action under
 //! sequential consistency, and the model is exercised under every schedule

@@ -390,7 +390,7 @@ where
 mod tests {
     use super::*;
     use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-    use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+    use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 
     fn cfg() -> SmrConfig {
         SmrConfig {
@@ -433,7 +433,6 @@ mod tests {
         smoke::<He<_>>();
         smoke::<Ibr<_>>();
         smoke::<Leaky<_>>();
-        smoke::<Lfrc<_>>();
     }
 
     fn concurrent_churn<S: Smr<ListNode<u64, u64>>>() {
@@ -507,11 +506,6 @@ mod tests {
     #[test]
     fn churn_ibr() {
         concurrent_churn::<Ibr<_>>();
-    }
-
-    #[test]
-    fn churn_lfrc() {
-        concurrent_churn::<Lfrc<_>>();
     }
 
     #[test]

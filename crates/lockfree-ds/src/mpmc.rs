@@ -160,7 +160,7 @@ where
 mod tests {
     use super::*;
     use hyaline::{Hyaline, Hyaline1S, HyalineS};
-    use smr_baselines::{Ebr, He, Hp, Ibr, Lfrc};
+    use smr_baselines::{Ebr, He, Hp, Ibr};
     use smr_core::SmrHandle;
 
     fn cfg() -> SmrConfig {
@@ -202,7 +202,6 @@ mod tests {
         smoke::<Hp<_>>();
         smoke::<He<_>>();
         smoke::<Ibr<_>>();
-        smoke::<Lfrc<_>>();
     }
 
     #[test]

@@ -525,7 +525,7 @@ where
 mod tests {
     use super::*;
     use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-    use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+    use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
     use smr_core::SmrHandle;
 
     fn cfg() -> SmrConfig {
@@ -572,7 +572,6 @@ mod tests {
         smoke::<Hp<_>>();
         smoke::<He<_>>();
         smoke::<Ibr<_>>();
-        smoke::<Lfrc<_>>();
         smoke::<Leaky<_>>();
     }
 

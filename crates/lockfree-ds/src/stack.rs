@@ -176,7 +176,7 @@ where
 mod tests {
     use super::*;
     use hyaline::{Hyaline, HyalineS};
-    use smr_baselines::{Ebr, Hp, Lfrc};
+    use smr_baselines::{Ebr, Hp};
     use smr_core::SmrHandle;
     use std::sync::atomic::Ordering;
 
@@ -210,7 +210,6 @@ mod tests {
         lifo_order::<HyalineS<_>>();
         lifo_order::<Ebr<_>>();
         lifo_order::<Hp<_>>();
-        lifo_order::<Lfrc<_>>();
     }
 
     #[test]

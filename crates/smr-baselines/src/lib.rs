@@ -4,7 +4,6 @@
 //! * [`Leaky`] — no reclamation at all; the evaluation's general baseline.
 //! * [`Ebr`], [`Hp`], [`He`], [`Ibr`] — the registry-and-scan schemes: one
 //!   registry core, four protection policies (below).
-//! * [`Lfrc`] — lock-free reference counting, the Table 1 ablation row.
 //!
 //! # One registry core, four policies
 //!
@@ -56,7 +55,6 @@ mod he;
 mod hp;
 mod ibr;
 mod leaky;
-mod lfrc;
 mod registry_core;
 
 pub use ebr::{Ebr, EbrHandle};
@@ -64,7 +62,6 @@ pub use he::{He, HeHandle};
 pub use hp::{Hp, HpHandle};
 pub use ibr::{Ibr, IbrHandle};
 pub use leaky::{Leaky, LeakyHandle};
-pub use lfrc::{Lfrc, LfrcHandle};
 
 /// The orphan hand-off lives in `registry_core`; its tests keep the ids
 /// they had when it was a module of its own.

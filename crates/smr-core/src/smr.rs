@@ -166,7 +166,7 @@ pub trait Smr<T: Send + 'static>: Send + Sync + Sized + 'static {
     /// shard-local state (birth eras), and `protect` publishes nothing
     /// per-pointer (hazards). Enter-scoped schemes — Hyaline, Hyaline-1,
     /// EBR, Leaky — qualify; era- and pointer-based schemes (Hyaline-S/1S,
-    /// HE, IBR, HP, LFRC) must use `ShardRouting::ByKey` instead, where a
+    /// HE, IBR, HP) must use `ShardRouting::ByKey` instead, where a
     /// node lives its whole life under one shard.
     ///
     /// [`ShardRouting::ByPointer`]: crate::ShardRouting::ByPointer
@@ -258,8 +258,7 @@ pub trait SmrHandle<T> {
     /// Tree searches use this to maintain multi-node seek records (e.g. the
     /// ancestor/successor/parent/leaf window of the Natarajan–Mittal tree)
     /// while the traversal window slides. Schemes without per-index state
-    /// (epochs, intervals, Hyaline) need nothing; HP copies the hazard slot
-    /// and LFRC takes an extra counted reference.
+    /// (epochs, intervals, Hyaline) need nothing; HP copies the hazard slot.
     fn copy_protection(&mut self, from: usize, to: usize) {
         let _ = (from, to);
     }

@@ -139,7 +139,6 @@ smoke! {
     smoke_hp => smr_baselines::Hp<Tracked<u64>>,
     smoke_he => smr_baselines::He<Tracked<u64>>,
     smoke_ibr => smr_baselines::Ibr<Tracked<u64>>,
-    smoke_lfrc => smr_baselines::Lfrc<Tracked<u64>>,
     smoke_crystalline_l => crystalline::CrystallineL<Tracked<u64>>,
     smoke_crystalline_w => crystalline::CrystallineW<Tracked<u64>>,
 }
@@ -473,7 +472,6 @@ typed_structure_smoke! {
     skiplist_smoke_hp => skiplist_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
     skiplist_smoke_he => skiplist_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
     skiplist_smoke_ibr => skiplist_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_lfrc => skiplist_churn, smr_baselines::Lfrc<_>, 2 * STRUCT_TOTAL,
     skiplist_smoke_crystalline_l => skiplist_churn, crystalline::CrystallineL<_>, 2 * STRUCT_TOTAL,
     skiplist_smoke_crystalline_w => skiplist_churn, crystalline::CrystallineW<_>, 2 * STRUCT_TOTAL,
     // Snapshot cell: one payload per store + the initial snapshot.
@@ -485,7 +483,6 @@ typed_structure_smoke! {
     snapshot_smoke_hp => snapshot_churn, smr_baselines::Hp<_>, STRUCT_TOTAL + 1,
     snapshot_smoke_he => snapshot_churn, smr_baselines::He<_>, STRUCT_TOTAL + 1,
     snapshot_smoke_ibr => snapshot_churn, smr_baselines::Ibr<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_lfrc => snapshot_churn, smr_baselines::Lfrc<_>, STRUCT_TOTAL + 1,
     snapshot_smoke_crystalline_l => snapshot_churn, crystalline::CrystallineL<_>, STRUCT_TOTAL + 1,
     snapshot_smoke_crystalline_w => snapshot_churn, crystalline::CrystallineW<_>, STRUCT_TOTAL + 1,
 }
@@ -501,7 +498,6 @@ typed_structure_smoke_racy_clones! {
     mpmc_smoke_hp => mpmc_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
     mpmc_smoke_he => mpmc_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
     mpmc_smoke_ibr => mpmc_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_lfrc => mpmc_churn, smr_baselines::Lfrc<_>, 2 * STRUCT_TOTAL,
     mpmc_smoke_crystalline_l => mpmc_churn, crystalline::CrystallineL<_>, 2 * STRUCT_TOTAL,
     mpmc_smoke_crystalline_w => mpmc_churn, crystalline::CrystallineW<_>, 2 * STRUCT_TOTAL,
 }

@@ -8,7 +8,7 @@
 //!   header, statistics, and the global era clock.
 //! * [`hyaline`] — the paper's contribution: Hyaline, Hyaline-1, Hyaline-S and
 //!   Hyaline-1S, plus `trim` and adaptive slot resizing.
-//! * [`smr_baselines`] — Leaky, EBR, HP, HE, 2GE-IBR and LFRC baselines.
+//! * [`smr_baselines`] — Leaky, EBR, HP, HE and 2GE-IBR baselines.
 //! * [`lockfree_ds`] — the benchmark data structures (Harris–Michael list,
 //!   Michael hash map, Bonsai tree, Natarajan–Mittal tree, Treiber stack,
 //!   Michael–Scott queue), generic over any SMR scheme.

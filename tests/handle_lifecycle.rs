@@ -8,7 +8,7 @@
 //! silently corrupting state.
 
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Smr, SmrConfig, SmrHandle};
 use smr_testkit::Canary;
 
@@ -135,7 +135,6 @@ lifecycle_tests! {
     hp => Hp<Canary>,
     he => He<Canary>,
     ibr => Ibr<Canary>,
-    lfrc => Lfrc<Canary>,
 }
 
 /// Leaky never reclaims, so only the lifecycle mechanics are checked.

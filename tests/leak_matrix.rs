@@ -4,7 +4,7 @@
 
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use lockfree_ds::{BonsaiTree, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree};
-use smr_baselines::{Ebr, He, Hp, Ibr, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr};
 use smr_core::{Smr, SmrConfig, SmrHandle};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -106,7 +106,6 @@ leak_test!(list_ebr, HarrisMichaelList, Ebr<_>);
 leak_test!(list_hp, HarrisMichaelList, Hp<_>);
 leak_test!(list_he, HarrisMichaelList, He<_>);
 leak_test!(list_ibr, HarrisMichaelList, Ibr<_>);
-leak_test!(list_lfrc, HarrisMichaelList, Lfrc<_>);
 
 // Michael hash map × all schemes.
 leak_test!(hashmap_hyaline, MichaelHashMap, Hyaline<_>);
@@ -117,7 +116,6 @@ leak_test!(hashmap_ebr, MichaelHashMap, Ebr<_>);
 leak_test!(hashmap_hp, MichaelHashMap, Hp<_>);
 leak_test!(hashmap_he, MichaelHashMap, He<_>);
 leak_test!(hashmap_ibr, MichaelHashMap, Ibr<_>);
-leak_test!(hashmap_lfrc, MichaelHashMap, Lfrc<_>);
 
 // Natarajan–Mittal tree × all schemes.
 leak_test!(nmtree_hyaline, NatarajanMittalTree, Hyaline<_>);
@@ -130,7 +128,7 @@ leak_test!(nmtree_he, NatarajanMittalTree, He<_>);
 leak_test!(nmtree_ibr, NatarajanMittalTree, Ibr<_>);
 
 // Bonsai tree × the schemes that support snapshot traversal (paper: no
-// HP/HE; LFRC likewise cannot pin a whole path).
+// HP/HE).
 leak_test!(bonsai_hyaline, BonsaiTree, Hyaline<_>);
 leak_test!(bonsai_hyaline1, BonsaiTree, Hyaline1<_>);
 leak_test!(bonsai_hyaline_s, BonsaiTree, HyalineS<_>);

@@ -19,7 +19,7 @@
 
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use lockfree_ds::{NatarajanMittalTree, NmNode};
-use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Smr, SmrConfig, SmrHandle};
 
 type Tree<S> = NatarajanMittalTree<u64, u64, S>;
@@ -96,9 +96,6 @@ fn validation_flags_match_protection_model() {
     assert!(He::<NmNode<u64, u64>>::needs_seek_validation());
     assert!(HyalineS::<NmNode<u64, u64>>::needs_seek_validation());
     assert!(Hyaline1S::<NmNode<u64, u64>>::needs_seek_validation());
-    // This LFRC counts active references, not links: a count taken through a
-    // frozen edge can land on a recycled type-stable node.
-    assert!(Lfrc::<NmNode<u64, u64>>::needs_seek_validation());
     // Enter-scoped reservations cover everything retired after `enter`.
     assert!(!Hyaline::<NmNode<u64, u64>>::needs_seek_validation());
     assert!(!Hyaline1::<NmNode<u64, u64>>::needs_seek_validation());

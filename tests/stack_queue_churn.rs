@@ -10,7 +10,7 @@
 
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use lockfree_ds::{MsQueue, QueueNode, StackNode, TreiberStack};
-use smr_baselines::{Ebr, He, Hp, Ibr, Leaky, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Smr, SmrConfig, SmrHandle};
 use smr_testkit::Canary;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +132,5 @@ churn_tests! {
     hp => Hp<_>,
     he => He<_>,
     ibr => Ibr<_>,
-    lfrc => Lfrc<_>,
     leaky => Leaky<_>,
 }

@@ -11,7 +11,7 @@
 //! checksum (poisoned or reused memory) rather than silent garbage.
 
 use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use smr_baselines::{Ebr, He, Hp, Ibr, Lfrc};
+use smr_baselines::{Ebr, He, Hp, Ibr};
 use smr_core::{Atomic, Smr, SmrConfig, SmrHandle};
 use smr_testkit::{Canary, StallPoint};
 use std::sync::atomic::Ordering;
@@ -210,11 +210,6 @@ fn protected_survives_stall_he() {
 #[test]
 fn protected_survives_stall_ibr() {
     protected_survives_stall::<Ibr<Canary>>(cfg());
-}
-
-#[test]
-fn protected_survives_stall_lfrc() {
-    protected_survives_stall::<Lfrc<Canary>>(cfg());
 }
 
 #[test]
