@@ -16,7 +16,8 @@
 //!   we use this variable to store the current Adjs value for the batch").
 //! * **word 2** — `batch_next`: the chain linking all nodes of the batch,
 //!   with the low bit flagging whether the node carries a live payload
-//!   (dummy padding nodes, used to finalize partial batches, do not). On the
+//!   (dummy nodes, added when a batch meets more active slots than it has
+//!   insertion nodes, do not). On the
 //!   REFS node — the chain's tail — this word points back to the chain head
 //!   (`First` in the paper's `free_batch(Ref->First)`).
 
@@ -83,17 +84,17 @@ impl<T> LocalBatch<T> {
         self.count == 0
     }
 
-    /// Adds a retired node to the batch.
+    /// Adds a retired node, whose payload is live, to the batch. Dummies
+    /// join only after finalizing ([`FinalizedBatch::extend_with_dummy`]).
     ///
     /// # Safety
     ///
     /// `node` must be exclusively owned (already unlinked and retired) and
     /// must remain untouched until the batch is finalized and inserted.
-    pub(crate) unsafe fn push(&mut self, node: *mut SmrNode<T>, birth: u64, live: bool) {
-        let live_flag = if live { LIVE_BIT } else { 0 };
+    pub(crate) unsafe fn push(&mut self, node: *mut SmrNode<T>, birth: u64) {
         header(node)
             .word(W_CHAIN)
-            .store(self.chain_head as usize | live_flag, Ordering::Relaxed);
+            .store(self.chain_head as usize | LIVE_BIT, Ordering::Relaxed);
         if self.refs_node.is_null() {
             self.refs_node = node;
         } else {
@@ -119,15 +120,13 @@ impl<T> LocalBatch<T> {
         let refs = self.refs_node;
         header(refs).word(W_NEXT).store(0, Ordering::Relaxed); // NRef = 0
         header(refs).word(W_LINK).store(adjs, Ordering::Relaxed);
-        let live = header(refs).word(W_CHAIN).load(Ordering::Relaxed) & LIVE_BIT;
         header(refs)
             .word(W_CHAIN)
-            .store(self.chain_head as usize | live, Ordering::Relaxed);
+            .store(self.chain_head as usize | LIVE_BIT, Ordering::Relaxed);
         let out = FinalizedBatch {
             refs_node: refs,
             chain_head: self.chain_head,
             min_birth: self.min_birth,
-            count: self.count,
         };
         *self = Self::new();
         out
@@ -138,57 +137,70 @@ impl<T> LocalBatch<T> {
 pub(crate) struct FinalizedBatch<T> {
     /// The REFS node carrying the batch's `NRef` counter (chain tail).
     pub(crate) refs_node: *mut SmrNode<T>,
-    /// First node of the batch chain.
+    /// First node of the chain as finalized: the first insertion node.
+    /// Dummies are prepended in front of it, and only REFS' chain word
+    /// tracks them.
     pub(crate) chain_head: *mut SmrNode<T>,
-    /// Smallest birth era among the batch's nodes (`u64::MAX` for dummies).
+    /// Smallest birth era among the batch's retired nodes.
     pub(crate) min_birth: u64,
-    /// Total nodes in the batch, dummies included.
-    pub(crate) count: usize,
 }
 
 impl<T> FinalizedBatch<T> {
-    /// Prepends a fresh dummy node to the chain, returning it.
+    /// Prepends the payload-less node `dummy` to the chain as one more
+    /// insertion node. It writes node words only, so it borrows the batch
+    /// shared.
     ///
-    /// Hyaline-1 uses this when more slots turn out to be active than the
-    /// batch has insertion nodes (threads registered between batch sizing
-    /// and insertion). Mutating the chain is safe while the batch's final
-    /// `Inserts`/`Empty` adjustment is still pending: `NRef` cannot cross
-    /// zero before that adjustment, so no concurrent thread can be freeing
-    /// or walking the chain yet.
+    /// The insertion loops call this when a slot is active and the chain has
+    /// no own node left for it: a partial batch is finalized with only its
+    /// own nodes, and a full one can meet more active slots than it was
+    /// sized for. Mutating the chain is safe until the batch's last slot
+    /// contribution is in, because only the thread whose adjustment brings
+    /// `NRef` to zero walks the chain, to free it. On owned slots that is
+    /// the final `Inserts` adjustment, and every decrement before it leaves
+    /// `NRef` below zero. On shared slots each finished slot adds `Adjs`,
+    /// and `j · Adjs ≢ 0 (mod 2^64)` for `0 < j < k`, so `NRef` cannot
+    /// reach zero while a slot is still to come; the last one comes in
+    /// either through the skipped slots' adjustment or through the last
+    /// insertion CAS, after every extension.
     ///
     /// # Safety
     ///
-    /// Must only be called by the inserting thread before the batch's final
-    /// [`adjust_refs`] call.
-    pub(crate) unsafe fn extend_with_dummy(&mut self) -> *mut SmrNode<T> {
-        let dummy = SmrNode::<T>::alloc_dummy().as_ptr();
+    /// Must only be called by the inserting thread before the last slot's
+    /// contribution (its insertion CAS or the final [`adjust_refs`]).
+    /// `dummy` must be a fresh payload-less node this thread owns.
+    pub(crate) unsafe fn extend_with_dummy(&self, dummy: *mut SmrNode<T>) {
+        let refs_chain = header(self.refs_node).word(W_CHAIN);
         header(dummy)
             .word(W_LINK)
             .store(self.refs_node as usize, Ordering::Relaxed);
-        header(dummy)
-            .word(W_CHAIN)
-            .store(self.chain_head as usize, Ordering::Relaxed); // live bit clear
-        let refs_w2 = header(self.refs_node).word(W_CHAIN).load(Ordering::Relaxed);
-        header(self.refs_node)
-            .word(W_CHAIN)
-            .store(dummy as usize | (refs_w2 & LIVE_BIT), Ordering::Relaxed);
-        self.chain_head = dummy;
-        self.count += 1;
-        dummy
+        let head = refs_chain.load(Ordering::Relaxed) & !LIVE_BIT;
+        header(dummy).word(W_CHAIN).store(head, Ordering::Relaxed); // live bit clear
+        refs_chain.store(dummy as usize | LIVE_BIT, Ordering::Relaxed); // REFS is retired
     }
 }
 
-/// Follows the batch chain (`word 2`, pointer part).
+/// The insertion node that follows `node` once a CAS has linked it: a
+/// retired node's chain successor (`word 2`, which is `refs` once the
+/// batch's own nodes are used up), or `refs` again after a dummy, whose
+/// chain successor was used before it. Every node a [`LocalBatch`] holds is
+/// a retired payload node, so the live bit tells the two apart.
 ///
 /// # Safety
 ///
-/// `node` must be a live batch node.
+/// `node` must be a live node of the batch whose REFS node is `refs`.
 #[inline]
-pub(crate) unsafe fn chain_next<T>(node: *mut SmrNode<T>) -> *mut SmrNode<T> {
-    // ORDERING: Relaxed suffices — `word 2` chain links are written before the
-    // batch is published (finalize/retire is the release point), so any thread
-    // walking the chain already synchronized via the slot-list Acquire load.
-    (header(node).word(W_CHAIN).load(Ordering::Relaxed) & !LIVE_BIT) as *mut SmrNode<T>
+pub(crate) unsafe fn after_insertion<T>(
+    node: *mut SmrNode<T>,
+    refs: *mut SmrNode<T>,
+) -> *mut SmrNode<T> {
+    // ORDERING: Relaxed suffices — only the inserting thread reads the chain
+    // here, and it wrote every link itself.
+    let chain = header(node).word(W_CHAIN).load(Ordering::Relaxed);
+    if chain & LIVE_BIT != 0 {
+        (chain & !LIVE_BIT) as *mut SmrNode<T>
+    } else {
+        refs
+    }
 }
 
 /// Decrements the `NRef` of the batch `node` belongs to by one (the paper's
@@ -312,20 +324,19 @@ mod tests {
         for i in 0..5 {
             let node = SmrNode::alloc(Payload(Arc::clone(&drops)));
             // SAFETY: `node` was just allocated and is exclusively owned.
-            unsafe { batch.push(node.as_ptr(), 100 + i, true) };
+            unsafe { batch.push(node.as_ptr(), 100 + i) };
         }
         assert_eq!(batch.count(), 5);
         // SAFETY: all five pushed nodes are live and unshared.
         let fin = unsafe { batch.finalize(0) };
         assert_eq!(fin.min_birth, 100);
-        assert_eq!(fin.count, 5);
 
         // Chain from head reaches the REFS node in (count - 1) hops.
         let mut cur = fin.chain_head;
         let mut hops = 0;
         while cur != fin.refs_node {
             // SAFETY: `cur` is a live batch node; the chain is fully linked.
-            cur = unsafe { chain_next(cur) };
+            cur = unsafe { after_insertion(cur, fin.refs_node) };
             hops += 1;
         }
         assert_eq!(hops, 4);
@@ -342,16 +353,19 @@ mod tests {
         let mut batch = LocalBatch::<Payload>::new();
         let real = SmrNode::alloc(Payload(Arc::clone(&drops)));
         // SAFETY: `real` was just allocated and is exclusively owned.
-        unsafe { batch.push(real.as_ptr(), 1, true) };
+        unsafe { batch.push(real.as_ptr(), 1) };
+        // SAFETY: the pushed node is live and unshared.
+        let fin = unsafe { batch.finalize(0) };
         for _ in 0..3 {
             // SAFETY: dummy nodes carry no payload; alloc_dummy returns a
-            // fresh allocation and push takes exclusive ownership of it.
-            let dummy = unsafe { SmrNode::<Payload>::alloc_dummy() };
-            // SAFETY: as above — `dummy` is fresh and unshared.
-            unsafe { batch.push(dummy.as_ptr(), u64::MAX, false) };
+            // fresh allocation.
+            let dummy = unsafe { SmrNode::<Payload>::alloc_dummy() }.as_ptr();
+            // SAFETY: the unpublished batch takes the fresh dummy over.
+            unsafe { fin.extend_with_dummy(dummy) };
+            // SAFETY: `dummy` is now a live, unshared node of the batch.
+            let after = unsafe { after_insertion(dummy, fin.refs_node) };
+            assert_eq!(after, fin.refs_node, "a dummy leads back to REFS");
         }
-        // SAFETY: every pushed node is live and unshared.
-        let fin = unsafe { batch.finalize(0) };
         assert_eq!(fin.min_birth, 1);
         // SAFETY: the batch was never published; this thread owns it outright.
         let freed = unsafe { free_now(fin.refs_node) };
@@ -369,7 +383,7 @@ mod tests {
         for v in 0..3 {
             let node = SmrNode::alloc(v);
             // SAFETY: `node` was just allocated and is exclusively owned.
-            unsafe { batch.push(node.as_ptr(), 0, true) };
+            unsafe { batch.push(node.as_ptr(), 0) };
         }
         // SAFETY: all pushed nodes are live and unshared.
         let fin = unsafe { batch.finalize(0) };
@@ -398,7 +412,7 @@ mod tests {
         for v in 0..3 {
             let node = SmrNode::alloc(v);
             // SAFETY: `node` was just allocated and is exclusively owned.
-            unsafe { batch.push(node.as_ptr(), 0, true) };
+            unsafe { batch.push(node.as_ptr(), 0) };
         }
         // SAFETY: all pushed nodes are live and unshared.
         let fin = unsafe { batch.finalize(adjs_small) };
@@ -426,7 +440,7 @@ mod tests {
         for v in 0..2 {
             let node = SmrNode::alloc(v);
             // SAFETY: `node` was just allocated and is exclusively owned.
-            unsafe { batch.push(node.as_ptr(), 0, true) };
+            unsafe { batch.push(node.as_ptr(), 0) };
         }
         // SAFETY: all pushed nodes are live and unshared.
         let fin = unsafe { batch.finalize(0) };
@@ -443,7 +457,7 @@ mod tests {
         let mut batch = LocalBatch::<u32>::new();
         let node = SmrNode::alloc(1);
         // SAFETY: `node` was just allocated and is exclusively owned.
-        unsafe { batch.push(node.as_ptr(), 0, true) };
+        unsafe { batch.push(node.as_ptr(), 0) };
         // SAFETY: the single pushed node is live and unshared.
         let fin = unsafe { batch.finalize(0) };
         // SAFETY: the batch was never published; freeing is safe and final.

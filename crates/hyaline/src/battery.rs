@@ -35,7 +35,7 @@ pub(crate) fn churn<H: SmrHandle<u64>>(h: &mut H, values: std::ops::Range<u64>) 
 
 /// After every handle is gone nothing may be left: no leak, no node still
 /// waiting, and nothing released through the unpublished path.
-pub(crate) fn assert_all_freed<D: Smr<u64>>(domain: &D) {
+pub(crate) fn assert_all_freed<T: Send + 'static, D: Smr<T>>(domain: &D) {
     assert!(domain.stats().balanced());
     assert_eq!(
         domain.stats().allocated(),
@@ -67,10 +67,138 @@ pub(crate) fn stress<D: Smr<u64>>() {
 
 pub(crate) fn partial_batch_finalized_on_drop<D: Smr<u64>>() {
     let domain = D::with_config(small());
-    // One node in the local batch; drop must dummy-pad and insert.
+    // One node in the local batch; drop must finalize and insert it. No
+    // slot is active by then, so the batch is freed inside the drop.
     churn(&mut domain.handle(), 0..1);
     assert!(domain.stats().balanced());
     assert!(domain.stats().freed() >= 1);
+}
+
+/// A flushed partial batch of `n` nodes pays one dummy for each entered
+/// slot past its own `n - 1` insertion nodes, and none at all with no slot
+/// entered. An era alias also parks one handle whose access era predates
+/// the batch: that slot is skipped and costs nothing.
+pub(crate) fn partial_flush_adds_one_dummy_per_entered_slot<D: Smr<u64>>() {
+    for parked in [0usize, 1, 3] {
+        for n in [1u64, 2] {
+            // Eight slots: every handle below gets its own, round-robin on
+            // shared slots, claimed on owned ones.
+            let domain = D::with_config(SmrConfig {
+                slots: 8,
+                ..small()
+            });
+            let link = Atomic::null();
+            let mut readers: Vec<_> = (0..parked).map(|_| domain.handle()).collect();
+            let mut stale = D::robust().then(|| domain.handle());
+            let mut writer = domain.handle();
+            for h in readers.iter_mut().chain(stale.iter_mut()) {
+                h.enter();
+            }
+            writer.enter();
+            let nodes: Vec<_> = (0..n).map(|v| writer.alloc(v)).collect();
+            // Raise the readers' access eras past every birth era above, so
+            // the era aliases count their slots as current.
+            for h in &mut readers {
+                let _ = h.protect(0, &link);
+            }
+            for node in nodes {
+                // SAFETY: `node` was never published; no other reference
+                // exists.
+                unsafe { writer.retire(node) };
+            }
+            writer.leave();
+            writer.flush();
+            let dummies = parked.saturating_sub(n as usize - 1) as u64;
+            assert_eq!(
+                domain.stats().allocated(),
+                n + dummies,
+                "{}: {parked} entered slots, {n} retired nodes",
+                D::name()
+            );
+            if parked == 0 {
+                assert_eq!(domain.stats().unreclaimed(), 0, "{}", D::name());
+            }
+            for h in readers.iter_mut().chain(stale.iter_mut()) {
+                h.leave();
+            }
+            drop((readers, stale, writer));
+            assert_all_freed(&domain);
+        }
+    }
+}
+
+/// Every dummy is an allocation like any other: with recycling on, it is a
+/// pool hit or a pool miss. Two handles stay parked inside an operation, so
+/// every flush meets at least two entered slots and must add dummies.
+pub(crate) fn dummies_are_pool_traffic<D: Smr<u64>>() {
+    let domain = &D::with_config(SmrConfig {
+        recycle: true,
+        recycle_capacity: 1024,
+        recycle_magazine: 8,
+        // The era never moves, so the parked handles' one `protect` keeps
+        // their slots current for the era aliases.
+        era_freq: u64::MAX,
+        ..small()
+    });
+    let link = Atomic::null();
+    let mut parked = [domain.handle(), domain.handle()];
+    for h in &mut parked {
+        h.enter();
+        let _ = h.protect(0, &link);
+    }
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            s.spawn(move || {
+                let mut h = domain.handle();
+                for v in t * 10_000..t * 10_000 + 1_000 {
+                    churn(&mut h, v..v + 1);
+                    h.flush();
+                }
+            });
+        }
+    });
+    for h in &mut parked {
+        h.leave();
+    }
+    drop(parked);
+    assert_all_freed(domain);
+    let stats = domain.stats();
+    assert_eq!(
+        stats.pool_hits() + stats.pool_misses(),
+        stats.allocated(),
+        "{}: every allocation, dummies included, goes through the pool",
+        D::name()
+    );
+}
+
+/// `HandlePool`'s check-in shape under contention: every operation flushes,
+/// so every batch is partial and its extensions race with concurrent
+/// `leave` credits.
+pub(crate) fn flush_every_operation_stress<D: Smr<Tracked>>() {
+    let live = &Arc::new(AtomicI64::new(0));
+    let domain = &D::with_config(small());
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(move || {
+                let mut h = domain.handle();
+                for _ in 0..2_000 {
+                    h.enter();
+                    live.fetch_add(1, Ordering::Relaxed);
+                    let node = h.alloc(Tracked(Arc::clone(live)));
+                    // SAFETY: the node is thread-local until retired.
+                    unsafe { h.retire(node) };
+                    h.leave();
+                    h.flush();
+                }
+            });
+        }
+    });
+    assert_eq!(
+        live.load(Ordering::Relaxed),
+        0,
+        "payload leak or double drop"
+    );
+    assert_all_freed(domain);
 }
 
 pub(crate) fn dealloc_unpublished_node<D: Smr<u64>>() {
@@ -340,6 +468,18 @@ macro_rules! cases {
         #[test]
         fn payload_drops_exactly_once() {
             crate::battery::payload_drops_exactly_once::<$alias<crate::battery::Tracked>>();
+        }
+        #[test]
+        fn partial_flush_adds_one_dummy_per_entered_slot() {
+            crate::battery::partial_flush_adds_one_dummy_per_entered_slot::<$alias<u64>>();
+        }
+        #[test]
+        fn dummies_are_pool_traffic() {
+            crate::battery::dummies_are_pool_traffic::<$alias<u64>>();
+        }
+        #[test]
+        fn flush_every_operation_stress() {
+            crate::battery::flush_every_operation_stress::<$alias<crate::battery::Tracked>>();
         }
     };
 }

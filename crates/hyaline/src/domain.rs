@@ -17,9 +17,9 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::batch::{adjust_refs, adjust_slot_credit, chain_next, header, FinalizedBatch, W_NEXT};
+use crate::batch::{adjust_refs, adjust_slot_credit, header, FinalizedBatch, W_NEXT};
 use crate::head::{Head1Word, HeadWord};
-use crate::local::Local;
+use crate::local::{Insertions, Local};
 use crate::slots::{Slot, SlotDirectory};
 use crate::waitfree::{Adopted, PROTECT_FAST_ROUNDS};
 
@@ -393,34 +393,37 @@ where
     }
 
     /// Figure 3's `retire`: appends the batch to every active slot `0..k`,
-    /// where `k` is the slot count the batch was finalized against.
+    /// where `k` is the slot count the batch was finalized against. Past
+    /// the chain's own nodes each insertion takes a spare dummy
+    /// ([`Insertions`]), as in `insert_owned`.
     ///
     /// # Safety
     ///
-    /// `fin` must come from this handle's own `LocalBatch::finalize`, with a
-    /// chain of at least `k + 1` nodes that no other thread has seen yet.
+    /// `fin` must come from this handle's own `LocalBatch::finalize` with
+    /// `Adjs = adjs_for(k)`, and be unpublished: no other thread may have
+    /// seen any chain node yet.
     unsafe fn insert_shared(&mut self, fin: FinalizedBatch<T>, k: usize) {
         let domain = self.domain;
-        let adjs = adjs_for(k);
-        let mut insert_node = fin.chain_head;
-        let mut empty_adjs: usize = 0;
-        let mut any_empty = false;
+        let mut nodes = Insertions::new(&fin);
+        let mut skipped: usize = 0;
         for i in 0..k {
             let slot = domain.dir.slot(i);
             loop {
                 let head = slot.head.load(Ordering::Acquire);
                 if head.refs() == 0 || Self::too_stale(slot, &fin) {
                     // REF #1#: no active threads (or none that matter);
-                    // account an Adjs for this slot directly on the batch at
-                    // the end.
-                    any_empty = true;
-                    empty_adjs = empty_adjs.wrapping_add(adjs);
+                    // this slot's Adjs goes directly on the batch at the
+                    // end.
+                    skipped += 1;
                     break;
                 }
-                debug_assert!(
-                    insert_node != fin.refs_node,
-                    "batch has fewer nodes than slots + 1"
-                );
+                // SAFETY: extending the chain here is sound because `NRef`
+                // cannot reach zero before all `k` slots' contributions are
+                // in: each finished slot adds `Adjs`, and `j · Adjs ≢ 0 (mod
+                // 2^64)` for `0 < j < k`. The last of them comes through the
+                // skipped slots' adjustment below or after the last
+                // insertion CAS, and both follow every extension.
+                let insert_node = nodes.node(&fin, &mut self.local);
                 header(insert_node)
                     .word(W_NEXT)
                     .store(head.ptr_bits(), Ordering::Relaxed);
@@ -441,15 +444,16 @@ where
                         // detection.
                         slot.ack.fetch_add(head.refs() as i64, Ordering::Relaxed);
                     }
-                    insert_node = chain_next(insert_node);
+                    nodes.linked(&fin);
                     break;
                 }
             }
         }
-        if any_empty {
+        if skipped > 0 {
             // REF #3#: contribute the skipped slots' Adjs in one shot. When
             // *all* slots were empty this wraps to zero and frees the
             // untouched batch immediately.
+            let empty_adjs = skipped.wrapping_mul(adjs_for(k));
             adjust_refs(fin.refs_node, empty_adjs, &mut self.local.reap);
         }
     }
@@ -463,16 +467,9 @@ where
     ///
     /// `fin` must come from this handle's own `LocalBatch::finalize` and be
     /// unpublished: no other thread may have seen any chain node yet.
-    unsafe fn insert_owned(&mut self, mut fin: FinalizedBatch<T>) {
+    unsafe fn insert_owned(&mut self, fin: FinalizedBatch<T>) {
         let domain = self.domain;
-        let mut insert_node = fin.chain_head;
-        // Once the chain is exhausted (more active slots than insertion
-        // nodes, e.g. a dummy-padded partial batch at flush time), every
-        // remaining slot gets a *fresh* dummy. A chain node that is already
-        // linked into one slot's list must never be pushed onto a second
-        // list: its `Next` word is the first list's link, and overwriting it
-        // corrupts that list.
-        let mut spare: *mut SmrNode<T> = ptr::null_mut();
+        let mut nodes = Insertions::new(&fin);
         let mut inserts: usize = 0;
         for idx in domain.registry.iter_claimed() {
             let slot = domain.dir.slot(idx);
@@ -491,14 +488,10 @@ where
                     inserts += 1;
                     break;
                 }
-                let node = if insert_node != fin.refs_node {
-                    insert_node
-                } else {
-                    if spare.is_null() {
-                        spare = self.local.spare_dummy(&mut fin);
-                    }
-                    spare
-                };
+                // SAFETY: extending the chain here is sound because `NRef`
+                // cannot reach zero before the final adjustment below: until
+                // then only decrements and handoff releases reach it.
+                let node = nodes.node(&fin, &mut self.local);
                 header(node)
                     .word(W_NEXT)
                     .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
@@ -508,11 +501,7 @@ where
                     .is_ok()
                 {
                     inserts += 1; // replaces REF #2#
-                    if node == insert_node {
-                        insert_node = chain_next(insert_node);
-                    } else {
-                        spare = ptr::null_mut(); // dummy consumed
-                    }
+                    nodes.linked(&fin);
                     break;
                 }
                 attempts += 1;
@@ -535,12 +524,12 @@ where
         domain.batch_min.max(k + 1)
     }
 
-    /// Freezes the local batch and inserts it, padding a partial batch with
-    /// dummies first: up to `k + 1` nodes for the *current* `k` on shared
-    /// slots (the directory may have grown since the batch was sized), whose
-    /// `Adjs = 2^64 / k` the batch then carries; on owned slots up to two
-    /// (REFS + one insertion candidate), because `insert_owned` extends on
-    /// demand.
+    /// Freezes the local batch as it is and inserts it. A partial batch
+    /// (a flush, a drop) is not padded: the insertion loop adds one spare
+    /// dummy for each active slot its own nodes do not cover, and frees a
+    /// batch that meets no active slot on the spot. On shared slots the
+    /// batch carries the `Adjs = 2^64 / k` of the *current* `k` (the
+    /// directory may have grown since the batch was sized).
     fn finalize_and_insert(&mut self) {
         if self.local.batch.is_empty() {
             return;
@@ -551,7 +540,6 @@ where
             fence(Ordering::SeqCst);
         }
         if SINGLE {
-            self.local.pad_batch(2);
             // SAFETY: the batch is non-empty and wholly owned by this
             // handle; `fin` is its own freshly finalized, unpublished batch.
             unsafe {
@@ -560,9 +548,7 @@ where
             }
         } else {
             let k = self.domain.dir.k();
-            self.local.pad_batch(k + 1);
-            // SAFETY: as above, and the padding brought the chain to at
-            // least `k + 1` nodes, all owned by this handle.
+            // SAFETY: as above, finalized with the `Adjs` of this `k`.
             unsafe {
                 let fin = self.local.batch.finalize(adjs_for(k));
                 self.insert_shared(fin, k);
@@ -587,6 +573,8 @@ impl<T, const SINGLE: bool, const ERAS: bool, const HANDOFF: bool, const HELPING
 where
     T: Send + 'static,
 {
+    // Hinted for the reason `Local::alloc` gives: once per operation.
+    #[inline]
     fn enter(&mut self) {
         debug_assert!(!self.active, "enter while already inside an operation");
         if SINGLE {
@@ -788,8 +776,9 @@ where
         if self.active {
             self.leave();
         }
-        // A dropped handle finalizes its partial batch with dummy nodes, so
-        // the thread is immediately "off the hook".
+        // A dropped handle finalizes its partial batch, adding dummy nodes
+        // only where active slots need them, so the thread is immediately
+        // "off the hook".
         self.flush();
         if HANDOFF {
             self.orphan_adopted();

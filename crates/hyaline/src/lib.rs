@@ -25,15 +25,15 @@
 //! | slot | shared round-robin, `k = slots` | owned, claimed from a registry of `max_threads` | shared slots only: `enter` avoids slots with `Ack ≥ ack_threshold`, growing the directory when `adaptive` | — | — |
 //! | `enter` | fetch-add on `HRef`; the old `HPtr` is the handle | store the active bit | — | — | — |
 //! | `leave` | CAS loop; the last one out detaches the list | swap; traverse the detached list | shared slots: `Ack -=` nodes traversed | bump the occupancy sequence, collect the handoff cell; retry adopted and orphaned entries before freeing | — |
-//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment | every claimed slot; count the insertions; spare dummies past the chain | fence, then also skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
-//! | batch size | `max(batch_min, k + 1)`, `Adjs = 2^64 / k` | `max(batch_min, claimed + 1)`, `Adjs = 0` | `k` read when the batch is finalized | — | — |
+//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment; spare dummies past the chain | every claimed slot; count the insertions; spare dummies past the chain | fence, then also skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
+//! | batch size | a full batch is `max(batch_min, k + 1)`, `Adjs = 2^64 / k`; a flushed partial batch gains one dummy per entered slot beyond its own nodes | a full batch is `max(batch_min, claimed + 1)`, `Adjs = 0`; a flushed partial batch likewise | `k` read when the batch is finalized | — | — |
 //! | `alloc` | pool | pool | advance the clock every `era_freq`, stamp the birth era | — | certify pending protect requests before advancing the clock |
 //! | `protect` | load | load | raise the slot's access era: CAS-max on shared slots, owner store + fence on owned | — | CAS-max + fence on owned slots too; publish a request after 8 rounds |
 //! | drop | flush | flush, release the slot | — | handle: adopted entries go to the domain's orphan list; domain: release what cells and orphan list still hold | — |
 //!
-//! The rest — batches, the per-handle state and its traverse, free loop,
-//! padding and flush, §3.3 `trim`, the slot table — exists once, and what
-//! the last two columns switch in is one private module. [`head`] holds both
+//! The rest — batches, the per-handle state and its traverse, free loop
+//! and flush, §3.3 `trim`, the slot table — exists once, and what the last
+//! two columns switch in is one private module. [`head`] holds both
 //! head encodings and [`llsc`] a software model of single-width LL/SC
 //! reservation granules with the Figure 7 head operations built on them
 //! (the paper's PPC/MIPS port, §4.4).
@@ -92,7 +92,8 @@ mod hyaline {
     ///
     /// Hyaline is fully *transparent*: handles need no registration, any
     /// number of threads may share the fixed `k` slots, and a dropped handle
-    /// finalizes its partial batch with dummy nodes so the thread is
+    /// finalizes its partial batch at once, with a dummy node for each
+    /// entered slot its own nodes do not cover, so the thread is
     /// immediately "off the hook". It is **not robust**: a stalled thread
     /// inside an operation pins every batch retired in its slot since it
     /// entered (use [`HyalineS`](crate::HyalineS) when robustness matters).
@@ -217,10 +218,10 @@ mod hyaline1 {
 
         #[test]
         fn partial_batch_flush_with_many_active_slots() {
-            // Regression test: a partial batch (2 nodes after dummy padding)
-            // flushed while more than 2 slots are active must extend with a
-            // fresh dummy *per slot* — re-inserting a chain node into a second
-            // slot list corrupts the first list.
+            // Regression test: a partial batch (1 node, so no insertion node
+            // of its own) flushed while several slots are active must extend
+            // with a fresh dummy *per slot* — re-inserting a chain node into a
+            // second slot list corrupts the first list.
             let domain = &Hyaline1::<u64>::with_config(SmrConfig {
                 batch_min: 64, // never filled during the test: flush is partial
                 ..small()
@@ -241,7 +242,7 @@ mod hyaline1 {
                 let mut w = domain.handle();
                 inside.wait();
                 churn(&mut w, 7..8);
-                w.flush(); // 1 real node + dummies, inserted into 6+ active slots
+                w.flush(); // 1 real node + one dummy per active slot (6+)
                 flushed.wait();
             });
             assert_all_freed(domain);
@@ -253,7 +254,7 @@ mod hyaline1 {
             // nodes in flight: dropped handles must leave nothing on the hook.
             let domain = Hyaline1::<u64>::with_config(small());
             for round in 0..50u64 {
-                // Dropping finalizes the partial batch with dummies.
+                // Dropping finalizes and inserts the partial batch.
                 churn(&mut domain.handle(), round..round + 1);
             }
             assert_all_freed(&domain);

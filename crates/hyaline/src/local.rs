@@ -3,15 +3,17 @@
 //! Between the slot heads and the allocator every variant, the Crystalline
 //! settings included, does the same things: it collects retired nodes into
 //! a [`LocalBatch`], walks retirement sublists decrementing `NRef`s, frees
-//! the batches that reached zero, pads partial batches with dummies, stamps
-//! birth eras, and buffers statistics and recycled memory. [`Local`] is that
-//! state and those steps, written once; what a variant adds is how batches
-//! reach the slot heads.
+//! the batches that reached zero, hands out insertion nodes and the spare
+//! dummies past them, stamps birth eras, and buffers statistics and recycled
+//! memory. [`Local`] and [`Insertions`] are that state and those steps,
+//! written once; what a variant adds is how batches reach the slot heads.
 
 use smr_core::{EraClock, LocalStats, Magazine, NodePool, Shared, SmrNode, SmrStats};
 use std::sync::atomic::Ordering;
 
-use crate::batch::{decrement, free_batch_into, header, FinalizedBatch, LocalBatch, W_NEXT};
+use crate::batch::{
+    after_insertion, decrement, free_batch_into, header, FinalizedBatch, LocalBatch, W_NEXT,
+};
 
 /// The variant-independent per-handle state.
 pub(crate) struct Local<'d, T> {
@@ -98,35 +100,26 @@ impl<'d, T> Local<'d, T> {
         self.local_stats.on_free(self.stats, freed);
     }
 
-    /// Pads the batch with payload-less dummy nodes up to `min` nodes
-    /// (Section 2.4: partial batches "can be immediately finalized by
-    /// allocating a finite number of dummy nodes").
-    pub(crate) fn pad_batch(&mut self, min: usize) {
-        while self.batch.count() < min {
-            // SAFETY: dummy nodes have no payload; the pool hands out fresh
-            // or recycled exclusively-owned memory either way.
-            let dummy = unsafe { self.pool.alloc_dummy::<T>(&mut self.mag, self.stats) };
-            self.count_dummy();
-            // SAFETY: `dummy` is exclusively owned until pushed.
-            unsafe { self.batch.push(dummy.as_ptr(), u64::MAX, false) };
-        }
-    }
-
-    /// [`FinalizedBatch::extend_with_dummy`], with the dummy accounted for.
+    /// Allocates a payload-less dummy node through the recycle pool and
+    /// links it into `fin`'s chain ([`FinalizedBatch::extend_with_dummy`]),
+    /// counted as allocated and retired in one step. This is the only way a
+    /// dummy enters a batch (Section 2.4: a partial batch "can be
+    /// immediately finalized by allocating a finite number of dummy nodes";
+    /// here only as many as active slots need).
     ///
     /// # Safety
     ///
-    /// Same contract: only the inserting thread, before the batch's final
-    /// `adjust_refs`.
-    pub(crate) unsafe fn spare_dummy(&mut self, fin: &mut FinalizedBatch<T>) -> *mut SmrNode<T> {
-        self.count_dummy();
-        fin.extend_with_dummy()
-    }
-
-    /// A dummy is allocated and retired in one step.
-    fn count_dummy(&mut self) {
+    /// [`FinalizedBatch::extend_with_dummy`]'s contract: only the inserting
+    /// thread, before the batch's last slot contribution.
+    pub(crate) unsafe fn spare_dummy(&mut self, fin: &FinalizedBatch<T>) -> *mut SmrNode<T> {
+        let dummy = self
+            .pool
+            .alloc_dummy::<T>(&mut self.mag, self.stats)
+            .as_ptr();
         self.local_stats.on_alloc(self.stats);
         self.local_stats.on_retire(self.stats);
+        fin.extend_with_dummy(dummy);
+        dummy
     }
 
     /// Counts one allocation; `true` on every `freq`-th, when Figure 5's
@@ -139,6 +132,12 @@ impl<'d, T> Local<'d, T> {
     /// Allocates a node for `value`. With `era`, stamps the node's birth
     /// era, which shares the header word with `Next` because it need not
     /// survive `retire`.
+    ///
+    /// `#[inline]`, like [`Local::retire`]: both run once per call, and
+    /// without the hint whether they inline depends on which codegen unit
+    /// the caller's instance lands in (`hyaline.alloc_retire_ns` read ~25 %
+    /// higher when they did not).
+    #[inline]
     pub(crate) fn alloc(&mut self, value: T, era: Option<&EraClock>) -> Shared<T> {
         self.local_stats.on_alloc(self.stats);
         let node = self.pool.alloc(&mut self.mag, self.stats, value);
@@ -163,6 +162,7 @@ impl<'d, T> Local<'d, T> {
     ///
     /// The [`SmrHandle::retire`](smr_core::SmrHandle::retire) contract:
     /// `ptr` is unlinked from every shared structure and retired once.
+    #[inline]
     pub(crate) unsafe fn retire(&mut self, ptr: Shared<T>, eras: bool) -> usize {
         let node = ptr.as_node_ptr();
         let birth = if eras {
@@ -171,7 +171,7 @@ impl<'d, T> Local<'d, T> {
             0
         };
         self.local_stats.on_retire(self.stats);
-        self.batch.push(node, birth, true);
+        self.batch.push(node, birth);
         self.batch.count()
     }
 
@@ -193,5 +193,56 @@ impl<'d, T> Local<'d, T> {
     pub(crate) fn flush(&mut self) {
         self.pool.flush(&mut self.mag, self.stats);
         self.local_stats.flush(self.stats);
+    }
+}
+
+/// The nodes one batch's insertions link, in order: the chain's own nodes
+/// except REFS, whose `Next` word is the batch's `NRef`, then one spare
+/// dummy per insertion past them, made on demand. So an `n`-node batch
+/// entering `a` slots costs `max(0, a − (n − 1))` dummies, and none when no
+/// slot is active. A node a CAS linked into one slot's list is never offered
+/// again: its `Next` word is that list's link, and a second list would
+/// overwrite it. One cursor is the whole state, which keeps the insertion
+/// loops' counters in registers.
+pub(crate) struct Insertions<T> {
+    /// The node on offer; REFS once the batch's own nodes are used up.
+    next: *mut SmrNode<T>,
+}
+
+impl<T> Insertions<T> {
+    pub(crate) fn new(fin: &FinalizedBatch<T>) -> Self {
+        Self {
+            next: fin.chain_head,
+        }
+    }
+
+    /// The node the next insertion attempt links. A failed CAS is offered
+    /// the same node again, so a spare is made at most once per insertion.
+    ///
+    /// # Safety
+    ///
+    /// [`Local::spare_dummy`]'s contract, with `fin` the batch `self` was
+    /// made for.
+    #[inline]
+    pub(crate) unsafe fn node(
+        &mut self,
+        fin: &FinalizedBatch<T>,
+        local: &mut Local<'_, T>,
+    ) -> *mut SmrNode<T> {
+        if self.next == fin.refs_node {
+            self.next = local.spare_dummy(fin);
+        }
+        self.next
+    }
+
+    /// Records that a CAS linked the node [`Insertions::node`] last
+    /// returned.
+    ///
+    /// # Safety
+    ///
+    /// `fin` is the batch `self` was made for, not yet freed.
+    #[inline]
+    pub(crate) unsafe fn linked(&mut self, fin: &FinalizedBatch<T>) {
+        self.next = after_insertion(self.next, fin.refs_node);
     }
 }

@@ -67,10 +67,10 @@ impl NodeHeader {
 /// callers (via [`SmrHandle::alloc`](crate::SmrHandle::alloc) and
 /// [`SmrHandle::retire`](crate::SmrHandle::retire)).
 ///
-/// The payload may be *absent*: Hyaline finalizes partial batches by padding
-/// them with payload-less dummy nodes (Section 2.4 of the paper), which are
-/// allocated with [`SmrNode::alloc_dummy`] and freed with
-/// `dealloc(ptr, false)`.
+/// The payload may be *absent*: Hyaline inserts a batch with more entered
+/// slots than own nodes by adding payload-less dummy nodes (Section 2.4 of
+/// the paper), which are allocated with [`SmrNode::alloc_dummy`] and freed
+/// with `dealloc(ptr, false)`.
 #[repr(C)]
 pub struct SmrNode<T> {
     header: NodeHeader,

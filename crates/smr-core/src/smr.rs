@@ -274,8 +274,8 @@ pub trait SmrHandle<T> {
     unsafe fn retire(&mut self, ptr: Shared<T>);
 
     /// Makes everything retired by this handle eligible for reclamation as
-    /// soon as concurrent readers leave (finalizes Hyaline's partial batch by
-    /// dummy-padding, forces a scan in scan-based schemes).
+    /// soon as concurrent readers leave (finalizes and inserts Hyaline's
+    /// partial batch, forces a scan in scan-based schemes).
     fn flush(&mut self);
 }
 

@@ -97,9 +97,9 @@ fn churn_with<S: Smr<Tracked<u64>>>(config: SmrConfig) -> DropRegistry {
         h.leave();
         h.flush();
         let stats = domain.stats();
-        // `>=` rather than `==`: Hyaline finalizes partial batches by
-        // padding them with internal dummy nodes, which are accounted as
-        // allocations too. The exact payload balance is asserted through
+        // `>=` rather than `==`: Hyaline inserts batches into more entered
+        // slots than they have own nodes by adding internal dummy nodes,
+        // which are accounted as allocations too. The exact payload balance is asserted through
         // the DropRegistry below.
         assert!(
             stats.allocated() >= THREADS as u64 * OPS_PER_THREAD,
