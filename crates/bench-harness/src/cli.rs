@@ -13,7 +13,8 @@
 //! `--connections N` (`HYALINE_BENCH_CONNECTIONS`) sets the simulated
 //! connection count of the async `kv-service` sweep,
 //! `--recycle on|off` (`HYALINE_BENCH_RECYCLE`) toggles the node-recycling
-//! layer (reclaimed nodes feed a per-domain pool that `alloc` reuses), and
+//! layer (reclaimed nodes feed a per-domain pool that `alloc` reuses; on by
+//! default), and
 //! `--max-threads N` (`HYALINE_BENCH_MAX_THREADS`) pins the registry/pool
 //! capacity (set it below the thread count to exercise oversubscribed
 //! pooling with host-independent perf-gate keys).
@@ -391,7 +392,8 @@ mod tests {
     #[test]
     fn recycle_flag_toggles_and_rejects_junk() {
         let mut scale = BenchScale::default();
-        assert!(!scale.base.config.recycle);
+        assert!(scale.base.config.recycle, "recycling is on by default");
+        scale.base.config.recycle = false;
         let warnings = scale.apply_args(&strings(&["--recycle", "on"]));
         assert!(warnings.is_empty(), "{warnings:?}");
         assert!(scale.base.config.recycle);

@@ -356,6 +356,8 @@ where
         (total_ops, sample_sum, samples, peak)
     });
 
+    // Parked handles still buffer pool counters; dropping them publishes.
+    drop(pool);
     let stats = map.stats();
     RunResult {
         mops: total_ops as f64 / params.secs / 1e6,

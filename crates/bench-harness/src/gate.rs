@@ -563,7 +563,8 @@ mod tests {
     fn recycling_configs_key_separately() {
         // A pooled (recycle on) run of the same scheme must not be averaged
         // with or compared against the malloc configuration.
-        let malloc = record("Hyaline", 4, 10.0, 0.0);
+        let mut malloc = record("Hyaline", 4, 10.0, 0.0);
+        malloc.recycle = false;
         let mut pooled = record("Hyaline", 4, 13.0, 0.0);
         pooled.recycle = true;
         let file = vec![malloc, pooled.clone()];

@@ -757,12 +757,14 @@ mod tests {
     use crate::workload::OpMix;
 
     pub(crate) fn sample_record() -> BenchRecord {
-        let params = BenchParams {
+        let mut params = BenchParams {
             threads: 8,
             stalled: 2,
             mix: OpMix::ReadMostly,
             ..BenchParams::default()
         };
+        // The malloc path, which is what a pre-recycling record decodes to.
+        params.config.recycle = false;
         let result = RunResult {
             mops: 12.625,
             avg_unreclaimed: 130.5,

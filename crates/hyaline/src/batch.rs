@@ -297,14 +297,17 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
-    /// [`free_batch_into`] a pool with recycling off, as `Local::drain`
-    /// does by default.
+    /// [`free_batch_into`] a pool with recycling off: every node goes
+    /// straight back to malloc, so the temporary magazine stays empty.
     ///
     /// # Safety
     ///
     /// [`free_batch_into`]'s contract.
     unsafe fn free_now<T>(refs: *mut SmrNode<T>) -> u64 {
-        let pool = NodePool::for_node::<T>(&SmrConfig::default());
+        let pool = NodePool::for_node::<T>(&SmrConfig {
+            recycle: false,
+            ..SmrConfig::default()
+        });
         free_batch_into(refs, &pool, &mut pool.magazine(), &SmrStats::new())
     }
 

@@ -201,6 +201,63 @@ pub(crate) fn flush_every_operation_stress<D: Smr<Tracked>>() {
     assert_all_freed(domain);
 }
 
+/// A `flush` — what a `HandlePool` check-in runs — leaves the magazine with
+/// the handle: its next allocation reuses memory it freed itself, and
+/// nothing reached the shared partitions, so a second handle's allocation
+/// misses. Dropping the handles returns every node and publishes the pool
+/// counters; the domain's drop frees the nodes.
+pub(crate) fn check_in_keeps_magazine_warm<D: Smr<Tracked>>() {
+    let live = &Arc::new(AtomicI64::new(0));
+    let track = || {
+        live.fetch_add(1, Ordering::Relaxed);
+        Tracked(Arc::clone(live))
+    };
+    let domain = D::with_config(SmrConfig {
+        recycle: true,
+        recycle_magazine: 8,
+        ..small()
+    });
+    let stats = domain.stats();
+    let mut h = domain.handle();
+    // Four nodes, fewer than the magazine holds, all freed by the time the
+    // flush returns: no other handle is inside an operation.
+    h.enter();
+    let nodes: Vec<_> = (0..4).map(|_| h.alloc(track())).collect();
+    let freed: Vec<usize> = nodes.iter().map(|node| node.as_raw()).collect();
+    for node in nodes {
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { h.retire(node) };
+    }
+    h.leave();
+    h.flush();
+    assert_eq!(stats.unreclaimed(), 0, "{}", D::name());
+
+    let mut other = domain.handle();
+    let cold = other.alloc(track());
+    assert!(
+        !freed.contains(&cold.as_raw()),
+        "{}: the flush spilled the magazine to the shared partitions",
+        D::name()
+    );
+    let warm = h.alloc(track());
+    assert!(
+        freed.contains(&warm.as_raw()),
+        "{}: the flushed handle's next allocation missed its magazine",
+        D::name()
+    );
+
+    // SAFETY: neither node was ever published.
+    unsafe {
+        h.dealloc(warm);
+        other.dealloc(cold);
+    }
+    drop((h, other));
+    assert_eq!((stats.pool_hits(), stats.pool_misses()), (1, 5), "{}", D::name());
+    assert!(stats.balanced(), "{}", D::name());
+    drop(domain);
+    assert_eq!(live.load(Ordering::Relaxed), 0, "payload leak or double drop");
+}
+
 pub(crate) fn dealloc_unpublished_node<D: Smr<u64>>() {
     let domain = D::with_config(small());
     let mut h = domain.handle();
@@ -480,6 +537,10 @@ macro_rules! cases {
         #[test]
         fn flush_every_operation_stress() {
             crate::battery::flush_every_operation_stress::<$alias<crate::battery::Tracked>>();
+        }
+        #[test]
+        fn check_in_keeps_magazine_warm() {
+            crate::battery::check_in_keeps_magazine_warm::<$alias<crate::battery::Tracked>>();
         }
     };
 }

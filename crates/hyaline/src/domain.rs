@@ -779,10 +779,13 @@ where
         // A dropped handle finalizes its partial batch, adding dummy nodes
         // only where active slots need them, so the thread is immediately
         // "off the hook".
-        self.flush();
+        self.finalize_and_insert();
+        self.drain();
         if HANDOFF {
             self.orphan_adopted();
         }
+        // Unlike a flush, a drop hands the recycle magazine back.
+        self.local.spill();
         if SINGLE {
             self.domain.registry.release(self.slot);
         }

@@ -155,7 +155,7 @@ where
             unsafe { adjust_refs(refs_bits as *mut SmrNode<T>, RELEASE, &mut local.reap) };
         }
         local.drain();
-        local.flush();
+        local.spill();
     }
 }
 

@@ -3,8 +3,8 @@
 //! under the names those modules always used.
 
 use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
-use std::sync::atomic::Ordering;
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use crate::registry_core::{Domain, Policy};
 
@@ -97,6 +97,74 @@ pub(crate) fn stalled_thread<S: Smr<u64>>() {
             );
         }
     });
+}
+
+/// A payload that counts itself live, per test so that parallel tests do
+/// not see each other.
+pub(crate) struct Tracked(Arc<AtomicI64>);
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        let prev = self.0.fetch_sub(1, Ordering::Relaxed);
+        assert!(prev > 0, "double drop detected");
+    }
+}
+
+/// A `flush` — what a `HandlePool` check-in runs — leaves the magazine with
+/// the handle: its next allocation reuses memory its own scan freed, and
+/// nothing reached the shared partitions, so a second handle's allocation
+/// misses. Dropping the handles returns every node and publishes the pool
+/// counters; the domain's drop frees the nodes.
+pub(crate) fn check_in_keeps_magazine_warm<S: Smr<Tracked>>() {
+    let live = &Arc::new(AtomicI64::new(0));
+    let track = || {
+        live.fetch_add(1, Ordering::Relaxed);
+        Tracked(Arc::clone(live))
+    };
+    let d = S::with_config(SmrConfig {
+        recycle: true,
+        recycle_magazine: 8,
+        ..small()
+    });
+    let stats = d.stats();
+    let mut h = d.handle();
+    // Four nodes, fewer than the magazine holds, all freed by the flush's
+    // scan: no other handle publishes any protection.
+    h.enter();
+    let nodes: Vec<_> = (0..4).map(|_| h.alloc(track())).collect();
+    let freed: Vec<usize> = nodes.iter().map(|node| node.as_raw()).collect();
+    for node in nodes {
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { h.retire(node) };
+    }
+    h.leave();
+    h.flush();
+    assert_eq!(stats.unreclaimed(), 0, "{}", S::name());
+
+    let mut other = d.handle();
+    let cold = other.alloc(track());
+    assert!(
+        !freed.contains(&cold.as_raw()),
+        "{}: the flush spilled the magazine to the shared partitions",
+        S::name()
+    );
+    let warm = h.alloc(track());
+    assert!(
+        freed.contains(&warm.as_raw()),
+        "{}: the flushed handle's next allocation missed its magazine",
+        S::name()
+    );
+
+    // SAFETY: neither node was ever published.
+    unsafe {
+        h.dealloc(warm);
+        other.dealloc(cold);
+    }
+    drop((h, other));
+    assert_eq!((stats.pool_hits(), stats.pool_misses()), (1, 5), "{}", S::name());
+    assert!(stats.balanced(), "{}", S::name());
+    drop(d);
+    assert_eq!(live.load(Ordering::Relaxed), 0, "payload leak or double drop");
 }
 
 pub(crate) fn reader_protected_until_leave<S: Smr<u64>>() {

@@ -112,6 +112,7 @@ mod tests {
         stalled_thread_blocks_reclamation = stalled_thread::<Ebr<u64>>;
         reader_protected_until_leave = reader_protected_until_leave::<Ebr<u64>>;
         scan_work_is_amortised = scan_work_is_amortised::<EbrPolicy>;
+        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<Ebr<battery::Tracked>>;
     }
 
     #[test]

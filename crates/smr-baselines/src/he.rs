@@ -129,6 +129,7 @@ mod tests {
         multithreaded_stress = multithreaded_stress::<He<u64>>;
         robust_against_stalled_thread = stalled_thread::<He<u64>>;
         scan_work_is_amortised = scan_work_is_amortised::<HePolicy>;
+        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<He<battery::Tracked>>;
     }
 
     #[test]

@@ -127,6 +127,7 @@ mod tests {
         single_thread_reclaims_everything = single_thread_reclaims_everything::<Hp<u64>>;
         robust_against_stalled_thread = stalled_thread::<Hp<u64>>;
         scan_work_is_amortised = scan_work_is_amortised::<HpPolicy>;
+        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<Hp<battery::Tracked>>;
     }
 
     #[test]

@@ -138,6 +138,7 @@ mod tests {
         multithreaded_stress = multithreaded_stress::<Ibr<u64>>;
         robust_against_stalled_thread = stalled_thread::<Ibr<u64>>;
         scan_work_is_amortised = scan_work_is_amortised::<IbrPolicy>;
+        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<Ibr<battery::Tracked>>;
     }
 
     #[test]

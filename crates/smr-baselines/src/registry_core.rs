@@ -387,11 +387,11 @@ impl<T: Send + 'static, P: Policy> SmrHandle<T> for Handle<'_, T, P> {
         }
     }
 
+    /// Scans and publishes the core statistics. The magazine, with its
+    /// buffered pool counters, stays with the handle until it drops.
     fn flush(&mut self) {
         self.scan();
-        let domain = self.domain;
-        domain.pool.flush(&mut self.mag, &domain.stats);
-        self.local_stats.flush(&domain.stats);
+        self.local_stats.flush(&self.domain.stats);
     }
 }
 

@@ -111,8 +111,8 @@ pub struct SmrConfig {
     /// Enable the layout-keyed node-recycling layer
     /// ([`smr_core::recycle`](crate::recycle)): reclaimed nodes feed a
     /// per-domain free pool that `alloc` draws from before falling back to
-    /// the global allocator. Off by default — the historical
-    /// allocate/free-through-malloc behaviour.
+    /// the global allocator. On by default; `false` allocates and frees
+    /// every node through malloc.
     pub recycle: bool,
     /// Maximum number of reclaimed nodes retained by each domain's recycle
     /// pool (approximate, split across the pool's cache-padded partitions).
@@ -212,7 +212,7 @@ impl Default for SmrConfig {
             shards: 1,
             routing: ShardRouting::ByKey,
             handoff_attempts: 8,
-            recycle: false,
+            recycle: true,
             recycle_capacity: 8192,
             recycle_magazine: 64,
         }

@@ -24,10 +24,10 @@
 //!   implementation: sharded domains bound retire-list traffic and
 //!   cross-thread scans to one shard, and handle pools let more tasks than
 //!   [`SmrConfig::max_threads`] take turns on registry-based schemes.
-//! * [`NodePool`] and [`Magazine`] — the opt-in layout-keyed node-recycling
-//!   layer ([`recycle`]): when [`SmrConfig::recycle`] is on, every scheme's
-//!   reclaim path feeds freed node memory back to `alloc` instead of the
-//!   global allocator.
+//! * [`NodePool`] and [`Magazine`] — the layout-keyed node-recycling layer
+//!   ([`recycle`]): while [`SmrConfig::recycle`] is on (the default), every
+//!   scheme's reclaim path feeds freed node memory back to `alloc` instead
+//!   of the global allocator.
 //!
 //! # Example
 //!

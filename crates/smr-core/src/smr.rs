@@ -275,7 +275,12 @@ pub trait SmrHandle<T> {
 
     /// Makes everything retired by this handle eligible for reclamation as
     /// soon as concurrent readers leave (finalizes and inserts Hyaline's
-    /// partial batch, forces a scan in scan-based schemes).
+    /// partial batch, forces a scan in scan-based schemes), and publishes
+    /// the handle's buffered allocated/retired/freed/deallocated counts.
+    /// The handle keeps its recycle magazine, with the pool counters it
+    /// buffers: [`HandlePool`](crate::HandlePool) check-in calls this, and
+    /// the handle's next allocations should find their memory warm. Only
+    /// dropping the handle spills the magazine.
     fn flush(&mut self);
 }
 

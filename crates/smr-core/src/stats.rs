@@ -99,7 +99,10 @@ impl SmrStats {
     }
 
     /// Allocations served from the recycle pool. Load-only sampling, like
-    /// [`SmrStats::unreclaimed`]: cheap to read mid-run.
+    /// [`SmrStats::unreclaimed`]: cheap to read mid-run. The three pool
+    /// counters are buffered per handle, 64 events at a time, and exact
+    /// once every handle has dropped; a handle's `flush` does not publish
+    /// them.
     pub fn pool_hits(&self) -> u64 {
         self.pool_hits.load(Ordering::Relaxed)
     }

@@ -1,6 +1,6 @@
 //! Node-recycling pool semantics through the public scheme API.
 //!
-//! Four guarantees the recycle layer must uphold regardless of scheme:
+//! Five guarantees the recycle layer must uphold regardless of scheme:
 //!
 //! 1. **Capacity overflow falls back to the real allocator.** A pool sized
 //!    far below the churn volume must evict to `dealloc` without leaking or
@@ -14,6 +14,9 @@
 //! 4. **Domain drop drains pools with zero leaks.** Allocations resident in
 //!    magazines and partitions when the domain dies are returned to the
 //!    allocator; their payloads were already dropped at dispose time.
+//! 5. **A check-in keeps the magazine warm.** A `HandlePool` round trip on
+//!    the default configuration serves the re-taken handle's allocation
+//!    from the memory it freed before parking.
 //!
 //! Payload-level balance is asserted with [`DropRegistry`]-tracked values
 //! (a leak shows as a missing drop, a stale reissue as a double drop at the
@@ -21,7 +24,9 @@
 //! which recycling must not disturb — pooled residency is a property of the
 //! *memory*, not of the logical alloc/free ledger.
 
-use smr_core::{Atomic, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrStats};
+use smr_core::{
+    Atomic, HandlePool, Magazine, NodePool, Shared, Smr, SmrConfig, SmrHandle, SmrStats,
+};
 use smr_testkit::{DropRegistry, Tracked};
 use std::sync::atomic::Ordering;
 
@@ -215,4 +220,46 @@ fn domain_drop_drains_pools_without_leaks() {
     // `churn` dropped the domain on exit; the drain already happened.
     registry.assert_quiescent();
     assert_eq!(registry.created(), THREADS * OPS_PER_THREAD);
+}
+
+/// Scenario 5: one thread's `HandlePool` round trip on the default
+/// configuration, which recycles. A check-in flushes the handle, freeing
+/// what it retired into its magazine, and keeps the magazine; the next
+/// checkout re-takes the same handle, whose allocation is a pool hit.
+fn check_in_round_trip<S: Smr<Tracked<u64>>>() {
+    let registry = DropRegistry::new();
+    {
+        let domain = S::with_config(base_cfg());
+        let pool = HandlePool::new(&domain, 1);
+        let mut addrs = Vec::new();
+        for round in 0..2 {
+            let mut h = pool.checkout();
+            h.enter();
+            let node = h.alloc(registry.track(round));
+            addrs.push(node.as_raw());
+            // SAFETY: never published; no other reference.
+            unsafe { h.retire(node) };
+            h.leave();
+            drop(h); // check-in: flush, then park
+            assert_eq!(domain.stats().unreclaimed(), 0, "{}: the flush freed it", S::name());
+        }
+        assert_eq!(pool.issued(), 1, "{}: the checkout re-took the handle", S::name());
+        assert_eq!(addrs[1], addrs[0], "{}: the second allocation missed", S::name());
+        drop(pool); // drops the handle, which publishes its pool counters
+        let stats = domain.stats();
+        assert_eq!((stats.pool_hits(), stats.pool_misses()), (1, 1), "{}", S::name());
+        assert!(stats.balanced(), "{}", S::name());
+    }
+    registry.assert_quiescent();
+    assert_eq!(registry.created(), 2);
+}
+
+#[test]
+fn handle_pool_check_in_keeps_magazine_warm_hyaline_s() {
+    check_in_round_trip::<hyaline::HyalineS<Tracked<u64>>>();
+}
+
+#[test]
+fn handle_pool_check_in_keeps_magazine_warm_epoch() {
+    check_in_round_trip::<smr_baselines::Ebr<Tracked<u64>>>();
 }
