@@ -16,10 +16,14 @@
 //!
 //! **How often the hand-off happens.** Measured, not assumed: on the
 //! `kv-service` benchmark (256 connections on 2 workers, 64-entry queues)
-//! about 8 check-ins in a thousand find room in their queue. Two
-//! reclaimer tasks share one FIFO run queue with 256 connection tasks, so
-//! each runs about once per 129 requests and its queue is full the rest
-//! of the time: **a refused hand-off is the normal case**, and
+//! about 8 check-ins in a thousand find room in their queue. A reclaimer
+//! parked on its empty queue is woken through the executor's injector,
+//! which a worker serves before its own queue; but one that yields
+//! between tickets goes to the back of its worker's run queue, behind
+//! about 128 connection tasks, and its queue fills meanwhile. Per-worker
+//! queues left that rate where the shared FIFO had it
+//! (`reclaim_vacuous_per_kreq` ≈ 7.7 → 7.9, 4 `--trace 1` pairs):
+//! **a refused hand-off is the normal case**, and
 //! [`TaskGuard`](crate::TaskGuard) therefore asks
 //! [`DrainQueue::is_refusing`] before it parks anything dirty and pays for
 //! a refusal with one relaxed load. Of the tickets that are taken, a
