@@ -4,21 +4,18 @@
 //! ```text
 //! cargo run -p bench-harness --bin perfgate -- \
 //!     baseline.jsonl candidate.jsonl \
-//!     [--tolerance 0.10] [--unreclaimed-tolerance 0.50] \
-//!     [--unreclaimed-slack 64] [--warn-only] [--require-overlap]
+//!     [--tolerance 0.10] [--unreclaimed-tolerance 0.50] [--unreclaimed-slack 64]
 //! ```
 //!
-//! Exit codes: `0` pass (or `--warn-only`), `1` at least one metric of one
-//! configuration regressed, `2` usage or I/O error. Identical files always
-//! pass. Configurations present in only one file are reported but never
-//! fail the gate, so coverage can grow over time — unless
-//! `--require-overlap` is set, in which case every baseline configuration
-//! must actually be compared: zero comparisons, or baseline combos missing
-//! from the candidate, are themselves failures (a blocking gate must not
-//! pass because a flag or host default silently changed the keys of
-//! exactly the combos that regressed).
+//! Exit codes: `0` pass, `1` at least one metric of one configuration
+//! regressed or a baseline configuration was never compared, `2` usage or
+//! I/O error. Identical non-empty files always pass. Every baseline
+//! configuration must find its candidate counterpart: zero comparisons, or
+//! baseline combos missing from the candidate, are failures, because a gate
+//! must not pass when a flag or host default silently changed the keys of
+//! exactly the combos that regressed. Candidate-only configurations are new
+//! coverage and never fail.
 
-use bench_harness::cli::cli_args;
 use bench_harness::gate::{compare, Tolerance};
 use bench_harness::results::read_records;
 use std::path::PathBuf;
@@ -27,18 +24,15 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("perfgate: error: {msg}");
     eprintln!(
         "usage: perfgate <baseline.jsonl> <candidate.jsonl> [--tolerance F] \
-         [--unreclaimed-tolerance F] [--unreclaimed-slack F] [--warn-only] \
-         [--require-overlap]"
+         [--unreclaimed-tolerance F] [--unreclaimed-slack F]"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let args = cli_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files: Vec<PathBuf> = Vec::new();
     let mut tol = Tolerance::default();
-    let mut warn_only = false;
-    let mut require_overlap = false;
 
     let mut i = 0;
     while i < args.len() {
@@ -54,34 +48,17 @@ fn main() {
                 })
         };
         match args[i].as_str() {
-            "--tolerance" => {
-                tol.mops_frac = fraction(i);
-                i += 2;
-            }
-            "--unreclaimed-tolerance" => {
-                tol.unreclaimed_frac = fraction(i);
-                i += 2;
-            }
-            "--unreclaimed-slack" => {
-                tol.unreclaimed_slack = fraction(i);
-                i += 2;
-            }
-            "--warn-only" => {
-                warn_only = true;
-                i += 1;
-            }
-            "--require-overlap" => {
-                require_overlap = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                usage_error(&format!("unknown flag {flag}"));
-            }
+            "--tolerance" => tol.mops_frac = fraction(i),
+            "--unreclaimed-tolerance" => tol.unreclaimed_frac = fraction(i),
+            "--unreclaimed-slack" => tol.unreclaimed_slack = fraction(i),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag}")),
             path => {
                 files.push(PathBuf::from(path));
                 i += 1;
+                continue;
             }
         }
+        i += 2;
     }
     if files.len() != 2 {
         usage_error(&format!(
@@ -112,34 +89,19 @@ fn main() {
 
     let report = compare(&baseline, &candidate, tol);
     print!("{report}");
-    if report.comparisons.is_empty() && !(baseline.is_empty() && candidate.is_empty()) {
-        println!(
-            "perfgate: note: no configuration appears in both files — records \
-             are only compared when every workload/SmrConfig parameter matches \
-             (same host defaults, same flags); re-record the baseline with the \
-             candidate's sweep command if this is unexpected"
+    // Records are compared only when every workload/SmrConfig parameter
+    // matches, so a vanished combo usually means the candidate ran with
+    // other flags or host defaults than the baseline was recorded with.
+    if let Some(msg) = report.overlap_failure() {
+        eprintln!(
+            "perfgate: FAIL — {msg}\n(re-record the baseline with the candidate's sweep \
+             command if the keys changed on purpose)"
         );
+        std::process::exit(1);
     }
-    // A blocking gate must compare every baseline combo: empty files,
-    // disjoint keys, or a partially vanished overlap (one key parameter
-    // drifting for a subset of runs) all mean the combos that could have
-    // regressed were silently skipped. The verdict names each missing
-    // combo so the drifted key is visible in the CI log.
-    if require_overlap && !warn_only {
-        if let Some(msg) = report.overlap_failure() {
-            eprintln!("perfgate: FAIL — --require-overlap set and {msg}");
-            std::process::exit(1);
-        }
-    }
-
     if report.has_regression() {
-        if warn_only {
-            println!("perfgate: regression detected, but --warn-only is set; passing");
-        } else {
-            eprintln!("perfgate: FAIL — performance regressed beyond the noise band");
-            std::process::exit(1);
-        }
-    } else {
-        println!("perfgate: PASS");
+        eprintln!("perfgate: FAIL — performance regressed beyond the noise band");
+        std::process::exit(1);
     }
+    println!("perfgate: PASS");
 }

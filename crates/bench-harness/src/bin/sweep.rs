@@ -1,9 +1,10 @@
-//! Runs configurable figure sweeps and appends JSONL records per run.
+//! Runs the paper's figures as sweeps and appends JSONL records per run.
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin sweep -- \
 //!     [--out BENCH_sweep.jsonl] \
-//!     [--sweeps thread-scaling,oversubscription,robustness] \
+//!     [--sweeps thread-scaling,oversubscription,robustness,handle-churn,\
+//!               kv-service,stalled-reader,recycle,trim] \
 //!     [--structures hashmap,list | all] [--schemes Hyaline,Epoch,...] \
 //!     [--mix write-intensive|read-mostly] \
 //!     [--secs S] [--trials N] [--threads 1,2,...] [--stalled 0,1,...] ...
@@ -11,145 +12,30 @@
 //!
 //! Each measured `(scheme, structure, threads[, stalled])` point appends
 //! one [`bench_harness::BenchRecord`] — full `BenchParams`/`SmrConfig`
-//! provenance plus git sha, host cores, and timestamp — to the output file,
-//! building the repository's performance trajectory over time. The rendered
-//! figure tables still go to stdout, from the *same* runs. Compare two
-//! snapshots with the `perfgate` binary.
+//! provenance plus git sha, host cores, and timestamp — to the output file.
+//! The rendered figure tables go to stdout, from the *same* runs. Compare
+//! two record files with the `perfgate` binary. A bad command line (see
+//! [`bench_harness::cli`]) prints usage and exits 2 before any run.
 
-use bench_harness::cli::{cli_args, BenchScale};
+use bench_harness::cli::{Sweep, SweepArgs, USAGE};
 use bench_harness::driver::{BenchParams, RunResult};
-use bench_harness::figures::{robustness_figure_recorded, throughput_figures_recorded};
-use bench_harness::registry::{run_combo, ALL_SCHEMES, FIGURE_SCHEMES, STRUCTURES};
+use bench_harness::figures::{robustness_figure, throughput_figures, trim_figure};
+use bench_harness::registry::run_combo;
 use bench_harness::results::{wall_clock_timestamp, Provenance, ResultSink};
 use bench_harness::workload::OpMix;
 use hyaline::Hyaline;
 use lockfree_ds::{ConcurrentMap, MichaelHashMap};
 use smr_async::{run_kv_service, KvConfig};
 use smr_core::{HandlePool, Sharded, SmrHandle};
-use std::path::PathBuf;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sweep {
-    ThreadScaling,
-    Oversubscription,
-    Robustness,
-    /// Task-per-core pattern: workers far outnumber the registry budget and
-    /// draw handles from a shared pool every few operations.
-    HandleChurn,
-    /// Connection-scale async service: tens of thousands of cooperative
-    /// tasks multiplex a `Sharded<Hyaline>` hash map through a handle
-    /// registry capped near the hardware thread count, with deferred
-    /// check-ins drained by background reclaimer tasks.
-    KvService,
-    /// Memory-bound comparison under reader stalls: Hyaline vs the
-    /// Crystalline variants vs Epoch with one or two readers parked inside
-    /// an operation, recording the *peak* unreclaimed estimate. Robust
-    /// schemes hold the high-water mark flat; the others grow it for the
-    /// whole run.
-    StalledReader,
-    /// Node recycling on vs off: the same write-intensive churn with node
-    /// memory drawn from the layout-keyed recycle pool and from the global
-    /// allocator, on the structures whose operations allocate per update.
-    Recycle,
-}
-
-impl Sweep {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "thread-scaling" => Some(Self::ThreadScaling),
-            "oversubscription" => Some(Self::Oversubscription),
-            "robustness" => Some(Self::Robustness),
-            "handle-churn" => Some(Self::HandleChurn),
-            "kv-service" => Some(Self::KvService),
-            "stalled-reader" => Some(Self::StalledReader),
-            "recycle" => Some(Self::Recycle),
-            _ => None,
-        }
-    }
-}
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("sweep: error: {msg}");
-    eprintln!(
-        "usage: sweep [--out FILE] \
-         [--sweeps thread-scaling,oversubscription,robustness,handle-churn,kv-service,stalled-reader,recycle] \
-         [--structures hashmap,... | all] [--schemes Hyaline,Sharded-Hyaline,...] \
-         [--mix write-intensive|read-mostly] \
-         [bench scale flags: --secs --trials --threads --slots --shards \
-         --handle-churn --connections --max-threads ...]"
-    );
-    std::process::exit(2);
-}
 
 fn main() {
-    let scale = BenchScale::from_env_and_args();
-    let args = cli_args();
-
-    let mut out = PathBuf::from("BENCH_sweep.jsonl");
-    let mut sweeps = vec![Sweep::ThreadScaling];
-    let mut structures: Vec<String> = vec!["hashmap".into(), "list".into()];
-    let mut schemes: Vec<String> = FIGURE_SCHEMES.iter().map(|s| s.to_string()).collect();
-    let mut mix = OpMix::WriteIntensive;
-
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i + 1)
-                .map(String::as_str)
-                .unwrap_or_else(|| usage_error(&format!("{} is missing its value", args[i])))
-        };
-        match args[i].as_str() {
-            "--out" => {
-                out = PathBuf::from(value(i));
-                i += 2;
-            }
-            "--sweeps" => {
-                sweeps = value(i)
-                    .split(',')
-                    .map(|s| {
-                        Sweep::parse(s.trim())
-                            .unwrap_or_else(|| usage_error(&format!("unknown sweep `{s}`")))
-                    })
-                    .collect();
-                i += 2;
-            }
-            "--structures" => {
-                let v = value(i);
-                structures = if v == "all" {
-                    STRUCTURES.iter().map(|s| s.to_string()).collect()
-                } else {
-                    v.split(',').map(|s| s.trim().to_string()).collect()
-                };
-                for s in &structures {
-                    if !STRUCTURES.contains(&s.as_str()) {
-                        usage_error(&format!("unknown structure `{s}`; known: {STRUCTURES:?}"));
-                    }
-                }
-                i += 2;
-            }
-            "--schemes" => {
-                schemes = value(i).split(',').map(|s| s.trim().to_string()).collect();
-                for s in &schemes {
-                    if !ALL_SCHEMES.contains(&s.as_str()) {
-                        usage_error(&format!("unknown scheme `{s}`; known: {ALL_SCHEMES:?}"));
-                    }
-                }
-                i += 2;
-            }
-            "--mix" => {
-                mix = OpMix::from_short_label(value(i)).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "unknown mix `{}`; use write-intensive or read-mostly",
-                        value(i)
-                    ))
-                });
-                i += 2;
-            }
-            _ => i += 1, // BenchScale flags, already applied.
-        }
-    }
-
-    let scheme_refs: Vec<&str> = schemes.iter().map(String::as_str).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = SweepArgs::parse(&argv).unwrap_or_else(|e| {
+        eprintln!("sweep: error: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let base = &args.base;
+    let schemes: Vec<&str> = args.schemes.iter().map(String::as_str).collect();
     let mut sink = ResultSink::new(Provenance::detect(wall_clock_timestamp()));
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -157,66 +43,48 @@ fn main() {
 
     println!(
         "== sweep: {} trial(s) x {:.2}s, prefill {} of {} keys, {} -> {} ==\n",
-        scale.base.trials,
-        scale.base.secs,
-        scale.base.prefill,
-        scale.base.key_range,
-        mix.short_label(),
-        out.display()
+        base.trials,
+        base.secs,
+        base.prefill,
+        base.key_range,
+        base.mix.short_label(),
+        args.out.display()
     );
 
-    for sweep in &sweeps {
+    for sweep in &args.sweeps {
         match sweep {
-            Sweep::ThreadScaling | Sweep::Oversubscription => {
-                let (figure, threads): (&str, Vec<usize>) = match sweep {
-                    Sweep::ThreadScaling => ("thread-scaling", scale.threads.clone()),
-                    // Oversubscription stresses the threads >> cores regime
-                    // where Hyaline's asynchronous tracking shines.
-                    _ => (
+            Sweep::ThreadScaling | Sweep::Oversubscription | Sweep::HandleChurn => {
+                let mut base = base.clone();
+                let (figure, threads) = match sweep {
+                    Sweep::ThreadScaling => ("thread-scaling", args.threads.clone()),
+                    Sweep::Oversubscription => (
                         "oversubscription",
                         [1, 2, 4, 8].iter().map(|&m| cores * m).collect(),
                     ),
+                    _ => {
+                        // Workers draw pooled handles (capacity = max_threads)
+                        // and return them every `handle_churn` ops. Thread
+                        // points come from --threads and the registry budget
+                        // from --max-threads, so keys stay host-independent;
+                        // pass --max-threads below the thread counts to force
+                        // the oversubscribed park-and-reuse regime.
+                        if base.handle_churn == 0 {
+                            base.handle_churn = 64;
+                        }
+                        println!(
+                            "== handle-churn: {} ops/checkout, pool capacity {} ==\n",
+                            base.handle_churn, base.config.max_threads
+                        );
+                        ("handle-churn", args.threads.clone())
+                    }
                 };
-                for structure in &structures {
-                    let (tput, unrec) = throughput_figures_recorded(
+                for structure in &args.structures {
+                    let (tput, unrec) = throughput_figures(
                         figure,
-                        &format!("{figure} (unreclaimed)"),
                         structure,
-                        mix,
-                        &threads,
-                        &scale.base,
-                        &scheme_refs,
-                        Some(&mut sink),
-                    );
-                    println!("{tput}");
-                    println!("{unrec}");
-                }
-            }
-            Sweep::HandleChurn => {
-                // Workers draw pooled handles (capacity = max_threads) and
-                // return them every `handle_churn` ops. Thread points come
-                // from --threads and the registry budget from
-                // --max-threads, so keys stay host-independent; pass
-                // --max-threads below the thread counts to force the
-                // oversubscribed park-and-reuse regime.
-                let mut base = scale.base.clone();
-                if base.handle_churn == 0 {
-                    base.handle_churn = 64;
-                }
-                let threads = scale.threads.clone();
-                println!(
-                    "== handle-churn: {} ops/checkout, pool capacity {} ==\n",
-                    base.handle_churn, base.config.max_threads
-                );
-                for structure in &structures {
-                    let (tput, unrec) = throughput_figures_recorded(
-                        "handle-churn",
-                        "handle-churn (unreclaimed)",
-                        structure,
-                        mix,
                         &threads,
                         &base,
-                        &scheme_refs,
+                        &schemes,
                         Some(&mut sink),
                     );
                     println!("{tput}");
@@ -227,56 +95,42 @@ fn main() {
                 // Connections come from --connections when given; the
                 // default axis ends at the 10k-connection point the async
                 // service layer exists for.
-                let axis: Vec<u64> = if scale.base.connections != 0 {
-                    vec![scale.base.connections]
+                let axis: Vec<u64> = if base.connections != 0 {
+                    vec![base.connections]
                 } else {
                     vec![256, 2048, 10_000]
                 };
-                run_kv_sweep(&scale.base, &axis, mix, cores, &mut sink);
+                run_kv_sweep(base, &axis, cores, &mut sink);
             }
-            Sweep::StalledReader => {
-                run_stalled_reader_sweep(&scale.base, &mut sink);
-            }
-            Sweep::Recycle => {
-                run_recycle_sweep(&scale.base, &mut sink);
-            }
+            Sweep::StalledReader => run_stalled_reader_sweep(base, &mut sink),
+            Sweep::Recycle => run_recycle_sweep(base, &mut sink),
             Sweep::Robustness => {
                 let active = cores.max(2);
-                let max_stalled = scale.stalled.iter().copied().max().unwrap_or(8);
+                let max_stalled = args.stalled.iter().copied().max().unwrap_or(8);
                 let capped_slots = (max_stalled / 2).max(2).next_power_of_two();
-                let table = robustness_figure_recorded(
-                    active,
-                    &scale.stalled,
-                    capped_slots,
-                    &scale.base,
-                    Some(&mut sink),
-                );
+                let table =
+                    robustness_figure(active, &args.stalled, capped_slots, base, Some(&mut sink));
+                println!("{table}");
+            }
+            Sweep::Trim => {
+                // Fig 10b caps the slots well below the thread count (the
+                // paper's k <= 32 on 72 cores): here half the core count.
+                let capped_slots = (cores.max(2).next_power_of_two() / 2).max(2);
+                let table = trim_figure(&args.threads, capped_slots, base, Some(&mut sink));
                 println!("{table}");
             }
         }
     }
 
-    match sink.append_to(&out) {
-        Ok(n) => println!("appended {n} records to {}", out.display()),
+    match sink.append_to(&args.out) {
+        Ok(n) => println!("appended {n} records to {}", args.out.display()),
         Err(e) => {
-            eprintln!("sweep: error: cannot write {}: {e}", out.display());
+            eprintln!("sweep: error: cannot write {}: {e}", args.out.display());
             std::process::exit(2);
         }
     }
 }
 
-/// Runs the async KV service at each connection count and records one
-/// `kv-service` point per run: Mops/s plus the peak retired-but-unreclaimed
-/// estimate (`avg_unreclaimed` carries the peak here — for a fixed-work
-/// async run the high-water mark is the number that catches a reclaimer
-/// regression).
-///
-/// The scheme/structure pair is fixed (`Sharded-Hyaline` over the hash
-/// map): the sweep exists to vary `connections`, not to re-race schemes.
-/// The registry cap is `--max-threads` clamped to 2× the hardware threads,
-/// so tens of thousands of connections multiplex a pool of at most a few
-/// handles; executor workers come from `--threads` so the perf-gate key
-/// stays host-independent when both flags are pinned.
 /// The memory-bound headline comparison: Hyaline, both Crystalline
 /// variants, and Epoch on the Michael hash map with 1 and then 2 readers
 /// parked inside an operation, write-intensive so the workers keep
@@ -287,8 +141,8 @@ fn main() {
 /// mark stays near the batch backlog, while Hyaline and Epoch pin
 /// everything retired after the stall began.
 ///
-/// The stalled axis is fixed at `[1, 2]` — not taken from `--stalled` —
-/// so committed baselines keep host-independent perf-gate keys.
+/// The stalled axis is fixed at `[1, 2]`, not taken from `--stalled`, so
+/// the perf-gate keys stay host-independent.
 fn run_stalled_reader_sweep(base: &BenchParams, sink: &mut ResultSink) {
     const SCHEMES: &[&str] = &["Hyaline", "Epoch", "Crystalline-L", "Crystalline-W"];
     const STALLED: &[usize] = &[1, 2];
@@ -329,8 +183,8 @@ fn run_stalled_reader_sweep(base: &BenchParams, sink: &mut ResultSink) {
 /// global allocator (`recycle=off`, the historical behaviour) and from the
 /// layout-keyed recycle pool (`recycle=on`). Every point appends a
 /// `figure="recycle"` record; the on/off points key separately in the perf
-/// gate (the combo key carries `recycle`), so a committed baseline pins
-/// both sides of the comparison.
+/// gate (the combo key carries `recycle`), so a baseline pins both sides of
+/// the comparison.
 ///
 /// The mix is fixed write-intensive — recycling exists for update churn;
 /// a read-mostly run would barely touch the pool — and the hit rate column
@@ -389,8 +243,21 @@ fn run_recycle_sweep(base: &BenchParams, sink: &mut ResultSink) {
     println!();
 }
 
-fn run_kv_sweep(base: &BenchParams, axis: &[u64], mix: OpMix, cores: usize, sink: &mut ResultSink) {
-    let (get_pct, put_pct) = match mix {
+/// Runs the async KV service at each connection count and records one
+/// `kv-service` point per run: Mops/s plus the peak retired-but-unreclaimed
+/// estimate (`avg_unreclaimed` carries the peak here — for a fixed-work
+/// async run the high-water mark is the number that catches a reclaimer
+/// regression).
+///
+/// The scheme/structure pair is fixed (`Sharded-Hyaline` over the hash
+/// map): the sweep exists to vary `connections`, not to re-race schemes.
+/// The registry cap is `--max-threads` clamped to 2× the hardware threads,
+/// so tens of thousands of connections multiplex a pool of at most a few
+/// handles. The executor runs the base parameters' `threads` workers (2;
+/// `--threads` does not reach this sweep), so the perf-gate key stays
+/// host-independent when `--max-threads` is pinned.
+fn run_kv_sweep(base: &BenchParams, axis: &[u64], cores: usize, sink: &mut ResultSink) {
+    let (get_pct, put_pct) = match base.mix {
         // The thread-driven sweeps' mixes, translated to get/put/delete:
         // write-intensive is half inserts half deletes; read-mostly is 90%
         // gets with the rest split between insert and delete.
@@ -440,9 +307,10 @@ fn run_kv_sweep(base: &BenchParams, axis: &[u64], mix: OpMix, cores: usize, sink
             ops: report.ops,
             ..RunResult::default()
         };
-        let mut params = base.clone();
-        params.mix = mix;
-        params.connections = connections;
+        let params = BenchParams {
+            connections,
+            ..base.clone()
+        };
         sink.record("kv-service", "Sharded-Hyaline", "hashmap", &params, &result);
         println!(
             "{:>12} {:>10} {:>10.3} {:>12} {:>10} {:>10}",

@@ -1,21 +1,17 @@
-//! Minimal argument/environment configuration for the bench binaries.
+//! The `sweep` command line: which figures to run over which schemes and
+//! structures, at what scale, recorded where.
 //!
-//! Benchmarks read their scale from (in priority order) command-line flags
-//! after `--`, then `HYALINE_BENCH_*` environment variables, then scaled
-//! defaults. Besides the workload scale, the reclamation layout is
-//! settable: `--slots`/`--shards` (powers of two; `HYALINE_BENCH_SLOTS`,
-//! `HYALINE_BENCH_SHARDS`) pin the slot budget and shard count so runs on
-//! hosts with different core counts produce comparable perf-gate keys,
-//! `--routing by-key|by-pointer` (`HYALINE_BENCH_ROUTING`) selects the
-//! sharded routing mode,
-//! `--handle-churn N` (`HYALINE_BENCH_HANDLE_CHURN`) makes workers return
-//! their handles to a shared pool every `N` operations,
-//! `--connections N` (`HYALINE_BENCH_CONNECTIONS`) sets the simulated
-//! connection count of the async `kv-service` sweep,
-//! `--recycle on|off` (`HYALINE_BENCH_RECYCLE`) toggles the node-recycling
-//! layer (reclaimed nodes feed a per-domain pool that `alloc` reuses; on by
-//! default), and
-//! `--max-threads N` (`HYALINE_BENCH_MAX_THREADS`) pins the registry/pool
+//! Parsing is strict. An unknown flag, a flag without its value, a
+//! malformed value or `--help` is an error naming it, and `sweep` prints
+//! it with [`USAGE`] and exits 2 before measuring anything. Besides the
+//! workload scale, the reclamation layout is settable: `--slots`/`--shards`
+//! (powers of two) pin the slot budget and shard count so runs on hosts
+//! with different core counts produce comparable perf-gate keys,
+//! `--routing by-key|by-pointer` selects the sharded routing mode,
+//! `--handle-churn N` makes workers return their handles to a shared pool
+//! every `N` operations, `--connections N` sets the simulated connection
+//! count of the `kv-service` sweep, `--recycle on|off` toggles node
+//! recycling (on by default), and `--max-threads N` pins the registry/pool
 //! capacity (set it below the thread count to exercise oversubscribed
 //! pooling with host-independent perf-gate keys).
 //!
@@ -23,47 +19,95 @@
 //! prefill over 100 000 keys, threads up to 144) are reachable via:
 //!
 //! ```text
-//! cargo bench -p bench --bench fig8_9_write -- \
+//! cargo run --release -p bench-harness --bin sweep -- \
 //!     --secs 10 --trials 5 --prefill 50000 --key-range 100000 \
 //!     --threads 1,9,18,...,144
 //! ```
-//!
-//! Only the arguments the invoking tool actually forwarded are scanned: if
-//! the binary's own argv contains a literal `--` separator everything before
-//! it belongs to the harness (cargo/criterion/libtest flags) and is ignored;
-//! otherwise the whole argv tail is ours (cargo strips its `--` before
-//! handing the rest to `cargo run`/`cargo bench` targets). Unparsable values
-//! of known flags and malformed `HYALINE_BENCH_*` variables are *not*
-//! silently dropped: each one produces a warning on stderr and the previous
-//! (environment or default) value is kept.
+
+use std::path::PathBuf;
 
 use smr_core::{ShardRouting, SmrConfig};
 
 use crate::driver::BenchParams;
+use crate::registry::{ALL_SCHEMES, FIGURE_SCHEMES, STRUCTURES};
+use crate::workload::OpMix;
 
-/// Scale configuration shared by the bench binaries.
+/// What `sweep` prints after any command-line error.
+pub const USAGE: &str = "usage: sweep [--out FILE] [--sweeps NAME,...] \
+[--structures NAME,...|all] [--schemes NAME,...] [--mix write-intensive|read-mostly] \
+[--secs S] [--trials N] [--prefill N] [--key-range N] [--threads N,...] [--stalled N,...] \
+[--slots POW2] [--shards POW2] [--routing by-key|by-pointer] [--handle-churn N] \
+[--connections N] [--max-threads N] [--recycle on|off]";
+
+/// One figure `sweep` can run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// Figures 8, 9 and 11–16: throughput and unreclaimed objects over
+    /// `--threads`, one pair of tables per structure.
+    ThreadScaling,
+    /// The same tables at 1, 2, 4 and 8 threads per core, the regime where
+    /// Hyaline's asynchronous tracking shines.
+    Oversubscription,
+    /// Figure 10a: unreclaimed objects over `--stalled` readers parked
+    /// inside an operation.
+    Robustness,
+    /// Task-per-core pattern: workers far outnumber the registry budget and
+    /// draw handles from a shared pool every few operations.
+    HandleChurn,
+    /// Connection-scale async service: cooperative tasks multiplex a
+    /// `Sharded<Hyaline>` hash map through a handle registry capped near
+    /// the hardware thread count.
+    KvService,
+    /// Memory-bound comparison under reader stalls: Hyaline vs the
+    /// Crystalline variants vs Epoch with one or two readers parked inside
+    /// an operation, recording the *peak* unreclaimed estimate. Robust
+    /// schemes hold the high-water mark flat; the others grow it for the
+    /// whole run.
+    StalledReader,
+    /// Node recycling on vs off: the same write-intensive churn with node
+    /// memory drawn from the layout-keyed recycle pool and from the global
+    /// allocator, on the structures whose operations allocate per update.
+    Recycle,
+    /// Figure 10b: hash-map throughput with the slot count capped below
+    /// the thread count, §3.3 `trim` windows against plain `leave`/`enter`.
+    Trim,
+}
+
+impl Sweep {
+    /// Every sweep under its command-line name.
+    pub const ALL: [(&'static str, Sweep); 8] = [
+        ("thread-scaling", Sweep::ThreadScaling),
+        ("oversubscription", Sweep::Oversubscription),
+        ("robustness", Sweep::Robustness),
+        ("handle-churn", Sweep::HandleChurn),
+        ("kv-service", Sweep::KvService),
+        ("stalled-reader", Sweep::StalledReader),
+        ("recycle", Sweep::Recycle),
+        ("trim", Sweep::Trim),
+    ];
+
+    fn parse(name: &str) -> Option<Self> {
+        Self::ALL.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
+    }
+}
+
+/// A parsed `sweep` command line.
 #[derive(Debug, Clone)]
-pub struct BenchScale {
+pub struct SweepArgs {
+    /// Sweeps to run, in order.
+    pub sweeps: Vec<Sweep>,
+    /// Structures the throughput sweeps cover.
+    pub structures: Vec<String>,
+    /// Schemes the throughput sweeps cover.
+    pub schemes: Vec<String>,
+    /// JSONL file the records are appended to.
+    pub out: PathBuf,
     /// Thread counts to sweep.
     pub threads: Vec<usize>,
     /// Stalled-thread counts for the robustness figure.
     pub stalled: Vec<usize>,
-    /// Base parameters (duration, prefill, range, trials, config).
+    /// Base parameters (duration, prefill, range, trials, mix, config).
     pub base: BenchParams,
-}
-
-/// The slice of this process's argv that belongs to the benchmark, not to
-/// cargo or the bench harness: everything after the first literal `--` if
-/// one is present, else everything after the program name.
-pub fn cli_args() -> Vec<String> {
-    own_args(std::env::args().collect())
-}
-
-fn own_args(argv: Vec<String>) -> Vec<String> {
-    match argv.iter().position(|a| a == "--") {
-        Some(sep) => argv[sep + 1..].to_vec(),
-        None => argv.into_iter().skip(1).collect(),
-    }
 }
 
 /// Parses a power-of-two count (slot and shard layouts require one).
@@ -87,19 +131,31 @@ fn parse_bool(raw: &str) -> Option<bool> {
 
 /// Parses a comma-separated list of counts, rejecting the whole value if
 /// any entry is unparsable (so `1,x,8` cannot silently become `[1,8]`).
-fn parse_list(s: &str) -> Result<Vec<usize>, String> {
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        let part = part.trim();
-        out.push(
-            part.parse()
-                .map_err(|_| format!("`{part}` in `{s}` is not a thread count"))?,
-        );
-    }
-    Ok(out)
+fn parse_list(s: &str) -> Option<Vec<usize>> {
+    s.split(',').map(|part| part.trim().parse().ok()).collect()
 }
 
-impl Default for BenchScale {
+/// Parses a comma-separated list of names, each of which must be `known`.
+fn parse_names(s: &str, known: &[&str]) -> Option<Vec<String>> {
+    s.split(',')
+        .map(str::trim)
+        .map(|name| known.contains(&name).then(|| name.to_string()))
+        .collect()
+}
+
+/// The value of `flag`, parsed, or an error naming the flag, the value and
+/// what was expected.
+fn value<T>(
+    flag: &str,
+    raw: Option<&str>,
+    expect: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} is missing its value"))?;
+    parse(raw).ok_or_else(|| format!("{flag} {raw}: expected {expect}"))
+}
+
+impl Default for SweepArgs {
     fn default() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -113,6 +169,10 @@ impl Default for BenchScale {
             .into_iter()
             .collect();
         Self {
+            sweeps: vec![Sweep::ThreadScaling],
+            structures: vec!["hashmap".into(), "list".into()],
+            schemes: FIGURE_SCHEMES.iter().map(|s| s.to_string()).collect(),
+            out: PathBuf::from("BENCH_sweep.jsonl"),
             threads,
             stalled: vec![0, 1, 2, 4, 8, 12],
             base: BenchParams {
@@ -135,171 +195,67 @@ impl Default for BenchScale {
     }
 }
 
-impl BenchScale {
-    /// Builds the scale from defaults, environment, then CLI arguments.
-    ///
-    /// Every malformed value encountered along the way is reported on
-    /// stderr (the benchmark still runs, with that value ignored).
-    pub fn from_env_and_args() -> Self {
-        let mut scale = Self::default();
-        let mut warnings = scale.apply_env();
-        warnings.extend(scale.apply_args(&cli_args()));
-        for w in &warnings {
-            eprintln!("bench-harness: warning: {w}");
+impl SweepArgs {
+    /// Parses a command line (without the program name) over the defaults.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let mut parsed = Self::default();
+        for pair in args.chunks(2) {
+            parsed.apply(&pair[0], pair.get(1).map(String::as_str))?;
         }
-        scale
+        Ok(parsed)
     }
 
-    /// Applies `HYALINE_BENCH_*` environment variables, returning a warning
-    /// per variable that is set but malformed.
-    pub fn apply_env(&mut self) -> Vec<String> {
-        let mut warnings = Vec::new();
-        let mut scalar = |name: &str, expect: &str, apply: &mut dyn FnMut(&str) -> bool| {
-            if let Ok(raw) = std::env::var(name) {
-                if !apply(&raw) {
-                    warnings.push(format!("ignoring {name}={raw}: expected {expect}"));
-                }
+    /// Applies one flag and its value. The flag is matched before the value
+    /// is read, so `--help` or a typo is reported as itself.
+    fn apply(&mut self, flag: &str, raw: Option<&str>) -> Result<(), String> {
+        const NUMBER: &str = "a number";
+        const POW2: &str = "a power of two";
+        const LIST: &str = "a comma-separated list of counts";
+        let base = &mut self.base;
+        match flag {
+            "--out" => self.out = value(flag, raw, "a file", |r| Some(PathBuf::from(r)))?,
+            "--sweeps" => {
+                let names: Vec<&str> = Sweep::ALL.iter().map(|(n, _)| *n).collect();
+                self.sweeps = value(flag, raw, &names.join(", "), |r| {
+                    r.split(',').map(|s| Sweep::parse(s.trim())).collect()
+                })?;
             }
-        };
-        scalar("HYALINE_BENCH_SECS", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.secs = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_TRIALS", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.trials = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_PREFILL", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.prefill = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_KEY_RANGE", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.key_range = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_ACK_THRESHOLD", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.config.ack_threshold = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_SLOTS", "a power of two", &mut |raw| {
-            parse_pow2(raw).map(|v| self.base.config.slots = v).is_some()
-        });
-        scalar("HYALINE_BENCH_SHARDS", "a power of two", &mut |raw| {
-            parse_pow2(raw).map(|v| self.base.config.shards = v).is_some()
-        });
-        scalar("HYALINE_BENCH_HANDLE_CHURN", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.handle_churn = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_CONNECTIONS", "a number", &mut |raw| {
-            raw.parse().map(|v| self.base.connections = v).is_ok()
-        });
-        scalar("HYALINE_BENCH_RECYCLE", "on or off", &mut |raw| {
-            parse_bool(raw)
-                .map(|v| self.base.config.recycle = v)
-                .is_some()
-        });
-        scalar("HYALINE_BENCH_MAX_THREADS", "a nonzero count", &mut |raw| {
-            parse_nonzero(raw)
-                .map(|v| self.base.config.max_threads = v)
-                .is_some()
-        });
-        scalar("HYALINE_BENCH_ROUTING", "by-key or by-pointer", &mut |raw| {
-            ShardRouting::from_short_label(raw)
-                .map(|v| self.base.config.routing = v)
-                .is_some()
-        });
-        let mut list = |name: &str, apply: &mut dyn FnMut(Vec<usize>)| {
-            if let Ok(raw) = std::env::var(name) {
-                match parse_list(&raw) {
-                    Ok(list) if !list.is_empty() => apply(list),
-                    Ok(_) => warnings.push(format!("ignoring {name}: empty list")),
-                    Err(e) => warnings.push(format!("ignoring {name}: {e}")),
-                }
+            "--structures" => {
+                let expect = format!("`all` or some of {}", STRUCTURES.join(", "));
+                self.structures = value(flag, raw, &expect, |r| match r {
+                    "all" => Some(STRUCTURES.iter().map(|s| s.to_string()).collect()),
+                    _ => parse_names(r, STRUCTURES),
+                })?;
             }
-        };
-        list("HYALINE_BENCH_THREADS", &mut |l| self.threads = l);
-        list("HYALINE_BENCH_STALLED", &mut |l| self.stalled = l);
-        warnings
-    }
-
-    /// Applies benchmark flags from `args` (already stripped of harness
-    /// flags by [`cli_args`]), returning a warning per malformed value.
-    /// Unknown flags are ignored — they belong to the individual binary
-    /// (`--scheme`, `--out`, ...) or to criterion.
-    pub fn apply_args(&mut self, args: &[String]) -> Vec<String> {
-        let mut warnings = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let known = matches!(
-                flag,
-                "--secs"
-                    | "--trials"
-                    | "--prefill"
-                    | "--key-range"
-                    | "--threads"
-                    | "--stalled"
-                    | "--slots"
-                    | "--shards"
-                    | "--routing"
-                    | "--handle-churn"
-                    | "--connections"
-                    | "--max-threads"
-                    | "--recycle"
-            );
-            if !known {
-                i += 1;
-                continue;
+            "--schemes" => {
+                let expect = format!("some of {}", ALL_SCHEMES.join(", "));
+                self.schemes = value(flag, raw, &expect, |r| parse_names(r, ALL_SCHEMES))?;
             }
-            let Some(raw) = args.get(i + 1) else {
-                warnings.push(format!("flag {flag} is missing its value"));
-                break;
-            };
-            let ok = match flag {
-                "--secs" => raw.parse().map(|v| self.base.secs = v).is_ok(),
-                "--slots" => parse_pow2(raw).map(|v| self.base.config.slots = v).is_some(),
-                "--shards" => parse_pow2(raw).map(|v| self.base.config.shards = v).is_some(),
-                "--routing" => ShardRouting::from_short_label(raw)
-                    .map(|v| self.base.config.routing = v)
-                    .is_some(),
-                "--handle-churn" => raw.parse().map(|v| self.base.handle_churn = v).is_ok(),
-                "--connections" => raw.parse().map(|v| self.base.connections = v).is_ok(),
-                "--recycle" => parse_bool(raw)
-                    .map(|v| self.base.config.recycle = v)
-                    .is_some(),
-                "--max-threads" => parse_nonzero(raw)
-                    .map(|v| self.base.config.max_threads = v)
-                    .is_some(),
-                "--trials" => raw.parse().map(|v| self.base.trials = v).is_ok(),
-                "--prefill" => raw.parse().map(|v| self.base.prefill = v).is_ok(),
-                "--key-range" => raw.parse().map(|v| self.base.key_range = v).is_ok(),
-                "--threads" | "--stalled" => match parse_list(raw) {
-                    Ok(list) if !list.is_empty() => {
-                        if flag == "--threads" {
-                            self.threads = list;
-                        } else {
-                            self.stalled = list;
-                        }
-                        true
-                    }
-                    Ok(_) => false,
-                    Err(e) => {
-                        warnings.push(format!("ignoring {flag} {raw}: {e}"));
-                        i += 2;
-                        continue;
-                    }
-                },
-                _ => unreachable!(),
-            };
-            if !ok {
-                let expect = match flag {
-                    "--slots" | "--shards" => "a power of two",
-                    "--routing" => "by-key or by-pointer",
-                    "--max-threads" => "a nonzero count",
-                    "--recycle" => "on or off",
-                    "--threads" | "--stalled" => "a comma-separated list of counts",
-                    _ => "a number",
-                };
-                warnings.push(format!("ignoring {flag} {raw}: expected {expect}"));
+            "--mix" => {
+                let expect = "write-intensive or read-mostly";
+                base.mix = value(flag, raw, expect, OpMix::from_short_label)?
             }
-            i += 2;
+            "--secs" => base.secs = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--trials" => base.trials = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--prefill" => base.prefill = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--key-range" => base.key_range = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--threads" => self.threads = value(flag, raw, LIST, parse_list)?,
+            "--stalled" => self.stalled = value(flag, raw, LIST, parse_list)?,
+            "--slots" => base.config.slots = value(flag, raw, POW2, parse_pow2)?,
+            "--shards" => base.config.shards = value(flag, raw, POW2, parse_pow2)?,
+            "--routing" => {
+                let expect = "by-key or by-pointer";
+                base.config.routing = value(flag, raw, expect, ShardRouting::from_short_label)?
+            }
+            "--handle-churn" => base.handle_churn = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--connections" => base.connections = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--max-threads" => {
+                base.config.max_threads = value(flag, raw, "a nonzero count", parse_nonzero)?
+            }
+            "--recycle" => base.config.recycle = value(flag, raw, "on or off", parse_bool)?,
+            _ => return Err(format!("unknown flag `{flag}`")),
         }
-        warnings
+        Ok(())
     }
 }
 
@@ -307,112 +263,99 @@ impl BenchScale {
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// Parses a command line written as one string.
+    fn parse(line: &str) -> Result<SweepArgs, String> {
+        SweepArgs::parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn defaults_include_oversubscription() {
-        let scale = BenchScale::default();
+        let args = SweepArgs::default();
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        assert!(scale.threads.iter().any(|&t| t > cores));
-        assert!(scale.threads.contains(&1));
+        assert!(args.threads.iter().any(|&t| t > cores));
+        assert!(args.threads.contains(&1));
     }
 
     #[test]
     fn parse_list_handles_spaces_and_rejects_junk() {
-        assert_eq!(parse_list("1, 2,4").unwrap(), vec![1, 2, 4]);
-        assert!(parse_list("x").is_err());
-        // The bug this PR fixes: `1,x,8` must not silently become `[1,8]`.
-        assert!(parse_list("1,x,8").is_err());
-    }
-
-    #[test]
-    fn own_args_only_takes_flags_after_separator() {
-        // cargo/criterion flags before `--` must be invisible to us.
-        let argv = strings(&["bench-bin", "--bench", "--secs", "99", "--", "--secs", "7"]);
-        assert_eq!(own_args(argv), strings(&["--secs", "7"]));
-        // Without a separator the whole tail is ours (cargo strips its
-        // own `--` before exec'ing run/bench targets).
-        let argv = strings(&["bench-bin", "--secs", "7"]);
-        assert_eq!(own_args(argv), strings(&["--secs", "7"]));
+        assert_eq!(parse_list("1, 2,4"), Some(vec![1, 2, 4]));
+        assert_eq!(parse_list("x"), None);
+        // `1,x,8` must not silently become `[1,8]`.
+        assert_eq!(parse_list("1,x,8"), None);
     }
 
     #[test]
     fn apply_args_sets_values_without_warnings() {
-        let mut scale = BenchScale::default();
-        let warnings = scale.apply_args(&strings(&[
-            "--secs", "1.5", "--trials", "3", "--prefill", "10", "--key-range", "20",
-            "--threads", "2,4", "--stalled", "0,1",
-        ]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(scale.base.secs, 1.5);
-        assert_eq!(scale.base.trials, 3);
-        assert_eq!(scale.base.prefill, 10);
-        assert_eq!(scale.base.key_range, 20);
-        assert_eq!(scale.threads, vec![2, 4]);
-        assert_eq!(scale.stalled, vec![0, 1]);
-    }
-
-    #[test]
-    fn apply_args_warns_on_bad_values_and_keeps_previous() {
-        let mut scale = BenchScale::default();
-        let default_threads = scale.threads.clone();
-        let warnings = scale.apply_args(&strings(&[
-            "--threads", "1,x,8", "--secs", "fast", "--trials",
-        ]));
-        assert_eq!(warnings.len(), 3, "{warnings:?}");
-        assert!(warnings[0].contains("--threads"), "{warnings:?}");
-        assert!(warnings[1].contains("--secs"), "{warnings:?}");
-        assert!(warnings[2].contains("missing its value"), "{warnings:?}");
-        assert_eq!(scale.threads, default_threads);
-        assert_eq!(scale.base.secs, 0.25);
+        let args = parse(
+            "--out x.jsonl --sweeps trim,robustness --structures all --schemes Hyaline,HP \
+             --mix read-mostly --secs 1.5 --trials 3 --prefill 10 --key-range 20 \
+             --threads 2,4 --stalled 0,1 --routing by-pointer --max-threads 7",
+        )
+        .unwrap();
+        assert_eq!(args.out, PathBuf::from("x.jsonl"));
+        assert_eq!(args.sweeps, vec![Sweep::Trim, Sweep::Robustness]);
+        assert_eq!(args.structures, STRUCTURES);
+        assert_eq!(args.schemes, vec!["Hyaline", "HP"]);
+        assert_eq!(args.base.mix, OpMix::ReadMostly);
+        assert_eq!(args.base.secs, 1.5);
+        assert_eq!(args.base.trials, 3);
+        assert_eq!(args.base.prefill, 10);
+        assert_eq!(args.base.key_range, 20);
+        assert_eq!(args.threads, vec![2, 4]);
+        assert_eq!(args.stalled, vec![0, 1]);
+        assert_eq!(args.base.config.routing, ShardRouting::ByPointer);
+        assert_eq!(args.base.config.max_threads, 7);
     }
 
     #[test]
     fn layout_flags_set_config_and_reject_non_powers_of_two() {
-        let mut scale = BenchScale::default();
-        let warnings = scale.apply_args(&strings(&[
-            "--slots", "64", "--shards", "8", "--handle-churn", "32", "--connections", "10000",
-        ]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(scale.base.config.slots, 64);
-        assert_eq!(scale.base.config.shards, 8);
-        assert_eq!(scale.base.handle_churn, 32);
-        assert_eq!(scale.base.connections, 10_000);
-        let default_slots = scale.base.config.slots;
-        let warnings = scale.apply_args(&strings(&["--slots", "6", "--shards", "0"]));
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
-        assert_eq!(scale.base.config.slots, default_slots);
-        assert_eq!(scale.base.config.shards, 8);
+        let args = parse("--slots 64 --shards 8 --handle-churn 32 --connections 10000").unwrap();
+        assert_eq!(args.base.config.slots, 64);
+        assert_eq!(args.base.config.shards, 8);
+        assert_eq!(args.base.handle_churn, 32);
+        assert_eq!(args.base.connections, 10_000);
+        let err = parse("--slots 6").unwrap_err();
+        assert_eq!(err, "--slots 6: expected a power of two");
+        assert!(parse("--shards 0").is_err());
     }
 
     #[test]
     fn recycle_flag_toggles_and_rejects_junk() {
-        let mut scale = BenchScale::default();
-        assert!(scale.base.config.recycle, "recycling is on by default");
-        scale.base.config.recycle = false;
-        let warnings = scale.apply_args(&strings(&["--recycle", "on"]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert!(scale.base.config.recycle);
-        let warnings = scale.apply_args(&strings(&["--recycle", "maybe"]));
-        assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("on or off"), "{warnings:?}");
-        assert!(scale.base.config.recycle, "bad value must keep previous");
-        let warnings = scale.apply_args(&strings(&["--recycle", "0"]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert!(!scale.base.config.recycle);
+        assert!(SweepArgs::default().base.config.recycle);
+        assert!(!parse("--recycle off").unwrap().base.config.recycle);
+        assert!(parse("--recycle 1").unwrap().base.config.recycle);
+        let err = parse("--recycle maybe").unwrap_err();
+        assert_eq!(err, "--recycle maybe: expected on or off");
     }
 
     #[test]
-    fn apply_args_ignores_unknown_flags_silently() {
-        let mut scale = BenchScale::default();
-        let warnings = scale.apply_args(&strings(&[
-            "--scheme", "Hyaline", "--out", "x.jsonl", "--secs", "2.0", "--nocapture",
-        ]));
-        assert!(warnings.is_empty(), "{warnings:?}");
-        assert_eq!(scale.base.secs, 2.0);
+    fn unknown_flags_and_help_are_errors_naming_them() {
+        for flag in ["--sec", "--help", "-h", "extra"] {
+            let err = parse(&format!("{flag} 1")).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
+        // `--help` alone, with no value to borrow, is still named as itself.
+        assert_eq!(parse("--help").unwrap_err(), "unknown flag `--help`");
+    }
+
+    #[test]
+    fn missing_and_malformed_values_are_errors_naming_the_flag() {
+        assert_eq!(
+            parse("--trials").unwrap_err(),
+            "--trials is missing its value"
+        );
+        let err = parse("--secs 1 --threads 1,x,8").unwrap_err();
+        assert!(err.starts_with("--threads 1,x,8: expected"), "{err}");
+        for bad in ["--sweeps fig8", "--structures splay", "--schemes RCU"] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with(&format!("{bad}: expected")), "{err}");
+        }
     }
 }

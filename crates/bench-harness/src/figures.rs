@@ -3,7 +3,7 @@
 use smr_core::SmrConfig;
 
 use crate::driver::BenchParams;
-use crate::registry::{run_combo, run_combo_recorded, supports, FIGURE_SCHEMES};
+use crate::registry::run_combo_recorded;
 use crate::report::FigureTable;
 use crate::results::ResultSink;
 use crate::workload::OpMix;
@@ -21,53 +21,28 @@ pub fn structure_caption(structure: &str) -> &'static str {
     }
 }
 
-/// Runs a full thread sweep for one structure and mix, producing both the
-/// throughput figure (Fig 8/11/13/15 panels) and the unreclaimed-objects
-/// figure (Fig 9/12/14/16 panels) from the same runs.
+/// Runs a full thread sweep for one structure at `base.mix`, producing both
+/// the throughput figure (Fig 8/11/13/15 panels) and the unreclaimed-objects
+/// figure (Fig 9/12/14/16 panels) from the same runs. With a `sink`, each
+/// `(scheme, threads)` cell lands there as one
+/// [`crate::results::BenchRecord`] under `figure`, carrying both metrics.
 pub fn throughput_figures(
-    fig_throughput: &str,
-    fig_unreclaimed: &str,
+    figure: &str,
     structure: &str,
-    mix: OpMix,
-    threads: &[usize],
-    base: &BenchParams,
-) -> (FigureTable, FigureTable) {
-    throughput_figures_recorded(
-        fig_throughput,
-        fig_unreclaimed,
-        structure,
-        mix,
-        threads,
-        base,
-        FIGURE_SCHEMES,
-        None,
-    )
-}
-
-/// [`throughput_figures`] over a chosen scheme subset, optionally recording
-/// each run into `sink` (one [`crate::results::BenchRecord`] per
-/// `(scheme, threads)` cell, carrying both metrics) so the persistent JSONL
-/// trajectory is built from the same measurements as the rendered tables.
-#[allow(clippy::too_many_arguments)]
-pub fn throughput_figures_recorded(
-    fig_throughput: &str,
-    fig_unreclaimed: &str,
-    structure: &str,
-    mix: OpMix,
     threads: &[usize],
     base: &BenchParams,
     schemes: &[&str],
     mut sink: Option<&mut ResultSink>,
 ) -> (FigureTable, FigureTable) {
-    let caption = structure_caption(structure);
+    let caption = format!("{}, {}", structure_caption(structure), base.mix.label());
     let mut tput = FigureTable::new(
-        format!("{fig_throughput} — {caption}, {}", mix.label()),
+        format!("{figure} — {caption}"),
         "threads",
         "Mops/s",
         schemes,
     );
     let mut unrec = FigureTable::new(
-        format!("{fig_unreclaimed} — {caption}, {}", mix.label()),
+        format!("{figure} (unreclaimed) — {caption}"),
         "threads",
         "unreclaimed objects",
         schemes,
@@ -76,20 +51,13 @@ pub fn throughput_figures_recorded(
         let mut tput_row = Vec::with_capacity(schemes.len());
         let mut unrec_row = Vec::with_capacity(schemes.len());
         for &scheme in schemes {
-            if !supports(scheme, structure) {
-                tput_row.push(None);
-                unrec_row.push(None);
-                continue;
-            }
             let params = BenchParams {
                 threads: t,
-                mix,
                 ..base.clone()
             };
-            let r = run_combo_recorded(fig_throughput, scheme, scheme, structure, &params, &mut sink)
-                .expect("supported combo");
-            tput_row.push(Some(r.mops));
-            unrec_row.push(Some(r.avg_unreclaimed));
+            let r = run_combo_recorded(figure, scheme, scheme, structure, &params, &mut sink);
+            tput_row.push(r.map(|r| r.mops));
+            unrec_row.push(r.map(|r| r.avg_unreclaimed));
         }
         tput.push_row(t, tput_row);
         unrec.push_row(t, unrec_row);
@@ -101,21 +69,11 @@ pub fn throughput_figures_recorded(
 /// while the number of *stalled* threads (parked inside an operation)
 /// sweeps. Plots unreclaimed objects per scheme; Hyaline-S appears twice —
 /// capped at `capped_slots` slots (the paper's "ran out of slots at 57"
-/// series) and with §4.3 adaptive resizing.
-pub fn robustness_figure(
-    active: usize,
-    stalled_counts: &[usize],
-    capped_slots: usize,
-    base: &BenchParams,
-) -> FigureTable {
-    robustness_figure_recorded(active, stalled_counts, capped_slots, base, None)
-}
-
-/// [`robustness_figure`] with optional JSONL recording: each `(series,
-/// stalled)` run lands in `sink` under its series name (so the capped and
-/// adaptive Hyaline-S configurations stay distinguishable) with the exact
+/// series) and with §4.3 adaptive resizing. With a `sink`, each `(series,
+/// stalled)` run lands there under its series name, so the capped and
+/// adaptive Hyaline-S configurations stay distinguishable, with the exact
 /// `SmrConfig` it ran under.
-pub fn robustness_figure_recorded(
+pub fn robustness_figure(
     active: usize,
     stalled_counts: &[usize],
     capped_slots: usize,
@@ -183,14 +141,15 @@ pub fn robustness_figure_recorded(
 
 /// The trimming experiment (Figure 10b): hash-map throughput with the slot
 /// count capped low, comparing Hyaline(-S) driven by `trim` against plain
-/// `leave`/`enter`.
-pub fn trim_figure(threads: &[usize], capped_slots: usize, base: &BenchParams) -> FigureTable {
-    const SERIES: &[&str] = &[
-        "Hyaline (trim)",
-        "Hyaline-S (trim)",
-        "Hyaline",
-        "Hyaline-S",
-    ];
+/// `leave`/`enter`. With a `sink`, each cell lands there under its scheme
+/// name, with `use_trim` telling the two series of one scheme apart.
+pub fn trim_figure(
+    threads: &[usize],
+    capped_slots: usize,
+    base: &BenchParams,
+    mut sink: Option<&mut ResultSink>,
+) -> FigureTable {
+    const SERIES: &[&str] = &["Hyaline (trim)", "Hyaline-S (trim)", "Hyaline", "Hyaline-S"];
     let mut table = FigureTable::new(
         format!("Fig 10b — trimming, Michael hash map, k <= {capped_slots}"),
         "threads",
@@ -217,7 +176,10 @@ pub fn trim_figure(threads: &[usize], capped_slots: usize, base: &BenchParams) -
                 },
                 ..base.clone()
             };
-            row.push(run_combo(scheme, "hashmap", &params).map(|r| r.mops));
+            row.push(
+                run_combo_recorded("trim", scheme, scheme, "hashmap", &params, &mut sink)
+                    .map(|r| r.mops),
+            );
         }
         table.push_row(t, row);
     }
@@ -227,6 +189,8 @@ pub fn trim_figure(threads: &[usize], capped_slots: usize, base: &BenchParams) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::FIGURE_SCHEMES;
+    use crate::results::Provenance;
 
     fn quick() -> BenchParams {
         BenchParams {
@@ -242,10 +206,18 @@ mod tests {
         }
     }
 
+    fn sink() -> ResultSink {
+        ResultSink::new(Provenance {
+            git_sha: None,
+            host_cores: 1,
+            timestamp: "0".into(),
+        })
+    }
+
     #[test]
     fn throughput_figures_fill_all_cells() {
         let (tput, unrec) =
-            throughput_figures("Fig 8c", "Fig 9c", "hashmap", OpMix::WriteIntensive, &[1, 2], &quick());
+            throughput_figures("Fig 8c", "hashmap", &[1, 2], &quick(), FIGURE_SCHEMES, None);
         assert_eq!(tput.rows.len(), 2);
         assert_eq!(unrec.rows.len(), 2);
         assert!(tput.value(1, "Hyaline").unwrap() > 0.0);
@@ -255,24 +227,17 @@ mod tests {
     #[test]
     fn bonsai_figure_marks_hp_unsupported() {
         let (tput, _) =
-            throughput_figures("Fig 8b", "Fig 9b", "bonsai", OpMix::WriteIntensive, &[1], &quick());
+            throughput_figures("Fig 8b", "bonsai", &[1], &quick(), FIGURE_SCHEMES, None);
         assert!(tput.value(1, "HP").is_none());
         assert!(tput.value(1, "Hyaline").is_some());
     }
 
     #[test]
     fn recorded_figures_emit_one_record_per_cell() {
-        use crate::results::{Provenance, ResultSink};
-        let mut sink = ResultSink::new(Provenance {
-            git_sha: None,
-            host_cores: 1,
-            timestamp: "0".into(),
-        });
-        let (tput, _) = throughput_figures_recorded(
+        let mut sink = sink();
+        let (tput, _) = throughput_figures(
             "Fig 8c",
-            "Fig 9c",
             "hashmap",
-            OpMix::WriteIntensive,
             &[1, 2],
             &quick(),
             &["Hyaline", "Epoch"],
@@ -295,13 +260,8 @@ mod tests {
 
     #[test]
     fn recorded_robustness_keeps_series_distinct() {
-        use crate::results::{Provenance, ResultSink};
-        let mut sink = ResultSink::new(Provenance {
-            git_sha: None,
-            host_cores: 1,
-            timestamp: "0".into(),
-        });
-        let table = robustness_figure_recorded(2, &[1], 4, &quick(), Some(&mut sink));
+        let mut sink = sink();
+        let table = robustness_figure(2, &[1], 4, &quick(), Some(&mut sink));
         assert_eq!(sink.records().len(), table.schemes.len());
         let adaptive = sink
             .records()
@@ -320,8 +280,43 @@ mod tests {
 
     #[test]
     fn trim_figure_has_four_series() {
-        let table = trim_figure(&[2], 4, &quick());
+        let table = trim_figure(&[2], 4, &quick(), None);
         assert_eq!(table.schemes.len(), 4);
         assert!(table.value(2, "Hyaline (trim)").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn trim_records_one_record_per_cell() {
+        let mut sink = sink();
+        let table = trim_figure(&[1, 2], 4, &quick(), Some(&mut sink));
+        let records = sink.records();
+        assert_eq!(records.len(), 2 * table.schemes.len());
+        for threads in [1, 2] {
+            let cells = |use_trim: bool| {
+                let mut schemes: Vec<&str> = records
+                    .iter()
+                    .filter(|r| r.threads == threads && r.use_trim == use_trim)
+                    .map(|r| r.scheme.as_str())
+                    .collect();
+                schemes.sort_unstable();
+                schemes
+            };
+            // The trim series and the plain series, each over both schemes.
+            assert_eq!(cells(true), ["Hyaline", "Hyaline-S"]);
+            assert_eq!(cells(false), ["Hyaline", "Hyaline-S"]);
+        }
+        let trimmed = records
+            .iter()
+            .find(|r| r.use_trim && r.threads == 2)
+            .unwrap();
+        assert_eq!(trimmed.figure, "trim");
+        assert_eq!(trimmed.slots, 4);
+        assert_eq!(
+            table.value(2, "Hyaline (trim)"),
+            records
+                .iter()
+                .find(|r| r.use_trim && r.threads == 2 && r.scheme == "Hyaline")
+                .map(|r| r.mops)
+        );
     }
 }

@@ -11,7 +11,9 @@
 //!   throughput, so its band is wider and carries an absolute slack for
 //!   near-zero baselines).
 //!
-//! Identical files always pass: every delta is zero, inside any band.
+//! Identical files always pass: every delta is zero, inside any band. A
+//! baseline key with no candidate counterpart is a failure of its own
+//! ([`GateReport::overlap_failure`]); a candidate-only key is new coverage.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -97,9 +99,9 @@ pub struct ComboKey {
     pub handle_churn: u64,
     /// Shard routing mode label ("by-key" / "by-pointer").
     pub routing: String,
-    /// Crystalline handoff threshold (pre-schema-4 lines decode as 8).
+    /// Crystalline handoff threshold.
     pub handoff_attempts: u64,
-    /// Node recycling enabled (pre-schema-5 lines decode as false).
+    /// Node recycling enabled.
     pub recycle: bool,
     /// Recycle-pool capacity as configured.
     pub recycle_capacity: u64,
@@ -255,12 +257,11 @@ impl GateReport {
         })
     }
 
-    /// The `--require-overlap` verdict: `None` when at least one comparison
-    /// happened and every baseline configuration found its candidate
-    /// counterpart; otherwise the failure text naming *each* baseline combo
-    /// that was never compared, so the log shows which key drifted (scheme
-    /// renamed, a config flag or host default changed) instead of only how
-    /// many.
+    /// The overlap verdict: `None` when at least one comparison happened
+    /// and every baseline configuration found its candidate counterpart;
+    /// otherwise the failure text naming *each* baseline combo that was
+    /// never compared, so the log shows which key drifted (scheme renamed,
+    /// a config flag or host default changed) instead of only how many.
     pub fn overlap_failure(&self) -> Option<String> {
         if !self.comparisons.is_empty() && self.only_in_baseline.is_empty() {
             return None;

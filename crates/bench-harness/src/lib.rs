@@ -13,12 +13,13 @@
 //!   combination (mirroring the paper's figure legends, including the
 //!   structural exclusions of HP/HE from the Bonsai tree).
 //! * [`figures`] — one function per paper figure, returning render-ready
-//!   [`report::FigureTable`]s.
-//! * [`cli`] — scale configuration (duration, threads, prefill) from
-//!   environment variables or arguments, with laptop-scale defaults.
+//!   [`report::FigureTable`]s and recording each cell into an optional
+//!   [`ResultSink`].
+//! * [`cli`] — the `sweep` binary's strict command line: which sweeps,
+//!   schemes and structures, at what scale, with laptop-scale defaults.
 //! * [`results`] — persistent JSONL benchmark records with full
 //!   configuration provenance (dependency-free encoder/decoder), written by
-//!   the `sweep` binary and the `--record` flag of the figure drivers.
+//!   the `sweep` binary, the one driver of the paper's figures.
 //! * [`gate`] — the perf-regression gate consumed by the `perfgate` binary:
 //!   compares two JSONL files with per-metric noise bands.
 //!
@@ -27,10 +28,10 @@
 //! ```no_run
 //! use bench_harness::driver::BenchParams;
 //! use bench_harness::figures::throughput_figures;
-//! use bench_harness::workload::OpMix;
+//! use bench_harness::registry::FIGURE_SCHEMES;
 //!
 //! let (throughput, unreclaimed) = throughput_figures(
-//!     "Fig 8c", "Fig 9c", "hashmap", OpMix::WriteIntensive, &[1, 2, 4], &BenchParams::default(),
+//!     "Fig 8c", "hashmap", &[1, 2, 4], &BenchParams::default(), FIGURE_SCHEMES, None,
 //! );
 //! println!("{throughput}\n{unreclaimed}");
 //! ```

@@ -50,40 +50,6 @@ impl FigureTable {
             .find(|(row_x, _)| *row_x == x)
             .and_then(|(_, vals)| vals[col])
     }
-
-    /// Renders the table as CSV (for downstream plotting). Header fields
-    /// containing commas, quotes, or newlines are quoted per RFC 4180.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&csv_field(&self.x_label));
-        for s in &self.schemes {
-            out.push(',');
-            out.push_str(&csv_field(s));
-        }
-        out.push('\n');
-        for (x, vals) in &self.rows {
-            out.push_str(&x.to_string());
-            for v in vals {
-                out.push(',');
-                match v {
-                    Some(v) => out.push_str(&format!("{v:.6}")),
-                    None => out.push_str("NA"),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Quotes a CSV field if it contains a comma, quote, or line break
-/// (doubling embedded quotes, per RFC 4180).
-fn csv_field(s: &str) -> String {
-    if s.contains(['"', ',', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 impl fmt::Display for FigureTable {
@@ -146,9 +112,6 @@ mod tests {
         let text = t.to_string();
         assert!(text.contains("Fig X"));
         assert!(text.contains('-'));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("threads,A,B"));
-        assert!(csv.contains("NA"));
     }
 
     #[test]
@@ -179,24 +142,5 @@ mod tests {
             "ragged columns: {widths:?}\n{text}"
         );
         assert!(lines[0].ends_with("Hyaline-S-adaptive"));
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_commas_and_quotes() {
-        let mut t = FigureTable::new(
-            "Fig X",
-            "threads, active",
-            "Mops/s",
-            &["Hyaline (trim)", "say \"hi\",ok"],
-        );
-        t.push_row(1, vec![Some(1.0), Some(2.0)]);
-        let csv = t.to_csv();
-        let header = csv.lines().next().unwrap();
-        assert_eq!(
-            header,
-            "\"threads, active\",Hyaline (trim),\"say \"\"hi\"\",ok\""
-        );
-        // Data rows keep exactly one field per scheme plus the x column.
-        assert_eq!(csv.lines().nth(1).unwrap(), "1,1.000000,2.000000");
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! The build environment is offline (no serde), so the encoder and decoder
 //! are hand-rolled here: the encoder emits one flat JSON object per record,
-//! and the decoder is a minimal JSON parser that ignores unknown fields
-//! (forward compatibility) and fails loudly on missing or ill-typed ones.
+//! and the decoder is a minimal JSON parser that ignores unknown fields and
+//! fails loudly on another schema version or a missing or ill-typed field.
 
 use std::fmt::Write as _;
 use std::fs::OpenOptions;
@@ -21,20 +21,10 @@ use std::path::Path;
 
 use crate::driver::{BenchParams, RunResult};
 
-/// Version stamp written into every record (`"schema"` field).
-///
-/// Version 2 added `shards`, `handle_churn` and `routing`; version-1 lines
-/// decode with the pre-sharding defaults (`shards = 1`, `handle_churn = 0`,
-/// `routing = "by-key"`). Version 3 added `connections` (the async
-/// `kv-service` sweep's simulated-connection count); earlier lines decode
-/// with `connections = 0`, i.e. "not a connection-driven run". Version 4
-/// added `handoff_attempts` (the Crystalline wait-free handoff threshold);
-/// earlier lines decode with the config default of `8`, which is what every
-/// pre-Crystalline run implicitly carried. Version 5 added the node-recycling
-/// knobs (`recycle`, `recycle_capacity`, `recycle_magazine`) and pool metrics
-/// (`pool_hits`, `pool_misses`, `recycled`); earlier lines decode with
-/// recycling off (`recycle = false`, the knob defaults of `8192`/`64`, zero
-/// pool counters) — exactly what every pre-recycling run measured.
+/// Version stamp written into every record (`"schema"` field), and the
+/// only version [`BenchRecord::decode`] accepts. A change to the record's
+/// fields bumps it and re-records `benchdata/stable-baseline.jsonl` rather
+/// than teaching the decoder older layouts.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// One benchmark measurement with full configuration provenance.
@@ -295,8 +285,9 @@ impl BenchRecord {
 
     /// Parses one JSONL line back into a record.
     ///
-    /// Unknown fields are ignored; missing or ill-typed required fields are
-    /// an error naming the field.
+    /// Unknown fields are ignored. Every field of the record is required: a
+    /// missing or ill-typed one is an error naming it, and so is a
+    /// `schema` other than [`SCHEMA_VERSION`].
     pub fn decode(line: &str) -> Result<Self, String> {
         let value = parse_json(line)?;
         let obj = match value {
@@ -314,26 +305,16 @@ impl BenchRecord {
         let get_f64 = |name: &str| get(name).and_then(|v| v.as_f64(name));
         let get_str = |name: &str| get(name).and_then(|v| v.as_str(name));
         let get_bool = |name: &str| get(name).and_then(|v| v.as_bool(name));
-        // Fields added after schema 1 fall back to their historical
-        // implicit values so old baselines keep decoding.
-        let get_u64_or = |name: &str, default: u64| match get(name) {
-            Ok(v) => v.as_u64(name),
-            Err(_) => Ok(default),
-        };
-        let get_str_or = |name: &str, default: &str| match get(name) {
-            Ok(v) => v.as_str(name),
-            Err(_) => Ok(default.to_string()),
-        };
-        let get_bool_or = |name: &str, default: bool| match get(name) {
-            Ok(v) => v.as_bool(name),
-            Err(_) => Ok(default),
-        };
+        let schema = get_u64("schema")?;
+        if schema != SCHEMA_VERSION {
+            return Err(format!("schema {schema}: only schema {SCHEMA_VERSION} decodes"));
+        }
         let git_sha = match get("git_sha")? {
             Json::Null => None,
             v => Some(v.as_str("git_sha")?),
         };
         Ok(Self {
-            schema: get_u64("schema")?,
+            schema,
             figure: get_str("figure")?,
             scheme: get_str("scheme")?,
             structure: get_str("structure")?,
@@ -356,14 +337,14 @@ impl BenchRecord {
             ack_threshold: get_i64("ack_threshold")?,
             adaptive: get_bool("adaptive")?,
             max_threads: get_u64("max_threads")?,
-            shards: get_u64_or("shards", 1)?,
-            handle_churn: get_u64_or("handle_churn", 0)?,
-            routing: get_str_or("routing", "by-key")?,
-            handoff_attempts: get_u64_or("handoff_attempts", 8)?,
-            recycle: get_bool_or("recycle", false)?,
-            recycle_capacity: get_u64_or("recycle_capacity", 8192)?,
-            recycle_magazine: get_u64_or("recycle_magazine", 64)?,
-            connections: get_u64_or("connections", 0)?,
+            shards: get_u64("shards")?,
+            handle_churn: get_u64("handle_churn")?,
+            routing: get_str("routing")?,
+            handoff_attempts: get_u64("handoff_attempts")?,
+            recycle: get_bool("recycle")?,
+            recycle_capacity: get_u64("recycle_capacity")?,
+            recycle_magazine: get_u64("recycle_magazine")?,
+            connections: get_u64("connections")?,
             git_sha,
             host_cores: get_u64("host_cores")?,
             timestamp: get_str("timestamp")?,
@@ -372,9 +353,9 @@ impl BenchRecord {
             ops: get_u64("ops")?,
             retired: get_u64("retired")?,
             freed: get_u64("freed")?,
-            pool_hits: get_u64_or("pool_hits", 0)?,
-            pool_misses: get_u64_or("pool_misses", 0)?,
-            recycled: get_u64_or("recycled", 0)?,
+            pool_hits: get_u64("pool_hits")?,
+            pool_misses: get_u64("pool_misses")?,
+            recycled: get_u64("recycled")?,
         })
     }
 }
@@ -757,14 +738,12 @@ mod tests {
     use crate::workload::OpMix;
 
     pub(crate) fn sample_record() -> BenchRecord {
-        let mut params = BenchParams {
+        let params = BenchParams {
             threads: 8,
             stalled: 2,
             mix: OpMix::ReadMostly,
             ..BenchParams::default()
         };
-        // The malloc path, which is what a pre-recycling record decodes to.
-        params.config.recycle = false;
         let result = RunResult {
             mops: 12.625,
             avg_unreclaimed: 130.5,
@@ -824,74 +803,40 @@ mod tests {
         let mut line = sample_record().encode();
         line.insert_str(1, "\"future_field\":[1,{\"x\":null}],");
         assert!(BenchRecord::decode(&line).is_ok());
-        let err = BenchRecord::decode("{\"schema\":1}").unwrap_err();
+        let err = BenchRecord::decode(&format!("{{\"schema\":{SCHEMA_VERSION}}}")).unwrap_err();
         assert!(err.contains("missing field"), "{err}");
     }
 
     #[test]
-    fn schema_one_lines_decode_with_presharding_defaults() {
-        // A record written before `shards`/`handle_churn` existed (as in
-        // the committed seed baseline) must decode with the implicit
-        // single-shard, no-churn values.
-        let mut line = sample_record().encode();
-        line = line
-            .replace("\"shards\":1,", "")
-            .replace("\"handle_churn\":0,", "")
-            .replace("\"routing\":\"by-key\",", "");
-        assert!(!line.contains("shards"));
-        let back = BenchRecord::decode(&line).expect("schema-1 line decodes");
-        assert_eq!(back.shards, 1);
-        assert_eq!(back.handle_churn, 0);
-        assert_eq!(back.routing, "by-key");
+    fn every_field_is_required_and_named() {
+        // The sample's strings hold no commas, so the commas split fields.
+        let line = sample_record().encode();
+        let fields: Vec<&str> = line[1..line.len() - 1].split(',').collect();
+        assert_eq!(fields.len(), 42, "one entry per `BenchRecord` field");
+        for (i, field) in fields.iter().enumerate() {
+            let name = field.split(':').next().unwrap().trim_matches('"');
+            let mut rest = fields.clone();
+            rest.remove(i);
+            let err = BenchRecord::decode(&format!("{{{}}}", rest.join(","))).unwrap_err();
+            assert!(err.contains(&format!("`{name}`")), "dropping `{name}`: {err}");
+        }
     }
 
     #[test]
-    fn schema_two_lines_decode_with_zero_connections() {
-        // A record written before `connections` existed (the committed v2
-        // baselines) must decode as a thread-driven run.
-        let mut line = sample_record().encode();
-        line = line.replace("\"connections\":0,", "");
-        assert!(!line.contains("connections"));
-        let back = BenchRecord::decode(&line).expect("schema-2 line decodes");
-        assert_eq!(back.connections, 0);
+    fn other_schema_versions_are_rejected() {
+        let old = sample_record()
+            .encode()
+            .replace(&format!("\"schema\":{SCHEMA_VERSION},"), "\"schema\":4,");
+        let err = BenchRecord::decode(&old).unwrap_err();
+        assert!(err.contains("schema 4"), "{err}");
     }
 
     #[test]
-    fn schema_three_lines_decode_with_default_handoff_attempts() {
-        // A record written before `handoff_attempts` existed (the committed
-        // v3 baselines) must decode with the config default of 8 — the
-        // value every pre-Crystalline run implicitly carried, so old
-        // baseline lines keep matching new measurements of the same combo.
-        let mut line = sample_record().encode();
-        line = line.replace("\"handoff_attempts\":8,", "");
-        assert!(!line.contains("handoff_attempts"));
-        let back = BenchRecord::decode(&line).expect("schema-3 line decodes");
-        assert_eq!(back.handoff_attempts, 8);
-    }
-
-    #[test]
-    fn schema_four_lines_decode_with_recycling_off() {
-        // A record written before the recycling fields existed (the
-        // committed v4 baselines) must decode as a run with recycling off
-        // and the knob defaults — the configuration every pre-recycling
-        // run implicitly carried — and zero pool counters.
-        let mut line = sample_record().encode();
-        line = line
-            .replace("\"recycle\":false,", "")
-            .replace("\"recycle_capacity\":8192,", "")
-            .replace("\"recycle_magazine\":64,", "")
-            .replace("\"pool_hits\":0,", "")
-            .replace("\"pool_misses\":0,", "")
-            // `recycled` is the final field, so it carries no trailing comma.
-            .replace(",\"recycled\":0}", "}");
-        assert!(!line.contains("recycle"));
-        let back = BenchRecord::decode(&line).expect("schema-4 line decodes");
-        assert!(!back.recycle);
-        assert_eq!(back.recycle_capacity, 8192);
-        assert_eq!(back.recycle_magazine, 64);
-        assert_eq!(back.pool_hits, 0);
-        assert_eq!(back.pool_misses, 0);
-        assert_eq!(back.recycled, 0);
+    fn committed_baseline_is_the_current_schema() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let records = read_records(&root.join("benchdata/stable-baseline.jsonl")).unwrap();
+        assert!(!records.is_empty());
+        assert!(records.iter().all(|r| r.schema == SCHEMA_VERSION));
     }
 
     #[test]

@@ -664,7 +664,7 @@ mod tests {
         let src = "fn spin() { std::thread::sleep(d); }\n";
         assert_eq!(analyze("crates/smr-core/src/pool.rs", src).count(Rule::Forbidden), 1);
         assert_eq!(analyze("crates/bench-harness/src/driver.rs", src).count(Rule::Forbidden), 0);
-        assert_eq!(analyze("crates/bench/src/lib.rs", src).count(Rule::Forbidden), 0);
+        assert_eq!(analyze("crates/bench-harness/src/bin/sweep.rs", src).count(Rule::Forbidden), 0);
     }
 
     #[test]

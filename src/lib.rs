@@ -12,14 +12,12 @@
 //! * [`lockfree_ds`] — the benchmark data structures (Harris–Michael list,
 //!   Michael hash map, Bonsai tree, Natarajan–Mittal tree, Treiber stack,
 //!   Michael–Scott queue), generic over any SMR scheme.
-//! * [`bench_harness`] — workload generation and the figure/table drivers.
 //! * [`interleave`] — deterministic interleaving exploration (model checking)
 //!   of the core algorithms.
 //! * [`smr_async`] — the async-native service layer: a dependency-free
 //!   executor, task-scoped guards over `HandlePool`, background reclaimer
 //!   tasks, and the connection-scale KV demo service.
 
-pub use bench_harness;
 pub use hyaline;
 pub use interleave;
 pub use lockfree_ds;
