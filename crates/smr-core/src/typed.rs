@@ -40,6 +40,15 @@
 //!   traversals) must declare the per-access schemes unsupported, exactly as
 //!   the Bonsai benchmark structure does.
 //!
+//! # Hints
+//!
+//! [`Ptr::prefetch`] asks the cache for a node's payload. It is **not a
+//! load**: it never faults, reads nothing and needs no protection, so it is
+//! safe on any `Ptr`, including an unprotected [`Atomic::fetch`] of a node
+//! that may already be retired or freed. A descent that will take one of a
+//! few known next nodes (a tree's two children) can ask for all of them
+//! before it compares; the Natarajan–Mittal `seek` does.
+//!
 //! # Example
 //!
 //! ```
@@ -139,6 +148,22 @@ impl<T> Ptr<T> {
     /// Whether the (untagged) pointer is null.
     pub fn is_null(self) -> bool {
         self.raw.is_null()
+    }
+
+    /// Hints the CPU to start fetching the pointee's cache lines, so a
+    /// later protected [`Atomic::load`] and dereference find them warm.
+    ///
+    /// Not a load: it never faults, reads nothing and needs no protection,
+    /// so it may be called on a pointer that could not be dereferenced —
+    /// an unprotected [`Atomic::fetch`] of a node that may already be
+    /// retired or freed. Null (with any tag) does nothing. Use it where a
+    /// descent is about to take one of a few known next nodes and can ask
+    /// for all of them before it decides which.
+    #[inline]
+    pub fn prefetch(self) {
+        if !self.raw.is_null() {
+            crate::SmrNode::prefetch(self.raw.as_node_ptr());
+        }
     }
 
     /// A reference to the pointee, without protection evidence.
@@ -729,5 +754,51 @@ mod tests {
     #[should_panic(expected = "dereferenced a null Shared")]
     fn null_deref_panics() {
         let _ = Shared::<'_, u64>::null().deref();
+    }
+
+    fn node_ptr<T>(value: T) -> Ptr<T> {
+        Ptr::from_raw(crate::Shared::from_node(crate::SmrNode::alloc(value)))
+    }
+
+    fn free<T>(p: Ptr<T>) {
+        // SAFETY: `p` came from `node_ptr` and is freed exactly once.
+        unsafe { crate::SmrNode::dealloc(p.into_raw().as_node_ptr(), true) };
+    }
+
+    #[test]
+    fn prefetch_null_is_a_no_op() {
+        Ptr::<u64>::null().prefetch();
+        Ptr::<u64>::null().with_tag(crate::TAG_MASK).prefetch();
+    }
+
+    #[test]
+    fn prefetch_tagged_pointer() {
+        let p = node_ptr(7u64);
+        p.with_tag(1).prefetch();
+        p.with_tag(crate::TAG_MASK).prefetch();
+        free(p);
+    }
+
+    #[test]
+    fn prefetch_zero_sized_payload() {
+        let p = node_ptr(());
+        p.prefetch();
+        free(p);
+    }
+
+    #[test]
+    fn prefetch_payload_wider_than_a_line() {
+        let p = node_ptr([7u64; 32]);
+        p.prefetch();
+        free(p);
+    }
+
+    #[test]
+    fn prefetch_released_node() {
+        let p = node_ptr([7u64; 32]);
+        free(p);
+        // The memory is back with the allocator: a prefetch reads nothing.
+        p.prefetch();
+        p.with_tag(1).prefetch();
     }
 }

@@ -40,7 +40,11 @@ fn cfg() -> SmrConfig {
 /// Oversubscribed churn on a tiny key range: every operation collides with
 /// deletions, so seeks constantly cross frozen chains.
 fn churn<S: Smr<NmNode<u64, u64>>>(threads: u64, ops: u64, range: u64) {
-    let tree: &Tree<S> = &NatarajanMittalTree::with_config(cfg());
+    churn_with::<S>(cfg(), threads, ops, range);
+}
+
+fn churn_with<S: Smr<NmNode<u64, u64>>>(config: SmrConfig, threads: u64, ops: u64, range: u64) {
+    let tree: &Tree<S> = &NatarajanMittalTree::with_config(config);
     std::thread::scope(|s| {
         for t in 0..threads {
             s.spawn(move || {
@@ -129,6 +133,21 @@ fn hyaline_1s_oversubscribed_delete_churn() {
 #[test]
 fn ibr_oversubscribed_delete_churn() {
     churn::<Ibr<_>>(8, 4_000, 32);
+}
+
+#[test]
+fn hp_malloc_freed_children_prefetch_churn() {
+    // `seek` prefetches both children of every node it crosses from an
+    // unprotected read. Without recycling and with a scan every few retires,
+    // those children are routinely back with malloc (or reused by it) when
+    // the hint lands. The hint reads nothing, so values stay exact and
+    // nothing is left unreclaimed at quiescence.
+    let config = SmrConfig {
+        recycle: false,
+        scan_threshold: 2,
+        ..cfg()
+    };
+    churn_with::<Hp<_>>(config, 8, 4_000, 32);
 }
 
 #[test]
