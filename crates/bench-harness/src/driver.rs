@@ -326,6 +326,10 @@ where
                     map_ref.map_get(&mut h, key);
                 }
                 while !stop_ref.load(Ordering::Relaxed) {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the stalled reader idles inside its operation on purpose"
+                    )]
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 h.leave();
@@ -334,6 +338,10 @@ where
 
         barrier_ref.wait();
         let started = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the controller thread waits out the measured interval"
+        )]
         std::thread::sleep(Duration::from_secs_f64(params.secs));
         stop.store(true, Ordering::SeqCst);
         let elapsed = started.elapsed().as_secs_f64();

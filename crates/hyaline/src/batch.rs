@@ -42,7 +42,8 @@ const LIVE_BIT: usize = 1;
 /// reference must not outlive the node's reclamation.
 #[inline]
 pub(crate) unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader {
-    (*node).header()
+    // SAFETY: the caller guarantees a live node that outlives the borrow.
+    unsafe { (*node).header() }
 }
 
 /// A thread-local batch under construction.
@@ -92,13 +93,16 @@ impl<T> LocalBatch<T> {
     /// `node` must be exclusively owned (already unlinked and retired) and
     /// must remain untouched until the batch is finalized and inserted.
     pub(crate) unsafe fn push(&mut self, node: *mut SmrNode<T>, birth: u64) {
-        header(node)
+        // SAFETY: the caller hands over `node` exclusively; it stays live
+        // until the batch is inserted and its `NRef` crosses zero.
+        unsafe { header(node) }
             .word(W_CHAIN)
             .store(self.chain_head as usize | LIVE_BIT, Ordering::Relaxed);
         if self.refs_node.is_null() {
             self.refs_node = node;
         } else {
-            header(node)
+            // SAFETY: as above.
+            unsafe { header(node) }
                 .word(W_LINK)
                 .store(self.refs_node as usize, Ordering::Relaxed);
         }
@@ -118,11 +122,15 @@ impl<T> LocalBatch<T> {
     pub(crate) unsafe fn finalize(&mut self, adjs: usize) -> FinalizedBatch<T> {
         debug_assert!(!self.is_empty());
         let refs = self.refs_node;
-        header(refs).word(W_NEXT).store(0, Ordering::Relaxed); // NRef = 0
-        header(refs).word(W_LINK).store(adjs, Ordering::Relaxed);
-        header(refs)
-            .word(W_CHAIN)
-            .store(self.chain_head as usize | LIVE_BIT, Ordering::Relaxed);
+        // SAFETY: the batch is non-empty, so `refs` is a pushed node, which
+        // this thread still owns: nothing is inserted yet.
+        unsafe {
+            header(refs).word(W_NEXT).store(0, Ordering::Relaxed); // NRef = 0
+            header(refs).word(W_LINK).store(adjs, Ordering::Relaxed);
+            header(refs)
+                .word(W_CHAIN)
+                .store(self.chain_head as usize | LIVE_BIT, Ordering::Relaxed);
+        }
         let out = FinalizedBatch {
             refs_node: refs,
             chain_head: self.chain_head,
@@ -169,13 +177,17 @@ impl<T> FinalizedBatch<T> {
     /// contribution (its insertion CAS or the final [`adjust_refs`]).
     /// `dummy` must be a fresh payload-less node this thread owns.
     pub(crate) unsafe fn extend_with_dummy(&self, dummy: *mut SmrNode<T>) {
-        let refs_chain = header(self.refs_node).word(W_CHAIN);
-        header(dummy)
-            .word(W_LINK)
-            .store(self.refs_node as usize, Ordering::Relaxed);
-        let head = refs_chain.load(Ordering::Relaxed) & !LIVE_BIT;
-        header(dummy).word(W_CHAIN).store(head, Ordering::Relaxed); // live bit clear
-        refs_chain.store(dummy as usize | LIVE_BIT, Ordering::Relaxed); // REFS is retired
+        // SAFETY: before the last slot's contribution `NRef` cannot reach
+        // zero, so the REFS node is live; `dummy` is this thread's own.
+        unsafe {
+            let refs_chain = header(self.refs_node).word(W_CHAIN);
+            header(dummy)
+                .word(W_LINK)
+                .store(self.refs_node as usize, Ordering::Relaxed);
+            let head = refs_chain.load(Ordering::Relaxed) & !LIVE_BIT;
+            header(dummy).word(W_CHAIN).store(head, Ordering::Relaxed); // live bit clear
+            refs_chain.store(dummy as usize | LIVE_BIT, Ordering::Relaxed); // REFS is retired
+        }
     }
 }
 
@@ -193,9 +205,12 @@ pub(crate) unsafe fn after_insertion<T>(
     node: *mut SmrNode<T>,
     refs: *mut SmrNode<T>,
 ) -> *mut SmrNode<T> {
+    // SAFETY: the caller guarantees `node` is a live node of the batch.
     // ORDERING: Relaxed suffices — only the inserting thread reads the chain
     // here, and it wrote every link itself.
-    let chain = header(node).word(W_CHAIN).load(Ordering::Relaxed);
+    let chain = unsafe { header(node) }
+        .word(W_CHAIN)
+        .load(Ordering::Relaxed);
     if chain & LIVE_BIT != 0 {
         (chain & !LIVE_BIT) as *mut SmrNode<T>
     } else {
@@ -213,8 +228,12 @@ pub(crate) unsafe fn after_insertion<T>(
 /// the caller must still hold a logical reference to it.
 #[inline]
 pub(crate) unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<*mut SmrNode<T>>) {
-    let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
-    adjust_refs(refs, 1usize.wrapping_neg(), reap);
+    // SAFETY: the caller's logical reference keeps `node`, and so its
+    // finalized batch's REFS node, live until this decrement lands.
+    unsafe {
+        let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
+        adjust_refs(refs, 1usize.wrapping_neg(), reap);
+    }
 }
 
 /// Credits the batch `node` belongs to with one slot's completion: its own
@@ -232,9 +251,13 @@ pub(crate) unsafe fn adjust_slot_credit<T>(
     href_snapshot: usize,
     reap: &mut Vec<*mut SmrNode<T>>,
 ) {
-    let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
-    let adjs = header(refs).word(W_LINK).load(Ordering::Acquire);
-    adjust_refs(refs, adjs.wrapping_add(href_snapshot), reap);
+    // SAFETY: as in `decrement`: the caller's reference keeps the batch,
+    // and its REFS node, live until the adjustment lands.
+    unsafe {
+        let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
+        let adjs = header(refs).word(W_LINK).load(Ordering::Acquire);
+        adjust_refs(refs, adjs.wrapping_add(href_snapshot), reap);
+    }
 }
 
 /// Adds `val` to a batch's `NRef` given its REFS node directly (the paper's
@@ -249,7 +272,11 @@ pub(crate) unsafe fn adjust_refs<T>(
     val: usize,
     reap: &mut Vec<*mut SmrNode<T>>,
 ) {
-    let old = header(refs).word(W_NEXT).fetch_add(val, Ordering::AcqRel);
+    // SAFETY: a finalized batch's REFS node lives until its `NRef` crosses
+    // zero, which at the earliest is this adjustment.
+    let old = unsafe { header(refs) }
+        .word(W_NEXT)
+        .fetch_add(val, Ordering::AcqRel);
     if old.wrapping_add(val) == 0 {
         reap.push(refs);
     }
@@ -273,20 +300,25 @@ pub(crate) unsafe fn free_batch_into<T>(
     mag: &mut Magazine,
     stats: &SmrStats,
 ) -> u64 {
-    let refs_word = header(refs).word(W_CHAIN).load(Ordering::Acquire);
+    // SAFETY: `NRef` crossed zero, so the whole batch is exclusively ours
+    // and each node is still allocated until its own `dispose` below.
+    let refs_word = unsafe { header(refs) }
+        .word(W_CHAIN)
+        .load(Ordering::Acquire);
     let mut cur = (refs_word & !LIVE_BIT) as *mut SmrNode<T>;
     let mut freed = 0u64;
     while cur != refs {
-        let w = header(cur).word(W_CHAIN).load(Ordering::Relaxed);
+        // SAFETY: as above; `cur` is a chain node not yet disposed.
+        let w = unsafe { header(cur) }.word(W_CHAIN).load(Ordering::Relaxed);
         let next = (w & !LIVE_BIT) as *mut SmrNode<T>;
         // SAFETY: the batch is exclusively ours (NRef crossed zero) and the
         // live bit says whether this node's payload was ever initialized.
-        pool.dispose(mag, stats, cur, w & LIVE_BIT != 0);
+        unsafe { pool.dispose(mag, stats, cur, w & LIVE_BIT != 0) };
         freed += 1;
         cur = next;
     }
     // SAFETY: as above, for the REFS node itself (the chain tail).
-    pool.dispose(mag, stats, refs, refs_word & LIVE_BIT != 0);
+    unsafe { pool.dispose(mag, stats, refs, refs_word & LIVE_BIT != 0) };
     freed + 1
 }
 
@@ -308,7 +340,9 @@ mod tests {
             recycle: false,
             ..SmrConfig::default()
         });
-        free_batch_into(refs, &pool, &mut pool.magazine(), &SmrStats::new())
+        // SAFETY: the caller upholds `free_batch_into`'s contract, and `pool`
+        // made the magazine.
+        unsafe { free_batch_into(refs, &pool, &mut pool.magazine(), &SmrStats::new()) }
     }
 
     /// Counts its drops in its own test's counter: the tests run in

@@ -423,8 +423,10 @@ where
                 // 2^64)` for `0 < j < k`. The last of them comes through the
                 // skipped slots' adjustment below or after the last
                 // insertion CAS, and both follow every extension.
-                let insert_node = nodes.node(&fin, &mut self.local);
-                header(insert_node)
+                let insert_node = unsafe { nodes.node(&fin, &mut self.local) };
+                // SAFETY: `insert_node` is this thread's until the CAS below
+                // publishes it.
+                unsafe { header(insert_node) }
                     .word(W_NEXT)
                     .store(head.ptr_bits(), Ordering::Relaxed);
                 let new = head.with_ptr(insert_node);
@@ -437,14 +439,19 @@ where
                     // snapshot of HRef taken by the winning CAS.
                     let pred: *mut SmrNode<T> = head.ptr();
                     if !pred.is_null() {
-                        adjust_slot_credit(pred, head.refs(), &mut self.local.reap);
+                        // SAFETY: `pred`'s batch is live: its `NRef` still
+                        // lacks this slot's credit, which is this adjustment.
+                        unsafe { adjust_slot_credit(pred, head.refs(), &mut self.local.reap) };
                     }
                     if ERAS {
                         // Track un-acknowledged references for stall
                         // detection.
                         slot.ack.fetch_add(head.refs() as i64, Ordering::Relaxed);
                     }
-                    nodes.linked(&fin);
+                    // SAFETY: `fin` cannot be freed before every slot's
+                    // contribution is in, and the skipped slots' is still
+                    // to come.
+                    unsafe { nodes.linked(&fin) };
                     break;
                 }
             }
@@ -454,7 +461,9 @@ where
             // *all* slots were empty this wraps to zero and frees the
             // untouched batch immediately.
             let empty_adjs = skipped.wrapping_mul(adjs_for(k));
-            adjust_refs(fin.refs_node, empty_adjs, &mut self.local.reap);
+            // SAFETY: `NRef` lacks the skipped slots' credit until this
+            // adjustment, so the REFS node is live.
+            unsafe { adjust_refs(fin.refs_node, empty_adjs, &mut self.local.reap) };
         }
     }
 
@@ -491,8 +500,10 @@ where
                 // SAFETY: extending the chain here is sound because `NRef`
                 // cannot reach zero before the final adjustment below: until
                 // then only decrements and handoff releases reach it.
-                let node = nodes.node(&fin, &mut self.local);
-                header(node)
+                let node = unsafe { nodes.node(&fin, &mut self.local) };
+                // SAFETY: `node` is this thread's until the CAS below
+                // publishes it.
+                unsafe { header(node) }
                     .word(W_NEXT)
                     .store(head.ptr::<SmrNode<T>>() as usize, Ordering::Relaxed);
                 let new = Head1Word::pack(true, node);
@@ -500,8 +511,11 @@ where
                     .compare_exchange(head, new, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    inserts += 1; // replaces REF #2#
-                    nodes.linked(&fin);
+                    // Replaces REF #2#.
+                    inserts += 1;
+                    // SAFETY: `fin` cannot be freed before the final
+                    // adjustment below.
+                    unsafe { nodes.linked(&fin) };
                     break;
                 }
                 attempts += 1;
@@ -509,7 +523,9 @@ where
         }
         // Replaces REF #3#: one adjustment by the number of insertions. If
         // no slot was active, `inserts == 0` frees the batch immediately.
-        adjust_refs(fin.refs_node, inserts, &mut self.local.reap);
+        // SAFETY: `NRef` cannot reach zero before this adjustment, so the
+        // REFS node is live.
+        unsafe { adjust_refs(fin.refs_node, inserts, &mut self.local.reap) };
     }
 
     /// Strictly more nodes than slots a batch can be inserted into (Section
@@ -697,10 +713,10 @@ where
         self.local.alloc(value, ERAS.then_some(&domain.era))
     }
 
-    // SAFETY: per the `SmrHandle::dealloc` contract the node was never
-    // published, so this thread owns it outright and may free it in place.
     unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        self.local.dealloc(ptr);
+        // SAFETY: per the `SmrHandle::dealloc` contract the node was never
+        // published, so this thread owns it outright and may free it in place.
+        unsafe { self.local.dealloc(ptr) };
     }
 
     /// Without eras a plain load: active threads are tracked through the
@@ -750,11 +766,12 @@ where
         }
     }
 
-    // SAFETY: per the `SmrHandle::retire` contract the node is unlinked from
-    // every shared structure, so batching it for deferred free is sound.
     unsafe fn retire(&mut self, ptr: Shared<T>) {
         debug_assert!(self.active, "retire outside an operation");
-        if self.local.retire(ptr, ERAS) >= self.batch_target() {
+        // SAFETY: per the `SmrHandle::retire` contract the node is unlinked
+        // from every shared structure, so batching it for deferred free is
+        // sound.
+        if unsafe { self.local.retire(ptr, ERAS) } >= self.batch_target() {
             self.finalize_and_insert();
             self.drain();
         }

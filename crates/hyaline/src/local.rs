@@ -68,8 +68,12 @@ impl<'d, T> Local<'d, T> {
             }
             // Read the link *before* the decrement: our decrement may be the
             // batch's last, after which the node may be freed by `drain`.
-            next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
-            decrement(curr, &mut self.reap);
+            // SAFETY: the caller's slot reference pins `curr` until this
+            // decrement, which frees nothing: it only reaps.
+            unsafe {
+                next = header(curr).word(W_NEXT).load(Ordering::Acquire) as *mut SmrNode<T>;
+                decrement(curr, &mut self.reap);
+            }
             if curr == handle {
                 break;
             }
@@ -112,13 +116,14 @@ impl<'d, T> Local<'d, T> {
     /// [`FinalizedBatch::extend_with_dummy`]'s contract: only the inserting
     /// thread, before the batch's last slot contribution.
     pub(crate) unsafe fn spare_dummy(&mut self, fin: &FinalizedBatch<T>) -> *mut SmrNode<T> {
-        let dummy = self
-            .pool
-            .alloc_dummy::<T>(&mut self.mag, self.stats)
-            .as_ptr();
+        // SAFETY: the dummy's payload is never read, and it is freed with
+        // the batch, whose chain marks it payload-less.
+        let dummy = unsafe { self.pool.alloc_dummy::<T>(&mut self.mag, self.stats) }.as_ptr();
         self.local_stats.on_alloc(self.stats);
         self.local_stats.on_retire(self.stats);
-        fin.extend_with_dummy(dummy);
+        // SAFETY: the caller is the inserting thread, before the batch's last
+        // slot contribution, and `dummy` is fresh and ours.
+        unsafe { fin.extend_with_dummy(dummy) };
         dummy
     }
 
@@ -166,12 +171,16 @@ impl<'d, T> Local<'d, T> {
     pub(crate) unsafe fn retire(&mut self, ptr: Shared<T>, eras: bool) -> usize {
         let node = ptr.as_node_ptr();
         let birth = if eras {
-            header(node).word(W_NEXT).load(Ordering::Relaxed) as u64
+            // SAFETY: the caller retires `node` once, after unlinking it, so it
+            // is live and this thread now owns it.
+            unsafe { header(node) }.word(W_NEXT).load(Ordering::Relaxed) as u64
         } else {
             0
         };
         self.local_stats.on_retire(self.stats);
-        self.batch.push(node, birth);
+        // SAFETY: as above: unlinked, retired once, and ours until the batch
+        // is inserted.
+        unsafe { self.batch.push(node, birth) };
         self.batch.count()
     }
 
@@ -183,8 +192,12 @@ impl<'d, T> Local<'d, T> {
     /// this thread owns `ptr` outright.
     pub(crate) unsafe fn dealloc(&mut self, ptr: Shared<T>) {
         self.local_stats.on_dealloc(self.stats);
-        self.pool
-            .dispose(&mut self.mag, self.stats, ptr.as_node_ptr(), true);
+        // SAFETY: this thread owns the never-published node, whose payload is
+        // live, and frees it once.
+        unsafe {
+            self.pool
+                .dispose(&mut self.mag, self.stats, ptr.as_node_ptr(), true);
+        }
     }
 
     /// Publishes the buffered core statistics and leaves the magazine
@@ -244,7 +257,8 @@ impl<T> Insertions<T> {
         local: &mut Local<'_, T>,
     ) -> *mut SmrNode<T> {
         if self.next == fin.refs_node {
-            self.next = local.spare_dummy(fin);
+            // SAFETY: the caller upholds `spare_dummy`'s contract for `fin`.
+            self.next = unsafe { local.spare_dummy(fin) };
         }
         self.next
     }
@@ -257,6 +271,7 @@ impl<T> Insertions<T> {
     /// `fin` is the batch `self` was made for, not yet freed.
     #[inline]
     pub(crate) unsafe fn linked(&mut self, fin: &FinalizedBatch<T>) {
-        self.next = after_insertion(self.next, fin.refs_node);
+        // SAFETY: `self.next` is a node of `fin`, which is not yet freed.
+        self.next = unsafe { after_insertion(self.next, fin.refs_node) };
     }
 }

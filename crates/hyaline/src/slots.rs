@@ -188,7 +188,9 @@ impl SlotDirectory {
     /// `ptr`/`len` must describe a bank from `alloc_bank` that is no longer
     /// reachable by any thread.
     unsafe fn drop_bank(ptr: *mut CachePadded<Slot>, len: usize) {
-        drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)));
+        // SAFETY: `alloc_bank` leaked this boxed slice of `len` slots, and no
+        // thread can reach it any more.
+        drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)) });
     }
 }
 

@@ -96,7 +96,9 @@ unsafe fn release_if_ended<T>(
     if now == tag {
         return false;
     }
-    adjust_refs(refs, RELEASE, reap);
+    // SAFETY: the entry's `NRef` reference is ours, so the batch is live
+    // until this release.
+    unsafe { adjust_refs(refs, RELEASE, reap) };
     true
 }
 

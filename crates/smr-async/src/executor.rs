@@ -18,7 +18,8 @@
 //!   outlives the call.
 //! * **No blocking primitives in task context.** Workers park on a
 //!   [`Condvar`] when no queue holds a task; tasks themselves must never
-//!   call `thread::sleep`/`thread::park` (enforced by `smr-lint`) — they
+//!   call `thread::sleep`/`thread::park` (the crate forbids clippy's
+//!   `disallowed_methods`) — they
 //!   yield with [`yield_now`] or await a waker-backed primitive instead.
 //!
 //! Worker threads are OS threads, so `scope(workers, ..)` with `workers >=

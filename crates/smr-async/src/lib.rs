@@ -21,9 +21,11 @@
 //!   `kv-service` benchmark sweep.
 //!
 //! Nothing here sleeps or parks a thread from task context — reclaimers
-//! and connections yield cooperatively (`smr-lint` enforces the absence of
-//! `thread::sleep`/`thread::park` in this crate, including its tests).
+//! and connections yield cooperatively. The crate forbids clippy's
+//! `disallowed_methods` (`thread::sleep`/`thread::park`, see the workspace's
+//! `clippy.toml`), so not even a `#[cfg(test)]` module can opt out.
 
+#![forbid(clippy::disallowed_methods)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![warn(rust_2018_idioms)]

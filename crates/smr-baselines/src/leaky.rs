@@ -92,15 +92,18 @@ impl<T: Send + 'static> SmrHandle<T> for LeakyHandle<'_, T> {
 
     unsafe fn dealloc(&mut self, ptr: Shared<T>) {
         self.local_stats.on_dealloc(&self.domain.stats);
-        SmrNode::dealloc(ptr.as_node_ptr(), true);
+        // SAFETY: callers uphold the trait contract: `ptr` came from `alloc`
+        // and was never published, so it is freed at once.
+        unsafe { SmrNode::dealloc(ptr.as_node_ptr(), true) };
     }
 
     fn protect(&mut self, _idx: usize, src: &Atomic<T>) -> Shared<T> {
         src.load(Ordering::Acquire)
     }
 
+    // SAFETY: nothing is freed. The node is leaked on purpose, so no reader
+    // can ever see its memory reused.
     unsafe fn retire(&mut self, _ptr: Shared<T>) {
-        // Deliberately leaked.
         self.local_stats.on_retire(&self.domain.stats);
     }
 
@@ -126,6 +129,8 @@ mod tests {
         h.enter();
         for i in 0..10 {
             let n = h.alloc(i);
+            // SAFETY: `n` came from this handle's `alloc`, was never published,
+            // and is retired once.
             unsafe { h.retire(n) };
         }
         h.leave();
@@ -144,6 +149,8 @@ mod tests {
         let link = Atomic::new(n);
         assert_eq!(h.protect(0, &link), n);
         h.leave();
+        // SAFETY: `n` was only published to `link`, which no other thread can
+        // read, and is freed once.
         unsafe { h.dealloc(n) };
     }
 }

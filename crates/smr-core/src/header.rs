@@ -85,6 +85,9 @@ impl<T> SmrNode<T> {
     /// Allocates a node holding `value`, with a zeroed header.
     pub fn alloc(value: T) -> NonNull<SmrNode<T>> {
         let node = Self::alloc_raw();
+        // SAFETY: `alloc_raw` returned a fresh, exclusively owned allocation
+        // with `SmrNode<T>`'s layout; its payload slot is uninitialized, so
+        // writing it (without reading or dropping the old bytes) is sound.
         unsafe {
             ptr::addr_of_mut!((*node.as_ptr()).value).write(ManuallyDrop::new(value));
         }
@@ -105,10 +108,14 @@ impl<T> SmrNode<T> {
     fn alloc_raw() -> NonNull<SmrNode<T>> {
         let layout = Self::layout();
         debug_assert!(layout.align() >= 1 << crate::TAG_BITS);
+        // SAFETY: `layout` is `SmrNode<T>`'s, which is never zero-sized (the
+        // header alone is three words); a null return is handled below.
         let raw = unsafe { alloc(layout) } as *mut SmrNode<T>;
         let Some(node) = NonNull::new(raw) else {
             handle_alloc_error(layout);
         };
+        // SAFETY: `node` is non-null and was just allocated with this
+        // layout, so its header field is in bounds and exclusively ours.
         unsafe {
             ptr::addr_of_mut!((*node.as_ptr()).header).write(NodeHeader::new());
         }
@@ -126,8 +133,11 @@ impl<T> SmrNode<T> {
     /// of `SmrNode<T>` whose previous payload (if any) was already dropped.
     #[inline]
     pub(crate) unsafe fn renew(raw: *mut u8, value: T) -> NonNull<SmrNode<T>> {
-        let node = Self::renew_dummy(raw);
-        ptr::addr_of_mut!((*node.as_ptr()).value).write(ManuallyDrop::new(value));
+        // SAFETY: the caller's contract for `renew` covers `renew_dummy`'s.
+        let node = unsafe { Self::renew_dummy(raw) };
+        // SAFETY: `node` is exclusively ours with `SmrNode<T>`'s layout, and
+        // its old payload was already dropped, so nothing live is overwritten.
+        unsafe { ptr::addr_of_mut!((*node.as_ptr()).value).write(ManuallyDrop::new(value)) };
         node
     }
 
@@ -144,8 +154,12 @@ impl<T> SmrNode<T> {
         debug_assert!(!raw.is_null());
         debug_assert_eq!(raw as usize & crate::TAG_MASK, 0);
         let node = raw as *mut SmrNode<T>;
-        ptr::addr_of_mut!((*node).header).write(NodeHeader::new());
-        NonNull::new_unchecked(node)
+        // SAFETY: the caller hands over an exclusively owned, non-null
+        // allocation with `SmrNode<T>`'s layout, so the header is in bounds.
+        unsafe {
+            ptr::addr_of_mut!((*node).header).write(NodeHeader::new());
+            NonNull::new_unchecked(node)
+        }
     }
 
     /// Frees a node previously created by [`SmrNode::alloc`] or
@@ -159,9 +173,13 @@ impl<T> SmrNode<T> {
     ///   [`SmrNode::alloc`] (it has a live payload).
     pub unsafe fn dealloc(node: *mut SmrNode<T>, drop_payload: bool) {
         if drop_payload {
-            ManuallyDrop::drop(&mut (*node).value);
+            // SAFETY: the caller says the payload is live, and no other
+            // reference to the node exists.
+            unsafe { ManuallyDrop::drop(&mut (*node).value) };
         }
-        dealloc(node as *mut u8, Self::layout());
+        // SAFETY: per the caller's contract `node` is a live allocation with
+        // this layout, freed only here.
+        unsafe { dealloc(node as *mut u8, Self::layout()) };
     }
 
     /// Writes `value` into a node whose payload slot is currently
@@ -174,7 +192,9 @@ impl<T> SmrNode<T> {
     /// hold a live value (it would be overwritten without being dropped).
     #[inline]
     pub unsafe fn write_value(node: *mut SmrNode<T>, value: T) {
-        ptr::addr_of_mut!((*node).value).write(ManuallyDrop::new(value));
+        // SAFETY: the caller owns `node` exclusively and its payload slot
+        // holds no live value.
+        unsafe { ptr::addr_of_mut!((*node).value).write(ManuallyDrop::new(value)) };
     }
 
     /// Drops the payload in place without freeing the node's memory.
@@ -185,7 +205,9 @@ impl<T> SmrNode<T> {
     /// must not be read again until rewritten with [`SmrNode::write_value`].
     #[inline]
     pub unsafe fn drop_value_in_place(node: *mut SmrNode<T>) {
-        ManuallyDrop::drop(&mut (*node).value);
+        // SAFETY: the caller owns the live payload exclusively and will not
+        // read it again before a `write_value`.
+        unsafe { ManuallyDrop::drop(&mut (*node).value) };
     }
 
     /// Asks the cache for the payload of the node at `node`: both its first
@@ -275,8 +297,10 @@ mod tests {
         // header must live at offset zero.
         let node = SmrNode::alloc(7u32);
         let node_addr = node.as_ptr() as usize;
+        // SAFETY: `node` is live and initialized by `alloc` above.
         let header_addr = unsafe { node.as_ref().header() as *const _ as usize };
         assert_eq!(node_addr, header_addr);
+        // SAFETY: allocated by `alloc` (live payload), freed once, unshared.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
     }
 
@@ -284,6 +308,7 @@ mod tests {
     fn alloc_dealloc_drops_payload_once() {
         DROPS.store(0, Ordering::Relaxed);
         let node = SmrNode::alloc(CountsDrops(9));
+        // SAFETY: allocated by `alloc` (live payload), freed once, unshared.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
         assert_eq!(DROPS.load(Ordering::Relaxed), 1);
     }
@@ -291,7 +316,10 @@ mod tests {
     #[test]
     fn dummy_nodes_do_not_drop_payload() {
         DROPS.store(0, Ordering::Relaxed);
+        // SAFETY: the dummy's payload is never read, and it is freed below
+        // with `drop_payload = false`.
         let node = unsafe { SmrNode::<CountsDrops>::alloc_dummy() };
+        // SAFETY: allocated by `alloc_dummy` (no payload), freed once.
         unsafe { SmrNode::dealloc(node.as_ptr(), false) };
         assert_eq!(DROPS.load(Ordering::Relaxed), 0);
     }
@@ -301,6 +329,7 @@ mod tests {
         for _ in 0..64 {
             let node = SmrNode::alloc(0u8);
             assert_eq!(node.as_ptr() as usize & crate::TAG_MASK, 0);
+            // SAFETY: allocated by `alloc` (live payload), freed once.
             unsafe { SmrNode::dealloc(node.as_ptr(), true) };
         }
     }
@@ -308,7 +337,9 @@ mod tests {
     #[test]
     fn value_roundtrip() {
         let node = SmrNode::alloc(String::from("hyaline"));
+        // SAFETY: `node` is live and initialized by `alloc` above.
         assert_eq!(unsafe { node.as_ref() }.value(), "hyaline");
+        // SAFETY: allocated by `alloc` (live payload), freed once, unshared.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
     }
 }

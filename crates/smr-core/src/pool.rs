@@ -402,6 +402,10 @@ impl<'d, T: Send + 'static, S: Smr<T>> HandlePool<'d, T, S> {
         }
         let rollback = Rollback { pool: self, slot };
         let handle = self.domain.handle();
+        #[expect(
+            clippy::mem_forget,
+            reason = "disarms the rollback guard: the slot now holds a handle"
+        )]
         std::mem::forget(rollback);
         // SAFETY: the caller holds the slot, so nobody else reads or
         // writes its cell.
@@ -755,24 +759,23 @@ mod tests {
             Shared::from_node(crate::SmrNode::alloc(value))
         }
 
-        // SAFETY: callers uphold the trait contract (ptr came from `alloc`
-        // and is not reachable); the toy domain frees it immediately.
         unsafe fn dealloc(&mut self, ptr: Shared<u64>) {
             self.domain.stats.add_deallocated(1);
-            crate::SmrNode::dealloc(ptr.as_node_ptr(), true);
+            // SAFETY: callers uphold the trait contract (ptr came from
+            // `alloc` and is not reachable); the toy domain frees it at once.
+            unsafe { crate::SmrNode::dealloc(ptr.as_node_ptr(), true) };
         }
 
         fn protect(&mut self, _idx: usize, src: &Atomic<u64>) -> Shared<u64> {
             src.load(Ordering::Acquire)
         }
 
-        // SAFETY: these tests never share nodes across handles, so a
-        // retired node has no readers and can be freed on the spot.
         unsafe fn retire(&mut self, ptr: Shared<u64>) {
-            // Toy: retire frees immediately (no readers in these tests).
             self.domain.stats.add_retired(1);
             self.domain.stats.add_freed(1);
-            crate::SmrNode::dealloc(ptr.as_node_ptr(), true);
+            // SAFETY: these tests never share nodes across handles, so a
+            // retired node has no readers and can be freed on the spot.
+            unsafe { crate::SmrNode::dealloc(ptr.as_node_ptr(), true) };
         }
 
         fn flush(&mut self) {
@@ -825,7 +828,8 @@ mod tests {
             let mut h = pool.checkout();
             h.enter();
             let node = h.alloc(i);
-            unsafe { h.retire(node) }; // SAFETY: node is unshared, no readers.
+            // SAFETY: `node` is unshared and has no readers.
+            unsafe { h.retire(node) };
             h.leave();
         }
         assert_eq!(pool.issued(), 1, "ten sequential tasks shared one handle");
@@ -860,7 +864,8 @@ mod tests {
                     let mut h = pool.checkout();
                     h.enter();
                     let node = h.alloc(t);
-                    unsafe { h.retire(node) }; // SAFETY: node is unshared, no readers.
+                    // SAFETY: `node` is unshared and has no readers.
+                    unsafe { h.retire(node) };
                     h.leave();
                     completed.fetch_add(1, Ordering::SeqCst);
                 });
@@ -1095,7 +1100,8 @@ mod tests {
                     };
                     h.enter();
                     let node = h.alloc(t);
-                    unsafe { h.retire(node) }; // SAFETY: node is unshared, no readers.
+                    // SAFETY: `node` is unshared and has no readers.
+                    unsafe { h.retire(node) };
                     h.leave();
                     completed.fetch_add(1, Ordering::SeqCst);
                 });

@@ -177,13 +177,16 @@ impl NodePool {
     /// read and the node must be released with `drop_payload = false`.
     pub unsafe fn alloc_dummy<T>(&self, mag: &mut Magazine, shared: &SmrStats) -> NonNull<SmrNode<T>> {
         if !self.usable_for::<T>() {
-            return SmrNode::alloc_dummy();
+            // SAFETY: forwarded caller contract.
+            return unsafe { SmrNode::alloc_dummy() };
         }
         match self.grab(mag, shared) {
             // SAFETY: layout match checked by `usable_for`; pooled memory is
-            // exclusively owned by whoever popped it.
-            Some(raw) => SmrNode::renew_dummy(raw as *mut u8),
-            None => SmrNode::alloc_dummy(),
+            // exclusively owned by whoever popped it. The payload contract
+            // is forwarded from the caller.
+            Some(raw) => unsafe { SmrNode::renew_dummy(raw as *mut u8) },
+            // SAFETY: forwarded caller contract.
+            None => unsafe { SmrNode::alloc_dummy() },
         }
     }
 
@@ -209,12 +212,12 @@ impl NodePool {
     ) {
         if !self.usable_for::<T>() {
             // SAFETY: forwarded caller contract.
-            SmrNode::dealloc(node, drop_payload);
+            unsafe { SmrNode::dealloc(node, drop_payload) };
             return;
         }
         if drop_payload {
             // SAFETY: caller owns the node and asserts the payload is live.
-            SmrNode::drop_value_in_place(node);
+            unsafe { SmrNode::drop_value_in_place(node) };
         }
         mag.items.push(node as usize);
         mag.recycled += 1;

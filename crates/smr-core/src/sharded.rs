@@ -317,11 +317,17 @@ impl<T: Send + 'static, S: Smr<T>> SmrHandle<T> for ShardedHandle<'_, T, S> {
     }
 
     unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        match self.domain.routing {
-            ShardRouting::ByKey => self.inner[self.current].dealloc(ptr),
-            ShardRouting::ByPointer => {
-                let s = self.domain.ptr_shard(ptr.as_node_ptr() as usize);
-                self.inner[s].dealloc(ptr)
+        // SAFETY: the caller's contract passes through unchanged. Under
+        // `ByKey` the node came from the pinned shard; under `ByPointer` the
+        // inner scheme keeps no per-shard node state (checked at
+        // construction), so the address's shard may free it.
+        unsafe {
+            match self.domain.routing {
+                ShardRouting::ByKey => self.inner[self.current].dealloc(ptr),
+                ShardRouting::ByPointer => {
+                    let s = self.domain.ptr_shard(ptr.as_node_ptr() as usize);
+                    self.inner[s].dealloc(ptr)
+                }
             }
         }
     }
@@ -342,14 +348,21 @@ impl<T: Send + 'static, S: Smr<T>> SmrHandle<T> for ShardedHandle<'_, T, S> {
     }
 
     unsafe fn retire(&mut self, ptr: Shared<T>) {
-        match self.domain.routing {
-            ShardRouting::ByKey => {
-                self.ensure_entered();
-                self.inner[self.current].retire(ptr)
-            }
-            ShardRouting::ByPointer => {
-                let s = self.domain.ptr_shard(ptr.as_node_ptr() as usize);
-                self.inner[s].retire(ptr)
+        // SAFETY: the caller's contract passes through unchanged. Under
+        // `ByKey` the pinned shard owns every node this operation reached;
+        // under `ByPointer` protection is enter-scoped (checked at
+        // construction), so the address's shard sees every reader that could
+        // hold the node.
+        unsafe {
+            match self.domain.routing {
+                ShardRouting::ByKey => {
+                    self.ensure_entered();
+                    self.inner[self.current].retire(ptr)
+                }
+                ShardRouting::ByPointer => {
+                    let s = self.domain.ptr_shard(ptr.as_node_ptr() as usize);
+                    self.inner[s].retire(ptr)
+                }
             }
         }
     }
@@ -425,6 +438,9 @@ mod tests {
                 let nodes = std::mem::take(&mut *self.domain.limbo.lock().unwrap());
                 let n = nodes.len() as u64;
                 for node in nodes {
+                    // SAFETY: `retire` pushed these nodes, each allocated by
+                    // `alloc` with a live payload, and no reader is inside the
+                    // toy domain, so none is still referenced.
                     unsafe { crate::SmrNode::dealloc(node, true) };
                 }
                 self.domain.stats.add_freed(n);
@@ -449,13 +465,17 @@ mod tests {
 
         unsafe fn dealloc(&mut self, ptr: Shared<u64>) {
             self.domain.stats.add_deallocated(1);
-            crate::SmrNode::dealloc(ptr.as_node_ptr(), true);
+            // SAFETY: callers uphold the trait contract: `ptr` came from
+            // `alloc` and was never published, so it is freed at once.
+            unsafe { crate::SmrNode::dealloc(ptr.as_node_ptr(), true) };
         }
 
         fn protect(&mut self, _idx: usize, src: &Atomic<u64>) -> Shared<u64> {
             src.load(Ordering::Acquire)
         }
 
+        // SAFETY: the node is only queued; `reclaim_if_quiescent` frees it
+        // once no reader is inside the toy domain.
         unsafe fn retire(&mut self, ptr: Shared<u64>) {
             self.domain.stats.add_retired(1);
             self.domain.limbo.lock().unwrap().push(ptr.as_node_ptr());
@@ -483,6 +503,8 @@ mod tests {
             h.pin_shard(key);
             assert_eq!(h.current_shard(), (key & 3) as usize);
             let node = h.alloc(key);
+            // SAFETY: `node` came from this handle's `alloc`, was never
+            // published, and is retired once.
             unsafe { h.retire(node) };
             h.leave();
         }
@@ -524,6 +546,8 @@ mod tests {
         let seen = h.protect(0, &link);
         let node = link.swap(Shared::null(), Ordering::AcqRel);
         assert_eq!(seen, node);
+        // SAFETY: `node` was just swapped out of `link`, so no later operation
+        // can reach it, and it is retired once.
         unsafe { h.retire(node) };
         h.leave();
         assert_eq!(d.shard(0).readers.load(Ordering::SeqCst), 0);
@@ -548,6 +572,8 @@ mod tests {
             nodes.push(h.alloc(i));
         }
         for node in nodes {
+            // SAFETY: each node came from this handle's `alloc`, was never
+            // published, and is retired once.
             unsafe { h.retire(node) };
         }
         h.leave();
@@ -566,9 +592,12 @@ mod tests {
         h.enter();
         h.pin_shard(0);
         let a = h.alloc(1);
+        // SAFETY: `a` came from this handle's `alloc`, was never published, and
+        // is retired once.
         unsafe { h.retire(a) };
         h.pin_shard(1);
         let b = h.alloc(2);
+        // SAFETY: `b` came from this handle's `alloc` and was never published.
         unsafe { h.dealloc(b) };
         h.leave();
         let stats = d.stats();

@@ -159,7 +159,9 @@ impl<T> Shared<T> {
         T: 'g,
     {
         debug_assert!(!self.is_null());
-        &*self.as_node_ptr()
+        // SAFETY: the caller guarantees a non-null pointer to a node that is
+        // not reclaimed while the borrow lives.
+        unsafe { &*self.as_node_ptr() }
     }
 
     /// A reference to the node's payload.
@@ -172,7 +174,8 @@ impl<T> Shared<T> {
     where
         T: 'g,
     {
-        self.deref_node().value()
+        // SAFETY: the caller's contract is `deref_node`'s.
+        unsafe { self.deref_node() }.value()
     }
 
     /// A reference to the node's header.
@@ -185,7 +188,8 @@ impl<T> Shared<T> {
     where
         T: 'g,
     {
-        self.deref_node().header()
+        // SAFETY: the caller's contract is `deref_node`'s.
+        unsafe { self.deref_node() }.header()
     }
 }
 
@@ -338,6 +342,8 @@ mod tests {
         assert_eq!(marked.untagged(), s);
         assert_eq!(marked.as_node_ptr(), node.as_ptr());
         assert!(!marked.is_null());
+        // SAFETY: allocated by `alloc` (live payload), freed once, never
+        // shared.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
     }
 
@@ -345,7 +351,10 @@ mod tests {
     fn deref_reads_payload() {
         let node = SmrNode::alloc(123u64);
         let s = Shared::from_node(node);
+        // SAFETY: `node` is live until the `dealloc` below.
         assert_eq!(unsafe { *s.deref() }, 123);
+        // SAFETY: allocated by `alloc` (live payload), freed once, never
+        // shared.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
     }
 
@@ -375,6 +384,8 @@ mod tests {
             )
             .is_ok());
         assert!(link.load(Ordering::Acquire).is_null());
+        // SAFETY: allocated by `alloc` (live payload); `link` no longer holds
+        // it and it is freed once.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
     }
 
@@ -385,6 +396,8 @@ mod tests {
         let s = Shared::from_node(node);
         assert!(link.swap(s, Ordering::AcqRel).is_null());
         assert_eq!(link.swap(Shared::null(), Ordering::AcqRel), s);
+        // SAFETY: allocated by `alloc` (live payload); `link` no longer holds
+        // it and it is freed once.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
     }
 

@@ -294,6 +294,8 @@ mod tests {
         let mut h = domain.handle();
         h.enter();
         let p = h.alloc(value);
+        // SAFETY: `p` came from this handle's `alloc`, was never published, and
+        // is retired once.
         unsafe { h.retire(p) };
         h.leave();
         h.flush();

@@ -179,7 +179,9 @@ impl<T> Ptr<T> {
     where
         T: 'a,
     {
-        self.raw.deref()
+        // SAFETY: the caller vouches the node is non-null and live for the
+        // whole borrow.
+        unsafe { self.raw.deref() }
     }
 
     /// Promotes to a branded [`Shared`] without going through a protected
@@ -478,7 +480,9 @@ impl<'h, T, H: SmrHandle<T>> Guard<'h, T, H> {
     /// must be retired at most once.
     pub unsafe fn defer_retire(&self, ptr: impl Into<Ptr<T>>) {
         let raw = ptr.into().raw.untagged();
-        self.with(|h| h.retire(raw));
+        // SAFETY: the caller's unlink argument is `retire`'s contract, and
+        // the guard's handle belongs to the domain that allocated the node.
+        self.with(|h| unsafe { h.retire(raw) });
     }
 
     /// Frees a node immediately, bypassing reclamation. Tag bits are
@@ -493,7 +497,9 @@ impl<'h, T, H: SmrHandle<T>> Guard<'h, T, H> {
     /// was dissolved into raw links).
     pub unsafe fn dealloc(&self, ptr: impl Into<Ptr<T>>) {
         let raw = ptr.into().raw.untagged();
-        self.with(|h| h.dealloc(raw));
+        // SAFETY: the caller has exclusive access and no thread can reach
+        // the node, which is `dealloc`'s contract.
+        self.with(|h| unsafe { h.dealloc(raw) });
     }
 
     /// Copies the protection at index `from` onto index `to` (hand-over-hand

@@ -132,6 +132,8 @@ mod tests {
         // keeping the storage alive in a ManuallyDrop.
         let slot = std::mem::ManuallyDrop::new(c);
         let alias: &Canary = &slot;
+        // SAFETY: `slot` is a `ManuallyDrop`, so this is the only drop of the
+        // canary; its storage stays allocated for `alias` to read afterwards.
         unsafe {
             std::ptr::drop_in_place(&*slot as *const Canary as *mut Canary);
         }

@@ -194,6 +194,8 @@ impl<T> Drop for Tracked<T> {
         if corrupt {
             self.counters().double_drop.store(true, Ordering::Relaxed);
         }
+        // SAFETY: `dropped` was false, so this is the payload's first and only
+        // drop, and `self` is not used again.
         unsafe {
             ManuallyDrop::drop(&mut self.value);
         }
@@ -238,6 +240,7 @@ mod tests {
     #[should_panic(expected = "leak")]
     fn leak_is_detected() {
         let r = DropRegistry::new();
+        #[expect(clippy::mem_forget, reason = "the leak this test detects")]
         std::mem::forget(r.track(5));
         r.assert_quiescent();
     }
@@ -248,7 +251,12 @@ mod tests {
         let t = r.track(7u8);
         // Simulate the reclamation bug: drop the same node twice in place.
         let mut slot = std::mem::ManuallyDrop::new(t);
+        // SAFETY: the first drop of the tracked value; `slot` is a
+        // `ManuallyDrop`, so nothing drops it implicitly.
         unsafe { std::mem::ManuallyDrop::drop(&mut slot) };
+        // SAFETY: the deliberate second drop. `Tracked::drop` sees its
+        // `dropped` flag already set and panics before touching the payload, so
+        // nothing is released twice.
         let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
             std::mem::ManuallyDrop::drop(&mut slot);
         }));

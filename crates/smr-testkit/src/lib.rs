@@ -19,6 +19,9 @@
 //! * [`oracle`] — a sequential reference model for single-threaded
 //!   linearizability checks, and a generator of reproducible operation
 //!   sequences.
+//! * [`rules`] — the two source rules clippy cannot express (`static mut`,
+//!   an unjustified `Relaxed` pointer load), over a [`lexer`] view that
+//!   blanks comments and literals.
 //!
 //! # Example
 //!
@@ -37,7 +40,9 @@
 
 pub mod canary;
 pub mod drop_tracker;
+pub mod lexer;
 pub mod oracle;
+pub mod rules;
 pub mod stall;
 pub mod token;
 

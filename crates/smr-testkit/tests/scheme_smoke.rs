@@ -76,9 +76,14 @@ fn churn_with<S: Smr<Tracked<u64>>>(config: SmrConfig) -> DropRegistry {
                         if i % 2 == 0 {
                             let prev = slot.swap(node, Ordering::AcqRel);
                             if !prev.is_null() {
+                                // SAFETY: `prev` was just swapped out of
+                                // `slot`, so no later operation can reach it,
+                                // and only this swap retires it.
                                 unsafe { h.retire(prev) };
                             }
                         } else {
+                            // SAFETY: `node` came from this handle's `alloc`,
+                            // was never published, and is retired once.
                             unsafe { h.retire(node) };
                         }
                         h.leave();
@@ -92,6 +97,8 @@ fn churn_with<S: Smr<Tracked<u64>>>(config: SmrConfig) -> DropRegistry {
         h.enter();
         let last = slot.swap(Shared::null(), Ordering::AcqRel);
         if !last.is_null() {
+            // SAFETY: `last` was just swapped out of `slot`, so no later
+            // operation can reach it, and only this swap retires it.
             unsafe { h.retire(last) };
         }
         h.leave();
@@ -240,9 +247,14 @@ fn sharded_churn<S: Smr<Tracked<u64>>>(shards: usize) -> DropRegistry {
                         if i % 2 == 0 {
                             let prev = slots[shard as usize].swap(node, Ordering::AcqRel);
                             if !prev.is_null() {
+                                // SAFETY: `prev` was just swapped out of its
+                                // slot, so no later operation can reach it, and
+                                // only this swap retires it.
                                 unsafe { h.retire(prev) };
                             }
                         } else {
+                            // SAFETY: `node` came from this handle's `alloc`,
+                            // was never published, and is retired once.
                             unsafe { h.retire(node) };
                         }
                         h.leave();
@@ -257,6 +269,8 @@ fn sharded_churn<S: Smr<Tracked<u64>>>(shards: usize) -> DropRegistry {
             h.pin_shard(shard as u64);
             let last = slot.swap(Shared::null(), Ordering::AcqRel);
             if !last.is_null() {
+                // SAFETY: `last` was just swapped out of its slot, so no later
+                // operation can reach it, and only this swap retires it.
                 unsafe { h.retire(last) };
             }
             h.leave();

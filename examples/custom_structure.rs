@@ -46,6 +46,8 @@ impl JobList {
             payload,
             next: Atomic::null(),
         });
+        // SAFETY: `node` came from `alloc` and is not published yet, so this
+        // thread owns it.
         let node_ref = unsafe { node.deref() };
         let mut head = self.head.load(Ordering::Acquire);
         loop {
@@ -70,13 +72,16 @@ impl JobList {
         let mut sum = 0u64;
         let mut count = 0u64;
         while !cursor.is_null() {
-            // The swap made this sublist unreachable to new operations, but
-            // concurrent claimers that started earlier may still be reading
-            // it — `retire`, never free directly.
+            // SAFETY: the swap handed this sublist to this thread alone, and
+            // each node is retired only below, after it is read.
             let job = unsafe { cursor.deref() };
             sum = sum.wrapping_add(job.payload);
             count += 1;
             let next = job.next.load(Ordering::Acquire);
+            // SAFETY: the swap made this sublist unreachable to new
+            // operations, and this loop retires each node once. Concurrent
+            // claimers that started earlier may still be reading it, so
+            // `retire`, never free directly.
             unsafe { h.retire(cursor) };
             cursor = next;
         }

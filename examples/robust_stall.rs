@@ -44,6 +44,10 @@ where
             }
             ready.wait();
             while !done.load(Ordering::Acquire) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the stalled reader idles inside its operation on purpose"
+                )]
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             h.leave(); // finally cooperates at shutdown

@@ -85,6 +85,8 @@ fn contention_shift_grows_then_recovers_with_exact_drop_balance() {
             // HRef ≥ 1) and bumps their unacknowledged `Ack` counters.
             worker.enter();
             for node in nodes {
+                // SAFETY: each node came from this domain's `alloc`, was never
+                // published, and is retired once.
                 unsafe { worker.retire(node) };
             }
             worker.flush();
@@ -104,6 +106,8 @@ fn contention_shift_grows_then_recovers_with_exact_drop_balance() {
             // Progress under the grown directory: churn keeps reclaiming.
             for i in 0..200u64 {
                 let node = worker.alloc(registry.track(PREALLOC + i));
+                // SAFETY: `node` came from this handle's `alloc`, was never
+                // published, and is retired once.
                 unsafe { worker.retire(node) };
             }
             worker.leave();
@@ -135,6 +139,8 @@ fn contention_shift_grows_then_recovers_with_exact_drop_balance() {
         h.enter();
         for link in [&link0, &link1] {
             let node = link.swap(Shared::null(), Ordering::AcqRel);
+            // SAFETY: `node` was just swapped out of `link`, so no later
+            // operation can reach it, and it is retired once.
             unsafe { h.retire(node) };
         }
         h.leave();
@@ -196,6 +202,8 @@ fn capped_variant_never_grows_under_the_same_shift() {
             ready.wait();
             worker.enter();
             for node in nodes {
+                // SAFETY: each node came from this domain's `alloc`, was never
+                // published, and is retired once.
                 unsafe { worker.retire(node) };
             }
             worker.flush();
@@ -210,6 +218,8 @@ fn capped_variant_never_grows_under_the_same_shift() {
         let mut h = d.handle();
         h.enter();
         let node = link.swap(Shared::null(), Ordering::AcqRel);
+        // SAFETY: `node` was just swapped out of `link`, so no later operation
+        // can reach it, and it is retired once.
         unsafe { h.retire(node) };
         h.leave();
         h.flush();

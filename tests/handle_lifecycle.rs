@@ -32,6 +32,8 @@ fn drop_while_active<S: Smr<Canary>>() {
         h.enter();
         for i in 0..16 {
             let node = h.alloc(Canary::new(i));
+            // SAFETY: `node` came from this handle's `alloc`, was never
+            // published, and is retired once.
             unsafe { h.retire(node) };
         }
         // No leave, no flush: the handle drops mid-operation.
@@ -57,11 +59,16 @@ fn flush_mid_operation<S: Smr<Canary>>() {
     let keep = h.alloc(Canary::new(99));
     for i in 0..8 {
         let node = h.alloc(Canary::new(i));
+        // SAFETY: `node` came from this handle's `alloc`, was never published,
+        // and is retired once.
         unsafe { h.retire(node) };
     }
     h.flush();
     // Still inside: the kept node must be intact and usable.
+    // SAFETY: `keep` is non-null and not yet retired, so it is live.
     unsafe { keep.deref() }.check().expect("pre-leave canary");
+    // SAFETY: `keep` came from this handle's `alloc`, was never published, and
+    // is retired once.
     unsafe { h.retire(keep) };
     h.leave();
     h.flush();
@@ -84,13 +91,18 @@ fn domains_are_independent<S: Smr<Canary>>() {
     let node_b = hb.alloc(Canary::new(7));
     for i in 0..32 {
         let n = ha.alloc(Canary::new(i));
+        // SAFETY: `n` came from this handle's `alloc`, was never published, and
+        // is retired once.
         unsafe { ha.retire(n) };
     }
     ha.leave();
     ha.flush();
     // Domain B saw no retires; its node is untouched and unaccounted in A.
+    // SAFETY: `node_b` is non-null and not yet retired, so it is live.
     unsafe { node_b.deref() }.check().expect("foreign-domain canary");
     assert_eq!(b.stats().retired(), 0, "{}: cross-domain retire", S::name());
+    // SAFETY: `node_b` came from `hb`'s `alloc` on domain B, was never
+    // published, and is retired once.
     unsafe { hb.retire(node_b) };
     hb.leave();
     hb.flush();
@@ -145,6 +157,8 @@ fn leaky_drop_while_active_is_harmless() {
         let mut h = domain.handle();
         h.enter();
         let n = h.alloc(Canary::new(1));
+        // SAFETY: `n` came from this handle's `alloc`, was never published, and
+        // is retired once.
         unsafe { h.retire(n) };
     }
     assert_eq!(domain.stats().retired(), 1);
@@ -181,6 +195,8 @@ fn hyaline_handles_exceed_slot_count_freely() {
     for (i, h) in handles.iter_mut().enumerate() {
         h.enter();
         let n = h.alloc(Canary::new(i as u64));
+        // SAFETY: `n` came from this handle's `alloc`, was never published, and
+        // is retired once.
         unsafe { h.retire(n) };
         h.leave();
     }

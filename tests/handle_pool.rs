@@ -41,6 +41,8 @@ fn oversubscribed_churn<S: Smr<Tracked<u64>>>(max_threads: usize) -> DropRegistr
                             let value = registry
                                 .track((t * ROUNDS + round) as u64 * OPS_PER_ROUND + i);
                             let node = h.alloc(value);
+                            // SAFETY: `node` came from this handle's `alloc`,
+                            // was never published, and is retired once.
                             unsafe { h.retire(node) };
                             h.leave();
                         }
@@ -126,6 +128,8 @@ fn crystalline_handles_migrate_with_adopted_batches() {
                             let value = registry
                                 .track((round as u64 * 2 + task) * OPS_PER_ROUND + i);
                             let node = h.alloc(value);
+                            // SAFETY: `node` came from this handle's `alloc`,
+                            // was never published, and is retired once.
                             unsafe { h.retire(node) };
                             h.leave();
                         }
@@ -166,6 +170,8 @@ fn pooled_handles_migrate_between_threads() {
         let mut h = pool.checkout();
         h.enter();
         let node = h.alloc(1);
+        // SAFETY: `node` came from this handle's `alloc`, was never published,
+        // and is retired once.
         unsafe { h.retire(node) };
         h.leave();
     }
@@ -176,6 +182,8 @@ fn pooled_handles_migrate_between_threads() {
             let mut h = pool.checkout();
             h.enter();
             let node = h.alloc(2);
+            // SAFETY: `node` came from this handle's `alloc`, was never
+            // published, and is retired once.
             unsafe { h.retire(node) };
             h.leave();
         });

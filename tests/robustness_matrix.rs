@@ -43,6 +43,10 @@ where
             }
             ready.wait();
             while !done.load(Ordering::Acquire) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the stalled reader idles inside its operation on purpose"
+                )]
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
             h.leave();
@@ -143,6 +147,10 @@ where
             }
             ready.wait();
             while !done.load(Ordering::Acquire) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the stalled reader idles inside its operation on purpose"
+                )]
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
             h.leave();

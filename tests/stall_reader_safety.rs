@@ -47,10 +47,13 @@ fn protected_survives_stall<S: Smr<Canary>>(config: SmrConfig) {
                 seen = h.protect(0, link);
             }
             // Validate before the stall: the node is alive.
+            // SAFETY: `seen` is non-null and protected by the open operation.
             unsafe { seen.deref() }.check().expect("pre-stall canary");
             stall.stall();
             // The writer has unlinked, retired, and churned; our protection
             // must still hold the node intact.
+            // SAFETY: `seen` is still protected: the operation stays open
+            // across the stall. This read is what the test checks.
             unsafe { seen.deref() }
                 .check()
                 .expect("post-stall canary: protected node was reclaimed");
@@ -70,12 +73,16 @@ fn protected_survives_stall<S: Smr<Canary>>(config: SmrConfig) {
         h.enter();
         let unlinked = link.swap(smr_core::Shared::null(), Ordering::AcqRel);
         assert!(!unlinked.is_null());
+        // SAFETY: `unlinked` was just swapped out of `link`, so no later
+        // operation can reach it, and it is retired once.
         unsafe { h.retire(unlinked) };
         h.leave();
 
         for i in 0..CHURN {
             h.enter();
             let n = h.alloc(Canary::new(i));
+            // SAFETY: `n` came from this handle's `alloc`, was never published,
+            // and is retired once.
             unsafe { h.retire(n) };
             h.leave();
         }
@@ -119,6 +126,8 @@ fn robust_reclaims_during_stall<S: Smr<Canary>>(config: SmrConfig) {
                 seen = h.protect(0, link);
             }
             stall.stall();
+            // SAFETY: `seen` is non-null and was protected inside the
+            // still-open operation, which the stall does not end.
             unsafe { seen.deref() }.check().expect("post-stall canary");
             h.leave();
         });
@@ -133,12 +142,16 @@ fn robust_reclaims_during_stall<S: Smr<Canary>>(config: SmrConfig) {
 
         h.enter();
         let unlinked = link.swap(smr_core::Shared::null(), Ordering::AcqRel);
+        // SAFETY: `unlinked` was just swapped out of `link`, so no later
+        // operation can reach it, and it is retired once.
         unsafe { h.retire(unlinked) };
         h.leave();
 
         for i in 0..CHURN {
             h.enter();
             let n = h.alloc(Canary::new(i));
+            // SAFETY: `n` came from this handle's `alloc`, was never published,
+            // and is retired once.
             unsafe { h.retire(n) };
             h.leave();
         }
