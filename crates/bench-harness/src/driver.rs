@@ -9,6 +9,8 @@
 //! (Figure 10b).
 
 use lockfree_ds::ConcurrentMap;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use smr_core::{HandlePool, Smr, SmrConfig, SmrHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -134,6 +136,24 @@ where
     acc
 }
 
+/// The prefill: `prefill` evenly spaced keys from the range, so roughly
+/// half the range is present (as in the paper: 50k elements, 100k keys),
+/// in a Fisher–Yates order seeded per trial. Ascending inserts would build
+/// the unbalanced NM tree as one path as deep as the prefill; a random
+/// order builds the random tree the paper's figures measure.
+fn prefill_keys(params: &BenchParams, trial: u64) -> Vec<u64> {
+    let step = (params.key_range / params.prefill.max(1) as u64).max(1);
+    let mut keys: Vec<u64> = (0..params.key_range)
+        .step_by(step as usize)
+        .take(params.prefill)
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(params.seed ^ trial);
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    keys
+}
+
 fn run_trial<S, M>(params: &BenchParams, trial: u64) -> RunResult
 where
     M: ConcurrentMap<S>,
@@ -141,19 +161,12 @@ where
 {
     let map = M::with_config(params.config.clone());
 
-    // Prefill with `prefill` evenly spaced keys from the range, so roughly
-    // half the range is present (as in the paper: 50k elements, 100k keys).
     {
         let mut h = map.handle();
-        let step = (params.key_range / params.prefill.max(1) as u64).max(1);
-        let mut inserted = 0;
-        let mut key = 0;
-        while inserted < params.prefill as u64 && key < params.key_range {
+        for key in prefill_keys(params, trial) {
             h.enter();
             map.map_insert(&mut h, key, key);
             h.leave();
-            inserted += 1;
-            key += step;
         }
         h.flush();
     }
@@ -404,6 +417,23 @@ mod tests {
             },
             ..BenchParams::default()
         }
+    }
+
+    #[test]
+    fn prefill_is_a_seeded_shuffle_of_the_spaced_keys() {
+        let p = BenchParams {
+            prefill: 500,
+            key_range: 1_000,
+            ..BenchParams::default()
+        };
+        let ascending: Vec<u64> = (0..1_000).step_by(2).collect();
+        let keys = prefill_keys(&p, 0);
+        assert_eq!(keys, prefill_keys(&p, 0), "same seed and trial, same order");
+        assert_ne!(keys, ascending, "the prefill order is shuffled");
+        assert_ne!(keys, prefill_keys(&p, 1), "each trial draws its own order");
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, ascending, "the key set is the evenly spaced one");
     }
 
     #[test]
