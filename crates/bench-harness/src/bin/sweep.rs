@@ -179,9 +179,9 @@ fn run_stalled_reader_sweep(base: &BenchParams, sink: &mut ResultSink) {
 
 /// The node-recycling headline comparison: Hyaline, Epoch and
 /// Crystalline-L driving write-intensive churn on the Michael hash map and
-/// the skip list, each combination measured twice — node memory from the
-/// global allocator (`recycle=off`, the historical behaviour) and from the
-/// layout-keyed recycle pool (`recycle=on`). Every point appends a
+/// the Harris–Michael list, each combination measured twice — node memory
+/// from the global allocator (`recycle=off`, the historical behaviour) and
+/// from the layout-keyed recycle pool (`recycle=on`). Every point appends a
 /// `figure="recycle"` record; the on/off points key separately in the perf
 /// gate (the combo key carries `recycle`), so a baseline pins both sides of
 /// the comparison.
@@ -192,7 +192,7 @@ fn run_stalled_reader_sweep(base: &BenchParams, sink: &mut ResultSink) {
 /// the pool actually served while enabled.
 fn run_recycle_sweep(base: &BenchParams, sink: &mut ResultSink) {
     const SCHEMES: &[&str] = &["Hyaline", "Epoch", "Crystalline-L"];
-    const STRUCTURES_SWEPT: &[&str] = &["hashmap", "skiplist"];
+    const STRUCTURES_SWEPT: &[&str] = &["hashmap", "list"];
     println!(
         "== recycle: pooled vs malloc node memory, {} thread(s), \
          write-intensive ==\n",

@@ -357,5 +357,11 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert!(err.starts_with(&format!("{bad}: expected")), "{err}");
         }
+        // The error for an unknown structure lists exactly the paper's four.
+        let gone = "--structures skiplist";
+        assert_eq!(
+            parse(gone).unwrap_err(),
+            format!("{gone}: expected `all` or some of list, hashmap, bonsai, nmtree")
+        );
     }
 }

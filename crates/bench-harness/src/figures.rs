@@ -15,8 +15,6 @@ pub fn structure_caption(structure: &str) -> &'static str {
         "hashmap" => "Michael hash map",
         "bonsai" => "Bonsai tree",
         "nmtree" => "Natarajan & Mittal tree",
-        "skiplist" => "Lock-free skip list",
-        "mpmc" => "Bounded MPMC queue",
         _ => "unknown structure",
     }
 }

@@ -1,12 +1,8 @@
 //! Runtime dispatch from `(scheme name, structure name)` strings to the
 //! monomorphized benchmark entry points.
 
-use crystalline::{CrystallineL, CrystallineW};
-use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use lockfree_ds::{
-    BonsaiTree, BoundedMpmcQueue, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree,
-    SkipListMap,
-};
+use hyaline::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
+use lockfree_ds::{BonsaiTree, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree};
 use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::Sharded;
 
@@ -48,10 +44,9 @@ pub const ALL_SCHEMES: &[&str] = &[
     "Crystalline-W",
 ];
 
-/// The benchmark structures: the paper's four sub-figures plus the two
-/// typed-layer additions (skip-list map and bounded MPMC queue driven
-/// through the same [`lockfree_ds::ConcurrentMap`] interface).
-pub const STRUCTURES: &[&str] = &["list", "hashmap", "bonsai", "nmtree", "skiplist", "mpmc"];
+/// The benchmark structures: the paper's four sub-figures, driven through
+/// the one [`lockfree_ds::ConcurrentMap`] interface.
+pub const STRUCTURES: &[&str] = &["list", "hashmap", "bonsai", "nmtree"];
 
 /// Whether the combination is supported.
 ///
@@ -84,8 +79,6 @@ pub fn run_combo(scheme: &str, structure: &str, params: &BenchParams) -> Option<
                 "nmtree" => {
                     Some(run_bench::<$scheme_ty, NatarajanMittalTree<u64, u64, _>>(params))
                 }
-                "skiplist" => Some(run_bench::<$scheme_ty, SkipListMap<u64, u64, _>>(params)),
-                "mpmc" => Some(run_bench::<$scheme_ty, BoundedMpmcQueue<u64, _>>(params)),
                 _ => None,
             }
         };

@@ -2,8 +2,9 @@
 //!
 //! *"Crystalline: Fast and Memory Efficient Wait-Free Reclamation"* removes
 //! the two places where Hyaline-1S is merely lock-free, and `domain.rs`
-//! switches each in with one constant (the `crystalline` crate's docs have
-//! the protocols in full; `interleave::crystalline` model-checks them):
+//! switches each in with one constant (the [`Crystalline`](crate::Crystalline)
+//! alias's docs have the protocols in full; `interleave::crystalline`
+//! model-checks them):
 //!
 //! * `HANDOFF` (Crystalline-L) — `retire`'s per-slot CAS loop can lose to
 //!   other inserters forever. After

@@ -1,7 +1,7 @@
 //! Lock-free data structures generic over safe-memory-reclamation schemes.
 //!
-//! These are the four benchmark structures of the Hyaline paper's
-//! evaluation (Section 6) plus two extras used by examples and tests:
+//! Six structures: the four of the Hyaline paper's evaluation (Section 6)
+//! and the two classics the examples and tests use:
 //!
 //! * [`HarrisMichaelList`] — the Harris–Michael sorted linked list \[20, 26\]
 //!   (Figures 8a/9a).
@@ -12,14 +12,8 @@
 //!   reclamation.
 //! * [`NatarajanMittalTree`] — the lock-free external BST \[29\]
 //!   (Figures 8d/9d).
-//! * [`TreiberStack`], [`MsQueue`] — classic stack/queue for examples.
-//! * [`SkipListMap`] — a lock-free skip list in the Harris/Herlihy–Shavit
-//!   style, with a two-phase retirement handshake between inserters and
-//!   removers.
-//! * [`BoundedMpmcQueue`] — a capacity-bounded MPMC queue composed from
-//!   [`MsQueue`] plus an atomic admission counter.
-//! * [`SnapshotCell`] — a read-mostly RCU-style cell: readers clone a
-//!   protected snapshot, writers swap in a fresh one and retire the old.
+//! * [`TreiberStack`], [`MsQueue`] — the classic stack and queue, for the
+//!   examples and the integration tests.
 //!
 //! Every structure takes the reclamation scheme as a type parameter
 //! implementing [`smr_core::Smr`] and is written against the typed-pointer
@@ -58,20 +52,14 @@ mod bonsai;
 mod hashmap;
 mod list;
 mod map_api;
-mod mpmc;
 mod nmtree;
 mod queue;
-mod skiplist;
-mod snapshot;
 mod stack;
 
 pub use bonsai::{BonsaiNode, BonsaiTree};
 pub use hashmap::{MichaelHashMap, DEFAULT_BUCKETS};
 pub use list::{HarrisMichaelList, ListNode};
 pub use map_api::ConcurrentMap;
-pub use mpmc::BoundedMpmcQueue;
 pub use nmtree::{NatarajanMittalTree, NmNode, TreeKey, NM_MIN_PROTECT};
 pub use queue::{MsQueue, QueueNode};
-pub use skiplist::{SkipListMap, SkipNode, SKIPLIST_MIN_PROTECT};
-pub use snapshot::SnapshotCell;
 pub use stack::{StackNode, TreiberStack};

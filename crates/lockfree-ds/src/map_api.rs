@@ -7,8 +7,8 @@
 use smr_core::{Smr, SmrConfig, SmrStats};
 
 use crate::{
-    BonsaiNode, BonsaiTree, BoundedMpmcQueue, HarrisMichaelList, ListNode, MichaelHashMap,
-    NatarajanMittalTree, NmNode, QueueNode, SkipListMap, SkipNode,
+    BonsaiNode, BonsaiTree, HarrisMichaelList, ListNode, MichaelHashMap, NatarajanMittalTree,
+    NmNode,
 };
 
 /// A concurrent map of `u64 -> u64`, generic over the reclamation scheme.
@@ -89,48 +89,6 @@ impl_concurrent_map!(HarrisMichaelList over ListNode, "list");
 impl_concurrent_map!(MichaelHashMap over ListNode, "hashmap");
 impl_concurrent_map!(NatarajanMittalTree over NmNode, "nmtree");
 impl_concurrent_map!(BonsaiTree over BonsaiNode, "bonsai");
-impl_concurrent_map!(SkipListMap over SkipNode, "skiplist");
-
-/// Capacity the benchmark harness gives [`BoundedMpmcQueue`]: deep enough
-/// that the bound rarely binds under the paper's get/insert/remove mixes,
-/// shallow enough that full-queue displacement is exercised.
-const MPMC_BENCH_CAPACITY: usize = 1024;
-
-/// The bounded queue driven as a map: `insert` enqueues the value
-/// (displacing the oldest entry when full), `get` peeks, `remove`
-/// dequeues. Keys only order the workload; the FIFO ignores them.
-impl<S: Smr<QueueNode<u64>>> ConcurrentMap<S> for BoundedMpmcQueue<u64, S> {
-    type Node = QueueNode<u64>;
-    const NAME: &'static str = "mpmc";
-
-    fn with_config(config: SmrConfig) -> Self {
-        BoundedMpmcQueue::with_config(config, MPMC_BENCH_CAPACITY)
-    }
-
-    fn domain(&self) -> &S {
-        BoundedMpmcQueue::domain(self)
-    }
-
-    fn map_get<'a>(&'a self, h: &mut S::Handle<'a>, _key: u64) -> Option<u64> {
-        self.peek(h)
-    }
-
-    fn map_insert<'a>(&'a self, h: &mut S::Handle<'a>, _key: u64, value: u64) -> bool {
-        match self.try_enqueue(h, value) {
-            Ok(()) => true,
-            Err(value) => {
-                // Full: displace the oldest entry, then retry once (another
-                // producer may still win the freed slot).
-                self.dequeue(h);
-                self.try_enqueue(h, value).is_ok()
-            }
-        }
-    }
-
-    fn map_remove<'a>(&'a self, h: &mut S::Handle<'a>, _key: u64) -> Option<u64> {
-        self.dequeue(h)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -163,17 +121,6 @@ mod tests {
         exercise::<Hyaline<_>, MichaelHashMap<u64, u64, _>>();
         exercise::<Hyaline<_>, NatarajanMittalTree<u64, u64, _>>();
         exercise::<Hyaline<_>, BonsaiTree<u64, u64, _>>();
-        exercise::<Hyaline<_>, SkipListMap<u64, u64, _>>();
-        // The queue adapter ignores keys but satisfies the same contract
-        // for the single-key exercise above.
-        exercise::<Hyaline<_>, BoundedMpmcQueue<u64, _>>();
-    }
-
-    #[test]
-    fn new_structures_through_trait_on_sharded_domains() {
-        use smr_core::Sharded;
-        exercise::<Sharded<Hyaline<_>>, SkipListMap<u64, u64, _>>();
-        exercise::<Sharded<Hyaline<_>>, BoundedMpmcQueue<u64, _>>();
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A Michael–Scott queue, generic over the reclamation scheme.
 //!
 //! Not part of the paper's figures; used by the examples (per-client work
-//! queues in the server scenario), the integration tests, and as the inner
-//! queue of the bounded [`crate::BoundedMpmcQueue`]. Written against the
-//! typed-pointer layer: the remaining `unsafe` is the sentinel-retire
-//! argument in `dequeue` and the exclusive teardown in `Drop`.
+//! queues in the server scenario) and the integration tests. Written
+//! against the typed-pointer layer: the remaining `unsafe` is the
+//! sentinel-retire argument in `dequeue` and the exclusive teardown in
+//! `Drop`.
 
 use smr_core::typed::{Atomic, Guard, Ptr};
 use smr_core::{Smr, SmrConfig};

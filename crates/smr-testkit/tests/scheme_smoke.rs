@@ -146,8 +146,8 @@ smoke! {
     smoke_hp => smr_baselines::Hp<Tracked<u64>>,
     smoke_he => smr_baselines::He<Tracked<u64>>,
     smoke_ibr => smr_baselines::Ibr<Tracked<u64>>,
-    smoke_crystalline_l => crystalline::CrystallineL<Tracked<u64>>,
-    smoke_crystalline_w => crystalline::CrystallineW<Tracked<u64>>,
+    smoke_crystalline_l => hyaline::CrystallineL<Tracked<u64>>,
+    smoke_crystalline_w => hyaline::CrystallineW<Tracked<u64>>,
 }
 
 /// The reclaiming matrix again with node recycling enabled: reusing node
@@ -178,8 +178,8 @@ recycle_smoke! {
     recycle_smoke_hp => smr_baselines::Hp<Tracked<u64>>,
     recycle_smoke_he => smr_baselines::He<Tracked<u64>>,
     recycle_smoke_ibr => smr_baselines::Ibr<Tracked<u64>>,
-    recycle_smoke_crystalline_l => crystalline::CrystallineL<Tracked<u64>>,
-    recycle_smoke_crystalline_w => crystalline::CrystallineW<Tracked<u64>>,
+    recycle_smoke_crystalline_l => hyaline::CrystallineL<Tracked<u64>>,
+    recycle_smoke_crystalline_w => hyaline::CrystallineW<Tracked<u64>>,
 }
 
 /// Recycling across shards: each inner domain owns its own pool, and
@@ -202,7 +202,7 @@ fn recycle_smoke_sharded_hyaline_by_pointer() {
 /// Exact drop balance must survive pure handoff traffic too.
 #[test]
 fn smoke_crystalline_l_forced_handoff() {
-    let registry = churn_with::<crystalline::CrystallineL<Tracked<u64>>>(SmrConfig {
+    let registry = churn_with::<hyaline::CrystallineL<Tracked<u64>>>(SmrConfig {
         handoff_attempts: 0,
         ..cfg()
     });
@@ -331,13 +331,14 @@ fn smoke_sharded_hyaline_by_pointer() {
 }
 
 // ---------------------------------------------------------------------------
-// Typed-layer structures: the same all-scheme matrix, but driven through the
-// three structures built purely on `smr_core::typed` (skip list, bounded
-// MPMC queue, snapshot cell). Exact drop balance catches a structure that
-// leaks nodes, double-retires, or retires something still reachable.
+// Structures: the same all-scheme matrix, driven through two structures
+// built on `smr_core::typed` — Michael's hash map (list buckets, one of the
+// paper's four) and the Michael–Scott queue. Exact drop balance catches a
+// structure that leaks nodes, double-retires, or retires something still
+// reachable.
 // ---------------------------------------------------------------------------
 
-use lockfree_ds::{BoundedMpmcQueue, SkipListMap, SnapshotCell};
+use lockfree_ds::{ListNode, MichaelHashMap, MsQueue, QueueNode};
 
 const STRUCT_OPS: u64 = 300;
 const STRUCT_TOTAL: u64 = THREADS as u64 * STRUCT_OPS;
@@ -345,12 +346,10 @@ const STRUCT_TOTAL: u64 = THREADS as u64 * STRUCT_OPS;
 /// Disjoint per-thread key ranges make the counts exact: every insert
 /// succeeds (one tracked payload moved into a node) and every remove
 /// succeeds (one tracked clone handed back out and dropped here).
-fn skiplist_churn<S: Smr<lockfree_ds::SkipNode<u64, Tracked<u64>>>>(
-    config: SmrConfig,
-) -> DropRegistry {
+fn hashmap_churn<S: Smr<ListNode<u64, Tracked<u64>>>>(config: SmrConfig) -> DropRegistry {
     let registry = DropRegistry::new();
     {
-        let map: SkipListMap<u64, Tracked<u64>, S> = SkipListMap::with_config(config);
+        let map: MichaelHashMap<u64, Tracked<u64>, S> = MichaelHashMap::with_config(config);
         let (reg, map) = (&registry, &map);
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {
@@ -378,28 +377,19 @@ fn skiplist_churn<S: Smr<lockfree_ds::SkipNode<u64, Tracked<u64>>>>(
 
 /// Each thread enqueues one payload then drains one, so the queue ends
 /// empty: every payload was cloned out by a dequeue exactly once.
-fn mpmc_churn<S: Smr<lockfree_ds::QueueNode<Tracked<u64>>>>(config: SmrConfig) -> DropRegistry {
+fn msqueue_churn<S: Smr<QueueNode<Tracked<u64>>>>(config: SmrConfig) -> DropRegistry {
     let registry = DropRegistry::new();
     {
-        let queue: BoundedMpmcQueue<Tracked<u64>, S> =
-            BoundedMpmcQueue::with_config(config, 16);
+        let queue: MsQueue<Tracked<u64>, S> = MsQueue::with_config(config);
         let (reg, queue) = (&registry, &queue);
         std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {
                 scope.spawn(move || {
                     let mut h = queue.smr_handle();
                     for i in 0..STRUCT_OPS {
-                        let mut value = reg.track(t * STRUCT_OPS + i);
-                        loop {
-                            h.enter();
-                            let r = queue.try_enqueue(&mut h, value);
-                            h.leave();
-                            match r {
-                                Ok(()) => break,
-                                Err(v) => value = v,
-                            }
-                            std::thread::yield_now();
-                        }
+                        h.enter();
+                        queue.enqueue(&mut h, reg.track(t * STRUCT_OPS + i));
+                        h.leave();
                         loop {
                             h.enter();
                             let got = queue.dequeue(&mut h);
@@ -414,42 +404,20 @@ fn mpmc_churn<S: Smr<lockfree_ds::QueueNode<Tracked<u64>>>>(config: SmrConfig) -
                 });
             }
         });
-        assert!(queue.is_empty(), "every enqueue was matched by a dequeue");
+        let mut h = queue.smr_handle();
+        h.enter();
+        assert!(
+            queue.is_empty(&mut h),
+            "every enqueue was matched by a dequeue"
+        );
+        h.leave();
     }
     registry
 }
 
-/// Store-churn on the snapshot cell: every store displaces (and retires)
-/// exactly one snapshot; only the final one survives to the cell's drop.
-fn snapshot_churn<S: Smr<Tracked<u64>>>(config: SmrConfig) -> DropRegistry {
-    let registry = DropRegistry::new();
-    {
-        let cell: SnapshotCell<Tracked<u64>, S> =
-            SnapshotCell::with_config(config, registry.track(u64::MAX));
-        let (reg, cell) = (&registry, &cell);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS as u64 {
-                scope.spawn(move || {
-                    let mut h = cell.smr_handle();
-                    for i in 0..STRUCT_OPS {
-                        h.enter();
-                        cell.store(&mut h, reg.track(t * STRUCT_OPS + i));
-                        // Observe without cloning: `with` borrows in place.
-                        let seen = cell.with(&mut h, |v| **v);
-                        assert!(seen == u64::MAX || seen < STRUCT_TOTAL);
-                        h.leave();
-                    }
-                    h.flush();
-                });
-            }
-        });
-    } // Cell drop frees the final snapshot.
-    registry
-}
-
-/// Reclaiming schemes × typed structures: exact drop balance plus the
+/// Reclaiming schemes × structures: exact drop balance plus the
 /// structure-specific payload count.
-macro_rules! typed_structure_smoke {
+macro_rules! structure_smoke {
     ($($test:ident => $churn:ident, $scheme:ty, $created:expr),+ $(,)?) => {$(
         #[test]
         fn $test() {
@@ -460,12 +428,12 @@ macro_rules! typed_structure_smoke {
     )+};
 }
 
-/// Like [`typed_structure_smoke!`], but for structures whose operations can
-/// clone payloads on *lost* races: the MPMC queue's dequeue must clone the
+/// Like [`structure_smoke!`], but for structures whose operations can
+/// clone payloads on *lost* races: the MS queue's dequeue must clone the
 /// value before its head-CAS (the node may be retired the instant the CAS
 /// succeeds elsewhere), so a lost race creates-and-drops an extra tracked
 /// clone. Quiescence stays exact; the created count is a lower bound.
-macro_rules! typed_structure_smoke_racy_clones {
+macro_rules! structure_smoke_racy_clones {
     ($($test:ident => $churn:ident, $scheme:ty, $created:expr),+ $(,)?) => {$(
         #[test]
         fn $test() {
@@ -476,52 +444,41 @@ macro_rules! typed_structure_smoke_racy_clones {
     )+};
 }
 
-typed_structure_smoke! {
-    // Skip list: one payload per insert + one clone per remove.
-    skiplist_smoke_hyaline => skiplist_churn, hyaline::Hyaline<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_hyaline1 => skiplist_churn, hyaline::Hyaline1<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_hyaline_s => skiplist_churn, hyaline::HyalineS<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_hyaline1_s => skiplist_churn, hyaline::Hyaline1S<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_ebr => skiplist_churn, smr_baselines::Ebr<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_hp => skiplist_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_he => skiplist_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_ibr => skiplist_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_crystalline_l => skiplist_churn, crystalline::CrystallineL<_>, 2 * STRUCT_TOTAL,
-    skiplist_smoke_crystalline_w => skiplist_churn, crystalline::CrystallineW<_>, 2 * STRUCT_TOTAL,
-    // Snapshot cell: one payload per store + the initial snapshot.
-    snapshot_smoke_hyaline => snapshot_churn, hyaline::Hyaline<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_hyaline1 => snapshot_churn, hyaline::Hyaline1<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_hyaline_s => snapshot_churn, hyaline::HyalineS<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_hyaline1_s => snapshot_churn, hyaline::Hyaline1S<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_ebr => snapshot_churn, smr_baselines::Ebr<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_hp => snapshot_churn, smr_baselines::Hp<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_he => snapshot_churn, smr_baselines::He<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_ibr => snapshot_churn, smr_baselines::Ibr<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_crystalline_l => snapshot_churn, crystalline::CrystallineL<_>, STRUCT_TOTAL + 1,
-    snapshot_smoke_crystalline_w => snapshot_churn, crystalline::CrystallineW<_>, STRUCT_TOTAL + 1,
+structure_smoke! {
+    // Hash map: one payload per insert + one clone per remove.
+    hashmap_smoke_hyaline => hashmap_churn, hyaline::Hyaline<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_hyaline1 => hashmap_churn, hyaline::Hyaline1<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_hyaline_s => hashmap_churn, hyaline::HyalineS<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_hyaline1_s => hashmap_churn, hyaline::Hyaline1S<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_ebr => hashmap_churn, smr_baselines::Ebr<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_hp => hashmap_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_he => hashmap_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_ibr => hashmap_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_crystalline_l => hashmap_churn, hyaline::CrystallineL<_>, 2 * STRUCT_TOTAL,
+    hashmap_smoke_crystalline_w => hashmap_churn, hyaline::CrystallineW<_>, 2 * STRUCT_TOTAL,
 }
 
-typed_structure_smoke_racy_clones! {
-    // MPMC queue: one payload per enqueue + one clone per *successful*
+structure_smoke_racy_clones! {
+    // MS queue: one payload per enqueue + one clone per *successful*
     // dequeue, plus a clone per lost dequeue race (see the macro docs).
-    mpmc_smoke_hyaline => mpmc_churn, hyaline::Hyaline<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_hyaline1 => mpmc_churn, hyaline::Hyaline1<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_hyaline_s => mpmc_churn, hyaline::HyalineS<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_hyaline1_s => mpmc_churn, hyaline::Hyaline1S<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_ebr => mpmc_churn, smr_baselines::Ebr<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_hp => mpmc_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_he => mpmc_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_ibr => mpmc_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_crystalline_l => mpmc_churn, crystalline::CrystallineL<_>, 2 * STRUCT_TOTAL,
-    mpmc_smoke_crystalline_w => mpmc_churn, crystalline::CrystallineW<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_hyaline => msqueue_churn, hyaline::Hyaline<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_hyaline1 => msqueue_churn, hyaline::Hyaline1<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_hyaline_s => msqueue_churn, hyaline::HyalineS<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_hyaline1_s => msqueue_churn, hyaline::Hyaline1S<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_ebr => msqueue_churn, smr_baselines::Ebr<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_hp => msqueue_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_he => msqueue_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_ibr => msqueue_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_crystalline_l => msqueue_churn, hyaline::CrystallineL<_>, 2 * STRUCT_TOTAL,
+    msqueue_smoke_crystalline_w => msqueue_churn, hyaline::CrystallineW<_>, 2 * STRUCT_TOTAL,
 }
 
 /// Crystalline-L with every retire forced through the handoff cell, per
 /// structure: the wait-free path must preserve exact balance under real
 /// structure traffic, not just the raw churn above.
 #[test]
-fn skiplist_smoke_crystalline_l_forced_handoff() {
-    let registry = skiplist_churn::<crystalline::CrystallineL<_>>(SmrConfig {
+fn hashmap_smoke_crystalline_l_forced_handoff() {
+    let registry = hashmap_churn::<hyaline::CrystallineL<_>>(SmrConfig {
         handoff_attempts: 0,
         ..cfg()
     });
@@ -530,57 +487,40 @@ fn skiplist_smoke_crystalline_l_forced_handoff() {
 }
 
 #[test]
-fn mpmc_smoke_crystalline_l_forced_handoff() {
-    let registry = mpmc_churn::<crystalline::CrystallineL<_>>(SmrConfig {
+fn msqueue_smoke_crystalline_l_forced_handoff() {
+    let registry = msqueue_churn::<hyaline::CrystallineL<_>>(SmrConfig {
         handoff_attempts: 0,
         ..cfg()
     });
     registry.assert_quiescent();
     // Lower bound: lost dequeue races add extra (immediately dropped)
-    // clones — see `typed_structure_smoke_racy_clones!`.
+    // clones — see `structure_smoke_racy_clones!`.
     assert!(registry.created() >= 2 * STRUCT_TOTAL);
 }
 
+/// Structures with node recycling: real structure traffic (bucket lists,
+/// queue links) over pooled node memory, exact balance intact.
 #[test]
-fn snapshot_smoke_crystalline_l_forced_handoff() {
-    let registry = snapshot_churn::<crystalline::CrystallineL<_>>(SmrConfig {
-        handoff_attempts: 0,
-        ..cfg()
-    });
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), STRUCT_TOTAL + 1);
-}
-
-/// Typed structures with node recycling: real structure traffic (towers,
-/// queue links, snapshots) over pooled node memory, exact balance intact.
-#[test]
-fn skiplist_smoke_hyaline_recycled() {
-    let registry = skiplist_churn::<hyaline::Hyaline<_>>(recycle_cfg());
+fn hashmap_smoke_hyaline_recycled() {
+    let registry = hashmap_churn::<hyaline::Hyaline<_>>(recycle_cfg());
     registry.assert_quiescent();
     assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
 }
 
 #[test]
-fn skiplist_smoke_crystalline_l_recycled() {
-    let registry = skiplist_churn::<crystalline::CrystallineL<_>>(recycle_cfg());
+fn hashmap_smoke_crystalline_l_recycled() {
+    let registry = hashmap_churn::<hyaline::CrystallineL<_>>(recycle_cfg());
     registry.assert_quiescent();
     assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
 }
 
 #[test]
-fn mpmc_smoke_hyaline_recycled() {
-    let registry = mpmc_churn::<hyaline::Hyaline<_>>(recycle_cfg());
+fn msqueue_smoke_hyaline_recycled() {
+    let registry = msqueue_churn::<hyaline::Hyaline<_>>(recycle_cfg());
     registry.assert_quiescent();
     // Lower bound: lost dequeue races add extra (immediately dropped)
-    // clones — see `typed_structure_smoke_racy_clones!`.
+    // clones — see `structure_smoke_racy_clones!`.
     assert!(registry.created() >= 2 * STRUCT_TOTAL);
-}
-
-#[test]
-fn snapshot_smoke_ebr_recycled() {
-    let registry = snapshot_churn::<smr_baselines::Ebr<_>>(recycle_cfg());
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), STRUCT_TOTAL + 1);
 }
 
 /// `Leaky` complements: nothing a structure retires is ever freed, so the
@@ -588,8 +528,8 @@ fn snapshot_smoke_ebr_recycled() {
 /// handed back out (and payloads freed by direct teardown `dealloc`, which
 /// bypasses retirement) ever drop.
 #[test]
-fn skiplist_smoke_leaky() {
-    let registry = skiplist_churn::<smr_baselines::Leaky<_>>(cfg());
+fn hashmap_smoke_leaky() {
+    let registry = hashmap_churn::<smr_baselines::Leaky<_>>(cfg());
     // Removed nodes leak, so every inserted payload stays live; the
     // remove-clones dropped in the churn are the only drops.
     assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
@@ -598,8 +538,8 @@ fn skiplist_smoke_leaky() {
 }
 
 #[test]
-fn mpmc_smoke_leaky() {
-    let registry = mpmc_churn::<smr_baselines::Leaky<_>>(cfg());
+fn msqueue_smoke_leaky() {
+    let registry = msqueue_churn::<smr_baselines::Leaky<_>>(cfg());
     // Dequeue clones drop in the churn; dequeued nodes leak with their
     // payloads except the last one, which survives as the queue's sentinel
     // and is freed by the queue's own teardown. Lost dequeue races add
@@ -608,14 +548,4 @@ fn mpmc_smoke_leaky() {
     let extra = registry.created() - 2 * STRUCT_TOTAL;
     assert_eq!(registry.dropped(), STRUCT_TOTAL + 1 + extra);
     assert_eq!(registry.live(), STRUCT_TOTAL as i64 - 1);
-}
-
-#[test]
-fn snapshot_smoke_leaky() {
-    let registry = snapshot_churn::<smr_baselines::Leaky<_>>(cfg());
-    // Every displaced snapshot leaks; only the final one is freed by the
-    // cell's teardown.
-    assert_eq!(registry.created(), STRUCT_TOTAL + 1);
-    assert_eq!(registry.dropped(), 1);
-    assert_eq!(registry.live(), STRUCT_TOTAL as i64);
 }

@@ -7,7 +7,9 @@
 //! * [`smr_core`] — shared SMR traits, tagged pointers, the universal node
 //!   header, statistics, and the global era clock.
 //! * [`hyaline`] — the paper's contribution: Hyaline, Hyaline-1, Hyaline-S and
-//!   Hyaline-1S, plus `trim` and adaptive slot resizing.
+//!   Hyaline-1S, plus `trim` and adaptive slot resizing; and its wait-free
+//!   successor's Crystalline-L and Crystalline-W, two more settings of the
+//!   same domain.
 //! * [`smr_baselines`] — Leaky, EBR, HP, HE and 2GE-IBR baselines.
 //! * [`lockfree_ds`] — the benchmark data structures (Harris–Michael list,
 //!   Michael hash map, Bonsai tree, Natarajan–Mittal tree, Treiber stack,

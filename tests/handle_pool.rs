@@ -2,7 +2,7 @@
 //! `SmrConfig::max_threads` on registry-based schemes must park-and-reuse
 //! handles instead of panicking, with exact drop balance.
 
-use crystalline::{CrystallineL, CrystallineW};
+use hyaline::{CrystallineL, CrystallineW};
 use smr_baselines::{Ebr, Hp};
 use smr_core::{HandlePool, Smr, SmrConfig, SmrHandle};
 use smr_testkit::drop_tracker::{DropRegistry, Tracked};

@@ -2,7 +2,7 @@
 //! combination: every payload constructed must be dropped exactly once by
 //! the time the structure and its domain are gone.
 
-use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
+use hyaline::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use lockfree_ds::{BonsaiTree, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree};
 use smr_baselines::{Ebr, He, Hp, Ibr};
 use smr_core::{Smr, SmrConfig, SmrHandle};
@@ -106,6 +106,8 @@ leak_test!(list_ebr, HarrisMichaelList, Ebr<_>);
 leak_test!(list_hp, HarrisMichaelList, Hp<_>);
 leak_test!(list_he, HarrisMichaelList, He<_>);
 leak_test!(list_ibr, HarrisMichaelList, Ibr<_>);
+leak_test!(list_crystalline_l, HarrisMichaelList, CrystallineL<_>);
+leak_test!(list_crystalline_w, HarrisMichaelList, CrystallineW<_>);
 
 // Michael hash map × all schemes.
 leak_test!(hashmap_hyaline, MichaelHashMap, Hyaline<_>);
@@ -116,6 +118,8 @@ leak_test!(hashmap_ebr, MichaelHashMap, Ebr<_>);
 leak_test!(hashmap_hp, MichaelHashMap, Hp<_>);
 leak_test!(hashmap_he, MichaelHashMap, He<_>);
 leak_test!(hashmap_ibr, MichaelHashMap, Ibr<_>);
+leak_test!(hashmap_crystalline_l, MichaelHashMap, CrystallineL<_>);
+leak_test!(hashmap_crystalline_w, MichaelHashMap, CrystallineW<_>);
 
 // Natarajan–Mittal tree × all schemes.
 leak_test!(nmtree_hyaline, NatarajanMittalTree, Hyaline<_>);
@@ -126,15 +130,19 @@ leak_test!(nmtree_ebr, NatarajanMittalTree, Ebr<_>);
 leak_test!(nmtree_hp, NatarajanMittalTree, Hp<_>);
 leak_test!(nmtree_he, NatarajanMittalTree, He<_>);
 leak_test!(nmtree_ibr, NatarajanMittalTree, Ibr<_>);
+leak_test!(nmtree_crystalline_l, NatarajanMittalTree, CrystallineL<_>);
+leak_test!(nmtree_crystalline_w, NatarajanMittalTree, CrystallineW<_>);
 
 // Bonsai tree × the schemes that support snapshot traversal (paper: no
-// HP/HE).
+// HP/HE; Crystalline is era-based like Hyaline-1S, so it is in).
 leak_test!(bonsai_hyaline, BonsaiTree, Hyaline<_>);
 leak_test!(bonsai_hyaline1, BonsaiTree, Hyaline1<_>);
 leak_test!(bonsai_hyaline_s, BonsaiTree, HyalineS<_>);
 leak_test!(bonsai_hyaline1_s, BonsaiTree, Hyaline1S<_>);
 leak_test!(bonsai_ebr, BonsaiTree, Ebr<_>);
 leak_test!(bonsai_ibr, BonsaiTree, Ibr<_>);
+leak_test!(bonsai_crystalline_l, BonsaiTree, CrystallineL<_>);
+leak_test!(bonsai_crystalline_w, BonsaiTree, CrystallineW<_>);
 
 /// After a quiescent churn (all threads left, handles flushed), Hyaline must
 /// have freed everything through the reclamation path — stats must balance

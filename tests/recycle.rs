@@ -145,7 +145,7 @@ fn cross_thread_recycle_balances_hyaline() {
 fn cross_thread_recycle_balances_crystalline_l() {
     let registry = DropRegistry::new();
     let (hits, recycled) =
-        churn::<crystalline::CrystallineL<Tracked<u64>>>(recycling(base_cfg()), &registry);
+        churn::<hyaline::CrystallineL<Tracked<u64>>>(recycling(base_cfg()), &registry);
     assert!(hits > 0, "pool never served an allocation");
     assert!(recycled > 0, "reclaim path never reached the pool");
     registry.assert_quiescent();
