@@ -106,6 +106,9 @@ pub struct Domain<
     /// finally at domain drop. REFS pointers are stored as `usize` so the
     /// domain stays auto-`Send`/`Sync`.
     pub(crate) orphans: Mutex<Vec<(usize, usize, usize)>>,
+    /// `HANDOFF`: `orphans.len()`, written under its lock, so that a drain
+    /// finding no orphans skips the lock altogether.
+    pub(crate) orphan_count: AtomicUsize,
     /// `!SINGLE`: round-robin starting slot for new handles.
     next_slot: AtomicUsize,
     pub(crate) stats: SmrStats,
@@ -188,6 +191,7 @@ where
             ack_threshold: config.ack_threshold,
             handoff_attempts: config.handoff_attempts,
             orphans: Mutex::new(Vec::new()),
+            orphan_count: AtomicUsize::new(0),
             next_slot: AtomicUsize::new(0),
             stats: SmrStats::new(),
             pool: NodePool::for_node::<T>(&config),
@@ -394,17 +398,17 @@ where
 
     /// Figure 3's `retire`: appends the batch to every active slot `0..k`,
     /// where `k` is the slot count the batch was finalized against. Past
-    /// the chain's own nodes each insertion takes a spare dummy
+    /// the block's own nodes each insertion takes a spare dummy
     /// ([`Insertions`]), as in `insert_owned`.
     ///
     /// # Safety
     ///
     /// `fin` must come from this handle's own `LocalBatch::finalize` with
     /// `Adjs = adjs_for(k)`, and be unpublished: no other thread may have
-    /// seen any chain node yet.
-    unsafe fn insert_shared(&mut self, fin: FinalizedBatch<T>, k: usize) {
+    /// seen any node of the batch yet.
+    unsafe fn insert_shared(&mut self, mut fin: FinalizedBatch<T>, k: usize) {
         let domain = self.domain;
-        let mut nodes = Insertions::new(&fin);
+        let mut nodes = Insertions::new();
         let mut skipped: usize = 0;
         for i in 0..k {
             let slot = domain.dir.slot(i);
@@ -417,13 +421,13 @@ where
                     skipped += 1;
                     break;
                 }
-                // SAFETY: extending the chain here is sound because `NRef`
+                // SAFETY: extending the block here is sound because `NRef`
                 // cannot reach zero before all `k` slots' contributions are
                 // in: each finished slot adds `Adjs`, and `j · Adjs ≢ 0 (mod
                 // 2^64)` for `0 < j < k`. The last of them comes through the
                 // skipped slots' adjustment below or after the last
                 // insertion CAS, and both follow every extension.
-                let insert_node = unsafe { nodes.node(&fin, &mut self.local) };
+                let insert_node = unsafe { nodes.node(&mut fin, &mut self.local) };
                 // SAFETY: `insert_node` is this thread's until the CAS below
                 // publishes it.
                 unsafe { header(insert_node) }
@@ -448,10 +452,7 @@ where
                         // detection.
                         slot.ack.fetch_add(head.refs() as i64, Ordering::Relaxed);
                     }
-                    // SAFETY: `fin` cannot be freed before every slot's
-                    // contribution is in, and the skipped slots' is still
-                    // to come.
-                    unsafe { nodes.linked(&fin) };
+                    nodes.linked();
                     break;
                 }
             }
@@ -475,10 +476,10 @@ where
     /// # Safety
     ///
     /// `fin` must come from this handle's own `LocalBatch::finalize` and be
-    /// unpublished: no other thread may have seen any chain node yet.
-    unsafe fn insert_owned(&mut self, fin: FinalizedBatch<T>) {
+    /// unpublished: no other thread may have seen any node of the batch yet.
+    unsafe fn insert_owned(&mut self, mut fin: FinalizedBatch<T>) {
         let domain = self.domain;
-        let mut nodes = Insertions::new(&fin);
+        let mut nodes = Insertions::new();
         let mut inserts: usize = 0;
         for idx in domain.registry.iter_claimed() {
             let slot = domain.dir.slot(idx);
@@ -492,15 +493,15 @@ where
                 if HANDOFF && attempts >= domain.handoff_attempts {
                     // Crystalline: deposit in the slot's handoff cell. The
                     // entry holds one `NRef` reference like a list insertion
-                    // but consumes no chain node.
+                    // but consumes no insertion node.
                     self.hand_off(idx, fin.refs_node);
                     inserts += 1;
                     break;
                 }
-                // SAFETY: extending the chain here is sound because `NRef`
+                // SAFETY: extending the block here is sound because `NRef`
                 // cannot reach zero before the final adjustment below: until
                 // then only decrements and handoff releases reach it.
-                let node = unsafe { nodes.node(&fin, &mut self.local) };
+                let node = unsafe { nodes.node(&mut fin, &mut self.local) };
                 // SAFETY: `node` is this thread's until the CAS below
                 // publishes it.
                 unsafe { header(node) }
@@ -513,9 +514,7 @@ where
                 {
                     // Replaces REF #2#.
                     inserts += 1;
-                    // SAFETY: `fin` cannot be freed before the final
-                    // adjustment below.
-                    unsafe { nodes.linked(&fin) };
+                    nodes.linked();
                     break;
                 }
                 attempts += 1;

@@ -25,7 +25,7 @@
 //! | slot | shared round-robin, `k = slots` | owned, claimed from a registry of `max_threads` | shared slots only: `enter` avoids slots with `Ack ≥ ack_threshold`, growing the directory when `adaptive` | — | — |
 //! | `enter` | fetch-add on `HRef`; the old `HPtr` is the handle | store the active bit | — | — | — |
 //! | `leave` | CAS loop; the last one out detaches the list | swap; traverse the detached list | shared slots: `Ack -=` nodes traversed | bump the occupancy sequence, collect the handoff cell; retry adopted and orphaned entries before freeing | — |
-//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment; spare dummies past the chain | every claimed slot; count the insertions; spare dummies past the chain | fence, then also skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
+//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment; spare dummies past the block's own nodes | every claimed slot; count the insertions; spare dummies past the block's own nodes | fence, then also skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
 //! | batch size | a full batch is `max(batch_min, k + 1)`, `Adjs = 2^64 / k`; a flushed partial batch gains one dummy per entered slot beyond its own nodes | a full batch is `max(batch_min, claimed + 1)`, `Adjs = 0`; a flushed partial batch likewise | `k` read when the batch is finalized | — | — |
 //! | `alloc` | pool | pool | advance the clock every `era_freq`, stamp the birth era | — | certify pending protect requests before advancing the clock |
 //! | `protect` | load | load | raise the slot's access era: CAS-max on shared slots, owner store + fence on owned | — | CAS-max + fence on owned slots too; publish a request after 8 rounds |
@@ -220,7 +220,7 @@ mod hyaline1 {
         fn partial_batch_flush_with_many_active_slots() {
             // Regression test: a partial batch (1 node, so no insertion node
             // of its own) flushed while several slots are active must extend
-            // with a fresh dummy *per slot* — re-inserting a chain node into a
+            // with a fresh dummy *per slot* — re-inserting a batch node into a
             // second slot list corrupts the first list.
             let domain = &Hyaline1::<u64>::with_config(SmrConfig {
                 batch_min: 64, // never filled during the test: flush is partial
@@ -769,6 +769,57 @@ mod tests {
         fn drop(&mut self) {
             self.0.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// An orphaned entry is released by the next drain once its occupancy
+    /// ends, long before teardown: the orphan count gates the lock, and a
+    /// handle that orphans an entry publishes the count under it.
+    #[test]
+    fn orphans_are_swept_by_a_later_drain() {
+        let drops = Arc::new(AtomicU64::new(0));
+        let d = CrystallineL::<Counted>::with_config(SmrConfig {
+            handoff_attempts: 0,
+            era_freq: 1 << 40, // one era throughout: the reader stays fresh
+            ..small()
+        });
+        // One batch of `batch_min` nodes; with forced handoff it lands in
+        // the open reader's cell, displacing the batch deposited before.
+        let retire_batch = |h: &mut crate::CrystallineHandle<'_, Counted, false>| {
+            h.enter();
+            for _ in 0..small().batch_min {
+                let node = h.alloc(Counted(Arc::clone(&drops)));
+                // SAFETY: `node` was never published; no other reference.
+                unsafe { h.retire(node) };
+            }
+            h.leave();
+        };
+        let mut reader = d.handle();
+        reader.enter();
+        let _ = reader.protect(0, &Atomic::null()); // publish the era
+        retire_batch(&mut d.handle());
+        let mut second = d.handle();
+        retire_batch(&mut second);
+        assert_eq!(
+            second.adopted.len(),
+            1,
+            "the displaced entry guards the open reader"
+        );
+        drop(second);
+        assert_eq!(d.orphan_count.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            0,
+            "both batches still pinned"
+        );
+        // The reader's own leave ends the occupancy, collects its cell and
+        // sweeps the orphan list.
+        reader.leave();
+        assert_eq!(d.orphan_count.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            2 * small().batch_min as u64,
+            "the orphaned batch is freed before teardown"
+        );
     }
 
     #[test]

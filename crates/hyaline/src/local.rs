@@ -11,9 +11,7 @@
 use smr_core::{EraClock, LocalStats, Magazine, NodePool, Shared, SmrNode, SmrStats};
 use std::sync::atomic::Ordering;
 
-use crate::batch::{
-    after_insertion, decrement, free_batch_into, header, FinalizedBatch, LocalBatch, W_NEXT,
-};
+use crate::batch::{decrement, free_batch_into, header, FinalizedBatch, LocalBatch, W_NEXT};
 
 /// The variant-independent per-handle state.
 pub(crate) struct Local<'d, T> {
@@ -105,7 +103,7 @@ impl<'d, T> Local<'d, T> {
     }
 
     /// Allocates a payload-less dummy node through the recycle pool and
-    /// links it into `fin`'s chain ([`FinalizedBatch::extend_with_dummy`]),
+    /// appends it to `fin`'s block ([`FinalizedBatch::extend_with_dummy`]),
     /// counted as allocated and retired in one step. This is the only way a
     /// dummy enters a batch (Section 2.4: a partial batch "can be
     /// immediately finalized by allocating a finite number of dummy nodes";
@@ -115,16 +113,15 @@ impl<'d, T> Local<'d, T> {
     ///
     /// [`FinalizedBatch::extend_with_dummy`]'s contract: only the inserting
     /// thread, before the batch's last slot contribution.
-    pub(crate) unsafe fn spare_dummy(&mut self, fin: &FinalizedBatch<T>) -> *mut SmrNode<T> {
+    pub(crate) unsafe fn spare_dummy(&mut self, fin: &mut FinalizedBatch<T>) {
         // SAFETY: the dummy's payload is never read, and it is freed with
-        // the batch, whose chain marks it payload-less.
+        // the batch, whose block marks it payload-less.
         let dummy = unsafe { self.pool.alloc_dummy::<T>(&mut self.mag, self.stats) }.as_ptr();
         self.local_stats.on_alloc(self.stats);
         self.local_stats.on_retire(self.stats);
         // SAFETY: the caller is the inserting thread, before the batch's last
         // slot contribution, and `dummy` is fresh and ours.
         unsafe { fin.extend_with_dummy(dummy) };
-        dummy
     }
 
     /// Counts one allocation; `true` on every `freq`-th, when Figure 5's
@@ -180,7 +177,7 @@ impl<'d, T> Local<'d, T> {
         self.local_stats.on_retire(self.stats);
         // SAFETY: as above: unlinked, retired once, and ours until the batch
         // is inserted.
-        unsafe { self.batch.push(node, birth) };
+        unsafe { self.batch.push(node, birth, self.pool, &mut self.mag) };
         self.batch.count()
     }
 
@@ -223,24 +220,23 @@ impl<'d, T> Local<'d, T> {
     }
 }
 
-/// The nodes one batch's insertions link, in order: the chain's own nodes
-/// except REFS, whose `Next` word is the batch's `NRef`, then one spare
-/// dummy per insertion past them, made on demand. So an `n`-node batch
-/// entering `a` slots costs `max(0, a − (n − 1))` dummies, and none when no
-/// slot is active. A node a CAS linked into one slot's list is never offered
-/// again: its `Next` word is that list's link, and a second list would
-/// overwrite it. One cursor is the whole state, which keeps the insertion
-/// loops' counters in registers.
-pub(crate) struct Insertions<T> {
-    /// The node on offer; REFS once the batch's own nodes are used up.
-    next: *mut SmrNode<T>,
+/// The nodes one batch's insertions link, in order: the block's own
+/// entries except REFS (entry 0), whose `Next` word is the batch's `NRef`,
+/// then one spare dummy per insertion past them, appended on demand. So an
+/// `n`-node batch entering `a` slots costs `max(0, a − (n − 1))` dummies,
+/// and none when no slot is active. A node a CAS linked into one slot's
+/// list is never offered again: its `Next` word is that list's link, and a
+/// second list would overwrite it. The cursor is one block index, which
+/// keeps the insertion loops' counters in registers and reads no node.
+pub(crate) struct Insertions {
+    /// Index of the entry on offer; the block's length once its own nodes
+    /// are used up.
+    next: usize,
 }
 
-impl<T> Insertions<T> {
-    pub(crate) fn new(fin: &FinalizedBatch<T>) -> Self {
-        Self {
-            next: fin.chain_head,
-        }
+impl Insertions {
+    pub(crate) fn new() -> Self {
+        Self { next: 1 }
     }
 
     /// The node the next insertion attempt links. A failed CAS is offered
@@ -251,27 +247,23 @@ impl<T> Insertions<T> {
     /// [`Local::spare_dummy`]'s contract, with `fin` the batch `self` was
     /// made for.
     #[inline]
-    pub(crate) unsafe fn node(
+    pub(crate) unsafe fn node<T>(
         &mut self,
-        fin: &FinalizedBatch<T>,
+        fin: &mut FinalizedBatch<T>,
         local: &mut Local<'_, T>,
     ) -> *mut SmrNode<T> {
-        if self.next == fin.refs_node {
+        if self.next == fin.len() {
             // SAFETY: the caller upholds `spare_dummy`'s contract for `fin`.
-            self.next = unsafe { local.spare_dummy(fin) };
+            unsafe { local.spare_dummy(fin) };
         }
-        self.next
+        // SAFETY: as above; `next < fin.len()` now.
+        unsafe { fin.node(self.next) }
     }
 
     /// Records that a CAS linked the node [`Insertions::node`] last
     /// returned.
-    ///
-    /// # Safety
-    ///
-    /// `fin` is the batch `self` was made for, not yet freed.
     #[inline]
-    pub(crate) unsafe fn linked(&mut self, fin: &FinalizedBatch<T>) {
-        // SAFETY: `self.next` is a node of `fin`, which is not yet freed.
-        self.next = unsafe { after_insertion(self.next, fin.refs_node) };
+    pub(crate) fn linked(&mut self) {
+        self.next += 1;
     }
 }

@@ -1,41 +1,47 @@
 //! Exhaustive interleaving exploration of the node-recycling free list
 //! (`smr_core::recycle::NodePool`): magazine spills racing refills.
 //!
-//! The pool's shared state is a Treiber-style free list with exactly two
-//! operations — `push_block` (CAS-loop prepend of an exclusively-owned
-//! chain) and `take_all` (one unconditional `swap` of the head to null) —
-//! and its safety argument is an *ABA argument by construction*:
+//! The pool moves free nodes in blocks (`smr_core::NodeBlock`, an array of
+//! node addresses), and its shared state is a Treiber-style list of blocks
+//! linked through their headers, with exactly two operations —
+//! `push_block` (CAS-loop prepend of one exclusively-owned block) and
+//! `take_all` (one unconditional `swap` of the head to null). The nodes a
+//! block names never move on their own and are never written to link
+//! anything, so the model's unit is the block, and its link is the block's
+//! header link. The pool's list of empty spare blocks is the same list with
+//! the same two operations, so this model covers it too. The safety
+//! argument is an *ABA argument by construction*:
 //!
 //! > The classic Treiber **pop-one** (read `head`, read `head->next`, CAS
-//! > `head → next`) is unsafe here because a node popped by another thread
+//! > `head → next`) is unsafe here because a block popped by another thread
 //! > can be handed out, be in active use, and be pushed back while the
 //! > first thread's CAS still compares equal — the CAS then installs the
-//! > *stale* `next` snapshot, splicing a node that is no longer free into
+//! > *stale* `next` snapshot, splicing a block that is no longer free into
 //! > the free list. `take_all` has no such window: the moment the `swap`
 //! > returns, the entire chain is unreachable from the shared head, so the
-//! > detaching thread walks link words of memory it exclusively owns, and
+//! > detaching thread reads block links of memory it exclusively owns, and
 //! > no CAS ever validates against state another thread could have
-//! > recycled in the meantime. `push_block` only ever *writes* the tail
-//! > link of a chain it owns and never dereferences nodes it observed
-//! > through the shared head — a stale comparand costs a retry, never a
-//! > corrupt splice.
+//! > recycled in the meantime. `push_block` only ever *writes* the link of
+//! > a block it owns and never dereferences blocks it observed through the
+//! > shared head — a stale comparand costs a retry, never a corrupt splice.
 //!
 //! This module checks that argument mechanically. Every transition is one
 //! atomic action under sequential consistency (one head load, one swap,
-//! one CAS attempt); link-word writes to *unpublished* memory are folded
-//! into the publishing CAS, which is sound precisely because no other
-//! thread can observe them earlier — the fold is itself part of the
+//! one CAS attempt); link writes to *unpublished* blocks are folded into
+//! the publishing CAS, and the reads of a detached chain's links into the
+//! detaching swap, which is sound precisely because no other thread can
+//! observe that memory in between — the fold is itself part of the
 //! ownership argument. The explorer runs every schedule and checks, after
 //! each successful head mutation and at quiescence:
 //!
 //! * **list integrity** — the chain reachable from the shared head is
-//!   duplicate-free and contains only nodes whose model state is *in the
-//!   list* (a spliced-in magazine or in-use node is flagged immediately);
-//! * **exclusive hand-out** — a node entering a magazine must come from
-//!   the free list (double hand-out);
-//! * **conservation** — at quiescence every node is exactly one of:
-//!   reachable in the list, parked in a magazine, or held in use; a node
-//!   marked free but unreachable is a lost node.
+//!   duplicate-free and contains only blocks whose model state is *in the
+//!   list* (a spliced-in magazine or in-use block is flagged immediately);
+//! * **exclusive hand-out** — a block entering a magazine or a reserve
+//!   must come from the free list (double hand-out);
+//! * **conservation** — at quiescence every block is exactly one of:
+//!   reachable in the list, in a task's reserve, parked in a magazine, or
+//!   held in use; a block marked free but unreachable is a lost block.
 //!
 //! The fault-injected [`RecycleOp::PopOne`] mutant implements the
 //! forbidden pop — snapshot `head` and `head->next` in two steps, then CAS
@@ -47,17 +53,21 @@
 
 use std::fmt;
 
-/// Where a node currently lives, from the model's omniscient view.
+/// Where a block currently lives, from the model's omniscient view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Place {
     /// Linked into the shared free list (must be reachable from `head`).
     List,
+    /// On the given task's private reserve: detached by its refill's
+    /// `take_all`, not yet taken into its magazine.
+    Reserve(usize),
     /// Parked in the magazine of the given task.
     Magazine(usize),
-    /// Handed out by `alloc` and currently in use by the given task.
+    /// Handed out by `alloc` and currently in use by the given task: its
+    /// nodes are allocated, and the emptied array names a batch.
     InUse(usize),
-    /// Part of a detached or not-yet-published chain owned by the task
-    /// (between a `take_all`/magazine pop and the publishing CAS).
+    /// A block being pushed by the task (between the magazine pop and the
+    /// publishing CAS).
     Pending(usize),
 }
 
@@ -65,24 +75,26 @@ enum Place {
 /// atomic action per explorer step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecycleOp {
-    /// `take_all` refill: one `swap` detaches the whole partition chain,
-    /// which the task keeps wholesale (magazine plus private reserve — one
-    /// ownership class, modelled as the magazine). Nothing is pushed back:
-    /// the real refill consumes the detached chain lazily rather than
-    /// walking it up front to return a remainder.
+    /// Refill: with an empty reserve, one `take_all` `swap` detaches the
+    /// whole partition chain; the refill takes its top block into the
+    /// magazine and keeps the rest, unread, as the task's private reserve.
+    /// Nothing is pushed back: like the real refill, a later one takes the
+    /// reserve's next block instead.
     Refill,
-    /// Spill `count` nodes from this task's magazine back to the shared
-    /// list as one `push_block` (read head, then one CAS per attempt).
-    Spill {
-        /// Nodes popped off the magazine into the published chain.
-        count: usize,
-    },
-    /// Pop one node from the magazine and hand it out (local action).
+    /// Spill the magazine's newest block back to the shared list with one
+    /// `push_block` (read head, then one CAS per attempt). A spill of an
+    /// empty magazine does nothing.
+    Spill,
+    /// Hand out the magazine's newest block (local action): its nodes are
+    /// allocated. An empty magazine first takes the reserve's next block —
+    /// the real refill's reserve path — and with no reserve either, the
+    /// allocation misses the pool.
     Alloc,
-    /// Return the most recently allocated node to the magazine (local).
+    /// Return the most recently allocated block to the magazine (local):
+    /// a freed batch's block joins the freeing task's magazine whole.
     Dispose,
     /// **Fault injection**: the forbidden Treiber pop-one — read `head`,
-    /// read `head->next` (a node this task does *not* own), CAS
+    /// read `head->next` (a block this task does *not* own), CAS
     /// `head → next`. Exists to prove the explorer catches the ABA splice;
     /// the real pool deliberately has no such operation.
     PopOne,
@@ -93,11 +105,10 @@ pub enum RecycleOp {
 enum Micro {
     /// Between operations.
     Idle,
-    /// `push_block` in flight: chain is built and owned, next step reads
-    /// the shared head (None) or attempts the CAS (Some(observed)).
+    /// `push_block` in flight: the block is owned, next step reads the
+    /// shared head (None) or attempts the CAS (Some(observed)).
     Push {
-        chain_head: usize,
-        chain_tail: usize,
+        block: usize,
         observed: Option<usize>,
     },
     /// Faulty pop-one in flight: head snapshot, then next snapshot.
@@ -110,7 +121,7 @@ enum Micro {
 /// A scenario: an initial free-list population plus one program per task.
 #[derive(Debug, Clone)]
 pub struct RecycleScenario {
-    /// Nodes initially chained into the shared list (ids `1..=nodes`).
+    /// Blocks initially chained into the shared list (ids `1..=nodes`).
     pub nodes: usize,
     /// Per-task operation sequences.
     pub programs: Vec<Vec<RecycleOp>>,
@@ -120,15 +131,15 @@ pub struct RecycleScenario {
 
 impl RecycleScenario {
     /// Two tasks racing the correct protocol over a shared list of
-    /// `nodes`: each refills, cycles a node through alloc/dispose, and
-    /// spills everything back. Exercises swap-vs-push and push-vs-push
-    /// races with node reuse in between.
+    /// `nodes` blocks: each refills, cycles a block through alloc/dispose,
+    /// and spills it back. Exercises swap-vs-push and push-vs-push races
+    /// with block reuse in between.
     pub fn spill_refill(nodes: usize) -> Self {
         let program = vec![
             RecycleOp::Refill,
             RecycleOp::Alloc,
             RecycleOp::Dispose,
-            RecycleOp::Spill { count: 1 },
+            RecycleOp::Spill,
         ];
         Self {
             nodes,
@@ -138,23 +149,18 @@ impl RecycleScenario {
     }
 
     /// The ABA trap: task 0 runs the forbidden pop-one while task 1
-    /// detaches the whole list, takes the second node into active use
-    /// (magazines are LIFO, so the alloc hands out `n2`), and pushes the
-    /// first node back. In the interleaving where task 0 snapshots
-    /// `head = n1, next = n2` before the detach and CASes after the
-    /// push-back, the CAS succeeds — head is `n1` again — and splices
-    /// `n2`, a node currently in use, into the free list. The explorer
-    /// must find it.
+    /// detaches the whole list (`b1` into its magazine, `b2` onto its
+    /// reserve), pushes `b1` back, and takes `b2` into active use. In the
+    /// interleaving where task 0 snapshots `head = b1, next = b2` before
+    /// the detach and CASes after the push-back, the CAS succeeds — head is
+    /// `b1` again — and splices `b2`, a block currently in use, into the
+    /// free list. The explorer must find it.
     pub fn pop_one_race() -> Self {
         Self {
             nodes: 2,
             programs: vec![
                 vec![RecycleOp::PopOne],
-                vec![
-                    RecycleOp::Refill,
-                    RecycleOp::Alloc,
-                    RecycleOp::Spill { count: 1 },
-                ],
+                vec![RecycleOp::Refill, RecycleOp::Spill, RecycleOp::Alloc],
             ],
             name: "recycle_pop_one_race".into(),
         }
@@ -192,15 +198,17 @@ impl fmt::Display for RecycleOutcome {
 
 #[derive(Clone)]
 struct RecState {
-    /// Shared list head: node id, 0 = null.
+    /// Shared list head: block id, 0 = null.
     head: usize,
-    /// `link[id - 1]`: next-free pointer stored in the node's header word.
+    /// `link[id - 1]`: the next-block link stored in the block's header.
     link: Vec<usize>,
-    /// `place[id - 1]`: omniscient ownership state of each node.
+    /// `place[id - 1]`: omniscient ownership state of each block.
     place: Vec<Place>,
-    /// Per-task program counter, micro-state, magazine, and in-use stack.
+    /// Per-task program counter, micro-state, reserve chain head,
+    /// magazine, and in-use stack.
     pc: Vec<usize>,
     micro: Vec<Micro>,
+    reserve: Vec<usize>,
     mags: Vec<Vec<usize>>,
     in_use: Vec<Vec<usize>>,
 }
@@ -217,13 +225,27 @@ impl RecState {
             place: vec![Place::List; scenario.nodes],
             pc: vec![0; tasks],
             micro: vec![Micro::Idle; tasks],
+            reserve: vec![0; tasks],
             mags: vec![Vec::new(); tasks],
             in_use: vec![Vec::new(); tasks],
         }
     }
 
+    /// Moves the next block of `task`'s reserve into its magazine, following
+    /// the block's link. Returns whether the reserve had one.
+    fn draw_reserve(&mut self, task: usize) -> bool {
+        let id = self.reserve[task];
+        if id == 0 {
+            return false;
+        }
+        self.reserve[task] = self.link[id - 1];
+        self.place[id - 1] = Place::Magazine(task);
+        self.mags[task].push(id);
+        true
+    }
+
     /// Walks the shared list and checks integrity: no duplicates (a cycle
-    /// shows up as one) and every reachable node is in [`Place::List`].
+    /// shows up as one) and every reachable block is in [`Place::List`].
     fn check_list(&self, schedule: &[usize]) -> Result<(), RecycleViolation> {
         let fail = |message: String| RecycleViolation {
             message,
@@ -234,13 +256,13 @@ impl RecState {
         while cur != 0 {
             if seen[cur - 1] {
                 return Err(fail(format!(
-                    "free list corrupt: node {cur} reachable twice (cycle or splice)"
+                    "free list corrupt: block {cur} reachable twice (cycle or splice)"
                 )));
             }
             seen[cur - 1] = true;
             if self.place[cur - 1] != Place::List {
                 return Err(fail(format!(
-                    "free list corrupt: node {cur} reachable from head while {:?} — \
+                    "free list corrupt: block {cur} reachable from head while {:?} — \
                      a stale next-snapshot was spliced in",
                     self.place[cur - 1]
                 )));
@@ -289,44 +311,31 @@ fn step(
     };
     match state.micro[task] {
         Micro::Idle => begin(scenario, state, task, schedule),
-        Micro::Push {
-            chain_head,
-            chain_tail,
-            observed,
-        } => match observed {
+        Micro::Push { block, observed } => match observed {
             // Atomic action: load the shared head as the CAS comparand.
             None => {
                 state.micro[task] = Micro::Push {
-                    chain_head,
-                    chain_tail,
+                    block,
                     observed: Some(state.head),
                 };
                 Ok(())
             }
-            // Atomic action: one CAS attempt. The tail-link store is folded
-            // in: it targets unpublished memory this task owns, so no other
+            // Atomic action: one CAS attempt. The link store is folded in:
+            // it targets the unpublished block this task owns, so no other
             // thread can observe it before the CAS succeeds (see module
             // docs — this fold *is* the ownership argument).
             Some(expected) => {
                 if state.head == expected {
-                    state.link[chain_tail - 1] = expected;
-                    state.head = chain_head;
-                    let mut cur = chain_head;
-                    loop {
-                        state.place[cur - 1] = Place::List;
-                        if cur == chain_tail {
-                            break;
-                        }
-                        cur = state.link[cur - 1];
-                    }
+                    state.link[block - 1] = expected;
+                    state.head = block;
+                    state.place[block - 1] = Place::List;
                     state.micro[task] = Micro::Idle;
                     state.pc[task] += 1;
                     state.check_list(schedule)
                 } else {
                     // CAS failure returns the freshly observed head.
                     state.micro[task] = Micro::Push {
-                        chain_head,
-                        chain_tail,
+                        block,
                         observed: Some(state.head),
                     };
                     Ok(())
@@ -334,7 +343,7 @@ fn step(
             }
         },
         Micro::Pop { observed, next } => match next {
-            // Atomic action: read `observed->next` — memory this task does
+            // Atomic action: read `observed->next` — a block this task does
             // NOT own. The model allows the stale read (that is the bug
             // under test); the splice it enables is caught at the CAS.
             None => {
@@ -349,7 +358,7 @@ fn step(
                 if state.head == observed {
                     if state.place[observed - 1] != Place::List {
                         return Err(fail(format!(
-                            "pop-one handed out node {observed} while {:?} (double hand-out)",
+                            "pop-one handed out block {observed} while {:?} (double hand-out)",
                             state.place[observed - 1]
                         )));
                     }
@@ -388,61 +397,65 @@ fn begin(
         schedule: schedule.to_vec(),
     };
     match scenario.programs[task][state.pc[task]] {
-        // Atomic action: `swap(head, 0)`. Everything the swap detaches is
-        // exclusively owned from this instant — the model moves the whole
-        // chain into the task's magazine within the same step, mirroring
-        // the real refill's private reserve (same ownership class).
+        // Atomic action (with an empty reserve): `swap(head, 0)`.
+        // Everything the swap detaches is
+        // exclusively owned from this instant — the model moves the top
+        // block into the task's magazine and the rest onto its reserve
+        // within the same step, reading the links of owned blocks only.
         RecycleOp::Refill => {
+            if state.draw_reserve(task) {
+                // A local action: the reserve's next block, by its link.
+                state.pc[task] += 1;
+                return Ok(());
+            }
             let mut cur = state.head;
             state.head = 0;
+            let mut top = true;
             while cur != 0 {
                 if state.place[cur - 1] != Place::List {
                     return Err(fail(format!(
-                        "refill detached node {cur} while {:?} (double hand-out)",
+                        "refill detached block {cur} while {:?} (double hand-out)",
                         state.place[cur - 1]
                     )));
                 }
-                state.place[cur - 1] = Place::Magazine(task);
-                state.mags[task].push(cur);
+                if top {
+                    state.place[cur - 1] = Place::Magazine(task);
+                    state.mags[task].push(cur);
+                    state.reserve[task] = state.link[cur - 1];
+                    top = false;
+                } else {
+                    state.place[cur - 1] = Place::Reserve(task);
+                }
                 cur = state.link[cur - 1];
             }
             state.pc[task] += 1;
             Ok(())
         }
-        // Local action: pop `count` magazine nodes and pre-link them into
-        // the chain to publish. Link writes target owned memory; the first
-        // shared access is the head read in the next step. Like the real
-        // `spill_down`, a spill clamps to what the magazine holds and a
-        // spill of nothing returns early.
-        RecycleOp::Spill { count } => {
-            let count = count.min(state.mags[task].len());
-            if count == 0 {
+        // Local action: pop the magazine's newest block to publish. The
+        // first shared access is the head read in the next step. Like the
+        // real `flush`, a spill of an empty magazine returns early.
+        RecycleOp::Spill => {
+            let Some(id) = state.mags[task].pop() else {
                 state.pc[task] += 1;
                 return Ok(());
-            }
-            let mut chain_head = 0usize;
-            let mut chain_tail = 0usize;
-            for _ in 0..count {
-                let id = state.mags[task].pop().expect("checked above");
-                state.place[id - 1] = Place::Pending(task);
-                state.link[id - 1] = chain_head;
-                if chain_head == 0 {
-                    chain_tail = id;
-                }
-                chain_head = id;
-            }
+            };
+            state.place[id - 1] = Place::Pending(task);
             state.micro[task] = Micro::Push {
-                chain_head,
-                chain_tail,
+                block: id,
                 observed: None,
             };
             Ok(())
         }
-        // Local action: magazine → in use. An empty magazine is a pool
-        // miss: the real `alloc` falls back to the global allocator, so
-        // the model mints a fresh node (which later disposes and spills
-        // into the pool like any other — exactly the real flow).
+        // Local action: magazine → in use. An empty magazine takes the
+        // reserve's next block by its link, as the real refill does; with
+        // no reserve either it is a pool miss: the real `alloc` falls back
+        // to the global allocator, so the model mints a fresh block (which
+        // later disposes and spills into the pool like any other — exactly
+        // the real flow).
         RecycleOp::Alloc => {
+            if state.mags[task].is_empty() {
+                state.draw_reserve(task);
+            }
             let id = match state.mags[task].pop() {
                 Some(id) => id,
                 None => {
@@ -481,8 +494,8 @@ fn begin(
     }
 }
 
-/// Conservation at quiescence: every node is in exactly one place and
-/// every free node is reachable.
+/// Conservation at quiescence: every block is in exactly one place and
+/// every free block is reachable.
 fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), RecycleViolation> {
     let fail = |message: String| RecycleViolation {
         message,
@@ -498,11 +511,11 @@ fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), RecycleV
     for (i, place) in state.place.iter().enumerate() {
         match place {
             Place::List if !reachable[i] => {
-                return Err(fail(format!("lost node {} (free but unreachable)", i + 1)));
+                return Err(fail(format!("lost block {} (free but unreachable)", i + 1)));
             }
             Place::Pending(task) => {
                 return Err(fail(format!(
-                    "node {} still pending in task {task}'s unpublished chain",
+                    "block {} still pending in task {task}'s unpublished push",
                     i + 1
                 )));
             }
@@ -559,7 +572,7 @@ mod tests {
     fn spill_refill_all_interleavings_safe() {
         // The real protocol (take_all + push_block only): every schedule of
         // two tasks refilling, reusing, and spilling over a shared list
-        // must keep the list intact and conserve every node.
+        // must keep the list intact and conserve every block.
         let outcome = explore(&RecycleScenario::spill_refill(3), 5_000_000);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         assert!(outcome.complete, "exploration must be exhaustive");
@@ -568,14 +581,14 @@ mod tests {
 
     #[test]
     fn empty_list_refills_miss_safely() {
-        // Three tasks racing over a single-node list: most refills miss or
+        // Three tasks racing over a single-block list: most refills miss or
         // detach nothing; nothing may be lost or duplicated regardless.
         let scenario = RecycleScenario {
             nodes: 1,
             programs: vec![
-                vec![RecycleOp::Refill, RecycleOp::Spill { count: 1 }],
-                vec![RecycleOp::Refill, RecycleOp::Spill { count: 1 }],
-                vec![RecycleOp::Refill, RecycleOp::Spill { count: 1 }],
+                vec![RecycleOp::Refill, RecycleOp::Spill],
+                vec![RecycleOp::Refill, RecycleOp::Spill],
+                vec![RecycleOp::Refill, RecycleOp::Spill],
             ],
             name: "recycle_contended_single_node".into(),
         };
@@ -586,17 +599,21 @@ mod tests {
 
     #[test]
     fn spill_refill_scenarios_conserve_under_spill_skew() {
-        // Asymmetric spill sizes force multi-node block pushes to race both
-        // a concurrent swap and a concurrent single-node push.
+        // Asymmetric programs: one task takes a second block off its reserve
+        // and pushes two blocks back to back, racing both a concurrent swap
+        // and a concurrent push.
         let scenario = RecycleScenario {
             nodes: 4,
             programs: vec![
-                vec![RecycleOp::Refill, RecycleOp::Spill { count: 1 }],
+                vec![RecycleOp::Refill, RecycleOp::Spill],
                 vec![
                     RecycleOp::Refill,
                     RecycleOp::Alloc,
+                    RecycleOp::Alloc,
                     RecycleOp::Dispose,
-                    RecycleOp::Spill { count: 2 },
+                    RecycleOp::Dispose,
+                    RecycleOp::Spill,
+                    RecycleOp::Spill,
                 ],
             ],
             name: "recycle_spill_skew".into(),
@@ -610,7 +627,7 @@ mod tests {
     fn pop_one_mutant_is_caught() {
         // The fault-injected Treiber pop-one must be caught: some schedule
         // lets the pop CAS succeed against stale snapshots and splice a
-        // magazine-resident node into the free list.
+        // block in use into the free list.
         let outcome = explore(&RecycleScenario::pop_one_race(), 5_000_000);
         let violation = outcome.violation.expect("the ABA splice must be detected");
         assert!(

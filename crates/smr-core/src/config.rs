@@ -121,9 +121,11 @@ pub struct SmrConfig {
     /// recycled nodes stay on the shard that freed them. Ignored unless
     /// [`SmrConfig::recycle`] is set.
     pub recycle_capacity: usize,
-    /// Capacity of each handle's local recycle magazine (the bounded cache
-    /// spilled to / refilled from the shared pool in blocks). Ignored unless
-    /// [`SmrConfig::recycle`] is set.
+    /// Capacity of each handle's local recycle magazine, in nodes: a
+    /// dispose into a full magazine spills half of it to the shared pool as
+    /// one block, and a refill takes at most this many. New blocks hold
+    /// `max(recycle_magazine, effective_batch_size())` entries, so one
+    /// names a full batch. Ignored unless [`SmrConfig::recycle`] is set.
     pub recycle_magazine: usize,
 }
 

@@ -19,7 +19,7 @@ use std::sync::atomic::AtomicUsize;
 /// |------|---------------------|-----|----|----------|
 /// | 0 | slot-list `Next` / birth era / `NRef` (REFS node) | limbo next | retired next | retired next |
 /// | 1 | `batch_link` → REFS node / `Adjs` (REFS node) | retire epoch | — | birth era |
-/// | 2 | `batch_next` chain (low bit: payload-live flag) / `first` (REFS node) | — | — | retire era |
+/// | 2 | unused / the batch's `NodeBlock` (REFS node) | — | — | retire era |
 ///
 /// # Example
 ///

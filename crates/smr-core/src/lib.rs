@@ -27,7 +27,9 @@
 //! * [`NodePool`] and [`Magazine`] — the layout-keyed node-recycling layer
 //!   ([`recycle`]): while [`SmrConfig::recycle`] is on (the default), every
 //!   scheme's reclaim path feeds freed node memory back to `alloc` instead
-//!   of the global allocator.
+//!   of the global allocator. It moves free nodes a [`NodeBlock`] (an
+//!   array of node addresses) at a time; a Hyaline batch names its nodes
+//!   in one too.
 //!
 //! # Example
 //!
@@ -64,6 +66,7 @@ compile_error!(
      head packs a 16-bit reference count with a 48-bit pointer"
 );
 
+mod block;
 mod config;
 mod era;
 mod header;
@@ -76,6 +79,7 @@ mod smr;
 mod stats;
 pub mod typed;
 
+pub use block::NodeBlock;
 pub use config::{ShardRouting, SmrConfig};
 pub use era::EraClock;
 pub use header::{NodeHeader, SmrNode};

@@ -12,6 +12,7 @@ use lockfree_ds::{HarrisMichaelList, MichaelHashMap, MsQueue, TreiberStack};
 use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Smr, SmrConfig, SmrHandle};
 use smr_testkit::{DropRegistry, Tracked};
+use std::sync::Barrier;
 
 fn cfg() -> SmrConfig {
     SmrConfig {
@@ -261,4 +262,57 @@ fn leaky_leaks_are_visible_to_the_registry() {
         registry.live(),
         removed
     );
+}
+
+/// A full batch retired on one thread is freed on another: the writer
+/// retires exactly one batch while a reader thread sits inside an
+/// operation, so the reader's `leave` is the batch's last decrement and
+/// frees it. The block naming the batch's nodes crosses threads with it;
+/// every payload drops exactly once, on the reader's thread.
+fn full_batch_freed_on_another_thread<S: Smr<Tracked<u64>>>() {
+    let registry = DropRegistry::new();
+    let batch = cfg().batch_min as u64;
+    {
+        // One shared slot (or one owned slot each): the batch reaches the
+        // reader whatever the variant.
+        let domain = S::with_config(SmrConfig { slots: 1, ..cfg() });
+        let (entered, retired) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut reader = domain.handle();
+                reader.enter();
+                entered.wait();
+                retired.wait();
+                assert_eq!(
+                    registry.live(),
+                    batch as i64,
+                    "the open reader pins the batch"
+                );
+                reader.leave();
+                assert_eq!(registry.live(), 0, "the reader's leave freed the batch");
+            });
+            let mut writer = domain.handle();
+            entered.wait();
+            writer.enter();
+            for v in 0..batch {
+                let node = writer.alloc(registry.track(v));
+                // SAFETY: never published; the writer owns it outright.
+                unsafe { writer.retire(node) };
+            }
+            writer.leave();
+            retired.wait();
+        });
+    }
+    registry.assert_quiescent();
+    assert_eq!(registry.created(), batch);
+}
+
+#[test]
+fn full_batch_freed_on_another_thread_hyaline() {
+    full_batch_freed_on_another_thread::<Hyaline<_>>();
+}
+
+#[test]
+fn full_batch_freed_on_another_thread_hyaline1() {
+    full_batch_freed_on_another_thread::<Hyaline1<_>>();
 }
