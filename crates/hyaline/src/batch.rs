@@ -5,11 +5,14 @@
 //! three header words regardless of batch size or slot count:
 //!
 //! * **word 0** — the per-slot retirement-list `Next` pointer once the node
-//!   is used to insert the batch into a slot. Before retirement the same word
-//!   holds the node's *birth era* (Hyaline-S; "birth eras share space with
-//!   other variables, e.g. Next, as they are not required to survive
-//!   retire"). On the batch's dedicated **REFS node** this word is the
-//!   batch's `NRef` counter.
+//!   is used to insert the batch into a slot. Before that the same word
+//!   holds the node's *birth era* (the era variants; "birth eras share space
+//!   with other variables, e.g. Next, as they are not required to survive
+//!   retire"). It is read at `retire`, and read again when an active slot's
+//!   access era falls inside the batch's birth range and the batch is cut
+//!   there ([`LocalBatch::cut_younger`]): nothing overwrites it before the
+//!   batch is finalized. On the batch's dedicated **REFS node** this word is
+//!   the batch's `NRef` counter.
 //! * **word 1** — `batch_link`: a pointer to the REFS node. On the REFS node
 //!   itself this word stores the batch's `Adjs` constant instead (Section
 //!   4.3: "the NRef node itself does not need to keep this pointer. Instead,
@@ -56,6 +59,20 @@ pub(crate) unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader 
     unsafe { (*node).header() }
 }
 
+/// The birth era in word 0 of the node a block entry names.
+///
+/// # Safety
+///
+/// The node is live and its word 0 still holds its birth era: it is pushed
+/// to a batch that is not finalized yet.
+#[inline]
+unsafe fn birth<T>(entry: usize) -> u64 {
+    // SAFETY: the caller guarantees a live node.
+    unsafe { header((entry & !NodeBlock::LIVE) as *mut SmrNode<T>) }
+        .word(W_NEXT)
+        .load(Ordering::Relaxed) as u64
+}
+
 /// A thread-local batch under construction.
 ///
 /// The first node pushed becomes the batch's REFS node (entry 0 of the
@@ -65,6 +82,7 @@ pub(crate) struct LocalBatch<T> {
     block: Option<NodeBlock>,
     refs_node: *mut SmrNode<T>,
     min_birth: u64,
+    max_birth: u64,
 }
 
 impl<T> Default for LocalBatch<T> {
@@ -80,6 +98,7 @@ impl<T> LocalBatch<T> {
             block: None,
             refs_node: std::ptr::null_mut(),
             min_birth: u64::MAX,
+            max_birth: 0,
         }
     }
 
@@ -126,6 +145,76 @@ impl<T> LocalBatch<T> {
             }
         }
         self.min_birth = self.min_birth.min(birth);
+        self.max_birth = self.max_birth.max(birth);
+    }
+
+    /// The oldest and the youngest birth era among the pushed nodes.
+    pub(crate) fn birth_range(&self) -> (u64, u64) {
+        (self.min_birth, self.max_birth)
+    }
+
+    /// Cuts the batch at `era`: this batch keeps the nodes born at or
+    /// before it, and the younger ones move to a batch of their own, named
+    /// in an empty block taken from `pool` through `mag`, which is
+    /// returned. Each part's first node becomes its REFS node, and every
+    /// other node's word 1 is pointed at it; both parts are ordinary
+    /// batches with their own birth range, so a slot whose access era is
+    /// `era` is entered by the older part only.
+    ///
+    /// # Safety
+    ///
+    /// Every node's word 0 must hold the birth era it was pushed with,
+    /// which holds in an era domain until [`LocalBatch::finalize`], and
+    /// `min_birth <= era < max_birth`, so neither part is empty.
+    pub(crate) unsafe fn cut_younger(
+        &mut self,
+        era: u64,
+        pool: &NodePool,
+        mag: &mut Magazine,
+    ) -> LocalBatch<T> {
+        debug_assert!(self.min_birth <= era && era < self.max_birth);
+        let mut older = self.block.take().expect("cut of an empty batch");
+        let mut younger = pool.block(mag);
+        // SAFETY: every entry names a pushed node this thread still owns,
+        // its birth era in word 0 (the caller's contract).
+        older.move_where(&mut younger, |entry| unsafe { birth::<T>(entry) } > era);
+        // SAFETY: as above; `min_birth <= era < max_birth` leaves a node on
+        // either side.
+        unsafe {
+            *self = Self::from_block(older);
+            Self::from_block(younger)
+        }
+    }
+
+    /// The batch of the nodes `block` names: the first becomes REFS, every
+    /// other one's word 1 points at it, and the birth range is read back
+    /// from word 0.
+    ///
+    /// # Safety
+    ///
+    /// `block` is non-empty, and its entries name pushed nodes this thread
+    /// owns, each with its birth era in word 0.
+    unsafe fn from_block(block: NodeBlock) -> Self {
+        let refs_node = (block.entries()[0] & !NodeBlock::LIVE) as *mut SmrNode<T>;
+        let (mut min_birth, mut max_birth) = (u64::MAX, 0);
+        for (i, &entry) in block.entries().iter().enumerate() {
+            // SAFETY: the caller's contract.
+            let born = unsafe { birth::<T>(entry) };
+            min_birth = min_birth.min(born);
+            max_birth = max_birth.max(born);
+            if i > 0 {
+                // SAFETY: as above: a node this thread owns.
+                unsafe { header((entry & !NodeBlock::LIVE) as *mut SmrNode<T>) }
+                    .word(W_LINK)
+                    .store(refs_node as usize, Ordering::Relaxed);
+            }
+        }
+        Self {
+            block: Some(block),
+            refs_node,
+            min_birth,
+            max_birth,
+        }
     }
 
     /// Freezes the batch: initializes `NRef` to zero, records the batch's

@@ -463,6 +463,154 @@ pub(crate) fn fresh_reader_is_tracked_not_skipped<D: Smr<u64>>() {
     assert_all_freed(domain);
 }
 
+/// Allocates and frees `small().era_freq` unpublished nodes through `h`, so
+/// the era clock advances at least once: whatever `h` allocates next is
+/// born after any access era taken before the call. The freed nodes count
+/// as deallocated, so the cases that call this check `balanced()` rather
+/// than [`assert_all_freed`].
+fn advance_era<H: SmrHandle<u64>>(h: &mut H) {
+    for v in 0..small().era_freq {
+        let node = h.alloc(v);
+        // SAFETY: `node` was never published; dealloc-in-place is allowed.
+        unsafe { h.dealloc(node) };
+    }
+}
+
+/// Retires `nodes` through `writer` inside one operation and flushes them
+/// as one partial batch once it has left, so only the readers' slots are
+/// active when the batch is cut and inserted.
+fn retire_as_one_batch<H: SmrHandle<u64>>(writer: &mut H, nodes: Vec<Shared<u64>>) {
+    writer.enter();
+    for node in nodes {
+        // SAFETY: `node` was never published; no other reference exists.
+        unsafe { writer.retire(node) };
+    }
+    writer.leave();
+    writer.flush();
+}
+
+/// Takes the nodes of `groups` round-robin, one from each group in turn,
+/// so a batch's REFS node and its neighbours come from different groups.
+fn interleave(groups: Vec<Vec<Shared<u64>>>) -> Vec<Shared<u64>> {
+    let mut iters: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
+    let mut out = Vec::new();
+    loop {
+        let before = out.len();
+        out.extend(iters.iter_mut().filter_map(Iterator::next));
+        if out.len() == before {
+            return out;
+        }
+    }
+}
+
+/// A layout for the cut cases: every handle gets a slot of its own, and a
+/// batch holds everything one test retires until it is flushed.
+fn cut_layout() -> SmrConfig {
+    SmrConfig {
+        slots: 8,
+        batch_min: 64,
+        ..small()
+    }
+}
+
+/// `ERAS`: a reader whose access era `E` lies inside a batch's birth range
+/// pins only the nodes born at or before `E`. The batch is cut at `E`: the
+/// older part enters the reader's slot, with one dummy when it has no node
+/// besides its REFS node, and the younger part skips the slot and is freed
+/// at the flush. The old and young nodes are retired interleaved, so the
+/// batch's first node, its REFS node, is young in one round and old in the
+/// other.
+pub(crate) fn stale_reader_pins_only_older_part<D: Smr<u64>>() {
+    for (n_old, young_first) in [(1u64, false), (3, true), (3, false)] {
+        let domain = D::with_config(cut_layout());
+        let link = Atomic::null();
+        let mut reader = domain.handle();
+        let mut writer = domain.handle();
+        let old: Vec<_> = (0..n_old).map(|v| writer.alloc(v)).collect();
+        reader.enter();
+        let _ = reader.protect(0, &link);
+        advance_era(&mut writer);
+        let young: Vec<_> = (0..8).map(|v| writer.alloc(100 + v)).collect();
+        let groups = if young_first { vec![young, old] } else { vec![old, young] };
+        retire_as_one_batch(&mut writer, interleave(groups));
+        let dummies = 2u64.saturating_sub(n_old);
+        assert_eq!(
+            domain.stats().unreclaimed(),
+            n_old + dummies,
+            "{}: {n_old} nodes born before the reader's era, young first: {young_first}",
+            D::name()
+        );
+        reader.leave();
+        reader.flush();
+        assert_eq!(domain.stats().unreclaimed(), 0, "{}", D::name());
+        drop((reader, writer));
+        assert!(domain.stats().balanced(), "{}", D::name());
+    }
+}
+
+/// `ERAS`: two readers parked at eras `E1 < E2` cut a batch twice. The
+/// nodes born by `E1` enter both slots (two nodes, one insertion node of
+/// their own, so one dummy), those born in `(E1, E2]` enter the second
+/// reader's slot only (two nodes, no dummy), and the rest are freed at the
+/// flush. So the second reader's leave frees its part although the first
+/// reader stays parked: one cut at `E2` would have left that part in the
+/// first reader's slot too.
+pub(crate) fn two_stale_readers_cut_at_each_era<D: Smr<u64>>() {
+    let domain = D::with_config(cut_layout());
+    let link = Atomic::null();
+    let mut first = domain.handle();
+    let mut second = domain.handle();
+    let mut writer = domain.handle();
+    let oldest: Vec<_> = (0..2).map(|v| writer.alloc(v)).collect();
+    first.enter();
+    let _ = first.protect(0, &link);
+    advance_era(&mut writer);
+    let middle: Vec<_> = (0..2).map(|v| writer.alloc(10 + v)).collect();
+    second.enter();
+    let _ = second.protect(0, &link);
+    advance_era(&mut writer);
+    let young: Vec<_> = (0..4).map(|v| writer.alloc(20 + v)).collect();
+    retire_as_one_batch(&mut writer, interleave(vec![young, middle, oldest]));
+    let unreclaimed = || domain.stats().unreclaimed();
+    assert_eq!(unreclaimed(), (2 + 1) + 2, "{}: both parts pinned", D::name());
+    second.leave();
+    second.flush();
+    assert_eq!(unreclaimed(), 2 + 1, "{}: the middle part is free", D::name());
+    first.leave();
+    first.flush();
+    assert_eq!(unreclaimed(), 0, "{}", D::name());
+    drop((first, second, writer));
+    assert!(domain.stats().balanced(), "{}", D::name());
+}
+
+/// `ERAS`: a batch is cut only by an access era inside its birth range. A
+/// reader parked before every birth is skipped and one that protected after
+/// every birth takes the whole batch: ten nodes, one insertion node, no
+/// dummy, so nothing but the batch's own nodes is ever retired.
+pub(crate) fn no_cut_outside_birth_range<D: Smr<u64>>() {
+    let domain = D::with_config(cut_layout());
+    let link = Atomic::null();
+    let mut stale = domain.handle();
+    let mut fresh = domain.handle();
+    let mut writer = domain.handle();
+    stale.enter();
+    let _ = stale.protect(0, &link);
+    advance_era(&mut writer);
+    let older: Vec<_> = (0..5).map(|v| writer.alloc(v)).collect();
+    advance_era(&mut writer);
+    let younger: Vec<_> = (0..5).map(|v| writer.alloc(10 + v)).collect();
+    fresh.enter();
+    let _ = fresh.protect(0, &link);
+    retire_as_one_batch(&mut writer, interleave(vec![older, younger]));
+    let stats = domain.stats();
+    assert_eq!(stats.retired(), 10, "{}: a dummy means a cut", D::name());
+    assert_eq!(stats.unreclaimed(), 10, "{}: the fresh reader pins all", D::name());
+    stale.leave();
+    fresh.leave();
+    drop((stale, fresh, writer));
+    assert!(domain.stats().balanced(), "{}", D::name());
+}
+
 /// What each alias tells generic code about itself (the paper's Table 1 and
 /// the `Sharded`/seek-validation contracts), against the values the six
 /// separate implementations declared.
@@ -545,3 +693,22 @@ macro_rules! cases {
     };
 }
 pub(crate) use cases;
+
+/// Instantiates the batch-cut cases for one era alias.
+macro_rules! cut_cases {
+    ($alias:ident) => {
+        #[test]
+        fn stale_reader_pins_only_older_part() {
+            crate::battery::stale_reader_pins_only_older_part::<$alias<u64>>();
+        }
+        #[test]
+        fn two_stale_readers_cut_at_each_era() {
+            crate::battery::two_stale_readers_cut_at_each_era::<$alias<u64>>();
+        }
+        #[test]
+        fn no_cut_outside_birth_range() {
+            crate::battery::no_cut_outside_birth_range::<$alias<u64>>();
+        }
+    };
+}
+pub(crate) use cut_cases;

@@ -70,10 +70,12 @@ pub(crate) fn touch(slot: &Slot, era: u64) -> u64 {
 ///   `leave` are wait-free, and `retire` counts its insertions instead.
 /// * `ERAS = true` (Figure 5): allocations stamp a birth era, `protect`
 ///   raises the slot's access era, and `retire` skips slots whose access
-///   era is older than the batch's minimum birth era, so a stalled thread
-///   pins only nodes born before its stall. On shared slots the `Ack`
-///   counter lets `enter` avoid slots held by stalled threads, growing the
-///   slot directory when all are (Figure 6, [`SmrConfig::adaptive`]).
+///   era is older than the batch's minimum birth era. A batch that a slot's
+///   era splits is cut there first, so a stalled thread pins only nodes
+///   born before its stall, not their younger batchmates. On shared slots
+///   the `Ack` counter lets `enter` avoid slots held by stalled threads,
+///   growing the slot directory when all are (Figure 6,
+///   [`SmrConfig::adaptive`]).
 /// * `HANDOFF = true` (Crystalline-L, needs `SINGLE && ERAS`): `retire`
 ///   makes at most [`SmrConfig::handoff_attempts`] CAS attempts per slot,
 ///   then deposits the batch in the slot's handoff cell with one swap, so
@@ -391,9 +393,45 @@ where
 
     /// Whether a batch may skip `slot` although a thread is inside it: with
     /// eras, no thread whose access era is older than the batch's minimum
-    /// birth era can ever have dereferenced one of its nodes.
+    /// birth era can ever have dereferenced one of its nodes. One node born
+    /// before a stall would keep its whole batch in the stalled slot, so
+    /// [`Self::finalize_and_insert`] first cuts such a batch at the slot's
+    /// era, and the younger part passes this test.
     fn too_stale(slot: &Slot, fin: &FinalizedBatch<T>) -> bool {
         ERAS && slot.access.load(Ordering::SeqCst) < fin.min_birth
+    }
+
+    /// `ERAS`: the oldest access era of an active slot that falls inside
+    /// the local batch's birth range — at or after its oldest node's birth,
+    /// before its youngest's. The thread in that slot may have seen the
+    /// nodes born up to its era, never the younger ones. `None` when no
+    /// such slot exists, which is the common case: a thread inside an
+    /// operation keeps its access era current with every `protect`.
+    fn stale_era_inside_batch(&self, k: usize) -> Option<u64> {
+        let (oldest, youngest) = self.local.batch.birth_range();
+        if oldest >= youngest {
+            return None;
+        }
+        let domain = self.domain;
+        let inside = |slot: &Slot| {
+            let access = slot.access.load(Ordering::SeqCst);
+            (oldest..youngest).contains(&access).then_some(access)
+        };
+        if SINGLE {
+            domain
+                .registry
+                .iter_claimed()
+                .map(|idx| domain.dir.slot(idx))
+                .filter(|slot| slot.head.single().load(Ordering::Acquire).active())
+                .filter_map(inside)
+                .min()
+        } else {
+            (0..k)
+                .map(|i| domain.dir.slot(i))
+                .filter(|slot| slot.head.load(Ordering::Acquire).refs() != 0)
+                .filter_map(inside)
+                .min()
+        }
     }
 
     /// Figure 3's `retire`: appends the batch to every active slot `0..k`,
@@ -545,27 +583,68 @@ where
     /// batch that meets no active slot on the spot. On shared slots the
     /// batch carries the `Adjs = 2^64 / k` of the *current* `k` (the
     /// directory may have grown since the batch was sized).
+    ///
+    /// With eras, an active slot whose access era lies inside the batch's
+    /// birth range cuts the batch first: the nodes born at or before that
+    /// era are finalized and inserted as a batch of their own, and the rest
+    /// skip the slot ([`Self::too_stale`]). So a stalled thread pins only
+    /// nodes it could have seen, not their batchmates too. Each part is an
+    /// ordinary batch with its own `min_birth`, `NRef` and dummies; cuts
+    /// repeat, oldest era first, while another slot splits what is left.
     fn finalize_and_insert(&mut self) {
         if self.local.batch.is_empty() {
             return;
         }
         if ERAS {
             // Order the pre-retire unlinks before the access-era reads of
-            // the insertion loop.
+            // the cut and of the insertion loop.
             fence(Ordering::SeqCst);
         }
-        if SINGLE {
-            // SAFETY: the batch is non-empty and wholly owned by this
-            // handle; `fin` is its own freshly finalized, unpublished batch.
-            unsafe {
-                let fin = self.local.batch.finalize(0);
-                self.insert_owned(fin);
+        // Every part is finalized against the same slot count.
+        let k = if SINGLE { 0 } else { self.domain.dir.k() };
+        if ERAS {
+            while let Some(era) = self.stale_era_inside_batch(k) {
+                // SAFETY: nothing is finalized yet, so every node's word 0
+                // holds its birth era, and `era` lies in the birth range.
+                let mut older = unsafe { self.local.cut_batch(era) };
+                // SAFETY: `older` is non-empty, wholly owned by this handle
+                // and unpublished.
+                unsafe {
+                    let fin = older.finalize(Self::adjs(k));
+                    self.insert(fin, k);
+                }
             }
+        }
+        // SAFETY: the batch is non-empty and wholly owned by this handle;
+        // `fin` is its own freshly finalized, unpublished batch.
+        unsafe {
+            let fin = self.local.batch.finalize(Self::adjs(k));
+            self.insert(fin, k);
+        }
+    }
+
+    /// The `Adjs` a batch is finalized with against `k` shared slots
+    /// (owned slots count insertions instead).
+    fn adjs(k: usize) -> usize {
+        if SINGLE {
+            0
         } else {
-            let k = self.domain.dir.k();
-            // SAFETY: as above, finalized with the `Adjs` of this `k`.
-            unsafe {
-                let fin = self.local.batch.finalize(adjs_for(k));
+            adjs_for(k)
+        }
+    }
+
+    /// Inserts a finalized batch into the slot lists of its head layout.
+    ///
+    /// # Safety
+    ///
+    /// `fin` must come from this handle's own `LocalBatch::finalize` with
+    /// `Adjs = Self::adjs(k)`, and be unpublished.
+    unsafe fn insert(&mut self, fin: FinalizedBatch<T>, k: usize) {
+        // SAFETY: forwarded.
+        unsafe {
+            if SINGLE {
+                self.insert_owned(fin);
+            } else {
                 self.insert_shared(fin, k);
             }
         }

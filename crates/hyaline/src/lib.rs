@@ -25,7 +25,7 @@
 //! | slot | shared round-robin, `k = slots` | owned, claimed from a registry of `max_threads` | shared slots only: `enter` avoids slots with `Ack ≥ ack_threshold`, growing the directory when `adaptive` | — | — |
 //! | `enter` | fetch-add on `HRef`; the old `HPtr` is the handle | store the active bit | — | — | — |
 //! | `leave` | CAS loop; the last one out detaches the list | swap; traverse the detached list | shared slots: `Ack -=` nodes traversed | bump the occupancy sequence, collect the handoff cell; retry adopted and orphaned entries before freeing | — |
-//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment; spare dummies past the block's own nodes | every claimed slot; count the insertions; spare dummies past the block's own nodes | fence, then also skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
+//! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment; spare dummies past the block's own nodes | every claimed slot; count the insertions; spare dummies past the block's own nodes | fence; cut the batch at each active slot's access era that lies inside its birth range and insert the parts as batches of their own, oldest first; skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
 //! | batch size | a full batch is `max(batch_min, k + 1)`, `Adjs = 2^64 / k`; a flushed partial batch gains one dummy per entered slot beyond its own nodes | a full batch is `max(batch_min, claimed + 1)`, `Adjs = 0`; a flushed partial batch likewise | `k` read when the batch is finalized | — | — |
 //! | `alloc` | pool | pool | advance the clock every `era_freq`, stamp the birth era | — | certify pending protect requests before advancing the clock |
 //! | `protect` | load | load | raise the slot's access era: CAS-max on shared slots, owner store + fence on owned | — | CAS-max + fence on owned slots too; publish a request after 8 rounds |
@@ -336,6 +336,7 @@ mod hyaline_s {
             multithreaded_stress_reclaims_all,
             trim_reclaims_mid_operation,
             reader_pins_batches_until_leave);
+        battery::cut_cases!(HyalineS);
 
         #[test]
         fn stalled_thread_does_not_block_new_batches() {
@@ -483,6 +484,7 @@ mod hyaline1_s {
             multithreaded_stress,
             trim_reclaims_mid_operation,
             reader_pins_batches_until_leave);
+        battery::cut_cases!(Hyaline1S);
 
         #[test]
         fn stalled_thread_is_skipped_by_era() {
@@ -631,6 +633,7 @@ mod tests {
         multithreaded_stress_l,
         trim_reclaims_mid_operation,
         reader_pins_batches_until_leave);
+    battery::cut_cases!(CrystallineL);
 
     mod w {
         use crate::CrystallineW;
@@ -640,6 +643,7 @@ mod tests {
             multithreaded_stress,
             trim_reclaims_mid_operation,
             reader_pins_batches_until_leave);
+        crate::battery::cut_cases!(CrystallineW);
     }
 
     #[test]

@@ -181,6 +181,19 @@ impl<'d, T> Local<'d, T> {
         self.batch.count()
     }
 
+    /// Cuts the batch under construction at `era`
+    /// ([`LocalBatch::cut_younger`]), returning the part born at or before
+    /// it; the younger part stays under construction.
+    ///
+    /// # Safety
+    ///
+    /// [`LocalBatch::cut_younger`]'s contract.
+    pub(crate) unsafe fn cut_batch(&mut self, era: u64) -> LocalBatch<T> {
+        // SAFETY: forwarded.
+        let younger = unsafe { self.batch.cut_younger(era, self.pool, &mut self.mag) };
+        std::mem::replace(&mut self.batch, younger)
+    }
+
     /// Frees a node that was never published.
     ///
     /// # Safety

@@ -152,6 +152,25 @@ impl NodeBlock {
         self.header_mut().len = len + entries.len();
     }
 
+    /// Moves every entry `moves` picks to the end of `into`, copying
+    /// addresses only; both blocks keep their entries' relative order.
+    pub fn move_where(&mut self, into: &mut NodeBlock, mut moves: impl FnMut(usize) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            // SAFETY: `i < len`, so the entry is initialized and in bounds.
+            let entry = unsafe { self.base().add(i).read() };
+            if moves(entry) {
+                into.push(entry);
+            } else {
+                // SAFETY: `kept <= i`, so the write lands on an entry already
+                // read; `&mut self` owns the array.
+                unsafe { self.base().add(kept).write(entry) };
+                kept += 1;
+            }
+        }
+        self.header_mut().len = kept;
+    }
+
     /// Keeps only the oldest `len` entries.
     #[inline]
     pub(crate) fn truncate(&mut self, len: usize) {
@@ -339,6 +358,25 @@ mod tests {
         assert_eq!(block.pop(), Some(32));
         block.clear();
         assert_eq!(block.pop(), None);
+    }
+
+    #[test]
+    fn move_where_splits_in_order() {
+        let mut block = NodeBlock::with_capacity(8);
+        for e in [8usize, 16 | NodeBlock::LIVE, 24, 32 | NodeBlock::LIVE, 40] {
+            block.push(e);
+        }
+        let mut into = NodeBlock::with_capacity(1);
+        into.push(48);
+        block.move_where(&mut into, |e| e & NodeBlock::LIVE != 0);
+        assert_eq!(block.entries(), &[8, 24, 40]);
+        assert_eq!(
+            into.entries(),
+            &[48, 16 | NodeBlock::LIVE, 32 | NodeBlock::LIVE],
+            "appended after what `into` held, grown as needed"
+        );
+        block.move_where(&mut into, |_| false);
+        assert_eq!(block.entries(), &[8, 24, 40], "moving nothing keeps all");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! must be exactly quiescent: a missing drop is a leak, a second drop of the
 //! same instance panics at the drop site.
 
-use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
+use hyaline::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use lockfree_ds::{HarrisMichaelList, MichaelHashMap, MsQueue, TreiberStack};
 use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Smr, SmrConfig, SmrHandle};
@@ -59,6 +59,43 @@ fn churn_map<S: Smr<lockfree_ds::ListNode<u64, Tracked<u64>>>>() {
             }
         });
     } // map dropped: every remaining node's payload must drop here
+    registry.assert_quiescent();
+}
+
+/// The era schemes cut a batch at the access era of a reader parked inside
+/// its birth range: the reader here parks after the map is filled, so the
+/// batches that retire fill nodes mix them with younger nodes and are cut,
+/// and their parts are freed at different times. Every payload still drops
+/// once.
+fn churn_map_past_parked_reader<S: Smr<lockfree_ds::ListNode<u64, Tracked<u64>>>>() {
+    const FILL: u64 = 32;
+    let registry = DropRegistry::new();
+    {
+        let map: MichaelHashMap<u64, Tracked<u64>, S> =
+            MichaelHashMap::with_config_and_buckets(cfg(), 8);
+        let mut writer = map.smr_handle();
+        for key in 0..FILL {
+            writer.enter();
+            map.insert(&mut writer, key, registry.track(key));
+            writer.leave();
+        }
+        let mut reader = map.smr_handle();
+        reader.enter();
+        assert!(map.get(&mut reader, &0).is_some());
+        // Insert a key, then remove it: a fill key's insert fails, so its
+        // remove retires the fill node.
+        for i in 0..4 * FILL {
+            let key = (i * 7) % (2 * FILL);
+            writer.enter();
+            map.insert(&mut writer, key, registry.track(key));
+            writer.leave();
+            writer.enter();
+            map.remove(&mut writer, &key);
+            writer.leave();
+        }
+        writer.flush();
+        reader.leave();
+    }
     registry.assert_quiescent();
 }
 
@@ -183,6 +220,26 @@ fn map_drop_balance_he() {
 #[test]
 fn map_drop_balance_ibr() {
     churn_map::<Ibr<_>>();
+}
+
+#[test]
+fn map_drop_balance_cut_hyaline_s() {
+    churn_map_past_parked_reader::<HyalineS<_>>();
+}
+
+#[test]
+fn map_drop_balance_cut_hyaline_1s() {
+    churn_map_past_parked_reader::<Hyaline1S<_>>();
+}
+
+#[test]
+fn map_drop_balance_cut_crystalline_l() {
+    churn_map_past_parked_reader::<CrystallineL<_>>();
+}
+
+#[test]
+fn map_drop_balance_cut_crystalline_w() {
+    churn_map_past_parked_reader::<CrystallineW<_>>();
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! Payloads are [`smr_testkit::Canary`]s, so a violation is a failed
 //! checksum (poisoned or reused memory) rather than silent garbage.
 
-use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
+use hyaline::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use smr_baselines::{Ebr, He, Hp, Ibr};
 use smr_core::{Atomic, Smr, SmrConfig, SmrHandle};
 use smr_testkit::{Canary, StallPoint};
@@ -177,6 +177,91 @@ fn robust_reclaims_during_stall<S: Smr<Canary>>(config: SmrConfig) {
     assert!(domain.stats().balanced());
 }
 
+/// Robust batch schemes cut a batch at a parked reader's access era: each
+/// protected node born before the stall is retired in a batch of younger
+/// nodes, and only it stays (with one dummy: it is its part's REFS node, so
+/// the part has no insertion node of its own) while its batchmates are
+/// freed around it and their memory is reused by the churn that follows.
+fn cut_batches_keep_protected_nodes<S: Smr<Canary>>(config: SmrConfig) {
+    const OLD: u64 = 8;
+    assert!(S::robust(), "test is only meaningful for robust schemes");
+    let (batch, era_freq) = (config.effective_batch_size() as u64, config.era_freq);
+    let domain = &S::with_config(config);
+    let links = &std::array::from_fn::<_, { OLD as usize }, _>(|_| Atomic::<Canary>::null());
+    let stall = &StallPoint::new();
+
+    let mut h = domain.handle();
+    h.enter();
+    for (i, link) in links.iter().enumerate() {
+        link.store(h.alloc(Canary::new(i as u64)), Ordering::Release);
+    }
+    h.leave();
+
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut h = domain.handle();
+            h.enter();
+            let seen: Vec<_> = links.iter().map(|link| h.protect(0, link)).collect();
+            stall.stall();
+            for (i, node) in seen.into_iter().enumerate() {
+                // SAFETY: `node` was published before this thread started
+                // and protected inside the still-open operation, which the
+                // stall does not end.
+                let value = unsafe { node.deref() }.check().expect("post-stall canary");
+                assert_eq!(value, i as u64);
+            }
+            h.leave();
+        });
+        stall.wait_until_stalled();
+
+        // Move the era clock past the reader's without retiring anything.
+        for i in 0..era_freq {
+            let node = h.alloc(Canary::new(i));
+            // SAFETY: never published; freed in place.
+            unsafe { h.dealloc(node) };
+        }
+        let churn = |h: &mut S::Handle<'_>, n: u64| {
+            for i in 0..n {
+                let node = h.alloc(Canary::new(OLD + i));
+                // SAFETY: never published; retired once.
+                unsafe { h.retire(node) };
+            }
+        };
+        // One protected node in each batch, behind a younger node.
+        h.enter();
+        for link in links {
+            churn(&mut h, 1);
+            let unlinked = link.swap(smr_core::Shared::null(), Ordering::AcqRel);
+            // SAFETY: just swapped out of `link`, so no later operation can
+            // reach it, and it is retired once.
+            unsafe { h.retire(unlinked) };
+            churn(&mut h, batch - 2);
+        }
+        h.leave();
+        for _ in 0..CHURN / batch {
+            h.enter();
+            churn(&mut h, batch);
+            h.leave();
+        }
+        h.flush();
+        // Read before the release, assert after it: a failed assertion
+        // must not leave the reader parked and the scope hanging.
+        let unreclaimed = domain.stats().unreclaimed();
+        stall.release();
+        assert_eq!(
+            unreclaimed,
+            2 * OLD,
+            "{}: each protected node and its dummy stay, nothing else",
+            S::name()
+        );
+    });
+    drop(h);
+    let mut sweeper = domain.handle();
+    sweeper.flush();
+    drop(sweeper);
+    assert!(domain.stats().balanced());
+}
+
 #[test]
 fn protected_survives_stall_hyaline() {
     protected_survives_stall::<Hyaline<Canary>>(cfg());
@@ -256,4 +341,24 @@ fn stalled_reader_bounded_he() {
 #[test]
 fn stalled_reader_bounded_ibr() {
     robust_reclaims_during_stall::<Ibr<Canary>>(cfg());
+}
+
+#[test]
+fn cut_batch_keeps_protected_hyaline_s() {
+    cut_batches_keep_protected_nodes::<HyalineS<Canary>>(cfg());
+}
+
+#[test]
+fn cut_batch_keeps_protected_hyaline_1s() {
+    cut_batches_keep_protected_nodes::<Hyaline1S<Canary>>(cfg());
+}
+
+#[test]
+fn cut_batch_keeps_protected_crystalline_l() {
+    cut_batches_keep_protected_nodes::<CrystallineL<Canary>>(cfg());
+}
+
+#[test]
+fn cut_batch_keeps_protected_crystalline_w() {
+    cut_batches_keep_protected_nodes::<CrystallineW<Canary>>(cfg());
 }
