@@ -7,7 +7,6 @@
 //! workload scale, the reclamation layout is settable: `--slots`/`--shards`
 //! (powers of two) pin the slot budget and shard count so runs on hosts
 //! with different core counts produce comparable perf-gate keys,
-//! `--routing by-key|by-pointer` selects the sharded routing mode,
 //! `--handle-churn N` makes workers return their handles to a shared pool
 //! every `N` operations, `--connections N` sets the simulated connection
 //! count of the `kv-service` sweep, `--recycle on|off` toggles node
@@ -26,7 +25,7 @@
 
 use std::path::PathBuf;
 
-use smr_core::{ShardRouting, SmrConfig};
+use smr_core::SmrConfig;
 
 use crate::driver::BenchParams;
 use crate::registry::{ALL_SCHEMES, FIGURE_SCHEMES, STRUCTURES};
@@ -36,7 +35,7 @@ use crate::workload::OpMix;
 pub const USAGE: &str = "usage: sweep [--out FILE] [--sweeps NAME,...] \
 [--structures NAME,...|all] [--schemes NAME,...] [--mix write-intensive|read-mostly] \
 [--secs S] [--trials N] [--prefill N] [--key-range N] [--threads N,...] [--stalled N,...] \
-[--slots POW2] [--shards POW2] [--routing by-key|by-pointer] [--handle-churn N] \
+[--slots POW2] [--shards POW2] [--handle-churn N] \
 [--connections N] [--max-threads N] [--recycle on|off]";
 
 /// One figure `sweep` can run.
@@ -243,10 +242,6 @@ impl SweepArgs {
             "--stalled" => self.stalled = value(flag, raw, LIST, parse_list)?,
             "--slots" => base.config.slots = value(flag, raw, POW2, parse_pow2)?,
             "--shards" => base.config.shards = value(flag, raw, POW2, parse_pow2)?,
-            "--routing" => {
-                let expect = "by-key or by-pointer";
-                base.config.routing = value(flag, raw, expect, ShardRouting::from_short_label)?
-            }
             "--handle-churn" => base.handle_churn = value(flag, raw, NUMBER, |r| r.parse().ok())?,
             "--connections" => base.connections = value(flag, raw, NUMBER, |r| r.parse().ok())?,
             "--max-threads" => {
@@ -296,7 +291,7 @@ mod tests {
         let args = parse(
             "--out x.jsonl --sweeps trim,robustness --structures all --schemes Hyaline,HP \
              --mix read-mostly --secs 1.5 --trials 3 --prefill 10 --key-range 20 \
-             --threads 2,4 --stalled 0,1 --routing by-pointer --max-threads 7",
+             --threads 2,4 --stalled 0,1 --max-threads 7",
         )
         .unwrap();
         assert_eq!(args.out, PathBuf::from("x.jsonl"));
@@ -310,7 +305,6 @@ mod tests {
         assert_eq!(args.base.key_range, 20);
         assert_eq!(args.threads, vec![2, 4]);
         assert_eq!(args.stalled, vec![0, 1]);
-        assert_eq!(args.base.config.routing, ShardRouting::ByPointer);
         assert_eq!(args.base.config.max_threads, 7);
     }
 

@@ -97,8 +97,6 @@ pub struct ComboKey {
     pub shards: u64,
     /// Operations per pooled-handle checkout (0 = no handle churn).
     pub handle_churn: u64,
-    /// Shard routing mode label ("by-key" / "by-pointer").
-    pub routing: String,
     /// Crystalline handoff threshold.
     pub handoff_attempts: u64,
     /// Node recycling enabled.
@@ -136,7 +134,6 @@ impl ComboKey {
             max_threads: r.max_threads,
             shards: r.shards,
             handle_churn: r.handle_churn,
-            routing: r.routing.clone(),
             handoff_attempts: r.handoff_attempts,
             recycle: r.recycle,
             recycle_capacity: r.recycle_capacity,
@@ -162,7 +159,7 @@ impl fmt::Display for ComboKey {
         // Enough of the configuration to tell colliding-looking lines
         // apart; the JSONL files hold the rest.
         if self.shards > 1 {
-            write!(f, " shards={} routing={}", self.shards, self.routing)?;
+            write!(f, " shards={}", self.shards)?;
         }
         if self.handle_churn > 0 {
             write!(f, " churn={}", self.handle_churn)?;

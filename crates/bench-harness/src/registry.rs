@@ -94,7 +94,7 @@ pub fn run_combo(scheme: &str, structure: &str, params: &BenchParams) -> Option<
         "HE" => on_structures!(He<_>),
         "HP" => on_structures!(Hp<_>),
         // Sharded-domain variants: `params.config.shards` inner domains
-        // behind the `Sharded` adapter (ByKey routing; the hash map routes
+        // behind the `Sharded` adapter (key-pinned: the hash map routes
         // per bucket group, the other structures stay in shard 0).
         "Sharded-Hyaline" => on_structures!(Sharded<Hyaline<_>>),
         "Sharded-Hyaline-S" => on_structures!(Sharded<HyalineS<_>>),

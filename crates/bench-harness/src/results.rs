@@ -22,9 +22,10 @@ use std::path::Path;
 use crate::driver::{BenchParams, RunResult};
 
 /// Version stamp written into every record (`"schema"` field), and the
-/// only version [`BenchRecord::decode`] accepts. A change to the record's
-/// fields bumps it and re-records `benchdata/stable-baseline.jsonl` rather
-/// than teaching the decoder older layouts.
+/// only version [`BenchRecord::decode`] accepts. Adding a field or changing
+/// one's meaning bumps it and re-records `benchdata/stable-baseline.jsonl`
+/// rather than teaching the decoder older layouts; dropping a field does
+/// not, because the decoder ignores fields it does not know.
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// One benchmark measurement with full configuration provenance.
@@ -88,9 +89,6 @@ pub struct BenchRecord {
     /// Operations per pooled-handle checkout (`0` = one handle per thread
     /// for the whole run).
     pub handle_churn: u64,
-    /// Shard routing mode as configured (`"by-key"` / `"by-pointer"`;
-    /// meaningful only to `Sharded-*` schemes, recorded verbatim).
-    pub routing: String,
     /// Crystalline wait-free handoff threshold as configured (CAS attempts
     /// per slot before retiring through the handoff cell; other schemes
     /// ignore the knob, recorded verbatim).
@@ -209,7 +207,6 @@ impl BenchRecord {
             max_threads: params.config.max_threads as u64,
             shards: params.config.shards as u64,
             handle_churn: params.handle_churn,
-            routing: params.config.routing.short_label().to_string(),
             handoff_attempts: params.config.handoff_attempts as u64,
             recycle: params.config.recycle,
             recycle_capacity: params.config.recycle_capacity as u64,
@@ -258,7 +255,6 @@ impl BenchRecord {
         push_u64(&mut s, "max_threads", self.max_threads);
         push_u64(&mut s, "shards", self.shards);
         push_u64(&mut s, "handle_churn", self.handle_churn);
-        push_str(&mut s, "routing", &self.routing);
         push_u64(&mut s, "handoff_attempts", self.handoff_attempts);
         push_bool(&mut s, "recycle", self.recycle);
         push_u64(&mut s, "recycle_capacity", self.recycle_capacity);
@@ -339,7 +335,6 @@ impl BenchRecord {
             max_threads: get_u64("max_threads")?,
             shards: get_u64("shards")?,
             handle_churn: get_u64("handle_churn")?,
-            routing: get_str("routing")?,
             handoff_attempts: get_u64("handoff_attempts")?,
             recycle: get_bool("recycle")?,
             recycle_capacity: get_u64("recycle_capacity")?,
@@ -812,7 +807,7 @@ mod tests {
         // The sample's strings hold no commas, so the commas split fields.
         let line = sample_record().encode();
         let fields: Vec<&str> = line[1..line.len() - 1].split(',').collect();
-        assert_eq!(fields.len(), 42, "one entry per `BenchRecord` field");
+        assert_eq!(fields.len(), 41, "one entry per `BenchRecord` field");
         for (i, field) in fields.iter().enumerate() {
             let name = field.split(':').next().unwrap().trim_matches('"');
             let mut rest = fields.clone();

@@ -78,7 +78,6 @@ proptest! {
             shards: counters.3 % (1 << 16),
             handle_churn: counters.0 % (1 << 32),
             connections: counters.1 ^ more_ints.0,
-            routing: if flags.0 { "by-key" } else { "by-pointer" }.to_string(),
             handoff_attempts: counters.2 ^ more_ints.1,
             recycle: flags.0 ^ flags.1,
             recycle_capacity: counters.3 ^ more_ints.2,

@@ -612,23 +612,22 @@ pub(crate) fn no_cut_outside_birth_range<D: Smr<u64>>() {
 }
 
 /// What each alias tells generic code about itself (the paper's Table 1 and
-/// the `Sharded`/seek-validation contracts), against the values the six
-/// separate implementations declared.
+/// the seek-validation contract), against the values the six separate
+/// implementations declared.
 #[test]
 pub(crate) fn capability_flags() {
-    fn flags<D: Smr<u64>>() -> (&'static str, [bool; 5]) {
+    fn flags<D: Smr<u64>>() -> (&'static str, [bool; 4]) {
         let flags = [
             D::robust(),
             D::supports_trim(),
             D::needs_seek_validation(),
-            D::shardable_by_pointer(),
             D::wait_free_retire(),
         ];
         (D::name(), flags)
     }
-    let plain = [false, true, false, true, false];
-    let eras = [true, true, true, false, false];
-    let wait_free = [true, true, true, false, true];
+    let plain = [false, true, false, false];
+    let eras = [true, true, true, false];
+    let wait_free = [true, true, true, true];
     assert_eq!(flags::<Hyaline<u64>>(), ("Hyaline", plain));
     assert_eq!(flags::<Hyaline1<u64>>(), ("Hyaline-1", plain));
     assert_eq!(flags::<HyalineS<u64>>(), ("Hyaline-S", eras));

@@ -251,12 +251,6 @@ where
         ERAS
     }
 
-    fn shardable_by_pointer() -> bool {
-        // Without eras protection is purely enter-scoped (slot references;
-        // protect is a plain load) and alloc stamps no shard-local metadata.
-        !ERAS
-    }
-
     fn wait_free_retire() -> bool {
         HANDOFF
     }

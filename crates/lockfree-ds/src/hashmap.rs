@@ -236,7 +236,7 @@ where
     ///
     /// Every node of a bucket is allocated, protected and retired through a
     /// handle pinned to that bucket, so under a [`smr_core::Sharded`] domain
-    /// with `ByKey` routing each *bucket group* (the buckets whose index is
+    /// each *bucket group* (the buckets whose index is
     /// congruent modulo the shard count) forms a self-contained shard: the
     /// map's retire traffic splits per group instead of funneling into one
     /// domain. For an integer key the group is `key mod shards`, so dense

@@ -99,20 +99,19 @@ pub(crate) fn stalled_thread<S: Smr<u64>>() {
     });
 }
 
-/// What each scheme tells generic code about itself: its name, the paper's
-/// Table 1 `robust` column, and whether `Sharded` may route its retires by
-/// pointer.
+/// What each scheme tells generic code about itself: its name and the
+/// paper's Table 1 `robust` column.
 #[test]
 fn capability_flags() {
     use crate::{Ebr, He, Hp, Ibr, Leaky};
-    fn flags<S: Smr<u64>>() -> (&'static str, bool, bool) {
-        (S::name(), S::robust(), S::shardable_by_pointer())
+    fn flags<S: Smr<u64>>() -> (&'static str, bool) {
+        (S::name(), S::robust())
     }
-    assert_eq!(flags::<Ebr<u64>>(), ("Epoch", false, true));
-    assert_eq!(flags::<Leaky<u64>>(), ("Leaky", false, true));
-    assert_eq!(flags::<Hp<u64>>(), ("HP", true, false));
-    assert_eq!(flags::<He<u64>>(), ("HE", true, false));
-    assert_eq!(flags::<Ibr<u64>>(), ("IBR", true, false));
+    assert_eq!(flags::<Ebr<u64>>(), ("Epoch", false));
+    assert_eq!(flags::<Leaky<u64>>(), ("Leaky", false));
+    assert_eq!(flags::<Hp<u64>>(), ("HP", true));
+    assert_eq!(flags::<He<u64>>(), ("HE", true));
+    assert_eq!(flags::<Ibr<u64>>(), ("IBR", true));
 }
 
 /// A payload that counts itself live, per test so that parallel tests do

@@ -31,10 +31,6 @@ impl Policy for EbrPolicy {
 
     const NAME: &'static str = "Epoch";
     const ROBUST: bool = false;
-    // Epoch reservations are enter-scoped and carry no per-node birth
-    // metadata: retiring a node into any shard the reader also entered is
-    // the ordinary EBR argument within that shard.
-    const SHARDABLE_BY_POINTER: bool = true;
     const STAMPS_BIRTH: bool = false;
     /// The retire *epoch*: the clock ticks per operation here.
     const STAMPS_RETIRE: bool = true;

@@ -66,11 +66,6 @@ impl<T: Send + 'static> Smr<T> for Leaky<T> {
         // Vacuously: it never reclaims anything, stalled or not.
         false
     }
-
-    fn shardable_by_pointer() -> bool {
-        // Vacuously safe: retirement never frees, so routing cannot matter.
-        true
-    }
 }
 
 /// Handle to a [`Leaky`] domain.

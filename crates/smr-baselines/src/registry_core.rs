@@ -101,8 +101,6 @@ pub trait Policy: 'static {
     const ROBUST: bool;
     /// [`Smr::needs_seek_validation`].
     const NEEDS_SEEK_VALIDATION: bool = false;
-    /// [`Smr::shardable_by_pointer`].
-    const SHARDABLE_BY_POINTER: bool = false;
     /// Whether `alloc` stamps the node's birth era (and counts the
     /// allocation toward the clock's next advance).
     const STAMPS_BIRTH: bool;
@@ -213,10 +211,6 @@ impl<T: Send + 'static, P: Policy> Smr<T> for Domain<T, P> {
 
     fn needs_seek_validation() -> bool {
         P::NEEDS_SEEK_VALIDATION
-    }
-
-    fn shardable_by_pointer() -> bool {
-        P::SHARDABLE_BY_POINTER
     }
 }
 

@@ -1,43 +1,5 @@
 //! Tunable parameters shared by all reclamation schemes.
 
-/// How a [`Sharded`](crate::Sharded) domain routes traffic to its shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardRouting {
-    /// The data structure selects the shard explicitly through
-    /// [`SmrHandle::pin_shard`](crate::SmrHandle::pin_shard) before touching
-    /// any node of a key partition (e.g. the hash map pins per bucket
-    /// group). Safe for **every** scheme, because a node is allocated,
-    /// protected and retired under the same shard. A structure that never
-    /// pins stays entirely in shard 0.
-    #[default]
-    ByKey,
-    /// `enter`/`leave` cover every shard; `retire` routes each node by a
-    /// hash of its address. Needs no structure cooperation, but is only
-    /// sound for schemes whose protection is purely enter-scoped (no birth
-    /// eras, no per-pointer hazards) — see
-    /// [`Smr::shardable_by_pointer`](crate::Smr::shardable_by_pointer).
-    ByPointer,
-}
-
-impl ShardRouting {
-    /// Machine-friendly name (results records, CLI flags).
-    pub fn short_label(self) -> &'static str {
-        match self {
-            ShardRouting::ByKey => "by-key",
-            ShardRouting::ByPointer => "by-pointer",
-        }
-    }
-
-    /// Parses [`ShardRouting::short_label`] back.
-    pub fn from_short_label(s: &str) -> Option<Self> {
-        match s {
-            "by-key" | "key" => Some(ShardRouting::ByKey),
-            "by-pointer" | "pointer" | "ptr" => Some(ShardRouting::ByPointer),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration for a reclamation domain.
 ///
 /// The defaults follow the parameters used in the Hyaline paper's evaluation
@@ -100,9 +62,6 @@ pub struct SmrConfig {
     /// Must be a power of two. Plain (unsharded) schemes ignore it; `1`
     /// means "no sharding" everywhere.
     pub shards: usize,
-    /// How a [`Sharded`](crate::Sharded) domain routes traffic to shards.
-    /// Ignored by plain schemes.
-    pub routing: ShardRouting,
     /// Crystalline only: how many CAS attempts `retire` makes on one slot's
     /// retirement list before falling back to the wait-free handoff cell
     /// (`0` forces every insertion through the handoff path, which is useful
@@ -156,14 +115,15 @@ impl SmrConfig {
     /// domain only owns [`SmrConfig::slots_per_shard`] slots, so batches
     /// (and with them the reclamation latency floor) shrink accordingly.
     ///
-    /// **Scheme implementors:** a plain (unwrapped) domain that sizes its
-    /// batches from this method must normalize its config through
-    /// [`SmrConfig::as_single_shard`] first (as `Hyaline` does) — a config
-    /// carrying `shards > 1` destined for a `Sharded` wrapper would
-    /// otherwise yield batches smaller than the Section 3.2 requirement of
-    /// strictly more nodes than the domain's *full* slot count. Inner
-    /// domains built from [`SmrConfig::shard_config`] are already
-    /// normalized.
+    /// **Scheme implementors:** this is a property of the *config*, not of
+    /// a live domain. A plain (unwrapped) domain handed a config with
+    /// `shards > 1` would get batches sized for one shard, below the
+    /// Section 3.2 requirement of strictly more nodes than its own slot
+    /// count; a domain whose slot count can change at run time must size
+    /// from that count instead (`Hyaline` sizes each batch from its live
+    /// `k`, which adaptive resizing widens). Inner domains built from
+    /// [`SmrConfig::shard_config`] have `shards == 1`, so for them this is
+    /// the classic bound.
     pub fn effective_batch_size(&self) -> usize {
         self.batch_min.max(self.slots_per_shard() + 1)
     }
@@ -180,17 +140,6 @@ impl SmrConfig {
     pub fn shard_config(&self) -> Self {
         Self {
             slots: self.slots_per_shard(),
-            shards: 1,
-            ..self.clone()
-        }
-    }
-
-    /// This configuration with sharding stripped (`shards = 1`), keeping the
-    /// full slot count. Plain (unsharded) schemes normalize through this so
-    /// that a config carrying a `shards` knob for a `Sharded` consumer does
-    /// not skew their own batch sizing.
-    pub fn as_single_shard(&self) -> Self {
-        Self {
             shards: 1,
             ..self.clone()
         }
@@ -212,7 +161,6 @@ impl Default for SmrConfig {
             adaptive: false,
             max_threads: 1024,
             shards: 1,
-            routing: ShardRouting::ByKey,
             handoff_attempts: 8,
             recycle: true,
             recycle_capacity: 8192,
@@ -277,32 +225,5 @@ mod tests {
         };
         assert_eq!(tiny.slots_per_shard(), 1);
         assert!(tiny.shard_config().slots.is_power_of_two());
-    }
-
-    #[test]
-    fn single_shard_batch_size_is_unchanged() {
-        // shards = 1 must reproduce the historical max(batch_min, slots+1).
-        let cfg = SmrConfig {
-            slots: 256,
-            batch_min: 64,
-            ..SmrConfig::default()
-        };
-        assert_eq!(cfg.effective_batch_size(), 257);
-        let flattened = SmrConfig {
-            slots: 256,
-            batch_min: 64,
-            shards: 8,
-            ..SmrConfig::default()
-        }
-        .as_single_shard();
-        assert_eq!(flattened.effective_batch_size(), 257);
-    }
-
-    #[test]
-    fn routing_labels_round_trip() {
-        for r in [ShardRouting::ByKey, ShardRouting::ByPointer] {
-            assert_eq!(ShardRouting::from_short_label(r.short_label()), Some(r));
-        }
-        assert_eq!(ShardRouting::from_short_label("zipf"), None);
     }
 }

@@ -80,7 +80,7 @@ mod stats;
 pub mod typed;
 
 pub use block::NodeBlock;
-pub use config::{ShardRouting, SmrConfig};
+pub use config::SmrConfig;
 pub use era::EraClock;
 pub use header::{NodeHeader, SmrNode};
 pub use pool::{CheckOut, HandlePool, PooledHandle, SlowPath};

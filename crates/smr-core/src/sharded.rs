@@ -1,32 +1,26 @@
-//! A domain adapter that splits one logical reclamation domain into shards.
+//! A domain adapter that splits one logical reclamation domain into
+//! key-pinned shards.
 //!
-//! Hyaline's retire cost is proportional to the slot count (`retire` appends
-//! the batch to *every* active slot, Figure 3), and cross-thread state scans
-//! in registry-based schemes grow with the registered thread count. A
-//! [`Sharded<S>`] domain holds `N` independent inner domains, each sized
-//! `slots / N`, so any single operation only ever touches one shard's slots
-//! (`ByKey` routing) or spreads its retire traffic over the shards
-//! (`ByPointer` routing). This is the partitioning step toward the
-//! wait-free-scale designs of Crystalline: reclamation state stops being one
-//! global hot spot.
+//! A [`Sharded<S>`] domain holds `N` independent inner domains, each sized
+//! `slots / N`. A structure pins its handle to a key partition's shard
+//! ([`SmrHandle::pin_shard`]) before touching that partition's nodes, so
+//! every operation touches one shard's slots, retire lists and registry.
 //!
-//! Safety rests on a simple ownership discipline: **every node lives its
-//! whole life — alloc, publish, protect, retire, free — under one shard.**
+//! Safety rests on one ownership discipline: **every node lives its whole
+//! life — alloc, publish, protect, retire, free — under one shard.** The
+//! data structure guarantees it by pinning (the hash map pins per bucket
+//! group); any reader of those nodes is pinned, and therefore entered, in
+//! the same shard, so each shard is an ordinary single domain and the
+//! adapter is sound for every scheme. A structure that never pins stays
+//! entirely in shard 0.
 //!
-//! * Under [`ShardRouting::ByKey`] the *data structure* guarantees that by
-//!   pinning the handle ([`SmrHandle::pin_shard`]) to a key partition's
-//!   shard before touching its nodes (the hash map pins per bucket group).
-//!   Any reader of those nodes is pinned — and therefore entered — in the
-//!   same shard, so each shard is a perfectly ordinary single domain.
-//! * Under [`ShardRouting::ByPointer`] the shard is a pure function of the
-//!   node address, `enter` covers every shard, and correctness additionally
-//!   requires the inner scheme's protection to be enter-scoped
-//!   ([`Smr::shardable_by_pointer`]); [`Sharded::with_config`] enforces
-//!   that at construction.
+//! What is measured: the benchmark's `kv-service` workload runs through
+//! this adapter (a 2-shard hash map), and its `sharded.*` probes price an
+//! enter/leave and an alloc/retire through it. Whether the layer pays for
+//! itself against plain Hyaline's `k` slots is the ROADMAP's `Sharded`
+//! experiment, which decides whether it stays.
 
-use crate::{
-    Atomic, Shared, ShardRouting, Smr, SmrConfig, SmrHandle, SmrStats,
-};
+use crate::{Atomic, Shared, Smr, SmrConfig, SmrHandle, SmrStats};
 
 /// A sharded domain: `N` inner `S` domains behind one [`Smr`] facade.
 ///
@@ -59,7 +53,6 @@ use crate::{
 pub struct Sharded<S> {
     shards: Box<[S]>,
     aggregate: SmrStats,
-    routing: ShardRouting,
     mask: usize,
 }
 
@@ -73,25 +66,12 @@ impl<S> Sharded<S> {
     pub fn shard(&self, i: usize) -> &S {
         &self.shards[i]
     }
-
-    /// The configured routing mode.
-    pub fn routing(&self) -> ShardRouting {
-        self.routing
-    }
-
-    /// Shard owning the node at `addr` under `ByPointer` routing: a
-    /// Fibonacci hash of the address so neighboring allocations spread.
-    #[inline]
-    fn ptr_shard(&self, addr: usize) -> usize {
-        (((addr >> 4).wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) & self.mask
-    }
 }
 
 impl<S> std::fmt::Debug for Sharded<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sharded")
             .field("shards", &self.shards.len())
-            .field("routing", &self.routing)
             .finish_non_exhaustive()
     }
 }
@@ -104,28 +84,17 @@ impl<T: Send + 'static, S: Smr<T>> Smr<T> for Sharded<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards` is not a power of two, or if
-    /// `config.routing` is [`ShardRouting::ByPointer`] and the inner scheme
-    /// does not support it (see [`Smr::shardable_by_pointer`]).
+    /// Panics if `config.shards` is not a power of two.
     fn with_config(config: SmrConfig) -> Self {
         let n = config.shards.max(1);
         assert!(
             n.is_power_of_two(),
             "shard count must be a power of two, got {n}"
         );
-        if config.routing == ShardRouting::ByPointer {
-            assert!(
-                S::shardable_by_pointer(),
-                "{} does not support ByPointer shard routing (its protection \
-                 is not enter-scoped); use ShardRouting::ByKey",
-                S::name()
-            );
-        }
         let inner_config = config.shard_config();
         Self {
             shards: (0..n).map(|_| S::with_config(inner_config.clone())).collect(),
             aggregate: SmrStats::new(),
-            routing: config.routing,
             mask: n - 1,
         }
     }
@@ -137,7 +106,6 @@ impl<T: Send + 'static, S: Smr<T>> Smr<T> for Sharded<S> {
             current: 0,
             entered: false,
             pending: false,
-            alloc_rr: 0,
         }
     }
 
@@ -179,30 +147,29 @@ impl<T: Send + 'static, S: Smr<T>> Smr<T> for Sharded<S> {
 }
 
 /// Handle to a [`Sharded`] domain: one inner handle per shard plus the
-/// routing state.
+/// pinned shard.
 pub struct ShardedHandle<'d, T: Send + 'static, S: Smr<T> + 'd> {
     domain: &'d Sharded<S>,
     inner: Vec<S::Handle<'d>>,
     current: usize,
     entered: bool,
-    /// `ByKey` only: `enter` was called but no inner reservation has been
-    /// made yet — it materializes at the first pin or node access, so an
-    /// operation that pins right away performs exactly one inner
-    /// enter/leave instead of entering a shard it immediately abandons.
+    /// `enter` was called but no inner reservation has been made yet — it
+    /// materializes at the first pin or node access, so an operation that
+    /// pins right away performs exactly one inner enter/leave instead of
+    /// entering a shard it immediately abandons.
     /// Sound because every node access (`protect`/`alloc`/`retire`) happens
     /// after the materialized enter, which is all the enter-scoped (and
     /// era-certified) safety arguments need.
     pending: bool,
-    alloc_rr: usize,
 }
 
 impl<'d, T: Send + 'static, S: Smr<T>> ShardedHandle<'d, T, S> {
-    /// The shard this handle is currently pinned to (`ByKey` routing).
+    /// The shard this handle is currently pinned to.
     pub fn current_shard(&self) -> usize {
         self.current
     }
 
-    /// Materializes a deferred `ByKey` enter on the current shard before a
+    /// Materializes a deferred enter on the current shard before a
     /// node access that did not go through [`SmrHandle::pin_shard`].
     #[inline]
     fn ensure_entered(&mut self) {
@@ -225,44 +192,25 @@ impl<T: Send + 'static, S: Smr<T>> std::fmt::Debug for ShardedHandle<'_, T, S> {
 
 impl<T: Send + 'static, S: Smr<T>> SmrHandle<T> for ShardedHandle<'_, T, S> {
     fn enter(&mut self) {
-        match self.domain.routing {
-            // ByKey defers the inner enter to the first pin/access: a
-            // structure that pins immediately (the hash map) then pays for
-            // exactly one inner enter instead of entering a shard the pin
-            // abandons one instruction later.
-            ShardRouting::ByKey => self.pending = true,
-            ShardRouting::ByPointer => {
-                for h in &mut self.inner {
-                    h.enter();
-                }
-            }
-        }
+        // Defer the inner enter to the first pin/access: a structure that
+        // pins immediately (the hash map) then pays for exactly one inner
+        // enter instead of entering a shard the pin abandons one
+        // instruction later.
+        self.pending = true;
         self.entered = true;
     }
 
     fn leave(&mut self) {
-        match self.domain.routing {
-            ShardRouting::ByKey => {
-                if self.pending {
-                    // Nothing was accessed: the reservation never existed.
-                    self.pending = false;
-                } else {
-                    self.inner[self.current].leave();
-                }
-            }
-            ShardRouting::ByPointer => {
-                for h in &mut self.inner {
-                    h.leave();
-                }
-            }
+        if self.pending {
+            // Nothing was accessed: the reservation never existed.
+            self.pending = false;
+        } else {
+            self.inner[self.current].leave();
         }
         self.entered = false;
     }
 
     fn pin_shard(&mut self, key_hash: u64) {
-        if self.domain.routing != ShardRouting::ByKey {
-            return; // ByPointer routes at retire; pinning is meaningless
-        }
         let target = key_hash as usize & self.domain.mask;
         if self.pending {
             // Materialize the deferred enter directly on the target shard —
@@ -285,61 +233,27 @@ impl<T: Send + 'static, S: Smr<T>> SmrHandle<T> for ShardedHandle<'_, T, S> {
     }
 
     fn trim(&mut self) {
-        match self.domain.routing {
-            ShardRouting::ByKey => {
-                self.ensure_entered();
-                self.inner[self.current].trim();
-            }
-            ShardRouting::ByPointer => {
-                for h in &mut self.inner {
-                    h.trim();
-                }
-            }
-        }
+        self.ensure_entered();
+        self.inner[self.current].trim();
     }
 
     fn alloc(&mut self, value: T) -> Shared<T> {
-        match self.domain.routing {
-            // ByKey: the node belongs to the pinned shard (birth era and
-            // retire list must come from the same inner domain).
-            ShardRouting::ByKey => {
-                self.ensure_entered();
-                self.inner[self.current].alloc(value)
-            }
-            // ByPointer: the inner scheme stamps no shard-local metadata at
-            // alloc (enforced at construction), so rotate for stats spread.
-            ShardRouting::ByPointer => {
-                let s = self.alloc_rr & self.domain.mask;
-                self.alloc_rr = self.alloc_rr.wrapping_add(1);
-                self.inner[s].alloc(value)
-            }
-        }
+        // The node belongs to the pinned shard (birth era and retire list
+        // must come from the same inner domain).
+        self.ensure_entered();
+        self.inner[self.current].alloc(value)
     }
 
     unsafe fn dealloc(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller's contract passes through unchanged. Under
-        // `ByKey` the node came from the pinned shard; under `ByPointer` the
-        // inner scheme keeps no per-shard node state (checked at
-        // construction), so the address's shard may free it.
-        unsafe {
-            match self.domain.routing {
-                ShardRouting::ByKey => self.inner[self.current].dealloc(ptr),
-                ShardRouting::ByPointer => {
-                    let s = self.domain.ptr_shard(ptr.as_node_ptr() as usize);
-                    self.inner[s].dealloc(ptr)
-                }
-            }
-        }
+        // SAFETY: the caller's contract passes through unchanged; the node
+        // came from the pinned shard.
+        unsafe { self.inner[self.current].dealloc(ptr) }
     }
 
     fn protect(&mut self, idx: usize, src: &Atomic<T>) -> Shared<T> {
-        // ByKey: the pinned shard owns every node this operation may load,
-        // and the load below happens after the materialized enter.
-        // ByPointer: protection is enter-scoped (construction invariant),
-        // so any shard's protect is a plain certified load.
-        if self.domain.routing == ShardRouting::ByKey {
-            self.ensure_entered();
-        }
+        // The pinned shard owns every node this operation may load, and the
+        // load below happens after the materialized enter.
+        self.ensure_entered();
         self.inner[self.current].protect(idx, src)
     }
 
@@ -348,23 +262,10 @@ impl<T: Send + 'static, S: Smr<T>> SmrHandle<T> for ShardedHandle<'_, T, S> {
     }
 
     unsafe fn retire(&mut self, ptr: Shared<T>) {
-        // SAFETY: the caller's contract passes through unchanged. Under
-        // `ByKey` the pinned shard owns every node this operation reached;
-        // under `ByPointer` protection is enter-scoped (checked at
-        // construction), so the address's shard sees every reader that could
-        // hold the node.
-        unsafe {
-            match self.domain.routing {
-                ShardRouting::ByKey => {
-                    self.ensure_entered();
-                    self.inner[self.current].retire(ptr)
-                }
-                ShardRouting::ByPointer => {
-                    let s = self.domain.ptr_shard(ptr.as_node_ptr() as usize);
-                    self.inner[s].retire(ptr)
-                }
-            }
-        }
+        self.ensure_entered();
+        // SAFETY: the caller's contract passes through unchanged; the pinned
+        // shard owns every node this operation reached.
+        unsafe { self.inner[self.current].retire(ptr) }
     }
 
     fn flush(&mut self) {
@@ -421,10 +322,6 @@ mod tests {
 
         fn robust() -> bool {
             false
-        }
-
-        fn shardable_by_pointer() -> bool {
-            true
         }
     }
 
@@ -486,17 +383,16 @@ mod tests {
         }
     }
 
-    fn sharded(n: usize, routing: ShardRouting) -> Sharded<ToyDomain> {
+    fn sharded(n: usize) -> Sharded<ToyDomain> {
         Sharded::with_config(SmrConfig {
             shards: n,
-            routing,
             ..SmrConfig::default()
         })
     }
 
     #[test]
     fn by_key_routes_to_the_pinned_shard() {
-        let d = sharded(4, ShardRouting::ByKey);
+        let d = sharded(4);
         let mut h = d.handle();
         for key in 0..8u64 {
             h.enter();
@@ -520,7 +416,7 @@ mod tests {
 
     #[test]
     fn pin_while_entered_reenters_the_new_shard() {
-        let d = sharded(2, ShardRouting::ByKey);
+        let d = sharded(2);
         let mut h = d.handle();
         h.enter();
         // Deferred: no inner reservation exists until the first pin/access.
@@ -536,7 +432,7 @@ mod tests {
 
     #[test]
     fn unpinned_access_materializes_the_reservation() {
-        let d = sharded(2, ShardRouting::ByKey);
+        let d = sharded(2);
         let mut h = d.handle();
         h.enter();
         // A structure that never pins (list/stack/queue) still gets its
@@ -560,34 +456,8 @@ mod tests {
     }
 
     #[test]
-    fn by_pointer_enters_all_shards_and_spreads_retires() {
-        let d = sharded(4, ShardRouting::ByPointer);
-        let mut h = d.handle();
-        h.enter();
-        for i in 0..4 {
-            assert_eq!(d.shard(i).readers.load(Ordering::SeqCst), 1);
-        }
-        let mut nodes = Vec::new();
-        for i in 0..256u64 {
-            nodes.push(h.alloc(i));
-        }
-        for node in nodes {
-            // SAFETY: each node came from this handle's `alloc`, was never
-            // published, and is retired once.
-            unsafe { h.retire(node) };
-        }
-        h.leave();
-        h.flush();
-        // Retires were spread: no shard got everything.
-        let max = (0..4).map(|i| d.shard(i).stats().retired()).max().unwrap();
-        assert!(max < 256, "pointer hashing routed everything to one shard");
-        assert_eq!(d.stats().retired(), 256);
-        assert!(d.stats().balanced());
-    }
-
-    #[test]
     fn aggregate_stats_sum_across_shards() {
-        let d = sharded(2, ShardRouting::ByKey);
+        let d = sharded(2);
         let mut h = d.handle();
         h.enter();
         h.pin_shard(0);
@@ -609,37 +479,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_shards_rejected() {
-        let _ = sharded(3, ShardRouting::ByKey);
-    }
-
-    struct NotPtrShardable;
-
-    impl Smr<u64> for NotPtrShardable {
-        type Handle<'d> = ToyHandle<'d>;
-        fn with_config(_: SmrConfig) -> Self {
-            NotPtrShardable
-        }
-        fn handle(&self) -> ToyHandle<'_> {
-            unimplemented!()
-        }
-        fn stats(&self) -> &SmrStats {
-            unimplemented!()
-        }
-        fn name() -> &'static str {
-            "NotPtrShardable"
-        }
-        fn robust() -> bool {
-            false
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ByPointer")]
-    fn by_pointer_rejected_for_unsupported_schemes() {
-        let _: Sharded<NotPtrShardable> = Sharded::with_config(SmrConfig {
-            shards: 2,
-            routing: ShardRouting::ByPointer,
-            ..SmrConfig::default()
-        });
+        let _ = sharded(3);
     }
 }

@@ -37,7 +37,7 @@ use crate::{Atomic, Shared, SmrConfig, SmrStats};
 ///
 /// * [`Sharded<S>`](crate::Sharded) splits one logical domain into `N`
 ///   inner domains so retire-list traffic and cross-thread scans touch only
-///   one shard (`SmrConfig { shards, routing, .. }` selects the layout).
+///   one shard (`SmrConfig { shards, .. }` selects the layout).
 /// * [`HandlePool<S>`](crate::HandlePool) parks and re-issues handles so
 ///   short-lived tasks reuse registry slots instead of churning them —
 ///   required when more tasks than [`SmrConfig::max_threads`] take turns on
@@ -155,24 +155,6 @@ pub trait Smr<T: Send + 'static>: Send + Sync + Sized + 'static {
     fn needs_seek_validation() -> bool {
         false
     }
-
-    /// Whether the scheme tolerates [`ShardRouting::ByPointer`] sharding
-    /// (see [`Sharded`](crate::Sharded)): `enter` covers all shards while
-    /// each `retire` routes to the shard selected by a hash of the node's
-    /// address.
-    ///
-    /// That is sound only when protection is purely *enter-scoped*: no
-    /// per-node metadata stamped at allocation is compared against
-    /// shard-local state (birth eras), and `protect` publishes nothing
-    /// per-pointer (hazards). Enter-scoped schemes — Hyaline, Hyaline-1,
-    /// EBR, Leaky — qualify; era- and pointer-based schemes (Hyaline-S/1S,
-    /// HE, IBR, HP) must use `ShardRouting::ByKey` instead, where a
-    /// node lives its whole life under one shard.
-    ///
-    /// [`ShardRouting::ByPointer`]: crate::ShardRouting::ByPointer
-    fn shardable_by_pointer() -> bool {
-        false
-    }
 }
 
 /// A per-thread handle to an [`Smr`] domain.
@@ -203,9 +185,8 @@ pub trait SmrHandle<T> {
     /// Routes this handle to the shard owning the key partition identified
     /// by `key_hash` (the low bits select the shard).
     ///
-    /// Only [`Sharded`](crate::Sharded) handles under
-    /// [`ShardRouting::ByKey`](crate::ShardRouting::ByKey) do anything; for
-    /// every plain scheme this is a no-op, so data structures may call it
+    /// Only [`Sharded`](crate::Sharded) handles do anything; for every
+    /// plain scheme this is a no-op, so data structures may call it
     /// unconditionally. A key-partitioned structure must pin **before** any
     /// `alloc`/`protect`/`retire` of that partition's nodes (the hash map
     /// pins per bucket); switching shards mid-operation re-enters through

@@ -7,7 +7,7 @@
 //! and asserts afterwards that every tracked allocation was dropped exactly
 //! once (`Leaky` asserts the complement: nothing was ever freed).
 
-use smr_core::{Atomic, Shared, ShardRouting, Smr, SmrConfig, SmrHandle};
+use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
 use smr_testkit::drop_tracker::{DropRegistry, Tracked};
 use std::sync::atomic::Ordering;
 
@@ -37,12 +37,11 @@ fn recycle_cfg() -> SmrConfig {
     }
 }
 
-fn sharded_cfg(shards: usize, routing: ShardRouting) -> SmrConfig {
+fn sharded_cfg(shards: usize) -> SmrConfig {
     SmrConfig {
         // Per-shard slot budget stays ≥ 1 for every tested shard count.
         slots: 8.max(shards),
         shards,
-        routing,
         ..cfg()
     }
 }
@@ -182,21 +181,6 @@ recycle_smoke! {
     recycle_smoke_crystalline_w => hyaline::CrystallineW<Tracked<u64>>,
 }
 
-/// Recycling across shards: each inner domain owns its own pool, and
-/// `ByPointer` routing retires nodes into shards other than the one that
-/// allocated them — recycled memory must still balance exactly.
-#[test]
-fn recycle_smoke_sharded_hyaline_by_pointer() {
-    let registry = churn_with::<smr_core::Sharded<hyaline::Hyaline<Tracked<u64>>>>(SmrConfig {
-        recycle: true,
-        recycle_capacity: 256,
-        recycle_magazine: 8,
-        ..sharded_cfg(4, ShardRouting::ByPointer)
-    });
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), THREADS as u64 * OPS_PER_THREAD);
-}
-
 /// Crystalline with `handoff_attempts: 0`: every retire is forced through
 /// the per-slot handoff cell — the wait-free path the scheme exists for.
 /// Exact drop balance must survive pure handoff traffic too.
@@ -221,14 +205,14 @@ fn smoke_leaky_leaks_everything() {
 
 /// The sharded churn: one shared slot **per shard**, and every operation
 /// pins its shard before touching that shard's slot — the key-partition
-/// discipline a `ByKey`-routed structure (the hash map) follows. Nodes are
+/// discipline a key-partitioned structure (the hash map) follows. Nodes are
 /// allocated, published, displaced and retired strictly within one shard,
 /// while the four threads keep rotating across all of them.
 fn sharded_churn<S: Smr<Tracked<u64>>>(shards: usize) -> DropRegistry {
     let registry = DropRegistry::new();
     {
         let domain: smr_core::Sharded<S> =
-            Smr::<Tracked<u64>>::with_config(sharded_cfg(shards, ShardRouting::ByKey));
+            Smr::<Tracked<u64>>::with_config(sharded_cfg(shards));
         assert_eq!(domain.shard_count(), shards);
         let slots: Vec<Atomic<Tracked<u64>>> = (0..shards).map(|_| Atomic::null()).collect();
         std::thread::scope(|scope| {
@@ -314,20 +298,6 @@ sharded_smoke! {
     smoke_sharded_hyaline_s_x4 => hyaline::HyalineS<Tracked<u64>> : 4,
     smoke_sharded_hyaline_s_x8 => hyaline::HyalineS<Tracked<u64>> : 8,
     smoke_sharded_epoch_x4 => smr_baselines::Ebr<Tracked<u64>> : 4,
-}
-
-/// `ByPointer` routing needs no pin discipline: the plain churn (a single
-/// shared slot swapped across shards) is exactly the pattern it must
-/// survive — `enter` covers every shard and each retire routes by the
-/// node's address.
-#[test]
-fn smoke_sharded_hyaline_by_pointer() {
-    let registry = churn_with::<smr_core::Sharded<hyaline::Hyaline<Tracked<u64>>>>(sharded_cfg(
-        4,
-        ShardRouting::ByPointer,
-    ));
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), THREADS as u64 * OPS_PER_THREAD);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,14 @@
 //! example: a complete Treiber stack in ~40 lines where every traversal
 //! dereference is a safe, borrow-branded `Shared` and the only `unsafe`
 //! left is the retire-safety argument in `pop` (plus the exclusive
-//! teardown in `Drop`). Compare with `examples/custom_structure.rs`,
-//! which shows the same discipline hand-rolled on the raw
-//! `SmrHandle::protect`/`retire` API.
+//! teardown in `Drop`). No part of `lockfree_ds` is used; everything below
+//! is the code a downstream user would write.
+//!
+//! It also shows the paper's transparency claim (§2.4): a thread needs no
+//! registration, only a handle, and dropping that handle finalizes its
+//! partial retire batch, so a thread that has exited is off the hook at
+//! once. `main` checks that every pushed value is popped exactly once and
+//! that every node is freed as soon as the workers are gone.
 //!
 //! Run with: `cargo run --release --example typed_stack`
 
@@ -91,36 +96,53 @@ impl<T: Send + Sync + 'static, S: Smr<Node<T>>> Drop for Stack<T, S> {
 }
 
 fn main() {
+    const THREADS: u64 = 4;
+    const OPS: u64 = 10_000;
     let stack: Stack<u64, Hyaline<_>> = Stack::new();
     let stack = &stack;
-    let popped = std::sync::atomic::AtomicU64::new(0);
-    let popped = &popped;
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            s.spawn(move || {
-                let mut h = stack.domain.handle();
-                for i in 0..10_000 {
-                    h.enter();
-                    if i % 2 == 0 {
-                        stack.push(&mut h, t * 100_000 + i);
-                    } else if stack.pop(&mut h).is_some() {
-                        popped.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    // Each worker alternates push and pop, so a pop always finds at least
+    // the value its own thread pushed just before. Returns (pops, sum).
+    let (count, sum) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                s.spawn(move || {
+                    let mut h = stack.domain.handle();
+                    let (mut count, mut sum) = (0u64, 0u64);
+                    for i in 0..OPS {
+                        h.enter();
+                        if i % 2 == 0 {
+                            stack.push(&mut h, t * 100_000 + i);
+                        } else if let Some(v) = stack.pop(&mut h) {
+                            count += 1;
+                            sum += v;
+                        }
+                        h.leave();
                     }
-                    h.leave();
-                }
-                h.flush();
-            });
-        }
+                    // Dropping `h` here finalizes the partial batch.
+                    (count, sum)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .fold((0, 0), |(c, s), (dc, ds)| (c + dc, s + ds))
     });
-    println!(
-        "4 threads pushed 20000 values, popped {} concurrently; the rest drop with the stack",
-        popped.load(std::sync::atomic::Ordering::Relaxed)
-    );
+    let pushed = THREADS * OPS / 2;
+    let expected: u64 = (0..THREADS)
+        .flat_map(|t| (0..OPS).step_by(2).map(move |i| t * 100_000 + i))
+        .sum();
     let stats = stack.domain.stats();
     println!(
-        "domain stats: {} allocated, {} retired, {} freed",
-        stats.allocated(),
+        "{THREADS} threads popped {count} of {pushed} pushed values concurrently; \
+         {} retired, {} freed",
         stats.retired(),
         stats.freed()
+    );
+    assert_eq!(count, pushed, "every value popped exactly once");
+    assert_eq!(sum, expected, "no value lost or duplicated");
+    assert!(
+        stats.balanced(),
+        "every popped node is freed once the workers' handles drop"
     );
 }

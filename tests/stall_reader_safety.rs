@@ -72,10 +72,12 @@ fn protected_survives_stall<S: Smr<Canary>>(config: SmrConfig) {
 
         h.enter();
         let unlinked = link.swap(smr_core::Shared::null(), Ordering::AcqRel);
-        assert!(!unlinked.is_null());
-        // SAFETY: `unlinked` was just swapped out of `link`, so no later
-        // operation can reach it, and it is retired once.
-        unsafe { h.retire(unlinked) };
+        let was_published = !unlinked.is_null();
+        if was_published {
+            // SAFETY: `unlinked` was just swapped out of `link`, so no later
+            // operation can reach it, and it is retired once.
+            unsafe { h.retire(unlinked) };
+        }
         h.leave();
 
         for i in 0..CHURN {
@@ -87,7 +89,10 @@ fn protected_survives_stall<S: Smr<Canary>>(config: SmrConfig) {
             h.leave();
         }
         h.flush();
+        // Release before asserting: a failed assertion must not leave the
+        // reader parked and the scope hanging.
         stall.release();
+        assert!(was_published, "the published node vanished from `link`");
         drop(h);
     });
 
@@ -158,15 +163,15 @@ fn robust_reclaims_during_stall<S: Smr<Canary>>(config: SmrConfig) {
         h.flush();
 
         // While the reader is still stalled: nearly everything churned after
-        // the reader's eras went stale must have been reclaimed.
+        // the reader's eras went stale must have been reclaimed. Read before
+        // the release, assert after it, as in `protected_survives_stall`.
         let unreclaimed = domain.stats().unreclaimed();
+        stall.release();
         assert!(
             unreclaimed < CHURN / 10,
             "{}: stalled reader pinned {unreclaimed} of {CHURN} churned nodes",
             S::name()
         );
-
-        stall.release();
         drop(h);
     });
     // See `protected_survives_stall`: adopt any orphaned limbo before the
