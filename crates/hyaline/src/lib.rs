@@ -65,8 +65,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-#[cfg(test)]
-mod battery;
 mod domain;
 pub mod head;
 pub mod llsc;
@@ -82,8 +80,9 @@ pub use crate::hyaline1_s::{Hyaline1S, Hyaline1SHandle};
 pub use crate::hyaline_s::{HyalineS, HyalineSHandle};
 
 // One section per alias: what the switch setting is, and the unit tests that
-// make sense for that setting only. The cases all six share are in
-// `battery`.
+// read the crate's internals for that setting. The cases every scheme
+// shares are in `smr_testkit::conformance`, enrolled once per alias in the
+// workspace's `tests/conformance.rs`.
 
 mod hyaline {
     /// The general Hyaline reclamation domain (paper Sections 3.1–3.3,
@@ -119,15 +118,9 @@ mod hyaline {
     #[cfg(test)]
     mod tests {
         use super::Hyaline;
-        use crate::battery::{self, small};
         use crate::domain::adjs_for;
         use smr_core::{Atomic, Smr, SmrHandle};
-
-        battery::cases!(Hyaline:
-            single_thread_retire_reclaims_everything,
-            many_threads_stress_reclaims_all,
-            trim_reclaims_without_leaving,
-            concurrent_stalled_reader_blocks_then_releases);
+        use smr_testkit::conformance::config;
 
         #[test]
         fn adjs_constant_matches_paper() {
@@ -144,7 +137,7 @@ mod hyaline {
 
         #[test]
         fn protect_is_plain_load() {
-            let domain = Hyaline::<u64>::with_config(small());
+            let domain = Hyaline::<u64>::with_config(config());
             let mut h = domain.handle();
             h.enter();
             let node = h.alloc(42);
@@ -193,18 +186,12 @@ mod hyaline1 {
     #[cfg(test)]
     mod tests {
         use super::Hyaline1;
-        use crate::battery::{self, assert_all_freed, churn, small};
         use smr_core::{Smr, SmrConfig, SmrHandle};
-
-        battery::cases!(Hyaline1:
-            single_thread_reclaims_everything,
-            oversubscribed_stress,
-            trim_reclaims_mid_operation,
-            reader_pins_batches_until_leave);
+        use smr_testkit::conformance::{assert_all_freed, churn, config};
 
         #[test]
         fn handles_own_distinct_slots() {
-            let domain = Hyaline1::<u64>::with_config(small());
+            let domain = Hyaline1::<u64>::with_config(config());
             let h1 = domain.handle();
             let h2 = domain.handle();
             assert_ne!(h1.slot(), h2.slot());
@@ -224,7 +211,7 @@ mod hyaline1 {
             // second slot list corrupts the first list.
             let domain = &Hyaline1::<u64>::with_config(SmrConfig {
                 batch_min: 64, // never filled during the test: flush is partial
-                ..small()
+                ..config()
             });
             let readers = 6;
             let inside = &std::sync::Barrier::new(readers + 1);
@@ -252,7 +239,7 @@ mod hyaline1 {
         fn churn_of_handles_is_transparent() {
             // Threads (handles) created and destroyed dynamically, with retired
             // nodes in flight: dropped handles must leave nothing on the hook.
-            let domain = Hyaline1::<u64>::with_config(small());
+            let domain = Hyaline1::<u64>::with_config(config());
             for round in 0..50u64 {
                 // Dropping finalizes and inserts the partial batch.
                 churn(&mut domain.handle(), round..round + 1);
@@ -311,8 +298,8 @@ mod hyaline_s {
     mod tests {
         use super::HyalineS;
         use crate::batch::W_NEXT;
-        use crate::battery::{self, churn, small};
         use smr_core::{Atomic, Smr, SmrConfig, SmrHandle};
+        use smr_testkit::conformance::{churn, config};
         use std::sync::atomic::Ordering;
 
         fn domain(slots: usize, adaptive: bool) -> HyalineS<u64> {
@@ -320,7 +307,7 @@ mod hyaline_s {
                 slots,
                 adaptive,
                 max_threads: 256,
-                ..small()
+                ..config()
             })
         }
 
@@ -329,23 +316,6 @@ mod hyaline_s {
             for i in 0..n {
                 d.dir.slot(i).ack.store(ack, Ordering::Relaxed);
             }
-        }
-
-        battery::cases!(HyalineS:
-            single_thread_reclaims_everything,
-            multithreaded_stress_reclaims_all,
-            trim_reclaims_mid_operation,
-            reader_pins_batches_until_leave);
-        battery::cut_cases!(HyalineS);
-
-        #[test]
-        fn stalled_thread_does_not_block_new_batches() {
-            battery::stalled_thread_is_skipped::<HyalineS<u64>>();
-        }
-
-        #[test]
-        fn fresh_reader_is_tracked_not_skipped() {
-            battery::fresh_reader_is_tracked_not_skipped::<HyalineS<u64>>();
         }
 
         #[test]
@@ -473,29 +443,6 @@ mod hyaline1_s {
 
     /// Per-thread handle to a [`Hyaline1S`] domain; owns one slot.
     pub type Hyaline1SHandle<'d, T> = crate::Handle<'d, T, true, true>;
-
-    #[cfg(test)]
-    mod tests {
-        use super::Hyaline1S;
-        use crate::battery;
-
-        battery::cases!(Hyaline1S:
-            single_thread_reclaims_everything,
-            multithreaded_stress,
-            trim_reclaims_mid_operation,
-            reader_pins_batches_until_leave);
-        battery::cut_cases!(Hyaline1S);
-
-        #[test]
-        fn stalled_thread_is_skipped_by_era() {
-            battery::stalled_thread_is_skipped::<Hyaline1S<u64>>();
-        }
-
-        #[test]
-        fn fresh_reader_is_tracked_not_skipped() {
-            battery::fresh_reader_is_tracked_not_skipped::<Hyaline1S<u64>>();
-        }
-    }
 }
 
 mod crystalline {
@@ -614,52 +561,17 @@ mod crystalline {
         crate::Handle<'d, T, true, true, true, HELPING>;
 }
 
-// The `crystalline` crate's unit tests, moved here with its code. The suite
-// has always printed them as `tests::*` and its test ids are a tracked
-// floor, so the module keeps that path; the cases `battery` states are
-// calls into it under the names they had.
+// The Crystalline aliases' unit tests that read the crate's internals: the
+// CAS-max, the adopted-entry list and the orphan count.
 #[cfg(test)]
 mod tests {
-    use crate::battery::{self, assert_all_freed, churn, small};
     use crate::domain::touch;
     use crate::slots::SlotDirectory;
     use crate::{CrystallineL, CrystallineW};
     use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
+    use smr_testkit::conformance::{assert_all_freed, churn, config};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    battery::cases!(CrystallineL:
-        single_thread_reclaims_everything,
-        multithreaded_stress_l,
-        trim_reclaims_mid_operation,
-        reader_pins_batches_until_leave);
-    battery::cut_cases!(CrystallineL);
-
-    mod w {
-        use crate::CrystallineW;
-
-        crate::battery::cases!(CrystallineW:
-            single_thread_reclaims_everything,
-            multithreaded_stress,
-            trim_reclaims_mid_operation,
-            reader_pins_batches_until_leave);
-        crate::battery::cut_cases!(CrystallineW);
-    }
-
-    #[test]
-    fn capability_flags() {
-        battery::capability_flags(); // the two Crystalline rows are in the one table
-    }
-
-    #[test]
-    fn stalled_thread_is_skipped_by_era() {
-        battery::stalled_thread_is_skipped::<CrystallineL<u64>>();
-    }
-
-    #[test]
-    fn fresh_reader_is_tracked_not_skipped() {
-        battery::fresh_reader_is_tracked_not_skipped::<CrystallineW<u64>>();
-    }
 
     /// The one CAS-max: Crystalline-W's helpers and owner both go through
     /// it, so neither can move a slot's era backward.
@@ -681,7 +593,7 @@ mod tests {
         // adoption (own occupancy) and release at leave.
         let d = CrystallineL::<u64>::with_config(SmrConfig {
             handoff_attempts: 0,
-            ..small()
+            ..config()
         });
         churn(&mut d.handle(), 0..500);
         assert_all_freed(&d);
@@ -731,7 +643,7 @@ mod tests {
         // path runs constantly alongside protects.
         let d = &CrystallineW::<u64>::with_config(SmrConfig {
             era_freq: 1,
-            ..small()
+            ..config()
         });
         let link = &Atomic::<u64>::null();
         std::thread::scope(|s| {
@@ -784,13 +696,13 @@ mod tests {
         let d = CrystallineL::<Counted>::with_config(SmrConfig {
             handoff_attempts: 0,
             era_freq: 1 << 40, // one era throughout: the reader stays fresh
-            ..small()
+            ..config()
         });
         // One batch of `batch_min` nodes; with forced handoff it lands in
         // the open reader's cell, displacing the batch deposited before.
         let retire_batch = |h: &mut crate::CrystallineHandle<'_, Counted, false>| {
             h.enter();
-            for _ in 0..small().batch_min {
+            for _ in 0..config().batch_min {
                 let node = h.alloc(Counted(Arc::clone(&drops)));
                 // SAFETY: `node` was never published; no other reference.
                 unsafe { h.retire(node) };
@@ -821,7 +733,7 @@ mod tests {
         assert_eq!(d.orphan_count.load(Ordering::Relaxed), 0);
         assert_eq!(
             drops.load(Ordering::Relaxed),
-            2 * small().batch_min as u64,
+            2 * config().batch_min as u64,
             "the orphaned batch is freed before teardown"
         );
     }
@@ -836,7 +748,7 @@ mod tests {
         {
             let d = &CrystallineW::<Counted>::with_config(SmrConfig {
                 handoff_attempts: 0,
-                ..small()
+                ..config()
             });
             let link = &Atomic::<Counted>::null();
             let allocs = &allocs;

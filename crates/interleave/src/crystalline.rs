@@ -44,6 +44,8 @@
 //! "simplification" of the production protocol; the explorer demonstrates
 //! the schedule that breaks it.
 
+use crate::{DfsOutcome, Violation};
+
 /// A protocol bug injected into the model; the explorer must catch each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrystalFault {
@@ -213,26 +215,6 @@ pub struct CrystalScenario {
     pub name: String,
 }
 
-/// A safety violation found under some schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrystalViolation {
-    /// What went wrong.
-    pub message: String,
-    /// The thread indices scheduled, in order, up to the violating step.
-    pub schedule: Vec<usize>,
-}
-
-/// Result of exploring a [`CrystalScenario`].
-#[derive(Debug, Clone)]
-pub struct CrystalOutcome {
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// First violation encountered, if any.
-    pub violation: Option<CrystalViolation>,
-    /// Whether the whole tree fit in the budget.
-    pub complete: bool,
-}
-
 /// Applies a signed reference delta; frees the batch when the running sum
 /// lands on zero (the model of the wrapping `NRef` zero-crossing).
 fn apply_delta(
@@ -240,15 +222,12 @@ fn apply_delta(
     batch: usize,
     delta: i64,
     schedule: &[usize],
-) -> Result<(), CrystalViolation> {
+) -> Result<(), Violation> {
     let b = &mut state.batches[batch];
     if b.freed {
-        return Err(CrystalViolation {
-            message: format!(
+        return Err(Violation::new(format!(
                 "double-free: reference delta {delta:+} applied to already-freed batch {batch}"
-            ),
-            schedule: schedule.to_vec(),
-        });
+            ), schedule));
     }
     b.nref += delta;
     if b.nref == 0 && b.retired {
@@ -262,11 +241,8 @@ fn step(
     state: &mut CrystalState,
     t: usize,
     schedule: &[usize],
-) -> Result<(), CrystalViolation> {
-    let fail = |message: String| CrystalViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     let op = scenario.programs[t][state.pc[t]];
     state.pc[t] += 1;
     match op {
@@ -434,7 +410,7 @@ fn check_terminal(
     scenario: &CrystalScenario,
     state: &mut CrystalState,
     schedule: &[usize],
-) -> Result<(), CrystalViolation> {
+) -> Result<(), Violation> {
     // Domain drop: collect every cell entry and every still-adopted
     // (orphaned) entry, then verify the accounting converged.
     for s in 0..state.slots.len() {
@@ -453,70 +429,25 @@ fn check_terminal(
             continue;
         }
         if !b.freed {
-            return Err(CrystalViolation {
-                message: format!(
+            return Err(Violation::new(format!(
                     "leak: retired batch {i} never freed at quiescence (nref sum {}) in {}",
                     b.nref, scenario.name
-                ),
-                schedule: schedule.to_vec(),
-            });
+                ), schedule));
         }
         if b.nref != 0 {
-            return Err(CrystalViolation {
-                message: format!(
+            return Err(Violation::new(format!(
                     "imbalance: batch {i} freed but reference sum ended at {} in {}",
                     b.nref, scenario.name
-                ),
-                schedule: schedule.to_vec(),
-            });
+                ), schedule));
         }
     }
     Ok(())
 }
 
-fn dfs(
-    scenario: &CrystalScenario,
-    state: CrystalState,
-    schedule: &mut Vec<usize>,
-    outcome: &mut CrystalOutcome,
-    budget: u64,
-) {
-    if outcome.violation.is_some() {
-        return;
-    }
-    if outcome.schedules >= budget {
-        outcome.complete = false;
-        return;
-    }
-    let runnable: Vec<usize> = (0..scenario.programs.len())
-        .filter(|&t| state.pc[t] < scenario.programs[t].len())
-        .collect();
-    if runnable.is_empty() {
-        let mut terminal = state;
-        if let Err(v) = check_terminal(scenario, &mut terminal, schedule) {
-            outcome.violation = Some(v);
-            return;
-        }
-        outcome.schedules += 1;
-        return;
-    }
-    for t in runnable {
-        let mut next = state.clone();
-        schedule.push(t);
-        match step(scenario, &mut next, t, schedule) {
-            Ok(()) => dfs(scenario, next, schedule, outcome, budget),
-            Err(v) => outcome.violation = Some(v),
-        }
-        schedule.pop();
-        if outcome.violation.is_some() {
-            return;
-        }
-    }
-}
 
 /// Explores every interleaving of `scenario` (up to `budget` complete
 /// schedules), checking the Crystalline accounting invariants throughout.
-pub fn explore(scenario: &CrystalScenario, budget: u64) -> CrystalOutcome {
+pub fn explore(scenario: &CrystalScenario, budget: u64) -> DfsOutcome {
     let mut state = CrystalState {
         slots: (0..scenario.slots)
             .map(|_| MSlot {
@@ -552,14 +483,17 @@ pub fn explore(scenario: &CrystalScenario, budget: u64) -> CrystalOutcome {
     for &(t, b) in &scenario.pre_hold {
         state.regs[t].hold = Some(b);
     }
-    let mut outcome = CrystalOutcome {
-        schedules: 0,
-        violation: None,
-        complete: true,
-    };
-    let mut schedule = Vec::new();
-    dfs(scenario, state, &mut schedule, &mut outcome, budget);
-    outcome
+    crate::dfs::explore(
+        state,
+        budget,
+        |state| {
+            (0..scenario.programs.len())
+                .filter(|&t| state.pc[t] < scenario.programs[t].len())
+                .collect()
+        },
+        |state, t, schedule| step(scenario, state, t, schedule),
+        |state, schedule| check_terminal(scenario, state, schedule),
+    )
 }
 
 /// Two retirers handing off through the same occupied slot: the second

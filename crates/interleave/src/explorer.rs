@@ -9,6 +9,7 @@
 //! unexpected livelock into a reported violation instead of a hang.
 
 use crate::model::HyalineModel;
+use crate::Violation;
 use crate::scenarios::Scenario;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -17,27 +18,6 @@ use rand::{Rng, SeedableRng};
 /// (the modelled algorithms are lock-free, so schedules terminate far below
 /// this for the scenario sizes the explorer is meant for).
 const STEP_CAP: usize = 100_000;
-
-/// A safety violation found during exploration.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// The thread chosen at each step (a replayable counterexample).
-    pub schedule: Vec<usize>,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} (after {} steps; schedule {:?})",
-            self.message,
-            self.schedule.len(),
-            self.schedule
-        )
-    }
-}
 
 /// Result of an exploration run.
 #[derive(Debug, Clone)]

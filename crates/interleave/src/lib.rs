@@ -71,6 +71,7 @@
 #![warn(missing_docs)]
 
 pub mod crystalline;
+pub mod dfs;
 pub mod explorer;
 pub mod llsc;
 pub mod model;
@@ -79,10 +80,11 @@ pub mod reclaimer;
 pub mod recycle;
 pub mod scenarios;
 
-pub use crystalline::{CrystalFault, CrystalOutcome, CrystalScenario, CrystalViolation};
-pub use explorer::{Explorer, Outcome, Violation};
-pub use llsc::{LlscFault, LlscOutcome, LlscScenario, LlscViolation};
+pub use crystalline::{CrystalFault, CrystalScenario};
+pub use dfs::{DfsOutcome, Violation};
+pub use explorer::{Explorer, Outcome};
+pub use llsc::{LlscFault, LlscScenario};
 pub use model::{HyalineModel, ModelConfig, ThreadProgram, Variant};
-pub use pool::{PoolFault, PoolOp, PoolOutcome, PoolScenario, PoolViolation};
-pub use reclaimer::{ReclaimerFault, ReclaimerOutcome, ReclaimerScenario, ReclaimerViolation};
-pub use recycle::{RecycleOp, RecycleOutcome, RecycleScenario, RecycleViolation};
+pub use pool::{PoolFault, PoolOp, PoolOutcome, PoolScenario};
+pub use reclaimer::{ReclaimerFault, ReclaimerScenario};
+pub use recycle::{RecycleOp, RecycleScenario};

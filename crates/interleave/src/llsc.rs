@@ -23,6 +23,7 @@
 //! single-width CAS on `HPtr` (no granule reservation) steals the list from
 //! a concurrent enterer, and the explorer finds the violating schedule.
 
+use crate::{DfsOutcome, Violation};
 use hyaline::llsc::{Granule, Pair, Reservation, Word};
 
 /// Rebuilds a live granule holding `pair`, using only public LL/SC ops.
@@ -186,43 +187,20 @@ impl LlscState {
     }
 }
 
-/// A safety violation found under some schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LlscViolation {
-    /// What went wrong.
-    pub message: String,
-    /// The thread indices scheduled, in order, up to the violating step.
-    pub schedule: Vec<usize>,
-}
-
-/// Result of exploring an [`LlscScenario`].
-#[derive(Debug, Clone)]
-pub struct LlscOutcome {
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// First violation encountered, if any.
-    pub violation: Option<LlscViolation>,
-    /// Whether the whole tree fit in the budget.
-    pub complete: bool,
-}
-
 /// Explores every interleaving of `scenario` (up to `budget` complete
 /// schedules), checking the head-operation invariants at each step.
-pub fn explore(scenario: &LlscScenario, budget: u64) -> LlscOutcome {
-    let mut outcome = LlscOutcome {
-        schedules: 0,
-        violation: None,
-        complete: true,
-    };
-    let mut schedule = Vec::new();
-    dfs(
-        scenario,
+pub fn explore(scenario: &LlscScenario, budget: u64) -> DfsOutcome {
+    crate::dfs::explore(
         LlscState::new(scenario.threads),
-        &mut schedule,
-        &mut outcome,
         budget,
-    );
-    outcome
+        |state| {
+            (0..scenario.threads)
+                .filter(|&t| !matches!(state.ctl[t], Ctl::Done))
+                .collect()
+        },
+        |state, t, schedule| step(scenario, state, t, schedule),
+        |state, schedule| check_quiescence(scenario, state, schedule),
+    )
 }
 
 /// Advances `t` past a finished leave: next round or `Done`.
@@ -240,11 +218,8 @@ fn step(
     state: &mut LlscState,
     t: usize,
     schedule: &[usize],
-) -> Result<(), LlscViolation> {
-    let fail = |message: String| LlscViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     let g = granule_from(state.head);
     match state.ctl[t] {
         Ctl::EnterLl => {
@@ -391,11 +366,8 @@ fn check_quiescence(
     scenario: &LlscScenario,
     state: &LlscState,
     schedule: &[usize],
-) -> Result<(), LlscViolation> {
-    let fail = |message: String| LlscViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     if state.head != Pair::default() {
         return Err(fail(format!(
             "head {:?} not [0, 0] at quiescence: the last leaver must claim",
@@ -426,44 +398,6 @@ fn check_quiescence(
     Ok(())
 }
 
-fn dfs(
-    scenario: &LlscScenario,
-    state: LlscState,
-    schedule: &mut Vec<usize>,
-    outcome: &mut LlscOutcome,
-    budget: u64,
-) {
-    if outcome.violation.is_some() {
-        return;
-    }
-    if outcome.schedules >= budget {
-        outcome.complete = false;
-        return;
-    }
-    let runnable: Vec<usize> = (0..scenario.threads)
-        .filter(|&t| !matches!(state.ctl[t], Ctl::Done))
-        .collect();
-    if runnable.is_empty() {
-        if let Err(v) = check_quiescence(scenario, &state, schedule) {
-            outcome.violation = Some(v);
-            return;
-        }
-        outcome.schedules += 1;
-        return;
-    }
-    for t in runnable {
-        let mut next = state.clone();
-        schedule.push(t);
-        match step(scenario, &mut next, t, schedule) {
-            Ok(()) => dfs(scenario, next, schedule, outcome, budget),
-            Err(v) => outcome.violation = Some(v),
-        }
-        schedule.pop();
-        if outcome.violation.is_some() {
-            return;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

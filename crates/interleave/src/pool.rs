@@ -48,6 +48,7 @@
 //! cancelled future that keeps the signal it absorbed
 //! ([`PoolFault::CancelKeepsSignal`]).
 
+use crate::Violation;
 use std::collections::{HashSet, VecDeque};
 
 /// One operation of a pool task; each expands into the atomic actions of
@@ -130,23 +131,13 @@ impl PoolScenario {
     }
 }
 
-/// A safety violation found under some schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolViolation {
-    /// What went wrong.
-    pub message: String,
-    /// The task indices scheduled, in order, up to the violating step: a
-    /// shortest schedule that reaches it.
-    pub schedule: Vec<usize>,
-}
-
 /// Result of exploring a [`PoolScenario`].
 #[derive(Debug, Clone)]
 pub struct PoolOutcome {
     /// Distinct states visited.
     pub states: u64,
     /// First violation encountered, if any.
-    pub violation: Option<PoolViolation>,
+    pub violation: Option<Violation>,
     /// Whether every reachable state fit in the budget.
     pub complete: bool,
 }
@@ -295,7 +286,7 @@ pub fn explore(scenario: &PoolScenario, budget: u64) -> PoolOutcome {
                 Err(message) => {
                     let mut schedule = schedule_to(&reached_by, id);
                     schedule.push(task);
-                    outcome.violation = Some(PoolViolation { message, schedule });
+                    outcome.violation = Some(Violation { message, schedule });
                     return outcome;
                 }
             };
@@ -316,7 +307,7 @@ pub fn explore(scenario: &PoolScenario, budget: u64) -> PoolOutcome {
         }
         if !moved {
             if let Err(message) = check_terminal(scenario, &state) {
-                outcome.violation = Some(PoolViolation {
+                outcome.violation = Some(Violation {
                     message,
                     schedule: schedule_to(&reached_by, id),
                 });

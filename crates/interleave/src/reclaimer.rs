@@ -33,6 +33,8 @@
 //!   without the inline fallback, freeing a batch twice) each produce a
 //!   violation on some schedule.
 
+use crate::{DfsOutcome, Violation};
+
 /// An injected protocol mutation; [`ReclaimerFault::None`] is the correct
 /// protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,26 +112,6 @@ impl ReclaimerScenario {
     }
 }
 
-/// A safety violation found under some schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReclaimerViolation {
-    /// What went wrong.
-    pub message: String,
-    /// The task indices scheduled, in order, up to the violating step.
-    pub schedule: Vec<usize>,
-}
-
-/// Result of exploring a [`ReclaimerScenario`].
-#[derive(Debug, Clone)]
-pub struct ReclaimerOutcome {
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// First violation encountered, if any.
-    pub violation: Option<ReclaimerViolation>,
-    /// Whether the whole tree fit in the budget.
-    pub complete: bool,
-}
-
 /// Producer micro-state within one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProdPhase {
@@ -199,7 +181,7 @@ fn task_count(scenario: &ReclaimerScenario) -> usize {
 
 /// Explores every interleaving of `scenario` (up to `budget` complete
 /// schedules), checking the reclaimer-protocol invariants at each step.
-pub fn explore(scenario: &ReclaimerScenario, budget: u64) -> ReclaimerOutcome {
+pub fn explore(scenario: &ReclaimerScenario, budget: u64) -> DfsOutcome {
     let state = ModelState {
         dirty: 0,
         queued: 0,
@@ -221,14 +203,17 @@ pub fn explore(scenario: &ReclaimerScenario, budget: u64) -> ReclaimerOutcome {
         waiter_pc: 0,
         closer_done: false,
     };
-    let mut outcome = ReclaimerOutcome {
-        schedules: 0,
-        violation: None,
-        complete: true,
-    };
-    let mut schedule = Vec::new();
-    dfs(scenario, state, &mut schedule, &mut outcome, budget);
-    outcome
+    crate::dfs::explore(
+        state,
+        budget,
+        |state| {
+            (0..task_count(scenario))
+                .filter(|&t| enabled(scenario, state, t))
+                .collect()
+        },
+        |state, t, schedule| step(scenario, state, t, schedule),
+        |state, schedule| check_quiescence(scenario, state, schedule).map_or(Ok(()), Err),
+    )
 }
 
 fn enabled(scenario: &ReclaimerScenario, state: &ModelState, task: usize) -> bool {
@@ -294,11 +279,8 @@ fn step(
     state: &mut ModelState,
     task: usize,
     schedule: &[usize],
-) -> Result<(), ReclaimerViolation> {
-    let fail = |message: String| ReclaimerViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     if task < scenario.producers {
         match state.prod_phase[task] {
             ProdPhase::Park => {
@@ -416,11 +398,8 @@ fn check_quiescence(
     scenario: &ReclaimerScenario,
     state: &ModelState,
     schedule: &[usize],
-) -> Option<ReclaimerViolation> {
-    let fail = |message: String| ReclaimerViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Option<Violation> {
+    let fail = |message| Violation::new(message, schedule);
     let unfinished: Vec<usize> = (0..task_count(scenario))
         .filter(|&t| {
             if t < scenario.producers {
@@ -460,43 +439,6 @@ fn check_quiescence(
     None
 }
 
-fn dfs(
-    scenario: &ReclaimerScenario,
-    state: ModelState,
-    schedule: &mut Vec<usize>,
-    outcome: &mut ReclaimerOutcome,
-    budget: u64,
-) {
-    if outcome.violation.is_some() {
-        return;
-    }
-    if outcome.schedules >= budget {
-        outcome.complete = false;
-        return;
-    }
-    let tasks: Vec<usize> = (0..task_count(scenario))
-        .filter(|&t| enabled(scenario, &state, t))
-        .collect();
-    if tasks.is_empty() {
-        match check_quiescence(scenario, &state, schedule) {
-            Some(violation) => outcome.violation = Some(violation),
-            None => outcome.schedules += 1,
-        }
-        return;
-    }
-    for t in tasks {
-        let mut next = state.clone();
-        schedule.push(t);
-        match step(scenario, &mut next, t, schedule) {
-            Ok(()) => dfs(scenario, next, schedule, outcome, budget),
-            Err(v) => outcome.violation = Some(v),
-        }
-        schedule.pop();
-        if outcome.violation.is_some() {
-            return;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -51,7 +51,7 @@
 //! only bounds capacity (a saturating counter that can at worst over- or
 //! under-admit a spill) and never feeds the ownership protocol.
 
-use std::fmt;
+use crate::{DfsOutcome, Violation};
 
 /// Where a block currently lives, from the model's omniscient view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,35 +167,6 @@ impl RecycleScenario {
     }
 }
 
-/// A safety violation found under some schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecycleViolation {
-    /// What went wrong.
-    pub message: String,
-    /// The task indices scheduled, in order, up to the violating step.
-    pub schedule: Vec<usize>,
-}
-
-/// Result of exploring a [`RecycleScenario`].
-#[derive(Debug, Clone)]
-pub struct RecycleOutcome {
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// First violation encountered, if any.
-    pub violation: Option<RecycleViolation>,
-    /// Whether the whole tree fit in the budget.
-    pub complete: bool,
-}
-
-impl fmt::Display for RecycleOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.violation {
-            Some(v) => write!(f, "VIOLATION after {} schedules: {}", self.schedules, v.message),
-            None => write!(f, "ok: {} schedules", self.schedules),
-        }
-    }
-}
-
 #[derive(Clone)]
 struct RecState {
     /// Shared list head: block id, 0 = null.
@@ -246,11 +217,8 @@ impl RecState {
 
     /// Walks the shared list and checks integrity: no duplicates (a cycle
     /// shows up as one) and every reachable block is in [`Place::List`].
-    fn check_list(&self, schedule: &[usize]) -> Result<(), RecycleViolation> {
-        let fail = |message: String| RecycleViolation {
-            message,
-            schedule: schedule.to_vec(),
-        };
+    fn check_list(&self, schedule: &[usize]) -> Result<(), Violation> {
+        let fail = |message| Violation::new(message, schedule);
         let mut seen = vec![false; self.link.len()];
         let mut cur = self.head;
         while cur != 0 {
@@ -276,21 +244,18 @@ impl RecState {
 /// Explores every interleaving of `scenario` (up to `budget` complete
 /// schedules), checking the free-list invariants after every head
 /// mutation and conservation at quiescence.
-pub fn explore(scenario: &RecycleScenario, budget: u64) -> RecycleOutcome {
-    let mut outcome = RecycleOutcome {
-        schedules: 0,
-        violation: None,
-        complete: true,
-    };
-    let mut schedule = Vec::new();
-    dfs(
-        scenario,
+pub fn explore(scenario: &RecycleScenario, budget: u64) -> DfsOutcome {
+    crate::dfs::explore(
         RecState::initial(scenario),
-        &mut schedule,
-        &mut outcome,
         budget,
-    );
-    outcome
+        |state| {
+            (0..scenario.programs.len())
+                .filter(|&t| enabled(scenario, state, t))
+                .collect()
+        },
+        |state, t, schedule| step(scenario, state, t, schedule),
+        |state, schedule| check_quiescence(state, schedule),
+    )
 }
 
 fn enabled(scenario: &RecycleScenario, state: &RecState, task: usize) -> bool {
@@ -304,11 +269,8 @@ fn step(
     state: &mut RecState,
     task: usize,
     schedule: &[usize],
-) -> Result<(), RecycleViolation> {
-    let fail = |message: String| RecycleViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     match state.micro[task] {
         Micro::Idle => begin(scenario, state, task, schedule),
         Micro::Push { block, observed } => match observed {
@@ -391,11 +353,8 @@ fn begin(
     state: &mut RecState,
     task: usize,
     schedule: &[usize],
-) -> Result<(), RecycleViolation> {
-    let fail = |message: String| RecycleViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     match scenario.programs[task][state.pc[task]] {
         // Atomic action (with an empty reserve): `swap(head, 0)`.
         // Everything the swap detaches is
@@ -496,11 +455,8 @@ fn begin(
 
 /// Conservation at quiescence: every block is in exactly one place and
 /// every free block is reachable.
-fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), RecycleViolation> {
-    let fail = |message: String| RecycleViolation {
-        message,
-        schedule: schedule.to_vec(),
-    };
+fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), Violation> {
+    let fail = |message| Violation::new(message, schedule);
     state.check_list(schedule)?;
     let mut reachable = vec![false; state.link.len()];
     let mut cur = state.head;
@@ -525,44 +481,6 @@ fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), RecycleV
     Ok(())
 }
 
-fn dfs(
-    scenario: &RecycleScenario,
-    state: RecState,
-    schedule: &mut Vec<usize>,
-    outcome: &mut RecycleOutcome,
-    budget: u64,
-) {
-    if outcome.violation.is_some() {
-        return;
-    }
-    if outcome.schedules >= budget {
-        outcome.complete = false;
-        return;
-    }
-    let tasks: Vec<usize> = (0..scenario.programs.len())
-        .filter(|&t| enabled(scenario, &state, t))
-        .collect();
-    if tasks.is_empty() {
-        if let Err(v) = check_quiescence(&state, schedule) {
-            outcome.violation = Some(v);
-            return;
-        }
-        outcome.schedules += 1;
-        return;
-    }
-    for t in tasks {
-        let mut next = state.clone();
-        schedule.push(t);
-        match step(scenario, &mut next, t, schedule) {
-            Ok(()) => dfs(scenario, next, schedule, outcome, budget),
-            Err(v) => outcome.violation = Some(v),
-        }
-        schedule.pop();
-        if outcome.violation.is_some() {
-            return;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -120,50 +120,8 @@ pub type HeHandle<'d, T> = Handle<'d, T, HePolicy>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::battery;
-    use smr_core::{Smr, SmrHandle};
-
-    battery::stamp! {
-        single_thread_reclaims_everything = single_thread_reclaims_everything::<He<u64>>;
-        multithreaded_stress = multithreaded_stress::<He<u64>>;
-        robust_against_stalled_thread = stalled_thread::<He<u64>>;
-        scan_work_is_amortised = scan_work_is_amortised::<HePolicy>;
-        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<He<battery::Tracked>>;
-    }
-
     #[test]
-    fn reservation_era_pins_interval() {
-        let d = &He::<u64>::with_config(battery::small());
-        let published = &std::sync::Barrier::new(2);
-        let protected = &std::sync::Barrier::new(2);
-        let release = &std::sync::Barrier::new(2);
-        let link = &Atomic::<u64>::null();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut reader = d.handle();
-                reader.enter();
-                published.wait();
-                let seen = reader.protect(0, link);
-                protected.wait();
-                release.wait();
-                // SAFETY: protected since before the writer unlinked it.
-                assert_eq!(unsafe { *seen.deref() }, 5);
-                reader.leave();
-            });
-            let mut writer = d.handle();
-            writer.enter();
-            let node = writer.alloc(5);
-            link.store(node, Ordering::Release);
-            published.wait();
-            protected.wait();
-            let unlinked = link.swap(Shared::null(), Ordering::AcqRel);
-            // SAFETY: just unlinked, retired once.
-            unsafe { writer.retire(unlinked) };
-            writer.leave();
-            writer.flush();
-            assert!(d.stats().unreclaimed() >= 1);
-            release.wait();
-        });
+    fn scan_work_is_amortised() {
+        crate::registry_core::tests::scan_work_is_amortised::<super::HePolicy>();
     }
 }

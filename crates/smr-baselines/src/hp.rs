@@ -119,96 +119,8 @@ pub type HpHandle<'d, T> = Handle<'d, T, HpPolicy>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::battery;
-    use smr_core::{Smr, SmrHandle};
-
-    battery::stamp! {
-        single_thread_reclaims_everything = single_thread_reclaims_everything::<Hp<u64>>;
-        robust_against_stalled_thread = stalled_thread::<Hp<u64>>;
-        scan_work_is_amortised = scan_work_is_amortised::<HpPolicy>;
-        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<Hp<battery::Tracked>>;
-    }
-
     #[test]
-    fn hazard_blocks_reclamation_of_protected_node() {
-        let d = &Hp::<u64>::with_config(battery::small());
-        let published = &std::sync::Barrier::new(2);
-        let protected = &std::sync::Barrier::new(2);
-        let release = &std::sync::Barrier::new(2);
-        let link = &Atomic::<u64>::null();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut reader = d.handle();
-                reader.enter();
-                published.wait();
-                let seen = reader.protect(0, link);
-                assert!(!seen.is_null());
-                protected.wait();
-                release.wait();
-                // Still protected by our hazard even though it was retired.
-                // SAFETY: protected since before the writer unlinked it.
-                assert_eq!(unsafe { *seen.deref() }, 21);
-                reader.leave();
-            });
-            let mut writer = d.handle();
-            writer.enter();
-            let node = writer.alloc(21);
-            link.store(node, Ordering::Release);
-            published.wait();
-            protected.wait();
-            let unlinked = link.swap(Shared::null(), Ordering::AcqRel);
-            // SAFETY: just unlinked, retired once.
-            unsafe { writer.retire(unlinked) };
-            writer.leave();
-            writer.flush(); // must NOT free the hazarded node
-            assert_eq!(d.stats().unreclaimed(), 1);
-            release.wait();
-        });
-        // Reader left; a final flush reclaims it.
-        let mut h = d.handle();
-        h.flush();
-        assert_eq!(d.stats().unreclaimed(), 0);
-        drop(h);
-    }
-
-    #[test]
-    fn protect_validates_against_racing_unlink() {
-        let d = &Hp::<u64>::with_config(battery::small());
-        let link = &Atomic::<u64>::null();
-        let stop = &std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            // Writer keeps replacing the node.
-            s.spawn(move || {
-                let mut w = d.handle();
-                for i in 0..5_000u64 {
-                    w.enter();
-                    let fresh = w.alloc(i);
-                    let old = link.swap(fresh, Ordering::AcqRel);
-                    if !old.is_null() {
-                        // SAFETY: the swap unlinked `old`; retired once.
-                        unsafe { w.retire(old) };
-                    }
-                    w.leave();
-                }
-                stop.store(true, Ordering::Release);
-            });
-            // Reader dereferences protected pointers the whole time; any
-            // use-after-free here would be caught by invalid payloads (or
-            // ASAN-style crashes).
-            s.spawn(move || {
-                let mut r = d.handle();
-                while !stop.load(Ordering::Acquire) {
-                    r.enter();
-                    let p = r.protect(0, link);
-                    if !p.is_null() {
-                        // SAFETY: `protect` validated `p` under our hazard.
-                        let v = unsafe { *p.deref() };
-                        assert!(v < 5_000);
-                    }
-                    r.leave();
-                }
-            });
-        });
+    fn scan_work_is_amortised() {
+        crate::registry_core::tests::scan_work_is_amortised::<super::HpPolicy>();
     }
 }

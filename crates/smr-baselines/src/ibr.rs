@@ -129,50 +129,8 @@ pub type IbrHandle<'d, T> = Handle<'d, T, IbrPolicy>;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::battery;
-    use smr_core::{Smr, SmrHandle};
-
-    battery::stamp! {
-        single_thread_reclaims_everything = single_thread_reclaims_everything::<Ibr<u64>>;
-        multithreaded_stress = multithreaded_stress::<Ibr<u64>>;
-        robust_against_stalled_thread = stalled_thread::<Ibr<u64>>;
-        scan_work_is_amortised = scan_work_is_amortised::<IbrPolicy>;
-        check_in_keeps_magazine_warm = check_in_keeps_magazine_warm::<Ibr<battery::Tracked>>;
-    }
-
     #[test]
-    fn interval_pins_protected_node() {
-        let d = &Ibr::<u64>::with_config(battery::small());
-        let published = &std::sync::Barrier::new(2);
-        let protected = &std::sync::Barrier::new(2);
-        let release = &std::sync::Barrier::new(2);
-        let link = &Atomic::<u64>::null();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut reader = d.handle();
-                reader.enter();
-                published.wait();
-                let seen = reader.protect(0, link);
-                protected.wait();
-                release.wait();
-                // SAFETY: protected since before the writer unlinked it.
-                assert_eq!(unsafe { *seen.deref() }, 8);
-                reader.leave();
-            });
-            let mut writer = d.handle();
-            writer.enter();
-            let node = writer.alloc(8);
-            link.store(node, Ordering::Release);
-            published.wait();
-            protected.wait();
-            let unlinked = link.swap(Shared::null(), Ordering::AcqRel);
-            // SAFETY: just unlinked, retired once.
-            unsafe { writer.retire(unlinked) };
-            writer.leave();
-            writer.flush();
-            assert!(d.stats().unreclaimed() >= 1);
-            release.wait();
-        });
+    fn scan_work_is_amortised() {
+        crate::registry_core::tests::scan_work_is_amortised::<super::IbrPolicy>();
     }
 }

@@ -48,8 +48,6 @@
 
 #![warn(missing_docs)]
 
-#[cfg(test)]
-mod battery;
 mod ebr;
 mod he;
 mod hp;

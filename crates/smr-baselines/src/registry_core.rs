@@ -493,3 +493,91 @@ pub(crate) unsafe fn link_chain<T>(
     }
     Some((head, prev))
 }
+
+/// The scan-cost case every registry policy runs in its `tests` module; it
+/// reads the writer's limbo and visit counters, so it cannot be a
+/// conformance case.
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::{Domain, Policy};
+    use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
+    use std::sync::atomic::Ordering;
+    use std::sync::Barrier;
+
+    /// A reader parked inside an operation pins the writer's garbage: it
+    /// entered before the writer's first retire (which is all Epoch and IBR
+    /// need) and holds `protect` on `PINS` published-then-retired nodes, more
+    /// than `scan_threshold` (the only way a hazard scheme's limbo stays over
+    /// the floor). The writer's scans must still visit O(1) limbo nodes per
+    /// retire — rescanning the pinned limbo on every retire visits ~n²/2 under
+    /// Epoch and ~`PINS`·n under the others — and a robust scheme's limbo must
+    /// stay within twice what is pinned plus the floor.
+    pub(crate) fn scan_work_is_amortised<P: Policy>() {
+        const PINS: usize = 8;
+        let config = SmrConfig {
+            era_freq: 32,
+            scan_threshold: 4,
+            max_protect: PINS,
+            max_threads: 32,
+            ..SmrConfig::default()
+        };
+        for churned in [1u64 << 12, 1 << 15] {
+            let d = &Domain::<u64, P>::with_config(config.clone());
+            let links: &Vec<Atomic<u64>> = &(0..PINS).map(|_| Atomic::null()).collect();
+            let published = &Barrier::new(2);
+            let protected = &Barrier::new(2);
+            let done = &Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let mut reader = d.handle();
+                    reader.enter();
+                    published.wait();
+                    for (idx, link) in links.iter().enumerate() {
+                        let _ = reader.protect(idx, link);
+                    }
+                    protected.wait();
+                    done.wait();
+                    reader.leave();
+                });
+                let mut writer = d.handle();
+                for (v, link) in links.iter().enumerate() {
+                    link.store(writer.alloc(v as u64), Ordering::Release);
+                }
+                published.wait();
+                protected.wait();
+                writer.enter();
+                for link in links {
+                    // SAFETY: just unlinked, retired once.
+                    unsafe { writer.retire(link.swap(Shared::null(), Ordering::AcqRel)) };
+                }
+                writer.leave();
+                // Outside an operation, so the writer's own reservation pins
+                // nothing and the pinned set only grows: its final size is its peak.
+                let mut max_limbo = 0;
+                for v in 0..churned {
+                    let node = writer.alloc(v);
+                    // SAFETY: never published, retired once.
+                    unsafe { writer.retire(node) };
+                    max_limbo = max_limbo.max(writer.limbo_len());
+                }
+                writer.flush();
+                let (retires, pinned) = (churned + PINS as u64, writer.limbo_len());
+                done.wait(); // release the reader before any assert can unwind
+                assert!(pinned >= PINS, "{}: only {pinned} nodes pinned", P::NAME);
+                assert!(
+                    writer.visited <= 4 * retires,
+                    "{}: {} limbo visits for {retires} retires",
+                    P::NAME,
+                    writer.visited
+                );
+                if P::ROBUST {
+                    assert!(
+                        max_limbo <= 2 * pinned + config.scan_threshold,
+                        "{}: limbo reached {max_limbo} with {pinned} pinned",
+                        P::NAME
+                    );
+                }
+            });
+        }
+    }
+}

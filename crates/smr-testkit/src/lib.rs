@@ -22,6 +22,11 @@
 //! * [`rules`] — the two source rules clippy cannot express (`static mut`,
 //!   an unjustified `Relaxed` pointer load), over a [`lexer`] view that
 //!   blanks comments and literals.
+//! * [`conformance`](mod@conformance) — one generic case set over `S: Smr<T>` for every
+//!   scheme's reclamation, transparency and robustness claims, and the
+//!   [`conformance!`] macro that enrolls a scheme with one line.
+//! * [`watchdog`] — runs a case on its own thread and fails it, by name,
+//!   when it outlives its deadline: a hang becomes a failure.
 //!
 //! # Example
 //!
@@ -39,12 +44,14 @@
 #![warn(missing_docs)]
 
 pub mod canary;
+pub mod conformance;
 pub mod drop_tracker;
 pub mod lexer;
 pub mod oracle;
 pub mod rules;
 pub mod stall;
 pub mod token;
+pub mod watchdog;
 
 pub use canary::Canary;
 pub use drop_tracker::{DropRegistry, Tracked};

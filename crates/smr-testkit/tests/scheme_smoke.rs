@@ -1,29 +1,18 @@
-//! Smoke matrix: every exported SMR scheme must survive an
-//! allocate/publish/retire churn under 4 threads with exact drop balance.
-//!
-//! This is the cheap gate that keeps a future scheme (or a refactor of an
-//! existing one) from silently leaking, double-freeing, or deadlocking: each
-//! cell runs the same generic workload with [`DropRegistry`]-tracked payloads
-//! and asserts afterwards that every tracked allocation was dropped exactly
-//! once (`Leaky` asserts the complement: nothing was ever freed).
+//! Smoke matrix for the adapters and the structures: `Sharded<S>` under a
+//! key-pinned churn, and Michael's hash map and the Michael–Scott queue
+//! (both built on `smr_core::typed`) through every scheme, forced handoff
+//! and recycled node memory. Each cell checks exact drop balance with
+//! [`DropRegistry`]-tracked payloads (`Leaky` asserts the complement:
+//! nothing retired is ever freed). The per-scheme churns without a
+//! structure are conformance cases (`smr_testkit::conformance`).
 
 use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
+use smr_testkit::conformance::config as cfg;
 use smr_testkit::drop_tracker::{DropRegistry, Tracked};
 use std::sync::atomic::Ordering;
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 500;
-
-fn cfg() -> SmrConfig {
-    SmrConfig {
-        slots: 4,
-        batch_min: 8,
-        era_freq: 16,
-        scan_threshold: 16,
-        max_threads: 64,
-        ..SmrConfig::default()
-    }
-}
 
 /// Recycling enabled with a small pool and magazine, so the churn exercises
 /// magazine spill/refill and the capacity-overflow fallback, not just the
@@ -44,163 +33,6 @@ fn sharded_cfg(shards: usize) -> SmrConfig {
         shards,
         ..cfg()
     }
-}
-
-/// Runs the churn and returns the registry for scheme-specific assertions.
-///
-/// Each thread alternates between private churn (alloc + immediate retire)
-/// and publishing through a shared slot (alloc, swap in, retire whatever the
-/// swap displaced) so retirement of nodes allocated by *other* threads is
-/// exercised too. The final slot occupant is retired during teardown.
-fn churn<S: Smr<Tracked<u64>>>() -> DropRegistry {
-    churn_with::<S>(cfg())
-}
-
-fn churn_with<S: Smr<Tracked<u64>>>(config: SmrConfig) -> DropRegistry {
-    let registry = DropRegistry::new();
-    {
-        let domain = S::with_config(config);
-        let slot: Atomic<Tracked<u64>> = Atomic::null();
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let registry = &registry;
-                let domain = &domain;
-                let slot = &slot;
-                scope.spawn(move || {
-                    let mut h = domain.handle();
-                    for i in 0..OPS_PER_THREAD {
-                        h.enter();
-                        let value = registry.track(t as u64 * OPS_PER_THREAD + i);
-                        let node = h.alloc(value);
-                        if i % 2 == 0 {
-                            let prev = slot.swap(node, Ordering::AcqRel);
-                            if !prev.is_null() {
-                                // SAFETY: `prev` was just swapped out of
-                                // `slot`, so no later operation can reach it,
-                                // and only this swap retires it.
-                                unsafe { h.retire(prev) };
-                            }
-                        } else {
-                            // SAFETY: `node` came from this handle's `alloc`,
-                            // was never published, and is retired once.
-                            unsafe { h.retire(node) };
-                        }
-                        h.leave();
-                    }
-                    h.flush();
-                });
-            }
-        });
-        // Teardown: pull the last published node back out and retire it.
-        let mut h = domain.handle();
-        h.enter();
-        let last = slot.swap(Shared::null(), Ordering::AcqRel);
-        if !last.is_null() {
-            // SAFETY: `last` was just swapped out of `slot`, so no later
-            // operation can reach it, and only this swap retires it.
-            unsafe { h.retire(last) };
-        }
-        h.leave();
-        h.flush();
-        let stats = domain.stats();
-        // `>=` rather than `==`: Hyaline inserts batches into more entered
-        // slots than they have own nodes by adding internal dummy nodes,
-        // which are accounted as allocations too. The exact payload balance is asserted through
-        // the DropRegistry below.
-        assert!(
-            stats.allocated() >= THREADS as u64 * OPS_PER_THREAD,
-            "{}: allocation accounting is off ({} < {})",
-            S::name(),
-            stats.allocated(),
-            THREADS as u64 * OPS_PER_THREAD
-        );
-        drop(h);
-        // Domain drop reclaims whatever reservations no longer pin.
-    }
-    registry
-}
-
-/// Reclaiming schemes: exact drop balance once the domain is gone.
-macro_rules! smoke {
-    ($($test:ident => $scheme:ty),+ $(,)?) => {$(
-        #[test]
-        fn $test() {
-            let registry = churn::<$scheme>();
-            registry.assert_quiescent();
-            assert_eq!(
-                registry.created(),
-                THREADS as u64 * OPS_PER_THREAD,
-                "payload count mismatch"
-            );
-        }
-    )+};
-}
-
-smoke! {
-    smoke_hyaline => hyaline::Hyaline<Tracked<u64>>,
-    smoke_hyaline1 => hyaline::Hyaline1<Tracked<u64>>,
-    smoke_hyaline_s => hyaline::HyalineS<Tracked<u64>>,
-    smoke_hyaline1_s => hyaline::Hyaline1S<Tracked<u64>>,
-    smoke_ebr => smr_baselines::Ebr<Tracked<u64>>,
-    smoke_hp => smr_baselines::Hp<Tracked<u64>>,
-    smoke_he => smr_baselines::He<Tracked<u64>>,
-    smoke_ibr => smr_baselines::Ibr<Tracked<u64>>,
-    smoke_crystalline_l => hyaline::CrystallineL<Tracked<u64>>,
-    smoke_crystalline_w => hyaline::CrystallineW<Tracked<u64>>,
-}
-
-/// The reclaiming matrix again with node recycling enabled: reusing node
-/// memory must not change payload semantics — every tracked payload still
-/// drops exactly once even though the backing allocations cycle through the
-/// pool and are handed out again (possibly on another thread).
-macro_rules! recycle_smoke {
-    ($($test:ident => $scheme:ty),+ $(,)?) => {$(
-        #[test]
-        fn $test() {
-            let registry = churn_with::<$scheme>(recycle_cfg());
-            registry.assert_quiescent();
-            assert_eq!(
-                registry.created(),
-                THREADS as u64 * OPS_PER_THREAD,
-                "payload count mismatch"
-            );
-        }
-    )+};
-}
-
-recycle_smoke! {
-    recycle_smoke_hyaline => hyaline::Hyaline<Tracked<u64>>,
-    recycle_smoke_hyaline1 => hyaline::Hyaline1<Tracked<u64>>,
-    recycle_smoke_hyaline_s => hyaline::HyalineS<Tracked<u64>>,
-    recycle_smoke_hyaline1_s => hyaline::Hyaline1S<Tracked<u64>>,
-    recycle_smoke_ebr => smr_baselines::Ebr<Tracked<u64>>,
-    recycle_smoke_hp => smr_baselines::Hp<Tracked<u64>>,
-    recycle_smoke_he => smr_baselines::He<Tracked<u64>>,
-    recycle_smoke_ibr => smr_baselines::Ibr<Tracked<u64>>,
-    recycle_smoke_crystalline_l => hyaline::CrystallineL<Tracked<u64>>,
-    recycle_smoke_crystalline_w => hyaline::CrystallineW<Tracked<u64>>,
-}
-
-/// Crystalline with `handoff_attempts: 0`: every retire is forced through
-/// the per-slot handoff cell — the wait-free path the scheme exists for.
-/// Exact drop balance must survive pure handoff traffic too.
-#[test]
-fn smoke_crystalline_l_forced_handoff() {
-    let registry = churn_with::<hyaline::CrystallineL<Tracked<u64>>>(SmrConfig {
-        handoff_attempts: 0,
-        ..cfg()
-    });
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), THREADS as u64 * OPS_PER_THREAD);
-}
-
-/// `Leaky` is the deliberate exception: retirement must never free anything,
-/// so every payload stays live (the complement of `assert_quiescent`).
-#[test]
-fn smoke_leaky_leaks_everything() {
-    let registry = churn::<smr_baselines::Leaky<Tracked<u64>>>();
-    assert_eq!(registry.dropped(), 0, "Leaky must never drop a payload");
-    assert_eq!(registry.live(), (THREADS as u64 * OPS_PER_THREAD) as i64);
 }
 
 /// The sharded churn: one shared slot **per shard**, and every operation
