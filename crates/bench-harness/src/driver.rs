@@ -215,12 +215,8 @@ where
             let params = params.clone();
             let premade_handle = premade_workers.next().expect("one premade slot per worker");
             workers.push(scope.spawn(move || {
-                let mut stream = OpStream::new(
-                    params.mix,
-                    params.key_range,
-                    params.seed ^ trial,
-                    t as u64,
-                );
+                let mut stream =
+                    OpStream::new(params.mix, params.key_range, params.seed ^ trial, t as u64);
                 let mut out = ThreadOut {
                     ops: 0,
                     sample_sum: 0,
@@ -324,7 +320,9 @@ where
         let mut stalled = Vec::with_capacity(params.stalled);
         for t in 0..params.stalled {
             let params = params.clone();
-            let mut h = premade_stalled.next().expect("one premade handle per stalled thread");
+            let mut h = premade_stalled
+                .next()
+                .expect("one premade handle per stalled thread");
             stalled.push(scope.spawn(move || {
                 let mut stream = OpStream::new(
                     params.mix,
@@ -475,8 +473,7 @@ mod tests {
         // before forming the fraction (a no-op at the current trials = 1).
         let per_trial = p.trials.max(1) as f64;
         let clean_frac = clean.avg_unreclaimed / (clean.retired.max(1) as f64 / per_trial);
-        let stalled_frac =
-            stalled.avg_unreclaimed / (stalled.retired.max(1) as f64 / per_trial);
+        let stalled_frac = stalled.avg_unreclaimed / (stalled.retired.max(1) as f64 / per_trial);
         assert!(
             stalled_frac > 0.15 && clean_frac < stalled_frac / 2.0,
             "EBR with a stalled thread should pin a large fraction of all \

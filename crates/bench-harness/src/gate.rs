@@ -324,10 +324,18 @@ impl fmt::Display for GateReport {
             )?;
         }
         for k in &self.only_in_baseline {
-            writeln!(f, "{:<width$} missing from candidate (not compared)", k.to_string())?;
+            writeln!(
+                f,
+                "{:<width$} missing from candidate (not compared)",
+                k.to_string()
+            )?;
         }
         for k in &self.only_in_candidate {
-            writeln!(f, "{:<width$} new in candidate (no baseline yet)", k.to_string())?;
+            writeln!(
+                f,
+                "{:<width$} new in candidate (no baseline yet)",
+                k.to_string()
+            )?;
         }
         let (reg, imp, noise) = self.tallies();
         writeln!(
@@ -432,7 +440,10 @@ mod tests {
 
     #[test]
     fn identical_files_pass() {
-        let recs = vec![record("Hyaline", 4, 10.0, 100.0), record("Epoch", 4, 8.0, 500.0)];
+        let recs = vec![
+            record("Hyaline", 4, 10.0, 100.0),
+            record("Epoch", 4, 8.0, 500.0),
+        ];
         let report = compare(&recs, &recs, Tolerance::default());
         assert!(!report.has_regression());
         assert_eq!(report.comparisons.len(), 2);
@@ -487,14 +498,20 @@ mod tests {
         let report = compare(&base, &cand, Tolerance::default());
         assert!(report.has_regression());
         assert_eq!(report.comparisons[0].mops_verdict, Verdict::WithinNoise);
-        assert_eq!(report.comparisons[0].unreclaimed_verdict, Verdict::Regressed);
+        assert_eq!(
+            report.comparisons[0].unreclaimed_verdict,
+            Verdict::Regressed
+        );
     }
 
     #[test]
     fn duplicate_records_average_as_trials() {
         // Baseline 10.0; candidate trials 8.0 and 12.0 average to 10.0.
         let base = vec![record("Hyaline", 4, 10.0, 0.0)];
-        let cand = vec![record("Hyaline", 4, 8.0, 0.0), record("Hyaline", 4, 12.0, 0.0)];
+        let cand = vec![
+            record("Hyaline", 4, 8.0, 0.0),
+            record("Hyaline", 4, 12.0, 0.0),
+        ];
         let report = compare(&base, &cand, Tolerance::default());
         assert!(!report.has_regression());
         assert!((report.comparisons[0].candidate_mops - 10.0).abs() < 1e-12);
@@ -502,7 +519,10 @@ mod tests {
 
     #[test]
     fn coverage_changes_reported_not_failed() {
-        let base = vec![record("Hyaline", 4, 10.0, 0.0), record("Epoch", 4, 8.0, 0.0)];
+        let base = vec![
+            record("Hyaline", 4, 10.0, 0.0),
+            record("Epoch", 4, 8.0, 0.0),
+        ];
         let cand = vec![record("Hyaline", 4, 10.0, 0.0), record("HP", 4, 2.0, 0.0)];
         let report = compare(&base, &cand, Tolerance::default());
         assert!(!report.has_regression());
@@ -590,7 +610,9 @@ mod tests {
             std::slice::from_ref(&shared),
             Tolerance::default(),
         );
-        let msg = partial.overlap_failure().expect("partial overlap must fail");
+        let msg = partial
+            .overlap_failure()
+            .expect("partial overlap must fail");
         assert_eq!(
             msg,
             format!(
@@ -605,7 +627,9 @@ mod tests {
             &[record("HP", 2, 1.0, 0.0)],
             Tolerance::default(),
         );
-        let msg = disjoint.overlap_failure().expect("disjoint files must fail");
+        let msg = disjoint
+            .overlap_failure()
+            .expect("disjoint files must fail");
         assert_eq!(
             msg,
             format!(

@@ -73,12 +73,14 @@ pub fn run_combo(scheme: &str, structure: &str, params: &BenchParams) -> Option<
     macro_rules! on_structures {
         ($scheme_ty:ty) => {
             match structure {
-                "list" => Some(run_bench::<$scheme_ty, HarrisMichaelList<u64, u64, _>>(params)),
+                "list" => Some(run_bench::<$scheme_ty, HarrisMichaelList<u64, u64, _>>(
+                    params,
+                )),
                 "hashmap" => Some(run_bench::<$scheme_ty, MichaelHashMap<u64, u64, _>>(params)),
                 "bonsai" => Some(run_bench::<$scheme_ty, BonsaiTree<u64, u64, _>>(params)),
-                "nmtree" => {
-                    Some(run_bench::<$scheme_ty, NatarajanMittalTree<u64, u64, _>>(params))
-                }
+                "nmtree" => Some(run_bench::<$scheme_ty, NatarajanMittalTree<u64, u64, _>>(
+                    params,
+                )),
                 _ => None,
             }
         };

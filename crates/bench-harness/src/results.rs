@@ -303,7 +303,9 @@ impl BenchRecord {
         let get_bool = |name: &str| get(name).and_then(|v| v.as_bool(name));
         let schema = get_u64("schema")?;
         if schema != SCHEMA_VERSION {
-            return Err(format!("schema {schema}: only schema {SCHEMA_VERSION} decodes"));
+            return Err(format!(
+                "schema {schema}: only schema {SCHEMA_VERSION} decodes"
+            ));
         }
         let git_sha = match get("git_sha")? {
             Json::Null => None,
@@ -513,7 +515,10 @@ impl Parser {
         if got == want {
             Ok(())
         } else {
-            Err(format!("expected `{want}`, got `{got}` at offset {}", self.i))
+            Err(format!(
+                "expected `{want}`, got `{got}` at offset {}",
+                self.i
+            ))
         }
     }
 
@@ -712,8 +717,8 @@ pub fn append_records(path: &Path, records: &[BenchRecord]) -> std::io::Result<(
 /// Reads every record of a JSONL file. Blank lines are skipped; a malformed
 /// line is an error naming its line number.
 pub fn read_records(path: &Path) -> Result<Vec<BenchRecord>, String> {
-    let file = std::fs::File::open(path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    let file =
+        std::fs::File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
     let mut records = Vec::new();
     for (idx, line) in BufReader::new(file).lines().enumerate() {
         let line = line.map_err(|e| format!("{}:{}: {e}", path.display(), idx + 1))?;
@@ -813,7 +818,10 @@ mod tests {
             let mut rest = fields.clone();
             rest.remove(i);
             let err = BenchRecord::decode(&format!("{{{}}}", rest.join(","))).unwrap_err();
-            assert!(err.contains(&format!("`{name}`")), "dropping `{name}`: {err}");
+            assert!(
+                err.contains(&format!("`{name}`")),
+                "dropping `{name}`: {err}"
+            );
         }
     }
 
@@ -862,7 +870,13 @@ mod tests {
             timestamp: "0".into(),
         });
         let r = sample_record();
-        sink.record("f", "s", "d", &BenchParams::default(), &RunResult::default());
+        sink.record(
+            "f",
+            "s",
+            "d",
+            &BenchParams::default(),
+            &RunResult::default(),
+        );
         assert_eq!(sink.records().len(), 1);
         sink.append_to(&path).unwrap();
         append_records(&path, std::slice::from_ref(&r)).unwrap();

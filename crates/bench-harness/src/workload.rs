@@ -113,7 +113,10 @@ mod tests {
         for mix in [OpMix::WriteIntensive, OpMix::ReadMostly] {
             assert_eq!(OpMix::from_short_label(mix.short_label()), Some(mix));
         }
-        assert_eq!(OpMix::from_short_label("write"), Some(OpMix::WriteIntensive));
+        assert_eq!(
+            OpMix::from_short_label("write"),
+            Some(OpMix::WriteIntensive)
+        );
         assert_eq!(OpMix::from_short_label("zipfian"), None);
     }
 

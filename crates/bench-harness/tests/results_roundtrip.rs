@@ -12,8 +12,29 @@ use proptest::prelude::*;
 
 /// Escape-sensitive characters a JSON string encoder must survive.
 const CHARSET: &[char] = &[
-    'a', 'Z', '0', ' ', ',', '"', '\\', '/', '\n', '\r', '\t', '\u{0008}', '\u{000C}', '\u{0001}',
-    '\u{001F}', 'é', '控', '\u{1F600}', ':', '{', '}', '[', ']',
+    'a',
+    'Z',
+    '0',
+    ' ',
+    ',',
+    '"',
+    '\\',
+    '/',
+    '\n',
+    '\r',
+    '\t',
+    '\u{0008}',
+    '\u{000C}',
+    '\u{0001}',
+    '\u{001F}',
+    'é',
+    '控',
+    '\u{1F600}',
+    ':',
+    '{',
+    '}',
+    '[',
+    ']',
 ];
 
 fn string_from(indices: Vec<usize>) -> String {

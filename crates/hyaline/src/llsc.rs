@@ -122,12 +122,7 @@ impl Granule {
     pub fn sc(&self, res: Reservation, value: u32) -> bool {
         let new = Pair::unpack(res.snapshot).with_word(res.word, value);
         self.0
-            .compare_exchange(
-                res.snapshot,
-                new.pack(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
+            .compare_exchange(res.snapshot, new.pack(), Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 }

@@ -225,9 +225,12 @@ fn apply_delta(
 ) -> Result<(), Violation> {
     let b = &mut state.batches[batch];
     if b.freed {
-        return Err(Violation::new(format!(
+        return Err(Violation::new(
+            format!(
                 "double-free: reference delta {delta:+} applied to already-freed batch {batch}"
-            ), schedule));
+            ),
+            schedule,
+        ));
     }
     b.nref += delta;
     if b.nref == 0 && b.retired {
@@ -429,21 +432,26 @@ fn check_terminal(
             continue;
         }
         if !b.freed {
-            return Err(Violation::new(format!(
+            return Err(Violation::new(
+                format!(
                     "leak: retired batch {i} never freed at quiescence (nref sum {}) in {}",
                     b.nref, scenario.name
-                ), schedule));
+                ),
+                schedule,
+            ));
         }
         if b.nref != 0 {
-            return Err(Violation::new(format!(
+            return Err(Violation::new(
+                format!(
                     "imbalance: batch {i} freed but reference sum ended at {} in {}",
                     b.nref, scenario.name
-                ), schedule));
+                ),
+                schedule,
+            ));
         }
     }
     Ok(())
 }
-
 
 /// Explores every interleaving of `scenario` (up to `budget` complete
 /// schedules), checking the Crystalline accounting invariants throughout.
@@ -637,7 +645,9 @@ mod tests {
             &handoff_displacement(Some(CrystalFault::ReleaseWithoutTagCheck)),
             2_000_000,
         );
-        let v = outcome.violation.expect("the unconditional release must break");
+        let v = outcome
+            .violation
+            .expect("the unconditional release must break");
         assert!(
             v.message.contains("use-after-free") || v.message.contains("double-free"),
             "unexpected violation: {}",
@@ -677,7 +687,9 @@ mod tests {
             &helping_certification(Some(CrystalFault::CertifyWithoutTouch)),
             5_000_000,
         );
-        let v = outcome.violation.expect("the unpublished certificate must break");
+        let v = outcome
+            .violation
+            .expect("the unpublished certificate must break");
         assert!(
             v.message.contains("use-after-free"),
             "unexpected violation: {}",

@@ -9,8 +9,8 @@
 //! unexpected livelock into a reported violation instead of a hang.
 
 use crate::model::HyalineModel;
-use crate::Violation;
 use crate::scenarios::Scenario;
+use crate::Violation;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -237,10 +237,7 @@ mod tests {
             2,
             Variant::Hyaline,
             Fault::None,
-            vec![
-                vec![Op::Enter(0), Op::Leave],
-                vec![Op::Enter(1), Op::Leave],
-            ],
+            vec![vec![Op::Enter(0), Op::Leave], vec![Op::Enter(1), Op::Leave]],
         );
         let outcome = Explorer::exhaustive(1_000).run(&scenario);
         assert!(outcome.complete);

@@ -122,29 +122,60 @@ enum Ctl {
     /// dwFAA: ordinary load of the pointer word.
     EnterLoad { res: Reservation, href: u32 },
     /// dwFAA: SC `href + 1`; retry from `EnterLl` on failure.
-    EnterSc { res: Reservation, href: u32, hptr: u32 },
+    EnterSc {
+        res: Reservation,
+        href: u32,
+        hptr: u32,
+    },
     /// Push: read the expected pair (the caller's `head.pair()`).
     PushRead,
     /// Push (dwCAS_Ptr): LL the pointer word.
     PushLl { expected: Pair },
     /// Push: ordinary load of the ref word.
-    PushLoad { expected: Pair, res: Reservation, hptr: u32 },
+    PushLoad {
+        expected: Pair,
+        res: Reservation,
+        hptr: u32,
+    },
     /// Push: compare with `expected`, SC the new node id; retry on failure.
-    PushSc { expected: Pair, res: Reservation, hptr: u32, href: u32 },
+    PushSc {
+        expected: Pair,
+        res: Reservation,
+        hptr: u32,
+        href: u32,
+    },
     /// Leave: read the expected pair.
     LeaveRead,
     /// Leave (dwCAS_Ref): LL the ref word.
     LeaveLl { expected: Pair },
     /// Leave: ordinary load of the pointer word.
-    LeaveLoad { expected: Pair, res: Reservation, href: u32 },
+    LeaveLoad {
+        expected: Pair,
+        res: Reservation,
+        href: u32,
+    },
     /// Leave: compare with `expected`, SC `href - 1`; retry on failure.
-    LeaveSc { expected: Pair, res: Reservation, href: u32, hptr: u32 },
+    LeaveSc {
+        expected: Pair,
+        res: Reservation,
+        href: u32,
+        hptr: u32,
+    },
     /// Claim (dwCAS_Ptr, single attempt): LL the pointer word.
     ClaimLl { target: u32 },
     /// Claim: ordinary load of the ref word.
-    ClaimLoad { target: u32, res: Reservation, hptr: u32 },
+    ClaimLoad {
+        target: u32,
+        res: Reservation,
+        hptr: u32,
+    },
     /// Claim: SC null iff the pair is still `[0, target]`.
-    ClaimSc { target: u32, res: Reservation, hptr: u32, href: u32 },
+    ClaimSc {
+        target: u32,
+        res: Reservation,
+        hptr: u32,
+        href: u32,
+    },
     /// Program finished.
     Done,
 }
@@ -258,13 +289,31 @@ fn step(
         }
         Ctl::PushLl { expected } => {
             let (hptr, res) = g.ll(Word::Ptr);
-            state.ctl[t] = Ctl::PushLoad { expected, res, hptr };
+            state.ctl[t] = Ctl::PushLoad {
+                expected,
+                res,
+                hptr,
+            };
         }
-        Ctl::PushLoad { expected, res, hptr } => {
+        Ctl::PushLoad {
+            expected,
+            res,
+            hptr,
+        } => {
             let href = g.load_other(Word::Ptr);
-            state.ctl[t] = Ctl::PushSc { expected, res, hptr, href };
+            state.ctl[t] = Ctl::PushSc {
+                expected,
+                res,
+                hptr,
+                href,
+            };
         }
-        Ctl::PushSc { expected, res, hptr, href } => {
+        Ctl::PushSc {
+            expected,
+            res,
+            hptr,
+            href,
+        } => {
             let id = scenario.node_id(t, state.round[t]);
             if (Pair { href, hptr }) == expected && g.sc(res, id) {
                 // The pushed node links to the previous head.
@@ -286,19 +335,39 @@ fn step(
         }
         Ctl::LeaveLl { expected } => {
             let (href, res) = g.ll(Word::Ref);
-            state.ctl[t] = Ctl::LeaveLoad { expected, res, href };
+            state.ctl[t] = Ctl::LeaveLoad {
+                expected,
+                res,
+                href,
+            };
         }
-        Ctl::LeaveLoad { expected, res, href } => {
+        Ctl::LeaveLoad {
+            expected,
+            res,
+            href,
+        } => {
             let hptr = g.load_other(Word::Ref);
-            state.ctl[t] = Ctl::LeaveSc { expected, res, href, hptr };
+            state.ctl[t] = Ctl::LeaveSc {
+                expected,
+                res,
+                href,
+                hptr,
+            };
         }
-        Ctl::LeaveSc { expected, res, href, hptr } => {
+        Ctl::LeaveSc {
+            expected,
+            res,
+            href,
+            hptr,
+        } => {
             if (Pair { href, hptr }) == expected && g.sc(res, expected.href - 1) {
                 state.inside[t] = false;
                 if expected.href == 1 && expected.hptr != 0 {
                     // HRef hit zero with a non-empty list: try to claim it
                     // (one attempt, exactly as `LlscHead::leave`).
-                    state.ctl[t] = Ctl::ClaimLl { target: expected.hptr };
+                    state.ctl[t] = Ctl::ClaimLl {
+                        target: expected.hptr,
+                    };
                 } else {
                     next_round(scenario, state, t);
                 }
@@ -312,9 +381,19 @@ fn step(
         }
         Ctl::ClaimLoad { target, res, hptr } => {
             let href = g.load_other(Word::Ptr);
-            state.ctl[t] = Ctl::ClaimSc { target, res, hptr, href };
+            state.ctl[t] = Ctl::ClaimSc {
+                target,
+                res,
+                hptr,
+                href,
+            };
         }
-        Ctl::ClaimSc { target, res, hptr, href } => {
+        Ctl::ClaimSc {
+            target,
+            res,
+            hptr,
+            href,
+        } => {
             let committed = match scenario.fault {
                 LlscFault::None => href == 0 && hptr == target && g.sc(res, 0),
                 // The mutation: a plain single-width CAS on HPtr — no
@@ -323,7 +402,10 @@ fn step(
                 LlscFault::SingleWidthClaim => {
                     let current = g.load_pair();
                     if current.hptr == target {
-                        state.head = Pair { href: current.href, hptr: 0 };
+                        state.head = Pair {
+                            href: current.href,
+                            hptr: 0,
+                        };
                         true
                     } else {
                         false
@@ -397,7 +479,6 @@ fn check_quiescence(
     }
     Ok(())
 }
-
 
 #[cfg(test)]
 mod tests {

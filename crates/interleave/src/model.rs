@@ -180,10 +180,7 @@ enum Micro {
     /// licenses because an active thread always references the list head.
     LeaveReadNext { snapshot: Head },
     /// `leave`, about to CAS the decremented head (line 15).
-    LeaveCas {
-        snapshot: Head,
-        next: Option<usize>,
-    },
+    LeaveCas { snapshot: Head, next: Option<usize> },
     /// `leave`, about to apply the detach adjustment (line 17).
     LeaveDetachAdjust {
         curr: usize,
@@ -291,13 +288,7 @@ impl HyalineModel {
             Variant::Hyaline1 => 0,
         };
         Self {
-            heads: vec![
-                Head {
-                    href: 0,
-                    ptr: None
-                };
-                config.slots
-            ],
+            heads: vec![Head { href: 0, ptr: None }; config.slots],
             heads1: vec![
                 Head1 {
                     active: false,
@@ -340,12 +331,16 @@ impl HyalineModel {
 
     /// Number of threads that still have steps to take (allocation-free).
     pub fn enabled_count(&self) -> usize {
-        (0..self.threads.len()).filter(|&t| self.is_enabled(t)).count()
+        (0..self.threads.len())
+            .filter(|&t| self.is_enabled(t))
+            .count()
     }
 
     /// The `idx`-th enabled thread id, if any (allocation-free).
     pub fn nth_enabled(&self, idx: usize) -> Option<usize> {
-        (0..self.threads.len()).filter(|&t| self.is_enabled(t)).nth(idx)
+        (0..self.threads.len())
+            .filter(|&t| self.is_enabled(t))
+            .nth(idx)
     }
 
     /// Number of batches created so far.
@@ -593,8 +588,7 @@ impl HyalineModel {
                         };
                         let handle = self.threads[tid].handle;
                         self.threads[tid].handle = None;
-                        self.threads[tid].micro =
-                            self.traverse_advance(tid, old.ptr, handle, None);
+                        self.threads[tid].micro = self.traverse_advance(tid, old.ptr, handle, None);
                         Ok(())
                     }
                 }
@@ -869,8 +863,7 @@ impl HyalineModel {
                     self.threads[tid].handle = new_handle.unwrap_or(None);
                     self.threads[tid].micro = Micro::Ready;
                 } else {
-                    self.threads[tid].micro =
-                        self.traverse_advance(tid, next, stop_at, new_handle);
+                    self.threads[tid].micro = self.traverse_advance(tid, next, stop_at, new_handle);
                 }
                 Ok(())
             }
@@ -997,10 +990,7 @@ impl HyalineModel {
                     ));
                 }
             } else if b.nref != 0 {
-                return Err(format!(
-                    "batch {i} freed with non-zero NRef {:#x}",
-                    b.nref
-                ));
+                return Err(format!("batch {i} freed with non-zero NRef {:#x}", b.nref));
             }
         }
         Ok(())
@@ -1109,7 +1099,13 @@ mod tests {
                 variant: Variant::Hyaline,
                 fault: Fault::None,
             },
-            vec![vec![Op::Enter(0), Op::Retire, Op::Trim, Op::Retire, Op::Leave]],
+            vec![vec![
+                Op::Enter(0),
+                Op::Retire,
+                Op::Trim,
+                Op::Retire,
+                Op::Leave,
+            ]],
         );
         let m = run_sequential(m);
         assert_eq!(m.batches_freed(), 2);

@@ -439,7 +439,6 @@ fn check_quiescence(
     None
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,8 +481,7 @@ mod tests {
         // The reclaimer acknowledges shutdown before draining its
         // backlog: some schedule completes the handshake while tickets
         // or dirty handles are still outstanding.
-        let scenario =
-            ReclaimerScenario::gated(2, 1, 2).with_fault(ReclaimerFault::AckBeforeDrain);
+        let scenario = ReclaimerScenario::gated(2, 1, 2).with_fault(ReclaimerFault::AckBeforeDrain);
         let outcome = explore(&scenario, 4_000_000);
         let violation = outcome.violation.expect("the fault must be detected");
         assert!(

@@ -481,7 +481,6 @@ fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), Violatio
     Ok(())
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;

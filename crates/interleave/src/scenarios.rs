@@ -378,8 +378,7 @@ mod tests {
         // Every interleaving: the parked thread's stale slot must never
         // receive (nor pin) batches born after its access era.
         for retires in [1, 2] {
-            let outcome =
-                Explorer::exhaustive(8_000_000).run(&stalled_reader_robustness(retires));
+            let outcome = Explorer::exhaustive(8_000_000).run(&stalled_reader_robustness(retires));
             assert!(outcome.complete, "{} execs", outcome.executions);
             assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         }
@@ -430,7 +429,9 @@ mod tests {
         // which `finish` reports as a robustness violation.
         let s = with_fault(stalled_reader_robustness(2), Fault::IgnoreBirthEras);
         let outcome = Explorer::exhaustive(8_000_000).run(&s);
-        let v = outcome.violation.expect("era-check removal must be detected");
+        let v = outcome
+            .violation
+            .expect("era-check removal must be detected");
         assert!(
             v.message.contains("robustness violation"),
             "got: {}",

@@ -18,7 +18,10 @@ use proptest::prelude::*;
 fn window(slots: usize) -> impl Strategy<Value = ThreadProgram> {
     (
         0..slots,
-        vec(prop_oneof![2 => Just(Op::Retire), 1 => Just(Op::Trim)], 0..3),
+        vec(
+            prop_oneof![2 => Just(Op::Retire), 1 => Just(Op::Trim)],
+            0..3,
+        ),
     )
         .prop_map(|(slot, inner)| {
             let mut p = vec![Op::Enter(slot)];

@@ -510,8 +510,7 @@ mod tests {
 
     #[test]
     fn drop_frees_remaining_nodes() {
-        let list: HarrisMichaelList<u64, u64, Hyaline<_>> =
-            HarrisMichaelList::with_config(cfg());
+        let list: HarrisMichaelList<u64, u64, Hyaline<_>> = HarrisMichaelList::with_config(cfg());
         {
             let mut h = list.smr_handle();
             h.enter();

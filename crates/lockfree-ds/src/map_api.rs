@@ -140,14 +140,13 @@ mod tests {
     #[test]
     fn sharded_hashmap_splits_retire_traffic_per_bucket_group() {
         use smr_core::{Sharded, Smr as _};
-        let domain: Sharded<Hyaline<ListNode<u64, u64>>> =
-            Sharded::with_config(SmrConfig {
-                slots: 16,
-                shards: 4,
-                batch_min: 2,
-                max_threads: 16,
-                ..SmrConfig::default()
-            });
+        let domain: Sharded<Hyaline<ListNode<u64, u64>>> = Sharded::with_config(SmrConfig {
+            slots: 16,
+            shards: 4,
+            batch_min: 2,
+            max_threads: 16,
+            ..SmrConfig::default()
+        });
         let map = MichaelHashMap::with_domain_and_buckets(domain, 64);
         let mut h = map.smr_handle();
         for key in 0..512u64 {

@@ -318,8 +318,7 @@ where
                 node.left.fetch().prefetch();
                 node.right.fetch().prefetch();
                 current_field = Self::child_edge(node, key).load(I_CUR, g);
-                if validate
-                    && !Self::window_intact(key, ancestor, successor, parent, parent_field)
+                if validate && !Self::window_intact(key, ancestor, successor, parent, parent_field)
                 {
                     continue 'restart;
                 }
@@ -424,7 +423,9 @@ where
             }
             let leaf_ptr = new_leaf
                 .get_or_insert_with(|| {
-                    let TreeKey::Fin(k) = &tkey else { unreachable!() };
+                    let TreeKey::Fin(k) = &tkey else {
+                        unreachable!()
+                    };
                     g.alloc(NmNode::leaf(TreeKey::Fin(k.clone()), Some(value.clone())))
                 })
                 .ptr();
@@ -588,13 +589,15 @@ mod tests {
 
     #[test]
     fn delete_down_to_empty_and_reinsert() {
-        let tree: NatarajanMittalTree<u64, u64, Ebr<_>> =
-            NatarajanMittalTree::with_config(cfg());
+        let tree: NatarajanMittalTree<u64, u64, Ebr<_>> = NatarajanMittalTree::with_config(cfg());
         let mut h = tree.smr_handle();
         for round in 0..3 {
             h.enter();
             for i in 0..50 {
-                assert!(tree.insert(&mut h, i, i + round), "round {round} insert {i}");
+                assert!(
+                    tree.insert(&mut h, i, i + round),
+                    "round {round} insert {i}"
+                );
             }
             for i in 0..50 {
                 assert_eq!(tree.remove(&mut h, &i), Some(i + round));
@@ -607,8 +610,7 @@ mod tests {
     }
 
     fn concurrent_churn<S: Smr<NmNode<u64, u64>>>() {
-        let tree: &NatarajanMittalTree<u64, u64, S> =
-            &NatarajanMittalTree::with_config(cfg());
+        let tree: &NatarajanMittalTree<u64, u64, S> = &NatarajanMittalTree::with_config(cfg());
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 s.spawn(move || {

@@ -97,13 +97,17 @@ impl<'d, T: Send + 'static, S: Smr<T>> Deref for TaskGuard<'_, 'd, T, S> {
     type Target = S::Handle<'d>;
 
     fn deref(&self) -> &Self::Target {
-        self.handle.as_ref().expect("guard holds a handle until drop")
+        self.handle
+            .as_ref()
+            .expect("guard holds a handle until drop")
     }
 }
 
 impl<T: Send + 'static, S: Smr<T>> DerefMut for TaskGuard<'_, '_, T, S> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        self.handle.as_mut().expect("guard holds a handle until drop")
+        self.handle
+            .as_mut()
+            .expect("guard holds a handle until drop")
     }
 }
 

@@ -166,8 +166,7 @@ where
                 while remaining > 0 {
                     let burst = cfg.burst.min(remaining);
                     {
-                        let mut guard =
-                            TaskGuard::acquire_deferred(pool, router.queue(conn)).await;
+                        let mut guard = TaskGuard::acquire_deferred(pool, router.queue(conn)).await;
                         for _ in 0..burst {
                             let key = skewed_key(&mut rng, cfg.key_range);
                             let roll: u32 = rng.gen_range(0..100);

@@ -231,8 +231,7 @@ mod tests {
                     let registry = &registry;
                     sp.spawn(async move {
                         let _departure = gate.departure();
-                        let mut guard =
-                            TaskGuard::acquire_deferred(pool, router.queue(conn)).await;
+                        let mut guard = TaskGuard::acquire_deferred(pool, router.queue(conn)).await;
                         guard.enter();
                         let node = guard.alloc(registry.track(conn as u64));
                         // SAFETY: freshly allocated, never published.

@@ -44,7 +44,11 @@ impl NodeHeader {
     /// A zero-initialized header.
     pub fn new() -> Self {
         Self {
-            words: [AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)],
+            words: [
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+            ],
         }
     }
 

@@ -73,8 +73,8 @@ mod header;
 mod pool;
 pub mod recycle;
 mod registry;
-mod shared;
 mod sharded;
+mod shared;
 mod smr;
 mod stats;
 pub mod typed;
@@ -86,8 +86,8 @@ pub use header::{NodeHeader, SmrNode};
 pub use pool::{CheckOut, HandlePool, PooledHandle, SlowPath};
 pub use recycle::{Magazine, NodePool};
 pub use registry::SlotRegistry;
-pub use shared::{Atomic, Shared};
 pub use sharded::{Sharded, ShardedHandle};
+pub use shared::{Atomic, Shared};
 pub use smr::{Smr, SmrHandle};
 pub use stats::{LocalStats, SmrStats};
 

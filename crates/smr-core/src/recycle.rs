@@ -235,7 +235,11 @@ impl NodePool {
     ///
     /// Same contract as [`SmrNode::alloc_dummy`]: the payload must never be
     /// read and the node must be released with `drop_payload = false`.
-    pub unsafe fn alloc_dummy<T>(&self, mag: &mut Magazine, shared: &SmrStats) -> NonNull<SmrNode<T>> {
+    pub unsafe fn alloc_dummy<T>(
+        &self,
+        mag: &mut Magazine,
+        shared: &SmrStats,
+    ) -> NonNull<SmrNode<T>> {
         if !self.usable_for::<T>() {
             // SAFETY: forwarded caller contract.
             return unsafe { SmrNode::alloc_dummy() };
@@ -402,9 +406,7 @@ impl NodePool {
     fn take_in(&self, mag: &mut Magazine, mut block: NodeBlock) {
         let keep = self.magazine_cap / 2;
         match mag.items.take() {
-            Some(mut items)
-                if !items.is_empty() && block.len() <= self.magazine_cap - keep =>
-            {
+            Some(mut items) if !items.is_empty() && block.len() <= self.magazine_cap - keep => {
                 if items.len() + block.len() > self.magazine_cap {
                     let newer = self.split_off(mag, &mut items, keep);
                     self.spill(mag, newer);
@@ -806,7 +808,10 @@ mod tests {
         for w in 0..crate::NodeHeader::WORDS {
             assert_eq!(
                 // SAFETY: `reused` was just allocated and is exclusively owned.
-                unsafe { reused.as_ref() }.header().word(w).load(Ordering::Relaxed),
+                unsafe { reused.as_ref() }
+                    .header()
+                    .word(w)
+                    .load(Ordering::Relaxed),
                 0,
                 "header word {w} re-zeroed on reuse"
             );
@@ -830,7 +835,10 @@ mod tests {
         // SAFETY: exclusively owned, live payload.
         unsafe { pool.dispose(&mut mag, &stats, big.as_ptr(), true) };
         pool.flush(&mut mag, &stats);
-        assert_eq!(stats.pool_hits() + stats.pool_misses() + stats.recycled(), 0);
+        assert_eq!(
+            stats.pool_hits() + stats.pool_misses() + stats.recycled(),
+            0
+        );
         assert!(mag.is_empty(), "mismatched node never entered the magazine");
     }
 
@@ -841,7 +849,9 @@ mod tests {
         let pool = NodePool::for_node::<u64>(&cfg(0, 2));
         let stats = SmrStats::new();
         let mut mag = pool.magazine();
-        let nodes: Vec<_> = (0..64).map(|i| pool.alloc(&mut mag, &stats, i as u64)).collect();
+        let nodes: Vec<_> = (0..64)
+            .map(|i| pool.alloc(&mut mag, &stats, i as u64))
+            .collect();
         for n in nodes {
             // SAFETY: exclusively owned, live payload.
             unsafe { pool.dispose(&mut mag, &stats, n.as_ptr(), true) };
@@ -893,7 +903,11 @@ mod tests {
             unsafe { pool.dispose(&mut mag, &stats, n.as_ptr(), true) };
         }
         pool.flush(&mut mag, &stats);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 32, "payloads dropped at dispose");
+        assert_eq!(
+            DROPS.load(Ordering::Relaxed),
+            32,
+            "payloads dropped at dispose"
+        );
         drop(mag);
         drop(pool); // must free the 32 cached allocations (leak-checked under Miri/asan)
     }
@@ -1093,11 +1107,18 @@ mod tests {
         }
         // SAFETY: as above.
         unsafe { pool.dispose_block::<Counted>(&mut mag, &stats, two) };
-        assert_eq!(mag.len(), 8 / 2 + 2, "the newer half spilled, then the block merged");
+        assert_eq!(
+            mag.len(),
+            8 / 2 + 2,
+            "the newer half spilled, then the block merged"
+        );
         pool.flush(&mut mag, &stats);
         assert_eq!(BLOCK_DROPS.load(Ordering::Relaxed), 20);
         // The last two nodes came from the allocator, not the pool.
-        assert_eq!(stats.pool_hits() + stats.pool_misses() + 2, stats.recycled());
+        assert_eq!(
+            stats.pool_hits() + stats.pool_misses() + 2,
+            stats.recycled()
+        );
     }
 
     /// A magazine keeps [`SPARES`] empty blocks and gives the rest to
@@ -1122,7 +1143,11 @@ mod tests {
         let first = pool.block(&mut retiring);
         assert!(given.contains(&first.as_raw()), "a given-back block");
         assert_eq!(retiring.spare_count, SHARED_SPARES - 1);
-        assert_eq!(pool.spares.head.load(Ordering::Relaxed), 0, "list taken whole");
+        assert_eq!(
+            pool.spares.head.load(Ordering::Relaxed),
+            0,
+            "list taken whole"
+        );
         let stats = SmrStats::new();
         pool.give_spare(&mut retiring, first);
         pool.flush(&mut freeing, &stats);

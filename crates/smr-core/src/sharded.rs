@@ -93,7 +93,9 @@ impl<T: Send + 'static, S: Smr<T>> Smr<T> for Sharded<S> {
         );
         let inner_config = config.shard_config();
         Self {
-            shards: (0..n).map(|_| S::with_config(inner_config.clone())).collect(),
+            shards: (0..n)
+                .map(|_| S::with_config(inner_config.clone()))
+                .collect(),
             aggregate: SmrStats::new(),
             mask: n - 1,
         }
@@ -123,10 +125,7 @@ impl<T: Send + 'static, S: Smr<T>> Smr<T> for Sharded<S> {
     /// Sums the per-shard counts with loads only: no store into the shared
     /// aggregate, so concurrent samplers do not ping-pong one cache line.
     fn unreclaimed_estimate(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.stats().unreclaimed())
-            .sum()
+        self.shards.iter().map(|s| s.stats().unreclaimed()).sum()
     }
 
     fn name() -> &'static str {

@@ -81,7 +81,11 @@ pub fn churn<H: SmrHandle<u64>>(h: &mut H, values: std::ops::Range<u64>) {
 pub fn assert_all_freed<T: Send + 'static, S: Smr<T>>(domain: &S) {
     domain.handle().flush();
     let stats = domain.stats();
-    assert!(stats.balanced(), "{}: unbalanced after quiescence", S::name());
+    assert!(
+        stats.balanced(),
+        "{}: unbalanced after quiescence",
+        S::name()
+    );
     assert_eq!(
         stats.allocated(),
         stats.freed(),
@@ -91,7 +95,10 @@ pub fn assert_all_freed<T: Send + 'static, S: Smr<T>>(domain: &S) {
 }
 
 /// Retires `nodes` unpublished through `h` inside one operation.
-fn retire_all<T: Send + 'static, H: SmrHandle<T>>(h: &mut H, nodes: impl IntoIterator<Item = Shared<T>>) {
+fn retire_all<T: Send + 'static, H: SmrHandle<T>>(
+    h: &mut H,
+    nodes: impl IntoIterator<Item = Shared<T>>,
+) {
     h.enter();
     for node in nodes {
         // SAFETY: `node` was never published; no other reference exists.
@@ -155,7 +162,10 @@ pub fn capability_flags<S: Smr<u64>>(name: &str, tags: &[&str]) {
         S::needs_seek_validation(),
     ];
     let declared = ["batch", "handoff", "seek"].map(|tag| tags.contains(&tag));
-    assert_eq!(flags, declared, "{name}: [trim, wait-free retire, seek validation]");
+    assert_eq!(
+        flags, declared,
+        "{name}: [trim, wait-free retire, seek validation]"
+    );
 }
 
 /// One handle churns 200 nodes; its flush frees them all.
@@ -165,7 +175,12 @@ pub fn single_thread<S: Smr<u64>>(tweak: Tweak) {
     churn(&mut h, 0..200);
     h.flush();
     assert_eq!(domain.stats().retired(), 200, "{}", S::name());
-    assert_eq!(domain.stats().unreclaimed(), 0, "{}: the flush frees all", S::name());
+    assert_eq!(
+        domain.stats().unreclaimed(),
+        0,
+        "{}: the flush frees all",
+        S::name()
+    );
     drop(h);
     assert_all_freed(&domain);
 }
@@ -200,7 +215,12 @@ pub fn dealloc_unpublished_node<S: Smr<u64>>(tweak: Tweak) {
 /// with `flush_each` every operation is followed by a flush (what a
 /// `HandlePool` check-in runs), so every batch is partial and its
 /// extensions race with concurrent `leave` credits.
-fn tracked_churn<S: Smr<Tracked<u64>>>(config: SmrConfig, threads: u64, ops: u64, flush_each: bool) {
+fn tracked_churn<S: Smr<Tracked<u64>>>(
+    config: SmrConfig,
+    threads: u64,
+    ops: u64,
+    flush_each: bool,
+) {
     let registry = &DropRegistry::new();
     {
         let domain = &S::with_config(config);
@@ -279,7 +299,12 @@ pub fn check_in_keeps_magazine_warm<S: Smr<Tracked<u64>>>(tweak: Tweak) {
         other.dealloc(cold);
     }
     drop((h, other));
-    assert_eq!((stats.pool_hits(), stats.pool_misses()), (1, 5), "{}", S::name());
+    assert_eq!(
+        (stats.pool_hits(), stats.pool_misses()),
+        (1, 5),
+        "{}",
+        S::name()
+    );
     assert!(stats.balanced(), "{}", S::name());
     drop(domain);
     registry.assert_quiescent();
@@ -304,8 +329,16 @@ pub fn recycling_reuses_memory_and_stays_balanced<S: Smr<u64>>(tweak: Tweak) {
     // Logical accounting is untouched by recycling...
     assert_all_freed(domain);
     // ...while the allocator fast path actually engaged.
-    assert!(domain.stats().recycled() > 0, "{}: reclaim fed the pool", S::name());
-    assert!(domain.stats().pool_hits() > 0, "{}: alloc drew from the pool", S::name());
+    assert!(
+        domain.stats().recycled() > 0,
+        "{}: reclaim fed the pool",
+        S::name()
+    );
+    assert!(
+        domain.stats().pool_hits() > 0,
+        "{}: alloc drew from the pool",
+        S::name()
+    );
 }
 
 /// A reader inside an operation pins what is retired after its `enter`;
@@ -313,12 +346,16 @@ pub fn recycling_reuses_memory_and_stays_balanced<S: Smr<u64>>(tweak: Tweak) {
 /// dereferenced anything, so only the others must show the pin.
 pub fn reader_pins_until_leave<S: Smr<u64>>(tweak: Tweak) {
     let domain = &S::with_config(tweak(config()));
-    let pinned = with_parked_reader(domain, |_| {}, || {
-        let mut writer = domain.handle();
-        churn(&mut writer, 0..64); // several full batches
-        writer.flush();
-        domain.stats().unreclaimed()
-    });
+    let pinned = with_parked_reader(
+        domain,
+        |_| {},
+        || {
+            let mut writer = domain.handle();
+            churn(&mut writer, 0..64); // several full batches
+            writer.flush();
+            domain.stats().unreclaimed()
+        },
+    );
     assert!(S::robust() || pinned > 0, "{}: nothing pinned", S::name());
     assert_all_freed(domain);
 }
@@ -470,7 +507,7 @@ const MAP_CHURN: u64 = 30_000;
 /// Churns `churn` insert/remove pairs through a hash map beside a reader
 /// parked inside an operation after four lookups; returns what is pinned
 /// when the churn ends.
-fn pinned_by_map_stall<S: Smr<ListNode<u64, u64>> >(config: SmrConfig, churn: u64) -> u64 {
+fn pinned_by_map_stall<S: Smr<ListNode<u64, u64>>>(config: SmrConfig, churn: u64) -> u64 {
     let map: MichaelHashMap<u64, u64, S> = MichaelHashMap::with_config_and_buckets(config, 256);
     let map = &map;
     let park = |h: &mut _| {
@@ -545,7 +582,9 @@ pub fn flush_mid_operation<S: Smr<Canary>>(tweak: Tweak) {
     }
     h.flush();
     // SAFETY: `keep` is not retired yet, so it is live.
-    unsafe { keep.deref() }.check().expect("mid-operation canary");
+    unsafe { keep.deref() }
+        .check()
+        .expect("mid-operation canary");
     // SAFETY: `keep` was never published and is retired once.
     unsafe { h.retire(keep) };
     h.leave();
@@ -556,7 +595,10 @@ pub fn flush_mid_operation<S: Smr<Canary>>(tweak: Tweak) {
 /// Two domains of one scheme are independent: retiring through one never
 /// reclaims, or counts, nodes of the other.
 pub fn domains_are_independent<S: Smr<Canary>>(tweak: Tweak) {
-    let (a, b) = (S::with_config(tweak(config())), S::with_config(tweak(config())));
+    let (a, b) = (
+        S::with_config(tweak(config())),
+        S::with_config(tweak(config())),
+    );
     let (mut ha, mut hb) = (a.handle(), b.handle());
     hb.enter();
     let node_b = hb.alloc(Canary::new(7));
@@ -564,7 +606,9 @@ pub fn domains_are_independent<S: Smr<Canary>>(tweak: Tweak) {
     retire_all(&mut ha, nodes);
     ha.flush();
     // SAFETY: `node_b` is not retired yet, so it is live.
-    unsafe { node_b.deref() }.check().expect("foreign-domain canary");
+    unsafe { node_b.deref() }
+        .check()
+        .expect("foreign-domain canary");
     assert_eq!(b.stats().retired(), 0, "{}: cross-domain retire", S::name());
     // SAFETY: `node_b` was never published and is retired once.
     unsafe { hb.retire(node_b) };
@@ -670,7 +714,11 @@ fn shared_link_churn<S: Smr<Tracked<u64>>>(config: SmrConfig) -> DropRegistry {
         let mut h = domain.handle();
         retire_all(&mut h, [link.swap(Shared::null(), Ordering::AcqRel)]);
         h.flush();
-        assert!(domain.stats().allocated() >= SMOKE_THREADS * SMOKE_OPS, "{}", S::name());
+        assert!(
+            domain.stats().allocated() >= SMOKE_THREADS * SMOKE_OPS,
+            "{}",
+            S::name()
+        );
     }
     assert_eq!(registry.created(), SMOKE_THREADS * SMOKE_OPS);
     registry
@@ -750,8 +798,9 @@ fn map_churn<S: Smr<M::Node>, M: TrackedMap<S>>(config: SmrConfig) {
     let (mint, registry) = (&TokenMint::new(), &DropRegistry::new());
     let check = |op: &str, key: u64, value: Option<Tracked<u64>>| {
         if let Some(token) = value {
-            mint.validate(key, *token)
-                .unwrap_or_else(|e| panic!("{}: {op}({key}) returned a corrupt value: {e}", S::name()));
+            mint.validate(key, *token).unwrap_or_else(|e| {
+                panic!("{}: {op}({key}) returned a corrupt value: {e}", S::name())
+            });
         }
     };
     {
@@ -873,7 +922,10 @@ pub fn map_bonsai<S: Smr<BonsaiNode<u64, Tracked<u64>>>>(tweak: Tweak) {
 /// that exhausts a registry.
 pub fn more_handles_than_slots<S: Smr<ListNode<u64, u64>>>(tweak: Tweak) {
     let map: MichaelHashMap<u64, u64, S> = MichaelHashMap::with_config_and_buckets(
-        tweak(SmrConfig { slots: 2, ..config() }),
+        tweak(SmrConfig {
+            slots: 2,
+            ..config()
+        }),
         64,
     );
     let map = &map;
@@ -916,7 +968,11 @@ pub fn registry_exhaustion_panics<S: Smr<u64>>(tweak: Tweak) {
     let first = domain.handle();
     let _second = domain.handle();
     let third = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(domain.handle())));
-    assert!(third.is_err(), "{}: a third handle must be refused", S::name());
+    assert!(
+        third.is_err(),
+        "{}: a third handle must be refused",
+        S::name()
+    );
     drop(first);
     churn(&mut domain.handle(), 0..8);
 }
@@ -978,7 +1034,10 @@ pub fn partial_flush_adds_one_dummy_per_entered_slot<S: Smr<u64>>(tweak: Tweak) 
         for n in [1u64, 2] {
             // Eight slots: every handle below gets its own, round-robin on
             // shared slots, claimed on owned ones.
-            let domain = S::with_config(tweak(SmrConfig { slots: 8, ..config() }));
+            let domain = S::with_config(tweak(SmrConfig {
+                slots: 8,
+                ..config()
+            }));
             let link = Atomic::null();
             let mut readers: Vec<_> = (0..parked).map(|_| domain.handle()).collect();
             let mut stale = S::robust().then(|| domain.handle());
@@ -1085,13 +1144,25 @@ pub fn full_batch_freed_on_another_thread<S: Smr<Tracked<u64>>>(tweak: Tweak) {
                 let _ = reader.protect(0, &Atomic::null());
                 entered.wait();
                 retired.wait();
-                assert_eq!(registry.live(), batch as i64, "{}: the reader pins the batch", S::name());
+                assert_eq!(
+                    registry.live(),
+                    batch as i64,
+                    "{}: the reader pins the batch",
+                    S::name()
+                );
                 reader.leave();
-                assert_eq!(registry.live(), 0, "{}: the reader's leave freed the batch", S::name());
+                assert_eq!(
+                    registry.live(),
+                    0,
+                    "{}: the reader's leave freed the batch",
+                    S::name()
+                );
             });
             let mut writer = domain.handle();
             entered.wait();
-            let nodes: Vec<_> = (0..batch).map(|v| writer.alloc(registry.track(v))).collect();
+            let nodes: Vec<_> = (0..batch)
+                .map(|v| writer.alloc(registry.track(v)))
+                .collect();
             retire_all(&mut writer, nodes);
             retired.wait();
         });
@@ -1189,7 +1260,11 @@ pub fn stale_reader_pins_only_older_part<S: Smr<u64>>(tweak: Tweak) {
         let _ = reader.protect(0, &link);
         advance_era(&mut writer);
         let young: Vec<_> = (0..8).map(|v| writer.alloc(100 + v)).collect();
-        let groups = if young_first { vec![young, old] } else { vec![old, young] };
+        let groups = if young_first {
+            vec![young, old]
+        } else {
+            vec![old, young]
+        };
         retire_as_one_batch(&mut writer, interleave(groups));
         let dummies = 2u64.saturating_sub(n_old);
         assert_eq!(
@@ -1230,10 +1305,20 @@ pub fn two_stale_readers_cut_at_each_era<S: Smr<u64>>(tweak: Tweak) {
     let young: Vec<_> = (0..4).map(|v| writer.alloc(20 + v)).collect();
     retire_as_one_batch(&mut writer, interleave(vec![young, middle, oldest]));
     let unreclaimed = || domain.stats().unreclaimed();
-    assert_eq!(unreclaimed(), (2 + 1) + 2, "{}: both parts pinned", S::name());
+    assert_eq!(
+        unreclaimed(),
+        (2 + 1) + 2,
+        "{}: both parts pinned",
+        S::name()
+    );
     second.leave();
     second.flush();
-    assert_eq!(unreclaimed(), 2 + 1, "{}: the middle part is free", S::name());
+    assert_eq!(
+        unreclaimed(),
+        2 + 1,
+        "{}: the middle part is free",
+        S::name()
+    );
     first.leave();
     first.flush();
     assert_eq!(unreclaimed(), 0, "{}", S::name());
@@ -1262,7 +1347,12 @@ pub fn no_cut_outside_birth_range<S: Smr<u64>>(tweak: Tweak) {
     retire_as_one_batch(&mut writer, interleave(vec![older, younger]));
     let stats = domain.stats();
     assert_eq!(stats.retired(), 10, "{}: a dummy means a cut", S::name());
-    assert_eq!(stats.unreclaimed(), 10, "{}: the fresh reader pins all", S::name());
+    assert_eq!(
+        stats.unreclaimed(),
+        10,
+        "{}: the fresh reader pins all",
+        S::name()
+    );
     stale.leave();
     fresh.leave();
     drop((stale, fresh, writer));
@@ -1339,7 +1429,12 @@ pub fn cut_batch_keeps_protected<S: Smr<Canary>>(tweak: Tweak) {
         h.flush();
         domain.stats().unreclaimed()
     });
-    assert_eq!(pinned, 2 * OLD, "{}: each protected node and its dummy stay", S::name());
+    assert_eq!(
+        pinned,
+        2 * OLD,
+        "{}: each protected node and its dummy stay",
+        S::name()
+    );
     drop(h);
     assert!(domain.stats().balanced(), "{}", S::name());
 }
@@ -1400,7 +1495,12 @@ pub fn smoke_forced_handoff<S: Smr<Tracked<u64>>>(tweak: Tweak) {
 /// The shared-link churn frees nothing: every payload stays live.
 pub fn leaks_everything<S: Smr<Tracked<u64>>>(tweak: Tweak) {
     let registry = shared_link_churn::<S>(tweak(config()));
-    assert_eq!(registry.dropped(), 0, "{} must never drop a payload", S::name());
+    assert_eq!(
+        registry.dropped(),
+        0,
+        "{} must never drop a payload",
+        S::name()
+    );
 }
 
 /// Removed map nodes are retired and never freed, and the registry sees
@@ -1422,7 +1522,12 @@ pub fn map_leaks_removed<S: Smr<ListNode<u64, Tracked<u64>>>>(tweak: Tweak) {
             h.leave();
         }
     }
-    assert_eq!(registry.live(), 32, "{}: exactly the removed payloads leak", S::name());
+    assert_eq!(
+        registry.live(),
+        32,
+        "{}: exactly the removed payloads leak",
+        S::name()
+    );
 }
 
 /// A handle dropped inside an operation is harmless, and frees nothing.

@@ -73,6 +73,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "the case's own message")]
     fn case_panic_is_re_raised() {
-        run("panics", Duration::from_secs(10), || panic!("the case's own message"));
+        run("panics", Duration::from_secs(10), || {
+            panic!("the case's own message")
+        });
     }
 }

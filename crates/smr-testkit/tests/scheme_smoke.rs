@@ -43,8 +43,7 @@ fn sharded_cfg(shards: usize) -> SmrConfig {
 fn sharded_churn<S: Smr<Tracked<u64>>>(shards: usize) -> DropRegistry {
     let registry = DropRegistry::new();
     {
-        let domain: smr_core::Sharded<S> =
-            Smr::<Tracked<u64>>::with_config(sharded_cfg(shards));
+        let domain: smr_core::Sharded<S> = Smr::<Tracked<u64>>::with_config(sharded_cfg(shards));
         assert_eq!(domain.shard_count(), shards);
         let slots: Vec<Atomic<Tracked<u64>>> = (0..shards).map(|_| Atomic::null()).collect();
         std::thread::scope(|scope| {

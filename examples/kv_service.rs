@@ -26,8 +26,7 @@ fn main() {
         max_threads: 8,
         ..SmrConfig::default()
     };
-    let map: MichaelHashMap<u64, u64, Sharded<Hyaline<_>>> =
-        MichaelHashMap::with_config(config);
+    let map: MichaelHashMap<u64, u64, Sharded<Hyaline<_>>> = MichaelHashMap::with_config(config);
     // The whole point: the registry budget is tiny and fixed while the
     // connection count is not. 10k tasks multiplex 4 handles.
     let pool = HandlePool::new(map.domain(), 4);

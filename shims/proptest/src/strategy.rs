@@ -130,7 +130,10 @@ impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
                 return v;
             }
         }
-        panic!("prop_filter rejected 1000 candidates in a row: {}", self.whence);
+        panic!(
+            "prop_filter rejected 1000 candidates in a row: {}",
+            self.whence
+        );
     }
 }
 
@@ -142,7 +145,9 @@ pub struct Union<V: Debug> {
 
 impl<V: Debug> Debug for Union<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Union").field("arms", &self.arms.len()).finish()
+        f.debug_struct("Union")
+            .field("arms", &self.arms.len())
+            .finish()
     }
 }
 

@@ -38,8 +38,8 @@ fn oversubscribed_churn<S: Smr<Tracked<u64>>>(max_threads: usize) -> DropRegistr
                         let mut h = pool.checkout();
                         for i in 0..OPS_PER_ROUND {
                             h.enter();
-                            let value = registry
-                                .track((t * ROUNDS + round) as u64 * OPS_PER_ROUND + i);
+                            let value =
+                                registry.track((t * ROUNDS + round) as u64 * OPS_PER_ROUND + i);
                             let node = h.alloc(value);
                             // SAFETY: `node` came from this handle's `alloc`,
                             // was never published, and is retired once.
@@ -56,7 +56,11 @@ fn oversubscribed_churn<S: Smr<Tracked<u64>>>(max_threads: usize) -> DropRegistr
             S::name(),
             pool.issued()
         );
-        assert_eq!(pool.parked(), pool.issued(), "all handles parked at the end");
+        assert_eq!(
+            pool.parked(),
+            pool.issued(),
+            "all handles parked at the end"
+        );
     }
     registry
 }
@@ -125,8 +129,8 @@ fn crystalline_handles_migrate_with_adopted_batches() {
                         let mut h = pool.checkout();
                         for i in 0..OPS_PER_ROUND {
                             h.enter();
-                            let value = registry
-                                .track((round as u64 * 2 + task) * OPS_PER_ROUND + i);
+                            let value =
+                                registry.track((round as u64 * 2 + task) * OPS_PER_ROUND + i);
                             let node = h.alloc(value);
                             // SAFETY: `node` came from this handle's `alloc`,
                             // was never published, and is retired once.

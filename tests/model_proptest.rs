@@ -61,7 +61,11 @@ macro_rules! model_check {
         // Final sweep: agreement on the whole key space.
         for k in 0..32u64 {
             h.enter();
-            assert_eq!(map.get(&mut h, &k), model.get(&k).copied(), "final get({k})");
+            assert_eq!(
+                map.get(&mut h, &k),
+                model.get(&k).copied(),
+                "final get({k})"
+            );
             h.leave();
         }
     }};

@@ -173,9 +173,7 @@ fn concurrent_tokens_never_collide() {
     let mint = &TokenMint::new();
     let sets: Vec<Vec<u64>> = std::thread::scope(|s| {
         (0..4)
-            .map(|_| {
-                s.spawn(move || (0..5_000).map(|i| mint.mint(i % 100)).collect::<Vec<_>>())
-            })
+            .map(|_| s.spawn(move || (0..5_000).map(|i| mint.mint(i % 100)).collect::<Vec<_>>()))
             .collect::<Vec<_>>()
             .into_iter()
             .map(|j| j.join().unwrap())

@@ -193,7 +193,8 @@ fn layout_mismatch_falls_through_to_plain_alloc() {
     // Mismatched layout: a wider payload must bypass the pool entirely —
     // its dispose drops the tracked payload and frees for real, touching
     // none of the pool counters.
-    let wide = pool.alloc::<(Tracked<u64>, [u64; 8])>(&mut mag, &stats, (registry.track(1), [0; 8]));
+    let wide =
+        pool.alloc::<(Tracked<u64>, [u64; 8])>(&mut mag, &stats, (registry.track(1), [0; 8]));
     // SAFETY: `wide` is unpublished and exclusively owned; payload live.
     unsafe { pool.dispose(&mut mag, &stats, wide.as_ptr(), true) };
     registry.assert_quiescent();
@@ -241,13 +242,33 @@ fn check_in_round_trip<S: Smr<Tracked<u64>>>() {
             unsafe { h.retire(node) };
             h.leave();
             drop(h); // check-in: flush, then park
-            assert_eq!(domain.stats().unreclaimed(), 0, "{}: the flush freed it", S::name());
+            assert_eq!(
+                domain.stats().unreclaimed(),
+                0,
+                "{}: the flush freed it",
+                S::name()
+            );
         }
-        assert_eq!(pool.issued(), 1, "{}: the checkout re-took the handle", S::name());
-        assert_eq!(addrs[1], addrs[0], "{}: the second allocation missed", S::name());
+        assert_eq!(
+            pool.issued(),
+            1,
+            "{}: the checkout re-took the handle",
+            S::name()
+        );
+        assert_eq!(
+            addrs[1],
+            addrs[0],
+            "{}: the second allocation missed",
+            S::name()
+        );
         drop(pool); // drops the handle, which publishes its pool counters
         let stats = domain.stats();
-        assert_eq!((stats.pool_hits(), stats.pool_misses()), (1, 1), "{}", S::name());
+        assert_eq!(
+            (stats.pool_hits(), stats.pool_misses()),
+            (1, 1),
+            "{}",
+            S::name()
+        );
         assert!(stats.balanced(), "{}", S::name());
     }
     registry.assert_quiescent();
