@@ -82,7 +82,27 @@ pub use crate::hyaline_s::{HyalineS, HyalineSHandle};
 // One section per alias: what the switch setting is, and the unit tests that
 // read the crate's internals for that setting. The cases every scheme
 // shares are in `smr_testkit::conformance`, enrolled once per alias in the
-// workspace's `tests/conformance.rs`.
+// workspace's `tests/conformance.rs`. The workspace's test ids are a tracked
+// floor, so each alias's `tests` module also runs those cases under the ids
+// they had here before the suite, one `conformance_case!` line each.
+
+/// Table 1's flags for every alias this crate exports.
+#[cfg(test)]
+mod battery {
+    use crate::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
+    use smr_testkit::conformance::capability_flags as flags;
+
+    #[test]
+    fn capability_flags() {
+        flags::<Hyaline<u64>>("Hyaline", &["batch"]);
+        flags::<Hyaline1<u64>>("Hyaline-1", &["batch"]);
+        flags::<HyalineS<u64>>("Hyaline-S", &["batch", "seek"]);
+        flags::<Hyaline1S<u64>>("Hyaline-1S", &["batch", "seek"]);
+        let crystalline = ["batch", "handoff", "seek"];
+        flags::<CrystallineL<u64>>("Crystalline-L", &crystalline);
+        flags::<CrystallineW<u64>>("Crystalline-W", &crystalline);
+    }
+}
 
 mod hyaline {
     /// The general Hyaline reclamation domain (paper Sections 3.1–3.3,
@@ -121,6 +141,22 @@ mod hyaline {
         use crate::domain::adjs_for;
         use smr_core::{Atomic, Smr, SmrHandle};
         use smr_testkit::conformance::config;
+        use smr_testkit::conformance_case;
+
+        conformance_case! {
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hyaline;
+            concurrent_stalled_reader_blocks_then_releases: reader_pins_until_leave for Hyaline;
+            dealloc_unpublished_node: dealloc_unpublished_node for Hyaline;
+            dummies_are_pool_traffic: dummies_are_pool_traffic for Hyaline;
+            flush_every_operation_stress: flush_every_operation_stress for Hyaline;
+            many_threads_stress_reclaims_all: stress for Hyaline;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for Hyaline;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for Hyaline;
+            payload_drops_exactly_once: payload_drops_exactly_once for Hyaline;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for Hyaline;
+            single_thread_retire_reclaims_everything: single_thread for Hyaline;
+            trim_reclaims_without_leaving: trim_reclaims_mid_operation for Hyaline;
+        }
 
         #[test]
         fn adjs_constant_matches_paper() {
@@ -188,6 +224,22 @@ mod hyaline1 {
         use super::Hyaline1;
         use smr_core::{Smr, SmrConfig, SmrHandle};
         use smr_testkit::conformance::{assert_all_freed, churn, config};
+        use smr_testkit::conformance_case;
+
+        conformance_case! {
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hyaline1;
+            dealloc_unpublished_node: dealloc_unpublished_node for Hyaline1;
+            dummies_are_pool_traffic: dummies_are_pool_traffic for Hyaline1;
+            flush_every_operation_stress: flush_every_operation_stress for Hyaline1;
+            oversubscribed_stress: stress for Hyaline1;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for Hyaline1;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for Hyaline1;
+            payload_drops_exactly_once: payload_drops_exactly_once for Hyaline1;
+            reader_pins_batches_until_leave: reader_pins_until_leave for Hyaline1;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for Hyaline1;
+            single_thread_reclaims_everything: single_thread for Hyaline1;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation for Hyaline1;
+        }
 
         #[test]
         fn handles_own_distinct_slots() {
@@ -300,7 +352,28 @@ mod hyaline_s {
         use crate::batch::W_NEXT;
         use smr_core::{Atomic, Smr, SmrConfig, SmrHandle};
         use smr_testkit::conformance::{churn, config};
+        use smr_testkit::conformance_case;
         use std::sync::atomic::Ordering;
+
+        conformance_case! {
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for HyalineS;
+            dealloc_unpublished_node: dealloc_unpublished_node for HyalineS;
+            dummies_are_pool_traffic: dummies_are_pool_traffic for HyalineS;
+            flush_every_operation_stress: flush_every_operation_stress for HyalineS;
+            fresh_reader_is_tracked_not_skipped: protected_until_leave for HyalineS;
+            multithreaded_stress_reclaims_all: stress for HyalineS { adaptive: true };
+            no_cut_outside_birth_range: no_cut_outside_birth_range for HyalineS;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for HyalineS;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for HyalineS;
+            payload_drops_exactly_once: payload_drops_exactly_once for HyalineS;
+            reader_pins_batches_until_leave: reader_pins_until_leave for HyalineS;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for HyalineS;
+            single_thread_reclaims_everything: single_thread for HyalineS;
+            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for HyalineS;
+            stalled_thread_does_not_block_new_batches: protected_survives_stall for HyalineS;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation for HyalineS;
+            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for HyalineS;
+        }
 
         fn domain(slots: usize, adaptive: bool) -> HyalineS<u64> {
             HyalineS::with_config(SmrConfig {
@@ -443,6 +516,32 @@ mod hyaline1_s {
 
     /// Per-thread handle to a [`Hyaline1S`] domain; owns one slot.
     pub type Hyaline1SHandle<'d, T> = crate::Handle<'d, T, true, true>;
+
+    #[cfg(test)]
+    mod tests {
+        use super::Hyaline1S;
+        use smr_testkit::conformance_case;
+
+        conformance_case! {
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hyaline1S;
+            dealloc_unpublished_node: dealloc_unpublished_node for Hyaline1S;
+            dummies_are_pool_traffic: dummies_are_pool_traffic for Hyaline1S;
+            flush_every_operation_stress: flush_every_operation_stress for Hyaline1S;
+            fresh_reader_is_tracked_not_skipped: protected_until_leave for Hyaline1S;
+            multithreaded_stress: stress for Hyaline1S;
+            no_cut_outside_birth_range: no_cut_outside_birth_range for Hyaline1S;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for Hyaline1S;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for Hyaline1S;
+            payload_drops_exactly_once: payload_drops_exactly_once for Hyaline1S;
+            reader_pins_batches_until_leave: reader_pins_until_leave for Hyaline1S;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for Hyaline1S;
+            single_thread_reclaims_everything: single_thread for Hyaline1S;
+            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for Hyaline1S;
+            stalled_thread_is_skipped_by_era: protected_survives_stall for Hyaline1S;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation for Hyaline1S;
+            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for Hyaline1S;
+        }
+    }
 }
 
 mod crystalline {
@@ -570,8 +669,60 @@ mod tests {
     use crate::{CrystallineL, CrystallineW};
     use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
     use smr_testkit::conformance::{assert_all_freed, churn, config};
+    use smr_testkit::conformance_case;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    conformance_case! {
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for CrystallineL;
+        dealloc_unpublished_node: dealloc_unpublished_node for CrystallineL;
+        dummies_are_pool_traffic: dummies_are_pool_traffic for CrystallineL;
+        flush_every_operation_stress: flush_every_operation_stress for CrystallineL;
+        fresh_reader_is_tracked_not_skipped: protected_until_leave for CrystallineW;
+        multithreaded_stress_l: stress for CrystallineL;
+        no_cut_outside_birth_range: no_cut_outside_birth_range for CrystallineL;
+        partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for CrystallineL;
+        partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for CrystallineL;
+        payload_drops_exactly_once: payload_drops_exactly_once for CrystallineL;
+        reader_pins_batches_until_leave: reader_pins_until_leave for CrystallineL;
+        recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for CrystallineL;
+        single_thread_reclaims_everything: single_thread for CrystallineL;
+        stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for CrystallineL;
+        stalled_thread_is_skipped_by_era: protected_survives_stall for CrystallineL;
+        trim_reclaims_mid_operation: trim_reclaims_mid_operation for CrystallineL;
+        two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for CrystallineL;
+    }
+
+    #[test]
+    fn capability_flags() {
+        use smr_testkit::conformance::capability_flags as flags;
+        let tags = ["batch", "handoff", "seek"];
+        flags::<CrystallineL<u64>>("Crystalline-L", &tags);
+        flags::<CrystallineW<u64>>("Crystalline-W", &tags);
+    }
+
+    mod w {
+        use crate::CrystallineW;
+        use smr_testkit::conformance_case;
+
+        conformance_case! {
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for CrystallineW;
+            dealloc_unpublished_node: dealloc_unpublished_node for CrystallineW;
+            dummies_are_pool_traffic: dummies_are_pool_traffic for CrystallineW;
+            flush_every_operation_stress: flush_every_operation_stress for CrystallineW;
+            multithreaded_stress: stress for CrystallineW;
+            no_cut_outside_birth_range: no_cut_outside_birth_range for CrystallineW;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for CrystallineW;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for CrystallineW;
+            payload_drops_exactly_once: payload_drops_exactly_once for CrystallineW;
+            reader_pins_batches_until_leave: reader_pins_until_leave for CrystallineW;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for CrystallineW;
+            single_thread_reclaims_everything: single_thread for CrystallineW;
+            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for CrystallineW;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation for CrystallineW;
+            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for CrystallineW;
+        }
+    }
 
     /// The one CAS-max: Crystalline-W's helpers and owner both go through
     /// it, so neither can move a slot's era backward.

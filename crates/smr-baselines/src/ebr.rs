@@ -98,8 +98,21 @@ pub type EbrHandle<'d, T> = Handle<'d, T, EbrPolicy>;
 
 #[cfg(test)]
 mod tests {
+    use super::Ebr;
+    use smr_testkit::conformance_case;
+
     #[test]
     fn scan_work_is_amortised() {
         crate::registry_core::tests::scan_work_is_amortised::<super::EbrPolicy>();
+    }
+
+    // The conformance cases under the ids this module had before the suite.
+    conformance_case! {
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Ebr;
+        multithreaded_stress: stress for Ebr;
+        reader_protected_until_leave: protected_until_leave for Ebr;
+        single_thread_reclaims_everything: single_thread for Ebr;
+        stalled_thread_blocks_reclamation: protected_survives_stall for Ebr;
+        teardown_is_leak_free: stress for Ebr;
     }
 }

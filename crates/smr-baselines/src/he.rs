@@ -120,8 +120,20 @@ pub type HeHandle<'d, T> = Handle<'d, T, HePolicy>;
 
 #[cfg(test)]
 mod tests {
+    use super::He;
+    use smr_testkit::conformance_case;
+
     #[test]
     fn scan_work_is_amortised() {
         crate::registry_core::tests::scan_work_is_amortised::<super::HePolicy>();
+    }
+
+    // The conformance cases under the ids this module had before the suite.
+    conformance_case! {
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for He;
+        multithreaded_stress: stress for He;
+        reservation_era_pins_interval: protected_until_leave for He;
+        robust_against_stalled_thread: protected_survives_stall for He;
+        single_thread_reclaims_everything: single_thread for He;
     }
 }

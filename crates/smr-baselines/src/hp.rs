@@ -119,8 +119,20 @@ pub type HpHandle<'d, T> = Handle<'d, T, HpPolicy>;
 
 #[cfg(test)]
 mod tests {
+    use super::Hp;
+    use smr_testkit::conformance_case;
+
     #[test]
     fn scan_work_is_amortised() {
         crate::registry_core::tests::scan_work_is_amortised::<super::HpPolicy>();
+    }
+
+    // The conformance cases under the ids this module had before the suite.
+    conformance_case! {
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hp;
+        hazard_blocks_reclamation_of_protected_node: protected_until_leave for Hp;
+        protect_validates_against_racing_unlink: protect_races_unlink for Hp;
+        robust_against_stalled_thread: protected_survives_stall for Hp;
+        single_thread_reclaims_everything: single_thread for Hp;
     }
 }

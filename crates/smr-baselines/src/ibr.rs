@@ -129,8 +129,20 @@ pub type IbrHandle<'d, T> = Handle<'d, T, IbrPolicy>;
 
 #[cfg(test)]
 mod tests {
+    use super::Ibr;
+    use smr_testkit::conformance_case;
+
     #[test]
     fn scan_work_is_amortised() {
         crate::registry_core::tests::scan_work_is_amortised::<super::IbrPolicy>();
+    }
+
+    // The conformance cases under the ids this module had before the suite.
+    conformance_case! {
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Ibr;
+        interval_pins_protected_node: protected_until_leave for Ibr;
+        multithreaded_stress: stress for Ibr;
+        robust_against_stalled_thread: protected_survives_stall for Ibr;
+        single_thread_reclaims_everything: single_thread for Ibr;
     }
 }

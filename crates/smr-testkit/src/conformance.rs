@@ -32,6 +32,8 @@
 //! `leaks` replaces the whole set with its complement, for `Leaky`:
 //! nothing retired is ever freed. Every case runs under the
 //! [`watchdog`](crate::watchdog) with [`DEADLINE`], so a hang fails.
+//! [`conformance_case!`](crate::conformance_case!) runs one case under a
+//! test id that predates the suite.
 
 use crate::{Canary, DropRegistry, StallPoint, TokenMint, Tracked};
 use lockfree_ds::{
@@ -1613,4 +1615,38 @@ macro_rules! conformance {
             );
         }
     )*};
+}
+
+/// Keeps a test id that names a case under its own name: stamps one
+/// `#[test] fn $id` per line that runs `$case` on each listed scheme in
+/// turn, under the watchdog, with the row's config overrides in braces.
+/// The workspace's test ids are a tracked floor, so the ids that predate
+/// [`conformance!`](crate::conformance!) (`leak_matrix`'s
+/// `hashmap_hyaline`, a scheme's `tests::multithreaded_stress`) stay, each
+/// one line here:
+///
+/// ```text
+/// conformance_case! {
+///     hashmap_hyaline: map_hashmap for Hyaline;
+///     robust_schemes_bound_stalled_pinning: robustness for Hp, HyalineS { adaptive: true };
+/// }
+/// ```
+#[macro_export]
+macro_rules! conformance_case {
+    ($($id:ident: $case:ident for $($scheme:ident $({ $($field:ident: $value:expr),* })?),+;)*) => {$(
+        #[test]
+        fn $id() {
+            $($crate::conformance_case!(@run $id $case $scheme $($($field: $value),*)?);)+
+        }
+    )*};
+    (@run $id:ident $case:ident $scheme:ident $($field:ident: $value:expr),*) => {{
+        fn tweak(config: $crate::conformance::SmrConfig) -> $crate::conformance::SmrConfig {
+            $crate::conformance::SmrConfig { $($field: $value,)* ..config }
+        }
+        $crate::watchdog::run(
+            concat!(module_path!(), "::", stringify!($id)),
+            $crate::conformance::DEADLINE,
+            || $crate::conformance::$case::<$scheme<_>>(tweak),
+        );
+    }};
 }

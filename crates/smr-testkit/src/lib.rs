@@ -24,7 +24,8 @@
 //!   blanks comments and literals.
 //! * [`conformance`](mod@conformance) — one generic case set over `S: Smr<T>` for every
 //!   scheme's reclamation, transparency and robustness claims, and the
-//!   [`conformance!`] macro that enrolls a scheme with one line.
+//!   [`conformance!`] macro that enrolls a scheme with one line;
+//!   [`conformance_case!`] runs a case under an older test id.
 //! * [`watchdog`] — runs a case on its own thread and fails it, by name,
 //!   when it outlives its deadline: a hang becomes a failure.
 //!

@@ -4,10 +4,14 @@
 //! and recycled node memory. Each cell checks exact drop balance with
 //! [`DropRegistry`]-tracked payloads (`Leaky` asserts the complement:
 //! nothing retired is ever freed). The per-scheme churns without a
-//! structure are conformance cases (`smr_testkit::conformance`).
+//! structure are conformance cases (`smr_testkit::conformance`); the
+//! `smoke_*` and `recycle_smoke_*` ids run them here, one scheme each.
 
+use hyaline::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
+use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
 use smr_testkit::conformance::config as cfg;
+use smr_testkit::conformance_case;
 use smr_testkit::drop_tracker::{DropRegistry, Tracked};
 use std::sync::atomic::Ordering;
 
@@ -349,4 +353,31 @@ fn msqueue_smoke_leaky() {
     let extra = registry.created() - 2 * STRUCT_TOTAL;
     assert_eq!(registry.dropped(), STRUCT_TOTAL + 1 + extra);
     assert_eq!(registry.live(), STRUCT_TOTAL as i64 - 1);
+}
+
+// The conformance churns without a structure, plain and over recycled
+// node memory, under the ids this matrix has always used.
+conformance_case! {
+    recycle_smoke_crystalline_l: smoke_recycled for CrystallineL;
+    recycle_smoke_crystalline_w: smoke_recycled for CrystallineW;
+    recycle_smoke_ebr: smoke_recycled for Ebr;
+    recycle_smoke_he: smoke_recycled for He;
+    recycle_smoke_hp: smoke_recycled for Hp;
+    recycle_smoke_hyaline: smoke_recycled for Hyaline;
+    recycle_smoke_hyaline1: smoke_recycled for Hyaline1;
+    recycle_smoke_hyaline1_s: smoke_recycled for Hyaline1S;
+    recycle_smoke_hyaline_s: smoke_recycled for HyalineS;
+    recycle_smoke_ibr: smoke_recycled for Ibr;
+    smoke_crystalline_l: smoke for CrystallineL;
+    smoke_crystalline_l_forced_handoff: smoke_forced_handoff for CrystallineL;
+    smoke_crystalline_w: smoke for CrystallineW;
+    smoke_ebr: smoke for Ebr;
+    smoke_he: smoke for He;
+    smoke_hp: smoke for Hp;
+    smoke_hyaline: smoke for Hyaline;
+    smoke_hyaline1: smoke for Hyaline1;
+    smoke_hyaline1_s: smoke for Hyaline1S;
+    smoke_hyaline_s: smoke for HyalineS;
+    smoke_ibr: smoke for Ibr;
+    smoke_leaky_leaks_everything: leaks_everything for Leaky;
 }
