@@ -84,7 +84,7 @@ pub use crate::hyaline_s::{HyalineS, HyalineSHandle};
 // shares are in `smr_testkit::conformance`, enrolled once per alias in the
 // workspace's `tests/conformance.rs`. The workspace's test ids are a tracked
 // floor, so each alias's `tests` module also runs those cases under the ids
-// they had here before the suite, one `conformance_case!` line each.
+// they had here before the suite, one `conformance_case!` entry per case.
 
 /// Table 1's flags for every alias this crate exports.
 #[cfg(test)]
@@ -96,9 +96,9 @@ mod battery {
     fn capability_flags() {
         flags::<Hyaline<u64>>("Hyaline", &["batch"]);
         flags::<Hyaline1<u64>>("Hyaline-1", &["batch"]);
-        flags::<HyalineS<u64>>("Hyaline-S", &["batch", "seek"]);
-        flags::<Hyaline1S<u64>>("Hyaline-1S", &["batch", "seek"]);
-        let crystalline = ["batch", "handoff", "seek"];
+        flags::<HyalineS<u64>>("Hyaline-S", &["robust", "batch", "seek"]);
+        flags::<Hyaline1S<u64>>("Hyaline-1S", &["robust", "batch", "seek"]);
+        let crystalline = ["robust", "batch", "handoff", "seek"];
         flags::<CrystallineL<u64>>("Crystalline-L", &crystalline);
         flags::<CrystallineW<u64>>("Crystalline-W", &crystalline);
     }
@@ -144,18 +144,18 @@ mod hyaline {
         use smr_testkit::conformance_case;
 
         conformance_case! {
-            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hyaline;
-            concurrent_stalled_reader_blocks_then_releases: reader_pins_until_leave for Hyaline;
-            dealloc_unpublished_node: dealloc_unpublished_node for Hyaline;
-            dummies_are_pool_traffic: dummies_are_pool_traffic for Hyaline;
-            flush_every_operation_stress: flush_every_operation_stress for Hyaline;
-            many_threads_stress_reclaims_all: stress for Hyaline;
-            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for Hyaline;
-            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for Hyaline;
-            payload_drops_exactly_once: payload_drops_exactly_once for Hyaline;
-            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for Hyaline;
-            single_thread_retire_reclaims_everything: single_thread for Hyaline;
-            trim_reclaims_without_leaving: trim_reclaims_mid_operation for Hyaline;
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = Hyaline;
+            dealloc_unpublished_node: dealloc_unpublished_node = Hyaline;
+            dummies_are_pool_traffic: dummies_are_pool_traffic = Hyaline;
+            flush_every_operation_stress: flush_every_operation_stress = Hyaline;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop = Hyaline;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot = Hyaline;
+            payload_drops_exactly_once: payload_drops_exactly_once = Hyaline;
+            reader_pins_until_leave: concurrent_stalled_reader_blocks_then_releases = Hyaline;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced = Hyaline;
+            single_thread: single_thread_retire_reclaims_everything = Hyaline;
+            stress: many_threads_stress_reclaims_all = Hyaline;
+            trim_reclaims_mid_operation: trim_reclaims_without_leaving = Hyaline;
         }
 
         #[test]
@@ -227,18 +227,18 @@ mod hyaline1 {
         use smr_testkit::conformance_case;
 
         conformance_case! {
-            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hyaline1;
-            dealloc_unpublished_node: dealloc_unpublished_node for Hyaline1;
-            dummies_are_pool_traffic: dummies_are_pool_traffic for Hyaline1;
-            flush_every_operation_stress: flush_every_operation_stress for Hyaline1;
-            oversubscribed_stress: stress for Hyaline1;
-            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for Hyaline1;
-            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for Hyaline1;
-            payload_drops_exactly_once: payload_drops_exactly_once for Hyaline1;
-            reader_pins_batches_until_leave: reader_pins_until_leave for Hyaline1;
-            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for Hyaline1;
-            single_thread_reclaims_everything: single_thread for Hyaline1;
-            trim_reclaims_mid_operation: trim_reclaims_mid_operation for Hyaline1;
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = Hyaline1;
+            dealloc_unpublished_node: dealloc_unpublished_node = Hyaline1;
+            dummies_are_pool_traffic: dummies_are_pool_traffic = Hyaline1;
+            flush_every_operation_stress: flush_every_operation_stress = Hyaline1;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop = Hyaline1;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot = Hyaline1;
+            payload_drops_exactly_once: payload_drops_exactly_once = Hyaline1;
+            reader_pins_until_leave: reader_pins_batches_until_leave = Hyaline1;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced = Hyaline1;
+            single_thread: single_thread_reclaims_everything = Hyaline1;
+            stress: oversubscribed_stress = Hyaline1;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation = Hyaline1;
         }
 
         #[test]
@@ -356,23 +356,23 @@ mod hyaline_s {
         use std::sync::atomic::Ordering;
 
         conformance_case! {
-            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for HyalineS;
-            dealloc_unpublished_node: dealloc_unpublished_node for HyalineS;
-            dummies_are_pool_traffic: dummies_are_pool_traffic for HyalineS;
-            flush_every_operation_stress: flush_every_operation_stress for HyalineS;
-            fresh_reader_is_tracked_not_skipped: protected_until_leave for HyalineS;
-            multithreaded_stress_reclaims_all: stress for HyalineS { adaptive: true };
-            no_cut_outside_birth_range: no_cut_outside_birth_range for HyalineS;
-            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for HyalineS;
-            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for HyalineS;
-            payload_drops_exactly_once: payload_drops_exactly_once for HyalineS;
-            reader_pins_batches_until_leave: reader_pins_until_leave for HyalineS;
-            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for HyalineS;
-            single_thread_reclaims_everything: single_thread for HyalineS;
-            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for HyalineS;
-            stalled_thread_does_not_block_new_batches: protected_survives_stall for HyalineS;
-            trim_reclaims_mid_operation: trim_reclaims_mid_operation for HyalineS;
-            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for HyalineS;
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = HyalineS;
+            dealloc_unpublished_node: dealloc_unpublished_node = HyalineS;
+            dummies_are_pool_traffic: dummies_are_pool_traffic = HyalineS;
+            flush_every_operation_stress: flush_every_operation_stress = HyalineS;
+            no_cut_outside_birth_range: no_cut_outside_birth_range = HyalineS;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop = HyalineS;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot = HyalineS;
+            payload_drops_exactly_once: payload_drops_exactly_once = HyalineS;
+            protected_survives_stall: stalled_thread_does_not_block_new_batches = HyalineS;
+            protected_until_leave: fresh_reader_is_tracked_not_skipped = HyalineS;
+            reader_pins_until_leave: reader_pins_batches_until_leave = HyalineS;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced = HyalineS;
+            single_thread: single_thread_reclaims_everything = HyalineS;
+            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part = HyalineS;
+            stress: multithreaded_stress_reclaims_all = HyalineS { adaptive: true };
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation = HyalineS;
+            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era = HyalineS;
         }
 
         fn domain(slots: usize, adaptive: bool) -> HyalineS<u64> {
@@ -523,23 +523,23 @@ mod hyaline1_s {
         use smr_testkit::conformance_case;
 
         conformance_case! {
-            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hyaline1S;
-            dealloc_unpublished_node: dealloc_unpublished_node for Hyaline1S;
-            dummies_are_pool_traffic: dummies_are_pool_traffic for Hyaline1S;
-            flush_every_operation_stress: flush_every_operation_stress for Hyaline1S;
-            fresh_reader_is_tracked_not_skipped: protected_until_leave for Hyaline1S;
-            multithreaded_stress: stress for Hyaline1S;
-            no_cut_outside_birth_range: no_cut_outside_birth_range for Hyaline1S;
-            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for Hyaline1S;
-            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for Hyaline1S;
-            payload_drops_exactly_once: payload_drops_exactly_once for Hyaline1S;
-            reader_pins_batches_until_leave: reader_pins_until_leave for Hyaline1S;
-            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for Hyaline1S;
-            single_thread_reclaims_everything: single_thread for Hyaline1S;
-            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for Hyaline1S;
-            stalled_thread_is_skipped_by_era: protected_survives_stall for Hyaline1S;
-            trim_reclaims_mid_operation: trim_reclaims_mid_operation for Hyaline1S;
-            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for Hyaline1S;
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = Hyaline1S;
+            dealloc_unpublished_node: dealloc_unpublished_node = Hyaline1S;
+            dummies_are_pool_traffic: dummies_are_pool_traffic = Hyaline1S;
+            flush_every_operation_stress: flush_every_operation_stress = Hyaline1S;
+            no_cut_outside_birth_range: no_cut_outside_birth_range = Hyaline1S;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop = Hyaline1S;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot = Hyaline1S;
+            payload_drops_exactly_once: payload_drops_exactly_once = Hyaline1S;
+            protected_survives_stall: stalled_thread_is_skipped_by_era = Hyaline1S;
+            protected_until_leave: fresh_reader_is_tracked_not_skipped = Hyaline1S;
+            reader_pins_until_leave: reader_pins_batches_until_leave = Hyaline1S;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced = Hyaline1S;
+            single_thread: single_thread_reclaims_everything = Hyaline1S;
+            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part = Hyaline1S;
+            stress: multithreaded_stress = Hyaline1S;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation = Hyaline1S;
+            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era = Hyaline1S;
         }
     }
 }
@@ -674,29 +674,29 @@ mod tests {
     use std::sync::Arc;
 
     conformance_case! {
-        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for CrystallineL;
-        dealloc_unpublished_node: dealloc_unpublished_node for CrystallineL;
-        dummies_are_pool_traffic: dummies_are_pool_traffic for CrystallineL;
-        flush_every_operation_stress: flush_every_operation_stress for CrystallineL;
-        fresh_reader_is_tracked_not_skipped: protected_until_leave for CrystallineW;
-        multithreaded_stress_l: stress for CrystallineL;
-        no_cut_outside_birth_range: no_cut_outside_birth_range for CrystallineL;
-        partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for CrystallineL;
-        partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for CrystallineL;
-        payload_drops_exactly_once: payload_drops_exactly_once for CrystallineL;
-        reader_pins_batches_until_leave: reader_pins_until_leave for CrystallineL;
-        recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for CrystallineL;
-        single_thread_reclaims_everything: single_thread for CrystallineL;
-        stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for CrystallineL;
-        stalled_thread_is_skipped_by_era: protected_survives_stall for CrystallineL;
-        trim_reclaims_mid_operation: trim_reclaims_mid_operation for CrystallineL;
-        two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for CrystallineL;
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = CrystallineL;
+        dealloc_unpublished_node: dealloc_unpublished_node = CrystallineL;
+        dummies_are_pool_traffic: dummies_are_pool_traffic = CrystallineL;
+        flush_every_operation_stress: flush_every_operation_stress = CrystallineL;
+        no_cut_outside_birth_range: no_cut_outside_birth_range = CrystallineL;
+        partial_batch_finalized_on_drop: partial_batch_finalized_on_drop = CrystallineL;
+        partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot = CrystallineL;
+        payload_drops_exactly_once: payload_drops_exactly_once = CrystallineL;
+        protected_survives_stall: stalled_thread_is_skipped_by_era = CrystallineL;
+        protected_until_leave: fresh_reader_is_tracked_not_skipped = CrystallineW;
+        reader_pins_until_leave: reader_pins_batches_until_leave = CrystallineL;
+        recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced = CrystallineL;
+        single_thread: single_thread_reclaims_everything = CrystallineL;
+        stale_reader_pins_only_older_part: stale_reader_pins_only_older_part = CrystallineL;
+        stress: multithreaded_stress_l = CrystallineL;
+        trim_reclaims_mid_operation: trim_reclaims_mid_operation = CrystallineL;
+        two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era = CrystallineL;
     }
 
     #[test]
     fn capability_flags() {
         use smr_testkit::conformance::capability_flags as flags;
-        let tags = ["batch", "handoff", "seek"];
+        let tags = ["robust", "batch", "handoff", "seek"];
         flags::<CrystallineL<u64>>("Crystalline-L", &tags);
         flags::<CrystallineW<u64>>("Crystalline-W", &tags);
     }
@@ -706,21 +706,21 @@ mod tests {
         use smr_testkit::conformance_case;
 
         conformance_case! {
-            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for CrystallineW;
-            dealloc_unpublished_node: dealloc_unpublished_node for CrystallineW;
-            dummies_are_pool_traffic: dummies_are_pool_traffic for CrystallineW;
-            flush_every_operation_stress: flush_every_operation_stress for CrystallineW;
-            multithreaded_stress: stress for CrystallineW;
-            no_cut_outside_birth_range: no_cut_outside_birth_range for CrystallineW;
-            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop for CrystallineW;
-            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot for CrystallineW;
-            payload_drops_exactly_once: payload_drops_exactly_once for CrystallineW;
-            reader_pins_batches_until_leave: reader_pins_until_leave for CrystallineW;
-            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced for CrystallineW;
-            single_thread_reclaims_everything: single_thread for CrystallineW;
-            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part for CrystallineW;
-            trim_reclaims_mid_operation: trim_reclaims_mid_operation for CrystallineW;
-            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era for CrystallineW;
+            check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = CrystallineW;
+            dealloc_unpublished_node: dealloc_unpublished_node = CrystallineW;
+            dummies_are_pool_traffic: dummies_are_pool_traffic = CrystallineW;
+            flush_every_operation_stress: flush_every_operation_stress = CrystallineW;
+            no_cut_outside_birth_range: no_cut_outside_birth_range = CrystallineW;
+            partial_batch_finalized_on_drop: partial_batch_finalized_on_drop = CrystallineW;
+            partial_flush_adds_one_dummy_per_entered_slot: partial_flush_adds_one_dummy_per_entered_slot = CrystallineW;
+            payload_drops_exactly_once: payload_drops_exactly_once = CrystallineW;
+            reader_pins_until_leave: reader_pins_batches_until_leave = CrystallineW;
+            recycling_reuses_memory_and_stays_balanced: recycling_reuses_memory_and_stays_balanced = CrystallineW;
+            single_thread: single_thread_reclaims_everything = CrystallineW;
+            stale_reader_pins_only_older_part: stale_reader_pins_only_older_part = CrystallineW;
+            stress: multithreaded_stress = CrystallineW;
+            trim_reclaims_mid_operation: trim_reclaims_mid_operation = CrystallineW;
+            two_stale_readers_cut_at_each_era: two_stale_readers_cut_at_each_era = CrystallineW;
         }
     }
 

@@ -108,11 +108,10 @@ mod tests {
 
     // The conformance cases under the ids this module had before the suite.
     conformance_case! {
-        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Ebr;
-        multithreaded_stress: stress for Ebr;
-        reader_protected_until_leave: protected_until_leave for Ebr;
-        single_thread_reclaims_everything: single_thread for Ebr;
-        stalled_thread_blocks_reclamation: protected_survives_stall for Ebr;
-        teardown_is_leak_free: stress for Ebr;
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = Ebr;
+        protected_survives_stall: stalled_thread_blocks_reclamation = Ebr;
+        protected_until_leave: reader_protected_until_leave = Ebr;
+        single_thread: single_thread_reclaims_everything = Ebr;
+        stress: multithreaded_stress = Ebr, teardown_is_leak_free = Ebr;
     }
 }

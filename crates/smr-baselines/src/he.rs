@@ -130,10 +130,10 @@ mod tests {
 
     // The conformance cases under the ids this module had before the suite.
     conformance_case! {
-        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for He;
-        multithreaded_stress: stress for He;
-        reservation_era_pins_interval: protected_until_leave for He;
-        robust_against_stalled_thread: protected_survives_stall for He;
-        single_thread_reclaims_everything: single_thread for He;
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = He;
+        protected_survives_stall: robust_against_stalled_thread = He;
+        protected_until_leave: reservation_era_pins_interval = He;
+        single_thread: single_thread_reclaims_everything = He;
+        stress: multithreaded_stress = He;
     }
 }

@@ -129,10 +129,10 @@ mod tests {
 
     // The conformance cases under the ids this module had before the suite.
     conformance_case! {
-        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Hp;
-        hazard_blocks_reclamation_of_protected_node: protected_until_leave for Hp;
-        protect_validates_against_racing_unlink: protect_races_unlink for Hp;
-        robust_against_stalled_thread: protected_survives_stall for Hp;
-        single_thread_reclaims_everything: single_thread for Hp;
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = Hp;
+        protect_races_unlink: protect_validates_against_racing_unlink = Hp;
+        protected_survives_stall: robust_against_stalled_thread = Hp;
+        protected_until_leave: hazard_blocks_reclamation_of_protected_node = Hp;
+        single_thread: single_thread_reclaims_everything = Hp;
     }
 }

@@ -139,10 +139,10 @@ mod tests {
 
     // The conformance cases under the ids this module had before the suite.
     conformance_case! {
-        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm for Ibr;
-        interval_pins_protected_node: protected_until_leave for Ibr;
-        multithreaded_stress: stress for Ibr;
-        robust_against_stalled_thread: protected_survives_stall for Ibr;
-        single_thread_reclaims_everything: single_thread for Ibr;
+        check_in_keeps_magazine_warm: check_in_keeps_magazine_warm = Ibr;
+        protected_survives_stall: robust_against_stalled_thread = Ibr;
+        protected_until_leave: interval_pins_protected_node = Ibr;
+        single_thread: single_thread_reclaims_everything = Ibr;
+        stress: multithreaded_stress = Ibr;
     }
 }

@@ -61,6 +61,22 @@ pub use hp::{Hp, HpHandle};
 pub use ibr::{Ibr, IbrHandle};
 pub use leaky::{Leaky, LeakyHandle};
 
+/// Table 1's flags for every scheme this crate exports.
+#[cfg(test)]
+mod battery {
+    use crate::{Ebr, He, Hp, Ibr, Leaky};
+    use smr_testkit::conformance::capability_flags as flags;
+
+    #[test]
+    fn capability_flags() {
+        flags::<Ebr<u64>>("Epoch", &[]);
+        flags::<Leaky<u64>>("Leaky", &[]);
+        flags::<Hp<u64>>("HP", &["robust", "seek"]);
+        flags::<He<u64>>("HE", &["robust", "seek"]);
+        flags::<Ibr<u64>>("IBR", &["robust"]);
+    }
+}
+
 /// The orphan hand-off lives in `registry_core`; its tests keep the ids
 /// they had when it was a module of its own.
 #[cfg(test)]

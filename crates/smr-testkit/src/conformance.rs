@@ -7,8 +7,8 @@
 //! the cases a scheme must pass into a test module from one line:
 //!
 //! ```text
-//! conformance!(hyaline_s: HyalineS = "Hyaline-S", [batch, eras, seek, shared, snapshots]);
-//! conformance!(hyaline_s_adaptive: HyalineS = "Hyaline-S", [batch, eras, seek, shared, snapshots], adaptive: true);
+//! conformance!(hyaline_s: HyalineS = "Hyaline-S", [batch, eras, robust, seek, shared, snapshots]);
+//! conformance!(hyaline_s_adaptive: HyalineS = "Hyaline-S", [batch, eras, robust, seek, shared, snapshots], adaptive: true);
 //! conformance!(leaky: Leaky = "Leaky", leaks);
 //! ```
 //!
@@ -16,14 +16,16 @@
 //! override [`config`] for every case of the row. Every scheme runs the
 //! core cases, `robust()` included both ways: while a reader is parked, a
 //! robust scheme must keep what it pins under 1 % of the churn, and a
-//! non-robust one must pin over 90 % of it. The tags add the cases of a family and declare the flags
-//! the scheme reports:
+//! non-robust one must pin over 90 % of it. The tags add the cases of a
+//! family and declare the flags the scheme reports, so the enrollment lines
+//! are Table 1 and a flipped flag fails `capability_flags`:
 //!
 //! | tag | cases it adds | flag it declares |
 //! |---|---|---|
 //! | `batch` | trim, partial-batch dummy counts, cross-thread batch frees, freed at handle drop | `supports_trim()` |
 //! | `eras` | batch cuts at a stale reader's access era, protected canaries in cut batches | — |
 //! | `handoff` | churn with every retire forced through the handoff cell | `wait_free_retire()` |
+//! | `robust` | — | `robust()` |
 //! | `seek` | — | `needs_seek_validation()` |
 //! | `shared` | more live handles than slots | — |
 //! | `registry` | a full registry refuses a handle | — |
@@ -154,19 +156,20 @@ impl Drop for Release<'_> {
 // ---------------------------------------------------------------------------
 
 /// The scheme's name and the flags its tags declare (the paper's Table 1
-/// and the seek-validation contract). `robust()` is checked by behaviour,
-/// in [`protected_survives_stall`] and [`robustness`].
+/// and the seek-validation contract). What `robust()` promises is checked
+/// by behaviour, in [`protected_survives_stall`] and [`robustness`].
 pub fn capability_flags<S: Smr<u64>>(name: &str, tags: &[&str]) {
     assert_eq!(S::name(), name);
     let flags = [
+        S::robust(),
         S::supports_trim(),
         S::wait_free_retire(),
         S::needs_seek_validation(),
     ];
-    let declared = ["batch", "handoff", "seek"].map(|tag| tags.contains(&tag));
+    let declared = ["robust", "batch", "handoff", "seek"].map(|tag| tags.contains(&tag));
     assert_eq!(
         flags, declared,
-        "{name}: [trim, wait-free retire, seek validation]"
+        "{name}: [robust, trim, wait-free retire, seek validation]"
     );
 }
 
@@ -532,6 +535,18 @@ fn pinned_by_map_stall<S: Smr<ListNode<u64, u64>>>(config: SmrConfig, churn: u64
     })
 }
 
+/// [`robustness`] on a scheme Table 1 marks robust.
+pub fn robust_bounds_pinning<S: Smr<ListNode<u64, u64>>>(tweak: Tweak) {
+    assert!(S::robust(), "{}: Table 1 marks it robust", S::name());
+    robustness::<S>(tweak);
+}
+
+/// [`robustness`] on a scheme Table 1 marks not robust.
+pub fn non_robust_pins_churn<S: Smr<ListNode<u64, u64>>>(tweak: Tweak) {
+    assert!(!S::robust(), "{}: Table 1 marks it not robust", S::name());
+    robustness::<S>(tweak);
+}
+
 /// Theorem 4 through a structure: a reader parked inside a map operation
 /// pins a bounded number of nodes under a robust scheme, and that number
 /// does not grow with the churn; a non-robust scheme pins nearly all of it.
@@ -731,17 +746,21 @@ pub fn smoke<S: Smr<Tracked<u64>>>(tweak: Tweak) {
     shared_link_churn::<S>(tweak(config())).assert_quiescent();
 }
 
-/// [`smoke`] with a small pool and magazine, so the churn exercises spills,
-/// refills and the capacity-overflow fallback: reused memory must not
-/// change payload semantics.
-pub fn smoke_recycled<S: Smr<Tracked<u64>>>(tweak: Tweak) {
-    let config = SmrConfig {
+/// [`config`] with recycling on and a small pool and magazine, so a churn
+/// exercises spills, refills and the capacity-overflow fallback.
+pub fn recycled_config() -> SmrConfig {
+    SmrConfig {
         recycle: true,
         recycle_capacity: 256,
         recycle_magazine: 8,
         ..config()
-    };
-    shared_link_churn::<S>(tweak(config)).assert_quiescent();
+    }
+}
+
+/// [`smoke`] over [`recycled_config`]: reused memory must not change
+/// payload semantics.
+pub fn smoke_recycled<S: Smr<Tracked<u64>>>(tweak: Tweak) {
+    shared_link_churn::<S>(tweak(recycled_config())).assert_quiescent();
 }
 
 /// A map over tracked payloads, so that one churn checks drop balance and,
@@ -792,11 +811,16 @@ tracked_map! {
     BonsaiTree over BonsaiNode = BonsaiTree::with_config;
 }
 
-/// Four threads run random gets, inserts and removes over 64 keys. Every
-/// value is a token minted for its key, so a read of freed or reused memory
-/// fails validation; every payload is tracked, so once the map is gone each
-/// one must have dropped exactly once.
-fn map_churn<S: Smr<M::Node>, M: TrackedMap<S>>(config: SmrConfig) {
+/// Four threads run random gets, inserts and removes over 64 keys on two
+/// slots, so handles share slots while they read. Every value is a token
+/// minted for its key, so a read of freed or reused memory fails
+/// validation; every payload is tracked, so once the map is gone each one
+/// must have dropped exactly once.
+fn map_churn<S: Smr<M::Node>, M: TrackedMap<S>>(tweak: Tweak) {
+    let config = tweak(SmrConfig {
+        slots: 2,
+        ..config()
+    });
     let (mint, registry) = (&TokenMint::new(), &DropRegistry::new());
     let check = |op: &str, key: u64, value: Option<Tracked<u64>>| {
         if let Some(token) = value {
@@ -843,17 +867,17 @@ fn map_churn<S: Smr<M::Node>, M: TrackedMap<S>>(config: SmrConfig) {
 
 /// The tracked-token map churn (see [`TrackedMap`]) over the Harris–Michael list.
 pub fn map_list<S: Smr<ListNode<u64, Tracked<u64>>>>(tweak: Tweak) {
-    map_churn::<S, HarrisMichaelList<u64, Tracked<u64>, S>>(tweak(config()));
+    map_churn::<S, HarrisMichaelList<u64, Tracked<u64>, S>>(tweak);
 }
 
 /// The tracked-token map churn (see [`TrackedMap`]) over Michael's hash map.
 pub fn map_hashmap<S: Smr<ListNode<u64, Tracked<u64>>>>(tweak: Tweak) {
-    map_churn::<S, MichaelHashMap<u64, Tracked<u64>, S>>(tweak(config()));
+    map_churn::<S, MichaelHashMap<u64, Tracked<u64>, S>>(tweak);
 }
 
 /// The tracked-token map churn (see [`TrackedMap`]) over the Natarajan–Mittal tree.
 pub fn map_nmtree<S: Smr<NmNode<u64, Tracked<u64>>>>(tweak: Tweak) {
-    map_churn::<S, NatarajanMittalTree<u64, Tracked<u64>, S>>(tweak(config()));
+    map_churn::<S, NatarajanMittalTree<u64, Tracked<u64>, S>>(tweak);
 }
 
 /// Four threads push and pop tracked payloads: each drops exactly once.
@@ -913,7 +937,7 @@ pub fn queue_churn<S: Smr<QueueNode<Tracked<u64>>>>(tweak: Tweak) {
 
 /// The tracked-token map churn (see [`TrackedMap`]) over the Bonsai tree.
 pub fn map_bonsai<S: Smr<BonsaiNode<u64, Tracked<u64>>>>(tweak: Tweak) {
-    map_churn::<S, BonsaiTree<u64, Tracked<u64>, S>>(tweak(config()));
+    map_churn::<S, BonsaiTree<u64, Tracked<u64>, S>>(tweak);
 }
 
 // ---------------------------------------------------------------------------
@@ -1595,6 +1619,7 @@ macro_rules! conformance {
     (@tag handoff $scheme:ident) => {
         $crate::conformance!(@cases $scheme; smoke_forced_handoff);
     };
+    (@tag robust $scheme:ident) => {};
     (@tag seek $scheme:ident) => {};
     (@tag shared $scheme:ident) => {
         $crate::conformance!(@cases $scheme; more_handles_than_slots);
@@ -1617,28 +1642,27 @@ macro_rules! conformance {
     )*};
 }
 
-/// Keeps a test id that names a case under its own name: stamps one
-/// `#[test] fn $id` per line that runs `$case` on each listed scheme in
-/// turn, under the watchdog, with the row's config overrides in braces.
-/// The workspace's test ids are a tracked floor, so the ids that predate
-/// [`conformance!`](crate::conformance!) (`leak_matrix`'s
-/// `hashmap_hyaline`, a scheme's `tests::multithreaded_stress`) stay, each
-/// one line here:
+/// Keeps test ids that predate [`conformance!`](crate::conformance!): the
+/// workspace's test ids are a tracked floor, so `leak_matrix`'s
+/// `hashmap_hyaline` or a scheme's `tests::multithreaded_stress` stay. Each
+/// entry names a case once, then the ids that run it, each as `id =` the
+/// schemes it runs on in turn (joined by `&`, each with its row's config
+/// overrides in braces); every id is one `#[test]` under the watchdog:
 ///
 /// ```text
 /// conformance_case! {
-///     hashmap_hyaline: map_hashmap for Hyaline;
-///     robust_schemes_bound_stalled_pinning: robustness for Hp, HyalineS { adaptive: true };
+///     map_hashmap: hashmap_hyaline = Hyaline, hashmap_hp = Hp;
+///     robustness: robust_schemes_bound_stalled_pinning = Hp & HyalineS { adaptive: true };
 /// }
 /// ```
 #[macro_export]
 macro_rules! conformance_case {
-    ($($id:ident: $case:ident for $($scheme:ident $({ $($field:ident: $value:expr),* })?),+;)*) => {$(
+    ($($case:ident: $($id:ident = $($scheme:ident $({ $($field:ident: $value:expr),* })?)&+),+;)*) => {$($(
         #[test]
         fn $id() {
             $($crate::conformance_case!(@run $id $case $scheme $($($field: $value),*)?);)+
         }
-    )*};
+    )+)*};
     (@run $id:ident $case:ident $scheme:ident $($field:ident: $value:expr),*) => {{
         fn tweak(config: $crate::conformance::SmrConfig) -> $crate::conformance::SmrConfig {
             $crate::conformance::SmrConfig { $($field: $value,)* ..config }

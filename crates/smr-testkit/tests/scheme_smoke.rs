@@ -10,25 +10,13 @@
 use hyaline::{CrystallineL, CrystallineW, Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use smr_baselines::{Ebr, He, Hp, Ibr, Leaky};
 use smr_core::{Atomic, Shared, Smr, SmrConfig, SmrHandle};
-use smr_testkit::conformance::config as cfg;
+use smr_testkit::conformance::{config as cfg, recycled_config};
 use smr_testkit::conformance_case;
 use smr_testkit::drop_tracker::{DropRegistry, Tracked};
 use std::sync::atomic::Ordering;
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 500;
-
-/// Recycling enabled with a small pool and magazine, so the churn exercises
-/// magazine spill/refill and the capacity-overflow fallback, not just the
-/// happy path of an effectively unbounded pool.
-fn recycle_cfg() -> SmrConfig {
-    SmrConfig {
-        recycle: true,
-        recycle_capacity: 256,
-        recycle_magazine: 8,
-        ..cfg()
-    }
-}
 
 fn sharded_cfg(shards: usize) -> SmrConfig {
     SmrConfig {
@@ -177,11 +165,15 @@ fn hashmap_churn<S: Smr<ListNode<u64, Tracked<u64>>>>(config: SmrConfig) -> Drop
             }
         });
     } // Map drop frees whatever retirement had not reclaimed yet.
+    assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
     registry
 }
 
 /// Each thread enqueues one payload then drains one, so the queue ends
-/// empty: every payload was cloned out by a dequeue exactly once.
+/// empty: every payload was cloned out by a dequeue exactly once. The
+/// dequeue must clone the value before its head-CAS (the node may be
+/// retired the instant the CAS succeeds elsewhere), so a lost race creates
+/// and drops an extra tracked clone: the created count is a lower bound.
 fn msqueue_churn<S: Smr<QueueNode<Tracked<u64>>>>(config: SmrConfig) -> DropRegistry {
     let registry = DropRegistry::new();
     {
@@ -217,115 +209,57 @@ fn msqueue_churn<S: Smr<QueueNode<Tracked<u64>>>>(config: SmrConfig) -> DropRegi
         );
         h.leave();
     }
+    assert!(registry.created() >= 2 * STRUCT_TOTAL);
     registry
 }
 
-/// Reclaiming schemes × structures: exact drop balance plus the
-/// structure-specific payload count.
+/// Reclaiming schemes × structures: exact drop balance on top of the
+/// churn's own payload count.
 macro_rules! structure_smoke {
-    ($($test:ident => $churn:ident, $scheme:ty, $created:expr),+ $(,)?) => {$(
+    ($($test:ident => $churn:expr;)+) => {$(
         #[test]
         fn $test() {
-            let registry = $churn::<$scheme>(cfg());
-            registry.assert_quiescent();
-            assert_eq!(registry.created(), $created, "payload count mismatch");
+            $churn.assert_quiescent();
         }
     )+};
 }
 
-/// Like [`structure_smoke!`], but for structures whose operations can
-/// clone payloads on *lost* races: the MS queue's dequeue must clone the
-/// value before its head-CAS (the node may be retired the instant the CAS
-/// succeeds elsewhere), so a lost race creates-and-drops an extra tracked
-/// clone. Quiescence stays exact; the created count is a lower bound.
-macro_rules! structure_smoke_racy_clones {
-    ($($test:ident => $churn:ident, $scheme:ty, $created:expr),+ $(,)?) => {$(
-        #[test]
-        fn $test() {
-            let registry = $churn::<$scheme>(cfg());
-            registry.assert_quiescent();
-            assert!(registry.created() >= $created, "payload count mismatch");
-        }
-    )+};
+/// Crystalline-L with every retire forced through the handoff cell: the
+/// wait-free path must keep exact balance under structure traffic.
+fn handoff_cfg() -> SmrConfig {
+    SmrConfig {
+        handoff_attempts: 0,
+        ..cfg()
+    }
 }
 
 structure_smoke! {
-    // Hash map: one payload per insert + one clone per remove.
-    hashmap_smoke_hyaline => hashmap_churn, hyaline::Hyaline<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_hyaline1 => hashmap_churn, hyaline::Hyaline1<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_hyaline_s => hashmap_churn, hyaline::HyalineS<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_hyaline1_s => hashmap_churn, hyaline::Hyaline1S<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_ebr => hashmap_churn, smr_baselines::Ebr<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_hp => hashmap_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_he => hashmap_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_ibr => hashmap_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_crystalline_l => hashmap_churn, hyaline::CrystallineL<_>, 2 * STRUCT_TOTAL,
-    hashmap_smoke_crystalline_w => hashmap_churn, hyaline::CrystallineW<_>, 2 * STRUCT_TOTAL,
-}
-
-structure_smoke_racy_clones! {
-    // MS queue: one payload per enqueue + one clone per *successful*
-    // dequeue, plus a clone per lost dequeue race (see the macro docs).
-    msqueue_smoke_hyaline => msqueue_churn, hyaline::Hyaline<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_hyaline1 => msqueue_churn, hyaline::Hyaline1<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_hyaline_s => msqueue_churn, hyaline::HyalineS<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_hyaline1_s => msqueue_churn, hyaline::Hyaline1S<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_ebr => msqueue_churn, smr_baselines::Ebr<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_hp => msqueue_churn, smr_baselines::Hp<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_he => msqueue_churn, smr_baselines::He<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_ibr => msqueue_churn, smr_baselines::Ibr<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_crystalline_l => msqueue_churn, hyaline::CrystallineL<_>, 2 * STRUCT_TOTAL,
-    msqueue_smoke_crystalline_w => msqueue_churn, hyaline::CrystallineW<_>, 2 * STRUCT_TOTAL,
-}
-
-/// Crystalline-L with every retire forced through the handoff cell, per
-/// structure: the wait-free path must preserve exact balance under real
-/// structure traffic, not just the raw churn above.
-#[test]
-fn hashmap_smoke_crystalline_l_forced_handoff() {
-    let registry = hashmap_churn::<hyaline::CrystallineL<_>>(SmrConfig {
-        handoff_attempts: 0,
-        ..cfg()
-    });
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
-}
-
-#[test]
-fn msqueue_smoke_crystalline_l_forced_handoff() {
-    let registry = msqueue_churn::<hyaline::CrystallineL<_>>(SmrConfig {
-        handoff_attempts: 0,
-        ..cfg()
-    });
-    registry.assert_quiescent();
-    // Lower bound: lost dequeue races add extra (immediately dropped)
-    // clones — see `structure_smoke_racy_clones!`.
-    assert!(registry.created() >= 2 * STRUCT_TOTAL);
-}
-
-/// Structures with node recycling: real structure traffic (bucket lists,
-/// queue links) over pooled node memory, exact balance intact.
-#[test]
-fn hashmap_smoke_hyaline_recycled() {
-    let registry = hashmap_churn::<hyaline::Hyaline<_>>(recycle_cfg());
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
-}
-
-#[test]
-fn hashmap_smoke_crystalline_l_recycled() {
-    let registry = hashmap_churn::<hyaline::CrystallineL<_>>(recycle_cfg());
-    registry.assert_quiescent();
-    assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
-}
-
-#[test]
-fn msqueue_smoke_hyaline_recycled() {
-    let registry = msqueue_churn::<hyaline::Hyaline<_>>(recycle_cfg());
-    registry.assert_quiescent();
-    // Lower bound: lost dequeue races add extra (immediately dropped)
-    // clones — see `structure_smoke_racy_clones!`.
-    assert!(registry.created() >= 2 * STRUCT_TOTAL);
+    hashmap_smoke_hyaline => hashmap_churn::<hyaline::Hyaline<_>>(cfg());
+    hashmap_smoke_hyaline1 => hashmap_churn::<hyaline::Hyaline1<_>>(cfg());
+    hashmap_smoke_hyaline_s => hashmap_churn::<hyaline::HyalineS<_>>(cfg());
+    hashmap_smoke_hyaline1_s => hashmap_churn::<hyaline::Hyaline1S<_>>(cfg());
+    hashmap_smoke_ebr => hashmap_churn::<smr_baselines::Ebr<_>>(cfg());
+    hashmap_smoke_hp => hashmap_churn::<smr_baselines::Hp<_>>(cfg());
+    hashmap_smoke_he => hashmap_churn::<smr_baselines::He<_>>(cfg());
+    hashmap_smoke_ibr => hashmap_churn::<smr_baselines::Ibr<_>>(cfg());
+    hashmap_smoke_crystalline_l => hashmap_churn::<hyaline::CrystallineL<_>>(cfg());
+    hashmap_smoke_crystalline_w => hashmap_churn::<hyaline::CrystallineW<_>>(cfg());
+    msqueue_smoke_hyaline => msqueue_churn::<hyaline::Hyaline<_>>(cfg());
+    msqueue_smoke_hyaline1 => msqueue_churn::<hyaline::Hyaline1<_>>(cfg());
+    msqueue_smoke_hyaline_s => msqueue_churn::<hyaline::HyalineS<_>>(cfg());
+    msqueue_smoke_hyaline1_s => msqueue_churn::<hyaline::Hyaline1S<_>>(cfg());
+    msqueue_smoke_ebr => msqueue_churn::<smr_baselines::Ebr<_>>(cfg());
+    msqueue_smoke_hp => msqueue_churn::<smr_baselines::Hp<_>>(cfg());
+    msqueue_smoke_he => msqueue_churn::<smr_baselines::He<_>>(cfg());
+    msqueue_smoke_ibr => msqueue_churn::<smr_baselines::Ibr<_>>(cfg());
+    msqueue_smoke_crystalline_l => msqueue_churn::<hyaline::CrystallineL<_>>(cfg());
+    msqueue_smoke_crystalline_w => msqueue_churn::<hyaline::CrystallineW<_>>(cfg());
+    hashmap_smoke_crystalline_l_forced_handoff => hashmap_churn::<hyaline::CrystallineL<_>>(handoff_cfg());
+    msqueue_smoke_crystalline_l_forced_handoff => msqueue_churn::<hyaline::CrystallineL<_>>(handoff_cfg());
+    // Node recycling: bucket lists and queue links over pooled node memory.
+    hashmap_smoke_hyaline_recycled => hashmap_churn::<hyaline::Hyaline<_>>(recycled_config());
+    hashmap_smoke_crystalline_l_recycled => hashmap_churn::<hyaline::CrystallineL<_>>(recycled_config());
+    msqueue_smoke_hyaline_recycled => msqueue_churn::<hyaline::Hyaline<_>>(recycled_config());
 }
 
 /// `Leaky` complements: nothing a structure retires is ever freed, so the
@@ -337,7 +271,6 @@ fn hashmap_smoke_leaky() {
     let registry = hashmap_churn::<smr_baselines::Leaky<_>>(cfg());
     // Removed nodes leak, so every inserted payload stays live; the
     // remove-clones dropped in the churn are the only drops.
-    assert_eq!(registry.created(), 2 * STRUCT_TOTAL);
     assert_eq!(registry.dropped(), STRUCT_TOTAL);
     assert_eq!(registry.live(), STRUCT_TOTAL as i64);
 }
@@ -358,26 +291,14 @@ fn msqueue_smoke_leaky() {
 // The conformance churns without a structure, plain and over recycled
 // node memory, under the ids this matrix has always used.
 conformance_case! {
-    recycle_smoke_crystalline_l: smoke_recycled for CrystallineL;
-    recycle_smoke_crystalline_w: smoke_recycled for CrystallineW;
-    recycle_smoke_ebr: smoke_recycled for Ebr;
-    recycle_smoke_he: smoke_recycled for He;
-    recycle_smoke_hp: smoke_recycled for Hp;
-    recycle_smoke_hyaline: smoke_recycled for Hyaline;
-    recycle_smoke_hyaline1: smoke_recycled for Hyaline1;
-    recycle_smoke_hyaline1_s: smoke_recycled for Hyaline1S;
-    recycle_smoke_hyaline_s: smoke_recycled for HyalineS;
-    recycle_smoke_ibr: smoke_recycled for Ibr;
-    smoke_crystalline_l: smoke for CrystallineL;
-    smoke_crystalline_l_forced_handoff: smoke_forced_handoff for CrystallineL;
-    smoke_crystalline_w: smoke for CrystallineW;
-    smoke_ebr: smoke for Ebr;
-    smoke_he: smoke for He;
-    smoke_hp: smoke for Hp;
-    smoke_hyaline: smoke for Hyaline;
-    smoke_hyaline1: smoke for Hyaline1;
-    smoke_hyaline1_s: smoke for Hyaline1S;
-    smoke_hyaline_s: smoke for HyalineS;
-    smoke_ibr: smoke for Ibr;
-    smoke_leaky_leaks_everything: leaks_everything for Leaky;
+    leaks_everything: smoke_leaky_leaks_everything = Leaky;
+    smoke: smoke_crystalline_l = CrystallineL, smoke_crystalline_w = CrystallineW, smoke_ebr = Ebr,
+        smoke_he = He, smoke_hp = Hp, smoke_hyaline = Hyaline, smoke_hyaline1 = Hyaline1,
+        smoke_hyaline1_s = Hyaline1S, smoke_hyaline_s = HyalineS, smoke_ibr = Ibr;
+    smoke_forced_handoff: smoke_crystalline_l_forced_handoff = CrystallineL;
+    smoke_recycled: recycle_smoke_crystalline_l = CrystallineL,
+        recycle_smoke_crystalline_w = CrystallineW, recycle_smoke_ebr = Ebr, recycle_smoke_he = He,
+        recycle_smoke_hp = Hp, recycle_smoke_hyaline = Hyaline, recycle_smoke_hyaline1 = Hyaline1,
+        recycle_smoke_hyaline1_s = Hyaline1S, recycle_smoke_hyaline_s = HyalineS,
+        recycle_smoke_ibr = Ibr;
 }

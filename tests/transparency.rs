@@ -1,136 +1,16 @@
-//! Transparency tests (paper §2.4): threads — i.e. handles — created and
-//! destroyed dynamically, with retired nodes in flight, must neither block
-//! nor leave memory permanently unreclaimed, across all schemes.
+//! Transparency (paper §2.4): handles created and dropped with retired
+//! nodes in flight neither block nor leave memory unreclaimed. Each test
+//! keeps an id that predates the conformance suite and runs that suite's
+//! case on one scheme.
 
-use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use lockfree_ds::{MichaelHashMap, TreiberStack};
+use ::hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use smr_baselines::{Ebr, He, Hp, Ibr};
-use smr_core::{Smr, SmrConfig, SmrHandle};
-use std::sync::atomic::{AtomicU64, Ordering};
+use smr_testkit::conformance_case;
 
-fn cfg() -> SmrConfig {
-    SmrConfig {
-        slots: 4,
-        batch_min: 8,
-        era_freq: 8,
-        scan_threshold: 16,
-        max_threads: 64,
-        ..SmrConfig::default()
-    }
-}
-
-/// Creates and destroys many short-lived handles, each retiring a few
-/// nodes, while long-lived reader handles are active on other threads.
-fn handle_churn<S: Smr<lockfree_ds::ListNode<u64, u64>>>() -> u64 {
-    let map: MichaelHashMap<u64, u64, S> = MichaelHashMap::with_config_and_buckets(cfg(), 64);
-    let map = &map;
-    let stop = &AtomicU64::new(0);
-    std::thread::scope(|s| {
-        // Long-lived readers enter and leave continuously.
-        for _ in 0..2 {
-            s.spawn(move || {
-                let mut h = map.smr_handle();
-                while stop.load(Ordering::Acquire) == 0 {
-                    h.enter();
-                    map.get(&mut h, &7);
-                    h.leave();
-                }
-            });
-        }
-        // Sessions: a fresh handle for every burst of operations.
-        for _ in 0..2 {
-            s.spawn(move || {
-                for round in 0..150u64 {
-                    let mut h = map.smr_handle();
-                    for i in 0..20 {
-                        let key = (round * 20 + i) % 256;
-                        h.enter();
-                        map.insert(&mut h, key, key);
-                        h.leave();
-                        h.enter();
-                        map.remove(&mut h, &key);
-                        h.leave();
-                    }
-                    // The handle drops here with a partial batch / limbo
-                    // list; this must not block and must not strand nodes.
-                }
-                stop.fetch_add(1, Ordering::Release);
-            });
-        }
-    });
-    // One final handle adopts and flushes whatever is left.
-    let mut h = map.smr_handle();
-    h.flush();
-    map.domain().stats().unreclaimed()
-}
-
-macro_rules! transparency_test {
-    ($name:ident, $scheme:ty) => {
-        #[test]
-        fn $name() {
-            let unreclaimed = handle_churn::<$scheme>();
-            assert_eq!(
-                unreclaimed, 0,
-                "dropped handles stranded retired nodes"
-            );
-        }
-    };
-}
-
-transparency_test!(churn_hyaline, Hyaline<_>);
-transparency_test!(churn_hyaline1, Hyaline1<_>);
-transparency_test!(churn_hyaline_s, HyalineS<_>);
-transparency_test!(churn_hyaline1_s, Hyaline1S<_>);
-transparency_test!(churn_ebr, Ebr<_>);
-transparency_test!(churn_hp, Hp<_>);
-transparency_test!(churn_he, He<_>);
-transparency_test!(churn_ibr, Ibr<_>);
-
-/// Hyaline's slot registry must recycle: far more handle lifetimes than
-/// `max_threads` capacity, as long as few are alive at once.
-#[test]
-fn slot_recycling_outlives_capacity() {
-    let stack: TreiberStack<u64, Hyaline1<_>> = TreiberStack::with_config(SmrConfig {
-        max_threads: 4,
-        ..cfg()
-    });
-    for round in 0..1_000u64 {
-        let mut h = stack.smr_handle();
-        h.enter();
-        stack.push(&mut h, round);
-        stack.pop(&mut h);
-        h.leave();
-    }
-    assert!(stack.domain().stats().balanced() || stack.domain().stats().unreclaimed() == 0);
-}
-
-/// Handles on the *same* Hyaline slot must coexist: more live handles than
-/// slots (the "virtually unbounded number of threads" claim).
-#[test]
-fn more_threads_than_slots() {
-    let map: MichaelHashMap<u64, u64, Hyaline<_>> = MichaelHashMap::with_config_and_buckets(
-        SmrConfig {
-            slots: 2, // far fewer slots than threads
-            ..cfg()
-        },
-        64,
-    );
-    let map = &map;
-    std::thread::scope(|s| {
-        for t in 0..12u64 {
-            s.spawn(move || {
-                let mut h = map.smr_handle();
-                for i in 0..500 {
-                    let key = (t * 500 + i) % 128;
-                    h.enter();
-                    map.insert(&mut h, key, key);
-                    h.leave();
-                    h.enter();
-                    map.remove(&mut h, &key);
-                    h.leave();
-                }
-            });
-        }
-    });
-    assert_eq!(map.domain().stats().unreclaimed(), 0);
+conformance_case! {
+    handle_churn: churn_ebr = Ebr, churn_he = He, churn_hp = Hp, churn_hyaline = Hyaline,
+        churn_hyaline1 = Hyaline1, churn_hyaline1_s = Hyaline1S, churn_hyaline_s = HyalineS,
+        churn_ibr = Ibr;
+    handle_lifetimes_outlive_capacity: slot_recycling_outlives_capacity = Hyaline1;
+    more_handles_than_slots: more_threads_than_slots = Hyaline;
 }

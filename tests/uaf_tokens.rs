@@ -1,119 +1,19 @@
-//! Use-after-free detection through value provenance.
-//!
-//! Every value stored in a map is a sealed token minted for its key
-//! ([`smr_testkit::TokenMint`]). A read that returns bytes from freed or
-//! reused memory surfaces as a token that fails validation (bad seal) or was
-//! minted for a different key. Running the full scheme × structure matrix
-//! under write-heavy concurrent churn makes reclamation races observable as
-//! immediate assertion failures instead of silent corruption.
+//! Use-after-free detection through value provenance: the conformance
+//! map cases store sealed tokens minted per key. Each test keeps an id that
+//! predates the conformance suite and runs that suite's case on one
+//! scheme.
 
-use hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
-use lockfree_ds::{
-    BonsaiTree, ConcurrentMap, HarrisMichaelList, MichaelHashMap, NatarajanMittalTree,
-};
+use ::hyaline::{Hyaline, Hyaline1, Hyaline1S, HyalineS};
 use smr_baselines::{Ebr, He, Hp, Ibr};
-use smr_core::{Smr, SmrConfig, SmrHandle};
-use smr_testkit::TokenMint;
+use smr_testkit::conformance_case;
 
-const KEY_RANGE: u64 = 64;
-const OPS_PER_THREAD: u64 = 3_000;
-const THREADS: u64 = 4;
-
-fn cfg() -> SmrConfig {
-    SmrConfig {
-        slots: 2,
-        batch_min: 4,
-        era_freq: 8,
-        scan_threshold: 16,
-        max_threads: 32,
-        ack_threshold: 128,
-        ..SmrConfig::default()
-    }
-}
-
-fn churn_with_tokens<S, M>()
-where
-    M: ConcurrentMap<S>,
-    S: Smr<M::Node>,
-{
-    let mint = &TokenMint::new();
-    let map = &M::with_config(cfg());
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            s.spawn(move || {
-                let mut h = map.handle();
-                let mut x = t.wrapping_mul(0x9E37_79B9).wrapping_add(1);
-                for _ in 0..OPS_PER_THREAD {
-                    // xorshift: cheap, deterministic per thread.
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let key = x % KEY_RANGE;
-                    h.enter();
-                    match x % 4 {
-                        0 | 1 => {
-                            if let Some(token) = map.map_get(&mut h, key) {
-                                mint.validate(key, token).unwrap_or_else(|e| {
-                                    panic!("{}: get({key}) returned corrupt value: {e}", M::NAME)
-                                });
-                            }
-                        }
-                        2 => {
-                            map.map_insert(&mut h, key, mint.mint(key));
-                        }
-                        _ => {
-                            if let Some(token) = map.map_remove(&mut h, key) {
-                                mint.validate(key, token).unwrap_or_else(|e| {
-                                    panic!("{}: remove({key}) returned corrupt value: {e}", M::NAME)
-                                });
-                            }
-                        }
-                    }
-                    h.leave();
-                }
-                h.flush();
-            });
-        }
-    });
-    // Drain: every surviving value must still validate.
-    let mut h = map.handle();
-    for key in 0..KEY_RANGE {
-        h.enter();
-        if let Some(token) = map.map_remove(&mut h, key) {
-            mint.validate(key, token)
-                .unwrap_or_else(|e| panic!("{}: drain({key}) corrupt: {e}", M::NAME));
-        }
-        h.leave();
-    }
-    drop(h);
-}
-
-macro_rules! token_matrix {
-    ($($name:ident: $scheme:ty => $map:ty;)*) => {
-        $(
-            #[test]
-            fn $name() {
-                churn_with_tokens::<$scheme, $map>();
-            }
-        )*
-    };
-}
-
-token_matrix! {
-    tokens_list_hyaline: Hyaline<_> => HarrisMichaelList<u64, u64, _>;
-    tokens_list_hyaline1: Hyaline1<_> => HarrisMichaelList<u64, u64, _>;
-    tokens_list_hp: Hp<_> => HarrisMichaelList<u64, u64, _>;
-    tokens_hashmap_hyaline: Hyaline<_> => MichaelHashMap<u64, u64, _>;
-    tokens_hashmap_hyaline_s: HyalineS<_> => MichaelHashMap<u64, u64, _>;
-    tokens_hashmap_hyaline_1s: Hyaline1S<_> => MichaelHashMap<u64, u64, _>;
-    tokens_hashmap_ebr: Ebr<_> => MichaelHashMap<u64, u64, _>;
-    tokens_hashmap_ibr: Ibr<_> => MichaelHashMap<u64, u64, _>;
-    tokens_hashmap_he: He<_> => MichaelHashMap<u64, u64, _>;
-    tokens_nmtree_hyaline1: Hyaline1<_> => NatarajanMittalTree<u64, u64, _>;
-    tokens_nmtree_hyaline_s: HyalineS<_> => NatarajanMittalTree<u64, u64, _>;
-    tokens_nmtree_hp: Hp<_> => NatarajanMittalTree<u64, u64, _>;
-    tokens_bonsai_hyaline: Hyaline<_> => BonsaiTree<u64, u64, _>;
-    tokens_bonsai_hyaline1: Hyaline1<_> => BonsaiTree<u64, u64, _>;
-    tokens_bonsai_hyaline_1s: Hyaline1S<_> => BonsaiTree<u64, u64, _>;
-    tokens_bonsai_ibr: Ibr<_> => BonsaiTree<u64, u64, _>;
+conformance_case! {
+    map_bonsai: tokens_bonsai_hyaline = Hyaline, tokens_bonsai_hyaline1 = Hyaline1,
+        tokens_bonsai_hyaline_1s = Hyaline1S, tokens_bonsai_ibr = Ibr;
+    map_hashmap: tokens_hashmap_ebr = Ebr, tokens_hashmap_he = He, tokens_hashmap_hyaline = Hyaline,
+        tokens_hashmap_hyaline_1s = Hyaline1S, tokens_hashmap_hyaline_s = HyalineS,
+        tokens_hashmap_ibr = Ibr;
+    map_list: tokens_list_hp = Hp, tokens_list_hyaline = Hyaline, tokens_list_hyaline1 = Hyaline1;
+    map_nmtree: tokens_nmtree_hp = Hp, tokens_nmtree_hyaline1 = Hyaline1,
+        tokens_nmtree_hyaline_s = HyalineS;
 }
