@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which word of the granule an operation addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Word {
     /// The reference-count word (`HRef`).
     Ref,
@@ -33,7 +33,7 @@ pub enum Word {
 }
 
 /// A decoded `[HRef, HPtr]` pair stored in one granule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Pair {
     /// Reference count.
     pub href: u32,
@@ -72,8 +72,9 @@ impl Pair {
 /// An LL reservation: the granule snapshot taken by [`Granule::ll`].
 ///
 /// `sc` succeeds only if the whole granule still equals this snapshot —
-/// modeling a reservation granule that covers both words.
-#[derive(Debug, Clone, Copy)]
+/// modeling a reservation granule that covers both words. Two reservations
+/// compare equal when they would let the same `sc` succeed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reservation {
     snapshot: u64,
     word: Word,

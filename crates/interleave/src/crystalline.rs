@@ -23,8 +23,8 @@
 //!   certified value (`protect_slow`).
 //!
 //! Like [`crate::pool`], every transition is one atomic action under
-//! sequential consistency, and the model is exercised under every schedule
-//! of small thread programs. Reference counts are signed running sums (the
+//! sequential consistency, and the model is exercised in every reachable
+//! state of small thread programs. Reference counts are signed running sums (the
 //! model-level analogue of the wrapping `NRef`/`Adjs` accounting): a batch
 //! is freed exactly when a delta application lands the sum on zero. The
 //! checks wired into the model:
@@ -44,7 +44,7 @@
 //! "simplification" of the production protocol; the explorer demonstrates
 //! the schedule that breaks it.
 
-use crate::{DfsOutcome, Violation};
+use crate::dfs::{each_task, Model, Outcome, Successors};
 
 /// A protocol bug injected into the model; the explorer must catch each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +148,7 @@ pub enum CrystalOp {
 }
 
 /// A modelled batch: birth era, signed reference running sum, flags.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct MBatch {
     birth: u64,
     nref: i64,
@@ -157,7 +157,7 @@ struct MBatch {
 }
 
 /// A modelled slot.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct MSlot {
     active: bool,
     access: u64,
@@ -170,7 +170,7 @@ struct MSlot {
 }
 
 /// Per-thread registers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 struct Regs {
     hold: Option<usize>,
     will_insert: bool,
@@ -183,8 +183,11 @@ struct Regs {
     help_era: Option<u64>,
 }
 
-#[derive(Debug, Clone)]
-struct CrystalState {
+/// Everything a later step or the teardown check reads: slots, batches,
+/// the shared link, the era and each thread's program counter and registers
+/// (the soundness rule of [`crate::dfs`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct CrystalState {
     slots: Vec<MSlot>,
     batches: Vec<MBatch>,
     link: Option<usize>,
@@ -217,19 +220,11 @@ pub struct CrystalScenario {
 
 /// Applies a signed reference delta; frees the batch when the running sum
 /// lands on zero (the model of the wrapping `NRef` zero-crossing).
-fn apply_delta(
-    state: &mut CrystalState,
-    batch: usize,
-    delta: i64,
-    schedule: &[usize],
-) -> Result<(), Violation> {
+fn apply_delta(state: &mut CrystalState, batch: usize, delta: i64) -> Result<(), String> {
     let b = &mut state.batches[batch];
     if b.freed {
-        return Err(Violation::new(
-            format!(
-                "double-free: reference delta {delta:+} applied to already-freed batch {batch}"
-            ),
-            schedule,
+        return Err(format!(
+            "double-free: reference delta {delta:+} applied to already-freed batch {batch}"
         ));
     }
     b.nref += delta;
@@ -239,13 +234,7 @@ fn apply_delta(
     Ok(())
 }
 
-fn step(
-    scenario: &CrystalScenario,
-    state: &mut CrystalState,
-    t: usize,
-    schedule: &[usize],
-) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn step(scenario: &CrystalScenario, state: &mut CrystalState, t: usize) -> Result<(), String> {
     let op = scenario.programs[t][state.pc[t]];
     state.pc[t] += 1;
     match op {
@@ -258,9 +247,9 @@ fn step(
         CrystalOp::Use => {
             if let Some(b) = state.regs[t].hold {
                 if state.batches[b].freed {
-                    return Err(fail(format!(
+                    return Err(format!(
                         "use-after-free: thread {t} dereferenced a node of freed batch {b}"
-                    )));
+                    ));
                 }
             }
         }
@@ -273,12 +262,12 @@ fn step(
         }
         CrystalOp::LeaveCollect(s) => {
             if let Some((b, _tag)) = state.slots[s].cell.take() {
-                apply_delta(state, b, -1, schedule)?;
+                apply_delta(state, b, -1)?;
             }
         }
         CrystalOp::LeaveTraverse(s) => {
             for b in std::mem::take(&mut state.slots[s].detached) {
-                apply_delta(state, b, -1, schedule)?;
+                apply_delta(state, b, -1)?;
             }
         }
         CrystalOp::LeaveAll(s) => {
@@ -289,10 +278,10 @@ fn step(
             let cell = slot.cell.take();
             let detached = std::mem::take(&mut slot.head);
             if let Some((b, _tag)) = cell {
-                apply_delta(state, b, -1, schedule)?;
+                apply_delta(state, b, -1)?;
             }
             for b in detached {
-                apply_delta(state, b, -1, schedule)?;
+                apply_delta(state, b, -1)?;
             }
         }
         CrystalOp::Unlink => {
@@ -325,7 +314,7 @@ fn step(
             let release = scenario.fault == Some(CrystalFault::ReleaseWithoutTagCheck)
                 || state.slots[slot].seq != tag;
             if release {
-                apply_delta(state, b, -1, schedule)?;
+                apply_delta(state, b, -1)?;
             } else {
                 state.regs[t].adopted.push((slot, tag, b));
             }
@@ -340,13 +329,13 @@ fn step(
         }
         CrystalOp::AdjustRefs { batch } => {
             let inserts = std::mem::take(&mut state.regs[t].inserts);
-            apply_delta(state, batch, inserts, schedule)?;
+            apply_delta(state, batch, inserts)?;
         }
         CrystalOp::RetryAdopted => {
             let adopted = std::mem::take(&mut state.regs[t].adopted);
             for (slot, tag, b) in adopted {
                 if state.slots[slot].seq != tag {
-                    apply_delta(state, b, -1, schedule)?;
+                    apply_delta(state, b, -1)?;
                 } else {
                     state.regs[t].adopted.push((slot, tag, b));
                 }
@@ -409,22 +398,19 @@ fn step(
 }
 
 /// The deterministic domain-teardown sweep plus end-state invariants.
-fn check_terminal(
-    scenario: &CrystalScenario,
-    state: &mut CrystalState,
-    schedule: &[usize],
-) -> Result<(), Violation> {
+fn check_terminal(scenario: &CrystalScenario, state: &CrystalState) -> Result<(), String> {
+    let mut state = state.clone();
     // Domain drop: collect every cell entry and every still-adopted
     // (orphaned) entry, then verify the accounting converged.
     for s in 0..state.slots.len() {
         if let Some((b, _tag)) = state.slots[s].cell.take() {
-            apply_delta(state, b, -1, schedule)?;
+            apply_delta(&mut state, b, -1)?;
         }
     }
     for t in 0..state.regs.len() {
         let adopted = std::mem::take(&mut state.regs[t].adopted);
         for (_slot, _tag, b) in adopted {
-            apply_delta(state, b, -1, schedule)?;
+            apply_delta(&mut state, b, -1)?;
         }
     }
     for (i, b) in state.batches.iter().enumerate() {
@@ -432,76 +418,76 @@ fn check_terminal(
             continue;
         }
         if !b.freed {
-            return Err(Violation::new(
-                format!(
-                    "leak: retired batch {i} never freed at quiescence (nref sum {}) in {}",
-                    b.nref, scenario.name
-                ),
-                schedule,
+            return Err(format!(
+                "leak: retired batch {i} never freed at quiescence (nref sum {}) in {}",
+                b.nref, scenario.name
             ));
         }
         if b.nref != 0 {
-            return Err(Violation::new(
-                format!(
-                    "imbalance: batch {i} freed but reference sum ended at {} in {}",
-                    b.nref, scenario.name
-                ),
-                schedule,
+            return Err(format!(
+                "imbalance: batch {i} freed but reference sum ended at {} in {}",
+                b.nref, scenario.name
             ));
         }
     }
     Ok(())
 }
 
-/// Explores every interleaving of `scenario` (up to `budget` complete
-/// schedules), checking the Crystalline accounting invariants throughout.
-pub fn explore(scenario: &CrystalScenario, budget: u64) -> DfsOutcome {
-    let mut state = CrystalState {
-        slots: (0..scenario.slots)
-            .map(|_| MSlot {
-                active: false,
-                access: 0,
-                seq: 0,
-                head: Vec::new(),
-                detached: Vec::new(),
-                cell: None,
-                req: false,
-                cert: None,
-            })
-            .collect(),
-        batches: scenario
-            .batches
-            .iter()
-            .map(|&(birth, retired)| MBatch {
-                birth,
-                nref: 0,
-                freed: false,
-                retired,
-            })
-            .collect(),
-        link: scenario.link,
-        era: 0,
-        pc: vec![0; scenario.programs.len()],
-        regs: vec![Regs::default(); scenario.programs.len()],
-    };
-    for &(t, s) in &scenario.pre_entered {
-        let _ = t;
-        state.slots[s].active = true;
+/// Explores every reachable state of `scenario` (up to `budget` distinct
+/// states), checking the Crystalline accounting invariants throughout.
+pub fn explore(scenario: &CrystalScenario, budget: u64) -> Outcome {
+    crate::dfs::explore(scenario, budget)
+}
+
+impl Model for CrystalScenario {
+    type State = CrystalState;
+
+    fn initial(&self) -> CrystalState {
+        let mut state = CrystalState {
+            slots: (0..self.slots)
+                .map(|_| MSlot {
+                    active: false,
+                    access: 0,
+                    seq: 0,
+                    head: Vec::new(),
+                    detached: Vec::new(),
+                    cell: None,
+                    req: false,
+                    cert: None,
+                })
+                .collect(),
+            batches: self
+                .batches
+                .iter()
+                .map(|&(birth, retired)| MBatch {
+                    birth,
+                    nref: 0,
+                    freed: false,
+                    retired,
+                })
+                .collect(),
+            link: self.link,
+            era: 0,
+            pc: vec![0; self.programs.len()],
+            regs: vec![Regs::default(); self.programs.len()],
+        };
+        for &(_, s) in &self.pre_entered {
+            state.slots[s].active = true;
+        }
+        for &(t, b) in &self.pre_hold {
+            state.regs[t].hold = Some(b);
+        }
+        state
     }
-    for &(t, b) in &scenario.pre_hold {
-        state.regs[t].hold = Some(b);
+
+    fn successors(&self, state: &CrystalState) -> Successors<CrystalState> {
+        let running = (0..self.programs.len()).filter(|&t| state.pc[t] < self.programs[t].len());
+        each_task(state, running, |state, t| step(self, state, t))
     }
-    crate::dfs::explore(
-        state,
-        budget,
-        |state| {
-            (0..scenario.programs.len())
-                .filter(|&t| state.pc[t] < scenario.programs[t].len())
-                .collect()
-        },
-        |state, t, schedule| step(scenario, state, t, schedule),
-        |state, schedule| check_terminal(scenario, state, schedule),
-    )
+
+    fn finish(&self, state: &CrystalState) -> Result<(), String> {
+        check_terminal(self, state)
+    }
 }
 
 /// Two retirers handing off through the same occupied slot: the second
@@ -614,40 +600,37 @@ pub fn helping_certification(fault: Option<CrystalFault>) -> CrystalScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::check::caught;
+
+    /// Explores every reachable state of `scenario`, which must be safe.
+    fn exhaustive(scenario: &CrystalScenario) {
+        let outcome = explore(scenario, 1_000_000);
+        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        assert!(outcome.complete, "exploration must be exhaustive");
+        assert!(outcome.terminals > 0);
+    }
 
     #[test]
     fn handoff_displacement_is_safe() {
-        let outcome = explore(&handoff_displacement(None), 2_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
-        assert!(outcome.schedules > 0);
+        exhaustive(&handoff_displacement(None));
     }
 
     #[test]
     fn handoff_occupancy_race_is_safe() {
-        let outcome = explore(&handoff_occupancy_race(None), 2_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
-        assert!(outcome.schedules > 0);
+        exhaustive(&handoff_occupancy_race(None));
     }
 
     #[test]
     fn helping_certification_is_safe() {
-        let outcome = explore(&helping_certification(None), 5_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
-        assert!(outcome.schedules > 0);
+        exhaustive(&helping_certification(None));
     }
 
     #[test]
     fn release_without_tag_check_is_caught() {
-        let outcome = explore(
+        let v = caught(
             &handoff_displacement(Some(CrystalFault::ReleaseWithoutTagCheck)),
-            2_000_000,
+            1_000_000,
         );
-        let v = outcome
-            .violation
-            .expect("the unconditional release must break");
         assert!(
             v.message.contains("use-after-free") || v.message.contains("double-free"),
             "unexpected violation: {}",
@@ -657,11 +640,10 @@ mod tests {
 
     #[test]
     fn forgotten_handoff_reference_is_caught() {
-        let outcome = explore(
+        let v = caught(
             &handoff_displacement(Some(CrystalFault::ForgetHandoffInsert)),
-            2_000_000,
+            1_000_000,
         );
-        let v = outcome.violation.expect("the missing +1 must break");
         assert!(
             v.message.contains("use-after-free") || v.message.contains("double-free"),
             "unexpected violation: {}",
@@ -671,25 +653,19 @@ mod tests {
 
     #[test]
     fn forgotten_handoff_reference_is_caught_in_occupancy_race() {
-        let outcome = explore(
+        // The missing +1 must break some schedule.
+        caught(
             &handoff_occupancy_race(Some(CrystalFault::ForgetHandoffInsert)),
-            2_000_000,
-        );
-        assert!(
-            outcome.violation.is_some(),
-            "the missing +1 must break some schedule"
+            1_000_000,
         );
     }
 
     #[test]
     fn certify_without_touch_is_caught() {
-        let outcome = explore(
+        let v = caught(
             &helping_certification(Some(CrystalFault::CertifyWithoutTouch)),
-            5_000_000,
+            1_000_000,
         );
-        let v = outcome
-            .violation
-            .expect("the unpublished certificate must break");
         assert!(
             v.message.contains("use-after-free"),
             "unexpected violation: {}",

@@ -4,9 +4,9 @@
 //! them *exhaustively* for small scenarios. An executable **model** of the
 //! paper's algorithms (Figures 3 and 4) is expressed as per-thread state
 //! machines in which every transition is exactly one atomic action — one
-//! load, one CAS, one FAA. The [`Explorer`] then replays the scenario under
-//! every possible schedule (or a seeded random sample when the tree is too
-//! large), with safety checks wired into the model itself:
+//! load, one CAS, one FAA. The [`Explorer`] then steps the scenario into
+//! every reachable state (or follows a seeded random sample of schedules),
+//! with safety checks wired into the model itself:
 //!
 //! * every read of a batch's fields asserts the batch has not been freed
 //!   (the model-level equivalent of a use-after-free),
@@ -49,6 +49,13 @@
 //! `waiting` handshake stepped action by action and its swapped order
 //! caught as a lost wake-up.
 //!
+//! Every model is searched by the one depth-first search of [`dfs`], which
+//! visits each distinct state once: the cost is the number of states, not
+//! the number of interleavings, and a counterexample's schedule is rebuilt
+//! from the states' parent indices. That is exact only because each model's
+//! hashed state holds everything a later step or check reads, and no model
+//! reads the schedule (the soundness rule).
+//!
 //! The exploration assumes **sequential consistency**: it interleaves atomic
 //! actions but does not model weaker memory orderings. The production crates
 //! use acquire/release (and seq-cst where required); this checker validates
@@ -60,12 +67,13 @@
 //! ```
 //! use interleave::{Explorer, scenarios};
 //!
-//! // Every interleaving of two threads retiring through one slot
-//! // (203,452 schedules).
-//! let outcome = Explorer::exhaustive(300_000)
+//! // Every reachable state of two threads retiring through one slot
+//! // (203,452 schedules pass through 453 distinct states).
+//! let outcome = Explorer::exhaustive(10_000)
 //!     .run(&scenarios::retire_churn(2, 1, 1));
 //! assert!(outcome.violation.is_none());
-//! assert!(outcome.complete, "schedule tree fully explored");
+//! assert!(outcome.complete, "every reachable state explored");
+//! assert_eq!(outcome.states, 453);
 //! ```
 
 #![warn(missing_docs)]
@@ -81,10 +89,10 @@ pub mod recycle;
 pub mod scenarios;
 
 pub use crystalline::{CrystalFault, CrystalScenario};
-pub use dfs::{DfsOutcome, Violation};
-pub use explorer::{Explorer, Outcome};
+pub use dfs::{Outcome, Violation};
+pub use explorer::Explorer;
 pub use llsc::{LlscFault, LlscScenario};
 pub use model::{HyalineModel, ModelConfig, ThreadProgram, Variant};
-pub use pool::{PoolFault, PoolOp, PoolOutcome, PoolScenario};
+pub use pool::{PoolFault, PoolOp, PoolScenario};
 pub use reclaimer::{ReclaimerFault, ReclaimerScenario};
 pub use recycle::{RecycleOp, RecycleScenario};

@@ -7,7 +7,7 @@
 //! the Figure 7 head operations (`enter`'s dwFAA, `retire`'s dwCAS push,
 //! `leave`'s decrement plus conditional list claim) into their individual
 //! atomic actions — one `ll`, one `load_other`, one `sc` per transition —
-//! and replays every schedule of a small thread set against a live
+//! and steps every reachable state of a small thread set against a live
 //! [`Granule`], checking:
 //!
 //! * **counted references** — `HRef` always equals the number of threads
@@ -23,7 +23,7 @@
 //! single-width CAS on `HPtr` (no granule reservation) steals the list from
 //! a concurrent enterer, and the explorer finds the violating schedule.
 
-use crate::{DfsOutcome, Violation};
+use crate::dfs::{each_task, Model, Outcome, Successors};
 use hyaline::llsc::{Granule, Pair, Reservation, Word};
 
 /// Rebuilds a live granule holding `pair`, using only public LL/SC ops.
@@ -66,7 +66,7 @@ pub struct LlscScenario {
     pub rounds: u32,
     /// The last `observers` threads skip the push phase: each of their
     /// rounds is just `enter → leave` (readers in Hyaline terms). Fewer
-    /// atomic actions per round, so the schedule tree closes much sooner —
+    /// atomic actions per round, so fewer states —
     /// and an observer's final leave still claims, exercising the handoff.
     pub observers: usize,
     /// Algorithm mutation under test.
@@ -115,7 +115,7 @@ impl LlscScenario {
 /// Per-thread control state: each variant is *between* two atomic actions,
 /// and one step performs exactly one `ll` / `load_other` / `load_pair` /
 /// `sc` on the shared granule.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Ctl {
     /// dwFAA attempt: LL the ref word.
     EnterLl,
@@ -180,10 +180,13 @@ enum Ctl {
     Done,
 }
 
-#[derive(Clone)]
-struct LlscState {
+/// Everything a later step or check reads: the granule's value, and each
+/// reservation as the value snapshot it is (the soundness rule of
+/// [`crate::dfs`]).
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct LlscState {
     /// The granule value between steps (the granule itself is rebuilt from
-    /// this for every step, so forked DFS branches cannot share one).
+    /// this for every step, so forked branches cannot share one).
     head: Pair,
     ctl: Vec<Ctl>,
     round: Vec<u32>,
@@ -218,20 +221,27 @@ impl LlscState {
     }
 }
 
-/// Explores every interleaving of `scenario` (up to `budget` complete
-/// schedules), checking the head-operation invariants at each step.
-pub fn explore(scenario: &LlscScenario, budget: u64) -> DfsOutcome {
-    crate::dfs::explore(
-        LlscState::new(scenario.threads),
-        budget,
-        |state| {
-            (0..scenario.threads)
-                .filter(|&t| !matches!(state.ctl[t], Ctl::Done))
-                .collect()
-        },
-        |state, t, schedule| step(scenario, state, t, schedule),
-        |state, schedule| check_quiescence(scenario, state, schedule),
-    )
+/// Explores every reachable state of `scenario` (up to `budget` distinct
+/// states), checking the head-operation invariants at each step.
+pub fn explore(scenario: &LlscScenario, budget: u64) -> Outcome {
+    crate::dfs::explore(scenario, budget)
+}
+
+impl Model for LlscScenario {
+    type State = LlscState;
+
+    fn initial(&self) -> LlscState {
+        LlscState::new(self.threads)
+    }
+
+    fn successors(&self, state: &LlscState) -> Successors<LlscState> {
+        let running = (0..self.threads).filter(|&t| !matches!(state.ctl[t], Ctl::Done));
+        each_task(state, running, |state, t| step(self, state, t))
+    }
+
+    fn finish(&self, state: &LlscState) -> Result<(), String> {
+        check_quiescence(self, state)
+    }
 }
 
 /// Advances `t` past a finished leave: next round or `Done`.
@@ -244,13 +254,7 @@ fn next_round(scenario: &LlscScenario, state: &mut LlscState, t: usize) {
     };
 }
 
-fn step(
-    scenario: &LlscScenario,
-    state: &mut LlscState,
-    t: usize,
-    schedule: &[usize],
-) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn step(scenario: &LlscScenario, state: &mut LlscState, t: usize) -> Result<(), String> {
     let g = granule_from(state.head);
     match state.ctl[t] {
         Ctl::EnterLl => {
@@ -269,9 +273,9 @@ fn step(
                 // handle must name a node some thread really pushed — a
                 // torn read of the two head words would break this.
                 if hptr != 0 && state.next_of(hptr).is_none() {
-                    return Err(fail(format!(
+                    return Err(format!(
                         "thread {t} adopted handle {hptr}, which was never pushed"
-                    )));
+                    ));
                 }
                 state.inside[t] = true;
                 state.ctl[t] = if scenario.is_observer(t) {
@@ -327,9 +331,7 @@ fn step(
         Ctl::LeaveRead => {
             let expected = g.load_pair();
             if expected.href == 0 {
-                return Err(fail(format!(
-                    "thread {t} leaving while HRef is already zero"
-                )));
+                return Err(format!("thread {t} leaving while HRef is already zero"));
             }
             state.ctl[t] = Ctl::LeaveLl { expected };
         }
@@ -414,10 +416,10 @@ fn step(
             };
             if committed {
                 if let Some(inside) = (0..scenario.threads).find(|&u| state.inside[u]) {
-                    return Err(fail(format!(
+                    return Err(format!(
                         "thread {t} claimed list {target} while thread {inside} \
                          is inside an operation (its adopted sublist is stolen)"
-                    )));
+                    ));
                 }
                 state.claimed.push(target);
             }
@@ -436,25 +438,20 @@ fn step(
     // Counted-reference invariant: HRef tracks the threads inside.
     let inside = state.inside.iter().filter(|&&b| b).count() as u32;
     if state.head.href != inside {
-        return Err(fail(format!(
+        return Err(format!(
             "HRef {} diverged from the {inside} thread(s) inside",
             state.head.href
-        )));
+        ));
     }
     Ok(())
 }
 
-fn check_quiescence(
-    scenario: &LlscScenario,
-    state: &LlscState,
-    schedule: &[usize],
-) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn check_quiescence(scenario: &LlscScenario, state: &LlscState) -> Result<(), String> {
     if state.head != Pair::default() {
-        return Err(fail(format!(
+        return Err(format!(
             "head {:?} not [0, 0] at quiescence: the last leaver must claim",
             state.head
-        )));
+        ));
     }
     // Every pushed node must be covered by exactly one claimed chain.
     let mut seen = Vec::new();
@@ -462,20 +459,20 @@ fn check_quiescence(
         let mut id = head;
         while id != 0 {
             if seen.contains(&id) {
-                return Err(fail(format!("node {id} claimed twice")));
+                return Err(format!("node {id} claimed twice"));
             }
             seen.push(id);
             id = state
                 .next_of(id)
-                .ok_or_else(|| fail(format!("claimed node {id} was never pushed")))?;
+                .ok_or_else(|| format!("claimed node {id} was never pushed"))?;
         }
     }
     let pushed = (scenario.threads - scenario.observers) * scenario.rounds as usize;
     if seen.len() != pushed {
-        return Err(fail(format!(
+        return Err(format!(
             "leak at quiescence: {} of {pushed} nodes claimed",
             seen.len()
-        )));
+        ));
     }
     Ok(())
 }
@@ -483,54 +480,49 @@ fn check_quiescence(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::check::caught;
+
+    /// Explores every reachable state of `scenario`, which must be safe.
+    fn exhaustive(scenario: &LlscScenario) -> Outcome {
+        let outcome = explore(scenario, 1_000_000);
+        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        assert!(
+            outcome.complete,
+            "{}: {} states",
+            scenario.name, outcome.states
+        );
+        outcome
+    }
 
     #[test]
     fn single_thread_rounds_are_exhaustive_and_safe() {
         // One thread, two rounds: each round pushes one node, the leave
         // claims it (HRef 1 -> 0 with a non-empty list).
-        let outcome = explore(&LlscScenario::churn(1, 2), 1_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete);
-        assert_eq!(outcome.schedules, 1, "one thread has one schedule");
+        let outcome = exhaustive(&LlscScenario::churn(1, 2));
+        assert_eq!(outcome.terminals, 1, "one thread ends one way");
     }
 
     #[test]
     fn two_thread_churn_budgeted() {
-        // The full tree is large (each round is ~14 atomic actions); a
-        // budgeted prefix still covers hundreds of thousands of schedules,
-        // including the §4.4 claim-vs-enter races near the leave tail.
-        let outcome = explore(&LlscScenario::churn(2, 1), 150_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.schedules >= 150_000);
+        // Two pushers, one round each (~14 atomic actions a round): every
+        // state, including the §4.4 claim-vs-enter races near the leave
+        // tail.
+        exhaustive(&LlscScenario::churn(2, 1));
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "slow-tests"),
-        ignore = "exhaustive LL/SC DFS; run with --features slow-tests (or --ignored)"
-    )]
     fn pusher_observer_exhaustive() {
-        // One pushing thread, one enter/leave-only observer: the schedule
-        // tree closes completely, covering every claim-vs-enter handoff
-        // (including the observer's final leave doing the claim).
-        let scenario = LlscScenario::churn(2, 1).with_observers(1);
-        let outcome = explore(&scenario, u64::MAX);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "schedule tree fully explored");
-        assert!(outcome.schedules > 100_000, "{}", outcome.schedules);
+        // One pushing thread, one enter/leave-only observer: every
+        // claim-vs-enter handoff (including the observer's final leave
+        // doing the claim).
+        exhaustive(&LlscScenario::churn(2, 1).with_observers(1));
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "slow-tests"),
-        ignore = "deep LL/SC DFS; run with --features slow-tests (or --ignored)"
-    )]
     fn two_thread_churn_deep() {
-        // Symmetric two-pusher churn: SC-failure retry subtrees put full
-        // closure out of reach, so explore a deep fixed prefix instead.
-        let outcome = explore(&LlscScenario::churn(2, 1), 3_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.schedules >= 3_000_000);
+        // Two pushers, two rounds each: SC-failure retries across rounds,
+        // and a list adopted in one round claimed in the next.
+        exhaustive(&LlscScenario::churn(2, 2));
     }
 
     #[test]
@@ -539,8 +531,7 @@ mod tests {
         // CAS: a concurrent enter adopting the list no longer fails the
         // claim, and the checker must find the stealing schedule.
         let scenario = LlscScenario::churn(2, 1).with_fault(LlscFault::SingleWidthClaim);
-        let outcome = explore(&scenario, 5_000_000);
-        let violation = outcome.violation.expect("the stolen list must be found");
+        let violation = caught(&scenario, 1_000_000);
         assert!(
             violation.message.contains("inside an operation"),
             "unexpected violation: {}",
@@ -556,10 +547,8 @@ mod tests {
         // covering both nodes.
         let scenario = LlscScenario::churn(2, 1);
         let mut state = LlscState::new(2);
-        let mut schedule = Vec::new();
-        let mut run = |state: &mut LlscState, t: usize| {
-            schedule.push(t);
-            step(&scenario, state, t, &schedule).expect("no violation in this schedule")
+        let run = |state: &mut LlscState, t: usize| {
+            step(&scenario, state, t).expect("no violation in this schedule")
         };
         // T0: enter (3), push (4), leave decrement (4) -> HRef 0, HPtr = 1.
         for _ in 0..11 {
@@ -582,7 +571,7 @@ mod tests {
         while !matches!(state.ctl[1], Ctl::Done) {
             run(&mut state, 1);
         }
-        check_quiescence(&scenario, &state, &schedule).expect("clean quiescence");
+        check_quiescence(&scenario, &state).expect("clean quiescence");
         assert_eq!(state.claimed, vec![2]);
         assert_eq!(state.next_of(2), Some(1), "T1's node links to T0's");
     }

@@ -21,7 +21,7 @@
 use std::fmt;
 
 /// Which algorithm the model executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// The general multi-slot algorithm (Figure 3): `[HRef, HPtr]` heads,
     /// `Adjs` wrap-around accounting, empty-slot adjustments.
@@ -41,7 +41,7 @@ pub enum Variant {
 
 /// Deliberate algorithm mutations, used to validate that the explorer
 /// actually detects broken accounting (mutation testing of the checker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fault {
     /// Faithful algorithm.
     #[default]
@@ -65,7 +65,7 @@ pub enum Fault {
 }
 
 /// One operation of a thread's program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// `enter` through the given slot.
     Enter(usize),
@@ -89,7 +89,7 @@ pub enum Op {
 pub type ThreadProgram = Vec<Op>;
 
 /// Model configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Number of slots `k`. Must be a power of two for [`Variant::Hyaline`];
     /// for [`Variant::Hyaline1`] it must equal the number of threads.
@@ -108,7 +108,7 @@ fn adjs_for(k: usize) -> u64 {
 }
 
 /// A batch record: the model's reclamation unit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Batch {
     /// The `NRef` counter (wrapping, as in the algorithm).
     nref: u64,
@@ -126,21 +126,21 @@ struct Batch {
 }
 
 /// A `[HRef, HPtr]` head (Figure 3) — updated atomically as a unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Head {
     href: u64,
     ptr: Option<usize>,
 }
 
 /// A Hyaline-1 head: active bit plus pointer (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Head1 {
     active: bool,
     ptr: Option<usize>,
 }
 
 /// Micro-state of one thread: where inside a (multi-step) operation it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Micro {
     /// Between operations: the next program `Op` starts on the next step.
     Ready,
@@ -215,7 +215,7 @@ enum Micro {
 }
 
 /// Per-thread state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Thread {
     program: ThreadProgram,
     pc: usize,
@@ -232,6 +232,11 @@ struct Thread {
 /// The executable model. Drive it with [`HyalineModel::step`]; terminate
 /// with [`HyalineModel::finish`].
 ///
+/// The [`Explorer`](crate::Explorer) deduplicates these by value, so a model
+/// holds everything a later step or `finish` reads (its programs and
+/// configuration included), and nothing else: the exploration's
+/// soundness rule.
+///
 /// # Example
 ///
 /// ```
@@ -246,7 +251,7 @@ struct Thread {
 /// }
 /// m.finish().unwrap();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HyalineModel {
     config: ModelConfig,
     heads: Vec<Head>,

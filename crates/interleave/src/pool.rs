@@ -22,9 +22,8 @@
 //! slot and every waiter scans with the mutex held. `notify_one` wakes
 //! exactly one sleeping thread and the model branches over which.
 //!
-//! The explorer visits every reachable state of a small task set (states
-//! are memoised: the step count per task is too high to enumerate
-//! schedules) and checks:
+//! The explorer visits every reachable state of a small task set and
+//! checks:
 //!
 //! * **no parked reservation** — a handle is inactive when it is claimed
 //!   or parked: **a handle must only be parked after its `leave`**,
@@ -48,8 +47,7 @@
 //! cancelled future that keeps the signal it absorbed
 //! ([`PoolFault::CancelKeepsSignal`]).
 
-use crate::Violation;
-use std::collections::{HashSet, VecDeque};
+use crate::dfs::{Model, Outcome, Successors};
 
 /// One operation of a pool task; each expands into the atomic actions of
 /// the module docs.
@@ -131,17 +129,6 @@ impl PoolScenario {
     }
 }
 
-/// Result of exploring a [`PoolScenario`].
-#[derive(Debug, Clone)]
-pub struct PoolOutcome {
-    /// Distinct states visited.
-    pub states: u64,
-    /// First violation encountered, if any.
-    pub violation: Option<Violation>,
-    /// Whether every reachable state fit in the budget.
-    pub complete: bool,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Slot {
     Vacant,
@@ -212,8 +199,10 @@ struct Task {
     woken: bool,
 }
 
+/// Everything a later step or the terminal check reads (the soundness rule
+/// of [`crate::dfs`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
+pub(crate) struct State {
     slots: Vec<Slot>,
     /// `active[s]`: slot `s`'s handle is inside an operation.
     active: Vec<bool>,
@@ -239,83 +228,48 @@ impl State {
 }
 
 /// Explores every reachable state of `scenario` (up to `budget` distinct
-/// states, breadth first), checking the pool-protocol invariants at each
-/// step.
-pub fn explore(scenario: &PoolScenario, budget: u64) -> PoolOutcome {
-    let task = Task {
-        pc: 0,
-        phase: Phase::Start,
-        held: None,
-        saw_waiting: false,
-        cancelling: false,
-        woken: false,
-    };
-    let initial = State {
-        slots: vec![Slot::Vacant; scenario.capacity],
-        active: vec![false; scenario.capacity],
-        waiting: 0,
-        mutex: None,
-        sleepers: 0,
-        queue: Vec::new(),
-        tasks: vec![task; scenario.programs.len()],
-    };
-    // `reached_by[id]`: the state and the task whose step first reached
-    // state `id`; the frontier holds the states not yet expanded.
-    let mut reached_by: Vec<Option<(usize, usize)>> = vec![None];
-    let mut seen = HashSet::from([initial.clone()]);
-    let mut frontier = VecDeque::from([(0, initial)]);
-    let mut outcome = PoolOutcome {
-        states: 1,
-        violation: None,
-        complete: true,
-    };
-    let schedule_to = |reached_by: &[Option<(usize, usize)>], mut at: usize| {
-        let mut schedule = Vec::new();
-        while let Some((parent, task)) = reached_by[at] {
-            schedule.push(task);
-            at = parent;
-        }
-        schedule.reverse();
-        schedule
-    };
-    while let Some((id, state)) = frontier.pop_front() {
-        let mut moved = false;
-        for task in 0..scenario.programs.len() {
-            let successors = match step(scenario, &state, task) {
-                Ok(successors) => successors,
-                Err(message) => {
-                    let mut schedule = schedule_to(&reached_by, id);
-                    schedule.push(task);
-                    outcome.violation = Some(Violation { message, schedule });
-                    return outcome;
-                }
-            };
-            for successor in successors {
-                moved = true;
-                if seen.contains(&successor) {
-                    continue;
-                }
-                if outcome.states >= budget {
-                    outcome.complete = false;
-                    return outcome;
-                }
-                seen.insert(successor.clone());
-                frontier.push_back((reached_by.len(), successor));
-                reached_by.push(Some((id, task)));
-                outcome.states += 1;
-            }
-        }
-        if !moved {
-            if let Err(message) = check_terminal(scenario, &state) {
-                outcome.violation = Some(Violation {
-                    message,
-                    schedule: schedule_to(&reached_by, id),
-                });
-                return outcome;
-            }
+/// states), checking the pool-protocol invariants at each step.
+pub fn explore(scenario: &PoolScenario, budget: u64) -> Outcome {
+    crate::dfs::explore(scenario, budget)
+}
+
+impl Model for PoolScenario {
+    type State = State;
+
+    fn initial(&self) -> State {
+        let task = Task {
+            pc: 0,
+            phase: Phase::Start,
+            held: None,
+            saw_waiting: false,
+            cancelling: false,
+            woken: false,
+        };
+        State {
+            slots: vec![Slot::Vacant; self.capacity],
+            active: vec![false; self.capacity],
+            waiting: 0,
+            mutex: None,
+            sleepers: 0,
+            queue: Vec::new(),
+            tasks: vec![task; self.programs.len()],
         }
     }
-    outcome
+
+    fn successors(&self, state: &State) -> Successors<State> {
+        let mut successors = Vec::new();
+        for task in 0..self.programs.len() {
+            match step(self, state, task) {
+                Ok(next) => successors.extend(next.into_iter().map(|s| (task, Ok(s)))),
+                Err(message) => successors.push((task, Err(message))),
+            }
+        }
+        successors
+    }
+
+    fn finish(&self, state: &State) -> Result<(), String> {
+        check_terminal(self, state)
+    }
 }
 
 /// A state nobody can move from: every task must have finished, and the
@@ -585,13 +539,13 @@ fn step(scenario: &PoolScenario, state: &State, task: usize) -> Result<Vec<State
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::check::caught;
 
-    fn safe(scenario: &PoolScenario, budget: u64) -> PoolOutcome {
+    fn safe(scenario: &PoolScenario, budget: u64) {
         let outcome = explore(scenario, budget);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         assert!(outcome.complete, "exploration must be exhaustive");
         assert!(outcome.states > 1);
-        outcome
     }
 
     #[test]
@@ -631,8 +585,7 @@ mod tests {
             fault: PoolFault::None,
             name: "checkin_before_leave".into(),
         };
-        let outcome = explore(&scenario, 1_000_000);
-        let violation = outcome.violation.expect("the race must be detected");
+        let violation = caught(&scenario, 1_000_000);
         assert!(
             violation.message.contains("inside an operation"),
             "unexpected violation: {}",
@@ -650,8 +603,7 @@ mod tests {
             fault: PoolFault::None,
             name: "nested_checkout".into(),
         };
-        let outcome = explore(&scenario, 1_000);
-        let violation = outcome.violation.expect("deadlock must be detected");
+        let violation = caught(&scenario, 1_000);
         assert!(violation.message.contains("deadlock"), "{violation:?}");
     }
 
@@ -686,13 +638,10 @@ mod tests {
             PoolScenario::mixed(&[PoolOp::Await, PoolOp::Await], 1, 1),
             PoolScenario::mixed(&takes, 2, 2),
         ] {
-            let outcome = explore(
+            let violation = caught(
                 &scenario.with_fault(PoolFault::ReadBeforePublish),
                 5_000_000,
             );
-            let violation = outcome
-                .violation
-                .expect("the lost wake-up must be reachable");
             assert!(violation.message.contains("deadlock"), "{violation:?}");
         }
     }
@@ -703,13 +652,10 @@ mod tests {
         // next waiter, or that one waits on a handle that is already there.
         let futures = [PoolOp::Await, PoolOp::AwaitOrCancel, PoolOp::Await];
         let scenario = PoolScenario::mixed(&futures, 1, 1);
-        let outcome = explore(
+        let violation = caught(
             &scenario.with_fault(PoolFault::CancelKeepsSignal),
             5_000_000,
         );
-        let violation = outcome
-            .violation
-            .expect("the lost signal must be reachable");
         assert!(violation.message.contains("deadlock"), "{violation:?}");
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! Every transition is one atomic action (each is a single mutex section
 //! in the real implementation: the pool lock or the queue lock). The
-//! explorer runs every schedule of a small task set and checks:
+//! explorer visits every reachable state of a small task set and checks:
 //!
 //! * **no batch dropped** — at quiescence every parked batch was flushed
 //!   (`flushed == parked`), the queue is empty, and nothing is dirty;
@@ -33,7 +33,7 @@
 //!   without the inline fallback, freeing a batch twice) each produce a
 //!   violation on some schedule.
 
-use crate::{DfsOutcome, Violation};
+use crate::dfs::{each_task, Model, Outcome, Successors};
 
 /// An injected protocol mutation; [`ReclaimerFault::None`] is the correct
 /// protocol.
@@ -113,7 +113,7 @@ impl ReclaimerScenario {
 }
 
 /// Producer micro-state within one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ProdPhase {
     /// Park a dirty handle (one pool-lock section).
     Park,
@@ -127,7 +127,7 @@ enum ProdPhase {
 }
 
 /// Reclaimer state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RecPhase {
     /// Awaiting `recv` (blocked while the queue is open and empty).
     Recv,
@@ -142,8 +142,10 @@ enum RecPhase {
     Finished,
 }
 
-#[derive(Clone)]
-struct ModelState {
+/// Everything a later step or the quiescence check reads (the soundness
+/// rule of [`crate::dfs`]).
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ModelState {
     /// Handles parked dirty (batches awaiting their flush).
     dirty: usize,
     /// Tickets in the hand-off queue.
@@ -179,41 +181,47 @@ fn task_count(scenario: &ReclaimerScenario) -> usize {
     scenario.producers + RECLAIMERS + 1 + usize::from(scenario.early_close)
 }
 
-/// Explores every interleaving of `scenario` (up to `budget` complete
-/// schedules), checking the reclaimer-protocol invariants at each step.
-pub fn explore(scenario: &ReclaimerScenario, budget: u64) -> DfsOutcome {
-    let state = ModelState {
-        dirty: 0,
-        queued: 0,
-        closed: false,
-        parked_total: 0,
-        flushed_total: 0,
-        prod_phase: vec![
-            if scenario.rounds == 0 {
-                ProdPhase::Depart
-            } else {
-                ProdPhase::Park
-            };
-            scenario.producers
-        ],
-        prod_rounds_left: vec![scenario.rounds; scenario.producers],
-        departed: 0,
-        rec_phase: vec![RecPhase::Recv; RECLAIMERS],
-        rec_done: vec![false; RECLAIMERS],
-        waiter_pc: 0,
-        closer_done: false,
-    };
-    crate::dfs::explore(
-        state,
-        budget,
-        |state| {
-            (0..task_count(scenario))
-                .filter(|&t| enabled(scenario, state, t))
-                .collect()
-        },
-        |state, t, schedule| step(scenario, state, t, schedule),
-        |state, schedule| check_quiescence(scenario, state, schedule).map_or(Ok(()), Err),
-    )
+/// Explores every reachable state of `scenario` (up to `budget` distinct
+/// states), checking the reclaimer-protocol invariants at each step.
+pub fn explore(scenario: &ReclaimerScenario, budget: u64) -> Outcome {
+    crate::dfs::explore(scenario, budget)
+}
+
+impl Model for ReclaimerScenario {
+    type State = ModelState;
+
+    fn initial(&self) -> ModelState {
+        ModelState {
+            dirty: 0,
+            queued: 0,
+            closed: false,
+            parked_total: 0,
+            flushed_total: 0,
+            prod_phase: vec![
+                if self.rounds == 0 {
+                    ProdPhase::Depart
+                } else {
+                    ProdPhase::Park
+                };
+                self.producers
+            ],
+            prod_rounds_left: vec![self.rounds; self.producers],
+            departed: 0,
+            rec_phase: vec![RecPhase::Recv; RECLAIMERS],
+            rec_done: vec![false; RECLAIMERS],
+            waiter_pc: 0,
+            closer_done: false,
+        }
+    }
+
+    fn successors(&self, state: &ModelState) -> Successors<ModelState> {
+        let runnable = (0..task_count(self)).filter(|&t| enabled(self, state, t));
+        each_task(state, runnable, |state, t| step(self, state, t))
+    }
+
+    fn finish(&self, state: &ModelState) -> Result<(), String> {
+        check_quiescence(self, state)
+    }
 }
 
 fn enabled(scenario: &ReclaimerScenario, state: &ModelState, task: usize) -> bool {
@@ -274,13 +282,7 @@ fn flush_one(state: &mut ModelState, batches: usize) {
     }
 }
 
-fn step(
-    scenario: &ReclaimerScenario,
-    state: &mut ModelState,
-    task: usize,
-    schedule: &[usize],
-) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn step(scenario: &ReclaimerScenario, state: &mut ModelState, task: usize) -> Result<(), String> {
     if task < scenario.producers {
         match state.prod_phase[task] {
             ProdPhase::Park => {
@@ -369,12 +371,12 @@ fn step(
                 // The shutdown handshake's contract, checked at the join
                 // point rather than only at global quiescence.
                 if state.queued > 0 || state.dirty > 0 {
-                    return Err(fail(format!(
+                    return Err(format!(
                         "shutdown handshake completed with {} ticket(s) queued and \
                          {} dirty handle(s) unflushed: retire work drained after \
                          shutdown (or never)",
                         state.queued, state.dirty
-                    )));
+                    ));
                 }
                 state.waiter_pc = 2;
             }
@@ -386,20 +388,15 @@ fn step(
         state.closer_done = true;
     }
     if state.flushed_total > state.parked_total {
-        return Err(fail(format!(
+        return Err(format!(
             "double drain: {} batches flushed but only {} ever parked",
             state.flushed_total, state.parked_total
-        )));
+        ));
     }
     Ok(())
 }
 
-fn check_quiescence(
-    scenario: &ReclaimerScenario,
-    state: &ModelState,
-    schedule: &[usize],
-) -> Option<Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn check_quiescence(scenario: &ReclaimerScenario, state: &ModelState) -> Result<(), String> {
     let unfinished: Vec<usize> = (0..task_count(scenario))
         .filter(|&t| {
             if t < scenario.producers {
@@ -414,44 +411,48 @@ fn check_quiescence(
         })
         .collect();
     if !unfinished.is_empty() {
-        return Some(fail(format!(
-            "deadlock: tasks {unfinished:?} blocked forever"
-        )));
+        return Err(format!("deadlock: tasks {unfinished:?} blocked forever"));
     }
     if state.queued > 0 {
-        return Some(fail(format!(
+        return Err(format!(
             "{} ticket(s) dropped in the queue at quiescence",
             state.queued
-        )));
+        ));
     }
     if state.dirty > 0 {
-        return Some(fail(format!(
+        return Err(format!(
             "shutdown did not quiesce: {} dirty handle(s) never flushed",
             state.dirty
-        )));
+        ));
     }
     if state.flushed_total != state.parked_total {
-        return Some(fail(format!(
+        return Err(format!(
             "conservation broken: {} batches parked, {} flushed",
             state.parked_total, state.flushed_total
-        )));
+        ));
     }
-    None
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::check::caught;
+
+    /// Explores every reachable state of `scenario`, which must be safe.
+    fn exhaustive(scenario: &ReclaimerScenario) {
+        let outcome = explore(scenario, 1_000_000);
+        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        assert!(outcome.complete, "exploration must be exhaustive");
+        assert!(outcome.terminals > 0);
+    }
 
     #[test]
     fn gated_shutdown_quiesces_on_every_schedule() {
         // Two producers × two rounds over a capacity-1 queue (Full
         // fallback reachable), gate-closed: every schedule must conserve
         // batches and satisfy the join-point contract.
-        let outcome = explore(&ReclaimerScenario::gated(2, 2, 1), 4_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
-        assert!(outcome.schedules > 0);
+        exhaustive(&ReclaimerScenario::gated(2, 2, 1));
     }
 
     #[test]
@@ -459,21 +460,12 @@ mod tests {
         // A closer may close the queue between any two steps; producers
         // hitting Closed must flush inline, and the reclaimer's sweep
         // covers the rest.
-        let outcome = explore(&ReclaimerScenario::early_close(2, 1, 1), 1_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
-        assert!(outcome.schedules > 0);
+        exhaustive(&ReclaimerScenario::early_close(2, 1, 1));
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "slow-tests"),
-        ignore = "deep early-close DFS; run with --features slow-tests (or --ignored)"
-    )]
     fn early_close_with_multiple_rounds_is_safe() {
-        let outcome = explore(&ReclaimerScenario::early_close(2, 2, 1), 40_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
+        exhaustive(&ReclaimerScenario::early_close(2, 2, 1));
     }
 
     #[test]
@@ -482,8 +474,7 @@ mod tests {
         // backlog: some schedule completes the handshake while tickets
         // or dirty handles are still outstanding.
         let scenario = ReclaimerScenario::gated(2, 1, 2).with_fault(ReclaimerFault::AckBeforeDrain);
-        let outcome = explore(&scenario, 4_000_000);
-        let violation = outcome.violation.expect("the fault must be detected");
+        let violation = caught(&scenario, 1_000_000);
         assert!(
             violation.message.contains("drained after shutdown"),
             "unexpected violation: {}",
@@ -498,8 +489,7 @@ mod tests {
         // batch is never flushed.
         let scenario =
             ReclaimerScenario::early_close(2, 1, 2).with_fault(ReclaimerFault::DropClosedTicket);
-        let outcome = explore(&scenario, 4_000_000);
-        let violation = outcome.violation.expect("the fault must be detected");
+        let violation = caught(&scenario, 1_000_000);
         assert!(
             violation.message.contains("drained after shutdown")
                 || violation.message.contains("never flushed"),
@@ -511,8 +501,7 @@ mod tests {
     #[test]
     fn fault_double_flush_is_caught() {
         let scenario = ReclaimerScenario::gated(1, 1, 1).with_fault(ReclaimerFault::DoubleFlush);
-        let outcome = explore(&scenario, 1_000_000);
-        let violation = outcome.violation.expect("the fault must be detected");
+        let violation = caught(&scenario, 1_000_000);
         assert!(
             violation.message.contains("double drain"),
             "unexpected violation: {}",

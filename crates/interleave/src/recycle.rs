@@ -31,8 +31,8 @@
 //! the publishing CAS, and the reads of a detached chain's links into the
 //! detaching swap, which is sound precisely because no other thread can
 //! observe that memory in between — the fold is itself part of the
-//! ownership argument. The explorer runs every schedule and checks, after
-//! each successful head mutation and at quiescence:
+//! ownership argument. The explorer visits every reachable state and
+//! checks, after each successful head mutation and at quiescence:
 //!
 //! * **list integrity** — the chain reachable from the shared head is
 //!   duplicate-free and contains only blocks whose model state is *in the
@@ -51,10 +51,10 @@
 //! only bounds capacity (a saturating counter that can at worst over- or
 //! under-admit a spill) and never feeds the ownership protocol.
 
-use crate::{DfsOutcome, Violation};
+use crate::dfs::{each_task, Model, Outcome, Successors};
 
 /// Where a block currently lives, from the model's omniscient view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Place {
     /// Linked into the shared free list (must be reachable from `head`).
     List,
@@ -101,7 +101,7 @@ pub enum RecycleOp {
 }
 
 /// Micro-state of a task inside a compound operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Micro {
     /// Between operations.
     Idle,
@@ -167,8 +167,10 @@ impl RecycleScenario {
     }
 }
 
-#[derive(Clone)]
-struct RecState {
+/// Everything a later step or the quiescence check reads, the omniscient
+/// `place` of each block included (the soundness rule of [`crate::dfs`]).
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct RecState {
     /// Shared list head: block id, 0 = null.
     head: usize,
     /// `link[id - 1]`: the next-block link stored in the block's header.
@@ -217,23 +219,22 @@ impl RecState {
 
     /// Walks the shared list and checks integrity: no duplicates (a cycle
     /// shows up as one) and every reachable block is in [`Place::List`].
-    fn check_list(&self, schedule: &[usize]) -> Result<(), Violation> {
-        let fail = |message| Violation::new(message, schedule);
+    fn check_list(&self) -> Result<(), String> {
         let mut seen = vec![false; self.link.len()];
         let mut cur = self.head;
         while cur != 0 {
             if seen[cur - 1] {
-                return Err(fail(format!(
+                return Err(format!(
                     "free list corrupt: block {cur} reachable twice (cycle or splice)"
-                )));
+                ));
             }
             seen[cur - 1] = true;
             if self.place[cur - 1] != Place::List {
-                return Err(fail(format!(
+                return Err(format!(
                     "free list corrupt: block {cur} reachable from head while {:?} — \
                      a stale next-snapshot was spliced in",
                     self.place[cur - 1]
-                )));
+                ));
             }
             cur = self.link[cur - 1];
         }
@@ -241,21 +242,28 @@ impl RecState {
     }
 }
 
-/// Explores every interleaving of `scenario` (up to `budget` complete
-/// schedules), checking the free-list invariants after every head
-/// mutation and conservation at quiescence.
-pub fn explore(scenario: &RecycleScenario, budget: u64) -> DfsOutcome {
-    crate::dfs::explore(
-        RecState::initial(scenario),
-        budget,
-        |state| {
-            (0..scenario.programs.len())
-                .filter(|&t| enabled(scenario, state, t))
-                .collect()
-        },
-        |state, t, schedule| step(scenario, state, t, schedule),
-        |state, schedule| check_quiescence(state, schedule),
-    )
+/// Explores every reachable state of `scenario` (up to `budget` distinct
+/// states), checking the free-list invariants after every head mutation
+/// and conservation at quiescence.
+pub fn explore(scenario: &RecycleScenario, budget: u64) -> Outcome {
+    crate::dfs::explore(scenario, budget)
+}
+
+impl Model for RecycleScenario {
+    type State = RecState;
+
+    fn initial(&self) -> RecState {
+        RecState::initial(self)
+    }
+
+    fn successors(&self, state: &RecState) -> Successors<RecState> {
+        let runnable = (0..self.programs.len()).filter(|&t| enabled(self, state, t));
+        each_task(state, runnable, |state, t| step(self, state, t))
+    }
+
+    fn finish(&self, state: &RecState) -> Result<(), String> {
+        check_quiescence(state)
+    }
 }
 
 fn enabled(scenario: &RecycleScenario, state: &RecState, task: usize) -> bool {
@@ -264,15 +272,9 @@ fn enabled(scenario: &RecycleScenario, state: &RecState, task: usize) -> bool {
 
 /// Executes one atomic action of `task`. Compound operations advance their
 /// [`Micro`] state by exactly one shared access per call.
-fn step(
-    scenario: &RecycleScenario,
-    state: &mut RecState,
-    task: usize,
-    schedule: &[usize],
-) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn step(scenario: &RecycleScenario, state: &mut RecState, task: usize) -> Result<(), String> {
     match state.micro[task] {
-        Micro::Idle => begin(scenario, state, task, schedule),
+        Micro::Idle => begin(scenario, state, task),
         Micro::Push { block, observed } => match observed {
             // Atomic action: load the shared head as the CAS comparand.
             None => {
@@ -293,7 +295,7 @@ fn step(
                     state.place[block - 1] = Place::List;
                     state.micro[task] = Micro::Idle;
                     state.pc[task] += 1;
-                    state.check_list(schedule)
+                    state.check_list()
                 } else {
                     // CAS failure returns the freshly observed head.
                     state.micro[task] = Micro::Push {
@@ -319,17 +321,17 @@ fn step(
             Some(nx) => {
                 if state.head == observed {
                     if state.place[observed - 1] != Place::List {
-                        return Err(fail(format!(
+                        return Err(format!(
                             "pop-one handed out block {observed} while {:?} (double hand-out)",
                             state.place[observed - 1]
-                        )));
+                        ));
                     }
                     state.head = nx;
                     state.place[observed - 1] = Place::Magazine(task);
                     state.mags[task].push(observed);
                     state.micro[task] = Micro::Idle;
                     state.pc[task] += 1;
-                    state.check_list(schedule)
+                    state.check_list()
                 } else if state.head == 0 {
                     // Restarted against an empty list: pop misses.
                     state.micro[task] = Micro::Idle;
@@ -348,13 +350,7 @@ fn step(
 }
 
 /// Starts the operation at `pc`, performing its first atomic action.
-fn begin(
-    scenario: &RecycleScenario,
-    state: &mut RecState,
-    task: usize,
-    schedule: &[usize],
-) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
+fn begin(scenario: &RecycleScenario, state: &mut RecState, task: usize) -> Result<(), String> {
     match scenario.programs[task][state.pc[task]] {
         // Atomic action (with an empty reserve): `swap(head, 0)`.
         // Everything the swap detaches is
@@ -372,10 +368,10 @@ fn begin(
             let mut top = true;
             while cur != 0 {
                 if state.place[cur - 1] != Place::List {
-                    return Err(fail(format!(
+                    return Err(format!(
                         "refill detached block {cur} while {:?} (double hand-out)",
                         state.place[cur - 1]
-                    )));
+                    ));
                 }
                 if top {
                     state.place[cur - 1] = Place::Magazine(task);
@@ -432,7 +428,7 @@ fn begin(
         RecycleOp::Dispose => {
             let id = state.in_use[task]
                 .pop()
-                .ok_or_else(|| fail(format!("scenario bug: task {task} disposes nothing")))?;
+                .ok_or_else(|| format!("scenario bug: task {task} disposes nothing"))?;
             state.place[id - 1] = Place::Magazine(task);
             state.mags[task].push(id);
             state.pc[task] += 1;
@@ -455,9 +451,8 @@ fn begin(
 
 /// Conservation at quiescence: every block is in exactly one place and
 /// every free block is reachable.
-fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), Violation> {
-    let fail = |message| Violation::new(message, schedule);
-    state.check_list(schedule)?;
+fn check_quiescence(state: &RecState) -> Result<(), String> {
+    state.check_list()?;
     let mut reachable = vec![false; state.link.len()];
     let mut cur = state.head;
     while cur != 0 {
@@ -467,13 +462,13 @@ fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), Violatio
     for (i, place) in state.place.iter().enumerate() {
         match place {
             Place::List if !reachable[i] => {
-                return Err(fail(format!("lost block {} (free but unreachable)", i + 1)));
+                return Err(format!("lost block {} (free but unreachable)", i + 1));
             }
             Place::Pending(task) => {
-                return Err(fail(format!(
+                return Err(format!(
                     "block {} still pending in task {task}'s unpublished push",
                     i + 1
-                )));
+                ));
             }
             _ => {}
         }
@@ -484,34 +479,33 @@ fn check_quiescence(state: &RecState, schedule: &[usize]) -> Result<(), Violatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::check::caught;
+
+    /// Explores every reachable state of `scenario`, which must be safe.
+    fn exhaustive(scenario: &RecycleScenario) {
+        let outcome = explore(scenario, 1_000_000);
+        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        assert!(outcome.complete, "exploration must be exhaustive");
+        assert!(outcome.terminals > 0);
+    }
 
     #[test]
     fn spill_refill_all_interleavings_safe() {
         // The real protocol (take_all + push_block only): every schedule of
         // two tasks refilling, reusing, and spilling over a shared list
         // must keep the list intact and conserve every block.
-        let outcome = explore(&RecycleScenario::spill_refill(3), 5_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete, "exploration must be exhaustive");
-        assert!(outcome.schedules > 0);
+        exhaustive(&RecycleScenario::spill_refill(3));
     }
 
     #[test]
     fn empty_list_refills_miss_safely() {
         // Three tasks racing over a single-block list: most refills miss or
         // detach nothing; nothing may be lost or duplicated regardless.
-        let scenario = RecycleScenario {
+        exhaustive(&RecycleScenario {
             nodes: 1,
-            programs: vec![
-                vec![RecycleOp::Refill, RecycleOp::Spill],
-                vec![RecycleOp::Refill, RecycleOp::Spill],
-                vec![RecycleOp::Refill, RecycleOp::Spill],
-            ],
+            programs: vec![vec![RecycleOp::Refill, RecycleOp::Spill]; 3],
             name: "recycle_contended_single_node".into(),
-        };
-        let outcome = explore(&scenario, 5_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete);
+        });
     }
 
     #[test]
@@ -519,7 +513,7 @@ mod tests {
         // Asymmetric programs: one task takes a second block off its reserve
         // and pushes two blocks back to back, racing both a concurrent swap
         // and a concurrent push.
-        let scenario = RecycleScenario {
+        exhaustive(&RecycleScenario {
             nodes: 4,
             programs: vec![
                 vec![RecycleOp::Refill, RecycleOp::Spill],
@@ -534,10 +528,7 @@ mod tests {
                 ],
             ],
             name: "recycle_spill_skew".into(),
-        };
-        let outcome = explore(&scenario, 5_000_000);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
-        assert!(outcome.complete);
+        });
     }
 
     #[test]
@@ -545,8 +536,7 @@ mod tests {
         // The fault-injected Treiber pop-one must be caught: some schedule
         // lets the pop CAS succeed against stale snapshots and splice a
         // block in use into the free list.
-        let outcome = explore(&RecycleScenario::pop_one_race(), 5_000_000);
-        let violation = outcome.violation.expect("the ABA splice must be detected");
+        let violation = caught(&RecycleScenario::pop_one_race(), 1_000_000);
         assert!(
             violation.message.contains("free list corrupt")
                 || violation.message.contains("double hand-out"),
@@ -557,12 +547,11 @@ mod tests {
 
     #[test]
     fn pop_one_schedule_is_reproducible() {
-        // The violating schedule must replay to the same violation —
-        // determinism is what makes the explorer's counterexamples useful.
-        let first = explore(&RecycleScenario::pop_one_race(), 5_000_000)
+        // The search is deterministic: the same counterexample every time.
+        let first = explore(&RecycleScenario::pop_one_race(), 1_000_000)
             .violation
             .expect("violation");
-        let second = explore(&RecycleScenario::pop_one_race(), 5_000_000)
+        let second = explore(&RecycleScenario::pop_one_race(), 1_000_000)
             .violation
             .expect("violation");
         assert_eq!(first, second);

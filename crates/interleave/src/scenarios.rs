@@ -1,9 +1,10 @@
 //! Ready-made scenarios for the explorer: the small concurrent shapes whose
 //! interleavings cover the algorithm's interesting races.
 
+use crate::dfs::{each_task, Model, Successors};
 use crate::model::{Fault, HyalineModel, ModelConfig, Op, ThreadProgram, Variant};
 
-/// A buildable scenario: deterministic model construction for replay.
+/// A buildable scenario: deterministic model construction.
 ///
 /// # Example
 ///
@@ -18,7 +19,7 @@ use crate::model::{Fault, HyalineModel, ModelConfig, Op, ThreadProgram, Variant}
 pub struct Scenario {
     config: ModelConfig,
     programs: Vec<ThreadProgram>,
-    /// Human-readable description (used by the model-check example).
+    /// Human-readable description.
     pub name: String,
 }
 
@@ -31,6 +32,22 @@ impl Scenario {
     /// Number of threads.
     pub fn threads(&self) -> usize {
         self.programs.len()
+    }
+}
+
+impl Model for Scenario {
+    type State = HyalineModel;
+
+    fn initial(&self) -> HyalineModel {
+        self.build()
+    }
+
+    fn successors(&self, model: &HyalineModel) -> Successors<HyalineModel> {
+        each_task(model, model.enabled(), HyalineModel::step)
+    }
+
+    fn finish(&self, model: &HyalineModel) -> Result<(), String> {
+        model.finish()
     }
 }
 
@@ -268,58 +285,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exhaustive_retire_churn_single_slot() {
-        let outcome = Explorer::exhaustive(5_000_000).run(&retire_churn(2, 1, 1));
-        assert!(outcome.complete, "tree too large: {}", outcome.executions);
+    /// Explores every reachable state of `scenario`, which must be safe.
+    fn exhaustive(scenario: &Scenario) {
+        let outcome = Explorer::exhaustive(1_000_000).run(scenario);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        assert!(
+            outcome.complete,
+            "{}: {} states",
+            scenario.name, outcome.states
+        );
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "slow-tests"),
-        ignore = "~30s exhaustive DFS; run with --features slow-tests (or --ignored)"
-    )]
+    fn exhaustive_retire_churn_single_slot() {
+        exhaustive(&retire_churn(2, 1, 1));
+    }
+
+    #[test]
     fn exhaustive_retire_churn_two_slots() {
-        let outcome = Explorer::exhaustive(5_000_000).run(&retire_churn(2, 1, 2));
-        assert!(outcome.complete, "tree too large: {}", outcome.executions);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        exhaustive(&retire_churn(2, 1, 2));
     }
 
     #[test]
     fn exhaustive_reader_vs_retirer() {
         for slots in [1, 2] {
-            let outcome = Explorer::exhaustive(8_000_000).run(&reader_vs_retirer(slots));
-            assert!(outcome.complete, "k={slots}: {} execs", outcome.executions);
-            assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+            exhaustive(&reader_vs_retirer(slots));
         }
     }
 
     #[test]
     fn budgeted_reader_overlap() {
-        // Three threads: the full tree exceeds 50M schedules, so explore a
-        // bounded DFS prefix plus a random sample.
+        // Three threads: over 50M schedules, a few thousand states.
         for slots in [1, 2] {
-            let dfs = Explorer::exhaustive(300_000).run(&reader_overlap(slots));
-            assert!(dfs.violation.is_none(), "{:?}", dfs.violation);
-            let rnd = Explorer::random(2_000, 0x0BEE).run(&reader_overlap(slots));
-            assert!(rnd.violation.is_none(), "{:?}", rnd.violation);
+            exhaustive(&reader_overlap(slots));
         }
     }
 
     #[test]
     fn budgeted_trim_pipeline() {
-        let dfs = Explorer::exhaustive(300_000).run(&trim_pipeline(1));
-        assert!(dfs.violation.is_none(), "{:?}", dfs.violation);
-        let rnd = Explorer::random(2_000, 0x7212).run(&trim_pipeline(1));
-        assert!(rnd.violation.is_none(), "{:?}", rnd.violation);
+        exhaustive(&trim_pipeline(1));
     }
 
     #[test]
     fn exhaustive_hyaline1() {
-        let outcome = Explorer::exhaustive(5_000_000).run(&hyaline1_churn(2, 1));
-        assert!(outcome.complete, "{} execs", outcome.executions);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        exhaustive(&hyaline1_churn(2, 1));
     }
 
     #[test]
@@ -363,14 +372,8 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        not(feature = "slow-tests"),
-        ignore = "~10s exhaustive DFS; run with --features slow-tests (or --ignored)"
-    )]
     fn exhaustive_hyaline_s_churn() {
-        let outcome = Explorer::exhaustive(8_000_000).run(&hyaline_s_churn(2, 1, 2));
-        assert!(outcome.complete, "{} execs", outcome.executions);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        exhaustive(&hyaline_s_churn(2, 1, 2));
     }
 
     #[test]
@@ -378,18 +381,33 @@ mod tests {
         // Every interleaving: the parked thread's stale slot must never
         // receive (nor pin) batches born after its access era.
         for retires in [1, 2] {
-            let outcome = Explorer::exhaustive(8_000_000).run(&stalled_reader_robustness(retires));
-            assert!(outcome.complete, "{} execs", outcome.executions);
-            assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+            exhaustive(&stalled_reader_robustness(retires));
         }
+    }
+
+    #[test]
+    fn exhaustive_stalled_reader_shares_a_slot() {
+        // Theorem 4 on a shared slot: the stalled reader's slot 0 stays
+        // live through a churner that keeps raising its access era, beside
+        // a churner on slot 1. A batch may be pinned only where an access
+        // era covering its birth let it in.
+        let churner = |slot| vec![Op::Enter(slot), Op::Deref, Op::Retire, Op::Leave];
+        exhaustive(&custom(
+            2,
+            Variant::HyalineS,
+            Fault::None,
+            vec![
+                vec![Op::Enter(0), Op::Deref, Op::Stall],
+                churner(0),
+                churner(1),
+            ],
+        ));
     }
 
     #[test]
     fn exhaustive_stalled_reader_nonrobust_bounded() {
         // Plain Hyaline pins batches in the stalled slot but nothing else.
-        let outcome = Explorer::exhaustive(8_000_000).run(&stalled_reader_nonrobust(2));
-        assert!(outcome.complete, "{} execs", outcome.executions);
-        assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+        exhaustive(&stalled_reader_nonrobust(2));
     }
 
     #[test]
