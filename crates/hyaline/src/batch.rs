@@ -1,8 +1,12 @@
 //! Batch construction and the retired-node header layout.
 //!
 //! Section 3.2 of the paper: threads accumulate retired nodes into local
-//! *batches* and keep a single reference counter per batch. Each node keeps
-//! three header words regardless of batch size or slot count:
+//! *batches* and keep a single reference counter per batch. A batch names
+//! its nodes in a [`NodeBlock`], and the block's header carries the
+//! batch's `NRef` counter and its `Adjs` constant
+//! ([`smr_core::BatchWords`]), which the paper keeps in the batch's first
+//! node (§4.3). So no node is special: every node keeps the same two
+//! header words, and every node can link the batch into a slot.
 //!
 //! * **word 0** — the per-slot retirement-list `Next` pointer once the node
 //!   is used to insert the batch into a slot. Before that the same word
@@ -11,19 +15,20 @@
 //!   retire"). It is read at `retire`, and read again when an active slot's
 //!   access era falls inside the batch's birth range and the batch is cut
 //!   there ([`LocalBatch::cut_younger`]): nothing overwrites it before the
-//!   batch is finalized. On the batch's dedicated **REFS node** this word is
-//!   the batch's `NRef` counter.
-//! * **word 1** — `batch_link`: a pointer to the REFS node. On the REFS node
-//!   itself this word stores the batch's `Adjs` constant instead (Section
-//!   4.3: "the NRef node itself does not need to keep this pointer. Instead,
-//!   we use this variable to store the current Adjs value for the batch").
-//! * **word 2** — on the REFS node, the address of the batch's
-//!   [`NodeBlock`]: the array naming every node of the batch, REFS first,
-//!   each entry flagged [`NodeBlock::LIVE`] when the node carries a live
-//!   payload (dummy nodes, added when a batch meets more active slots than
-//!   it has insertion nodes, do not). It stands for the paper's
-//!   `BatchNext` chain and its `First` pointer
-//!   (`free_batch(Ref->First)`). Word 2 is unused on the other nodes.
+//!   batch is finalized.
+//! * **word 1** — `batch_link`: the address of the batch's block, through
+//!   which a thread holding a reference on the batch reaches its `NRef` and
+//!   `Adjs`. A block never moves once any node of its batch is linked: a
+//!   block that grows before then relinks its nodes, and past its capacity
+//!   a published batch chains an overflow block through the block's header
+//!   link, which no chain uses while the batch is live.
+//! * **word 2** — unused by the batch family.
+//!
+//! The block names every node of the batch, each entry flagged
+//! [`NodeBlock::LIVE`] when the node carries a live payload (dummy nodes,
+//! added when a batch meets more active slots than it has nodes, do not).
+//! It stands for the paper's `BatchNext` chain and its `First` pointer
+//! (`free_batch(Ref->First)`).
 //!
 //! Freeing a batch reads its block, not its nodes: the block becomes the
 //! freeing handle's recycle block whole, up to the magazine's bound
@@ -37,15 +42,14 @@
 //! steady state allocates none.
 
 use smr_core::{Magazine, NodeBlock, NodeHeader, NodePool, SmrNode, SmrStats};
+use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
 
-/// Header word holding the slot-list `Next` / birth era / `NRef`.
+/// Header word holding the slot-list `Next` / birth era.
 pub(crate) const W_NEXT: usize = 0;
-/// Header word holding `batch_link` / the batch `Adjs`.
+/// Header word holding `batch_link`, the batch's block address.
 pub(crate) const W_LINK: usize = 1;
-/// Header word holding, on the REFS node, the batch's block.
-const W_BLOCK: usize = 2;
 
 /// Borrows the SMR header embedded in `node`.
 ///
@@ -59,6 +63,12 @@ pub(crate) unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader 
     unsafe { (*node).header() }
 }
 
+/// The node a block entry names.
+#[inline]
+fn entry_node<T>(entry: usize) -> *mut SmrNode<T> {
+    (entry & !NodeBlock::LIVE) as *mut SmrNode<T>
+}
+
 /// The birth era in word 0 of the node a block entry names.
 ///
 /// # Safety
@@ -68,21 +78,38 @@ pub(crate) unsafe fn header<'a, T: 'a>(node: *mut SmrNode<T>) -> &'a NodeHeader 
 #[inline]
 unsafe fn birth<T>(entry: usize) -> u64 {
     // SAFETY: the caller guarantees a live node.
-    unsafe { header((entry & !NodeBlock::LIVE) as *mut SmrNode<T>) }
+    unsafe { header(entry_node::<T>(entry)) }
         .word(W_NEXT)
         .load(Ordering::Relaxed) as u64
 }
 
-/// A thread-local batch under construction.
+/// Points word 1 of every node `block` names at `block`, after the block
+/// moved or changed hands. Cold: a batch outgrows its block only when it
+/// is larger than a full batch.
 ///
-/// The first node pushed becomes the batch's REFS node (entry 0 of the
-/// block); all later nodes point at the REFS node through `word 1`.
+/// # Safety
+///
+/// Every entry names a live node this thread owns, none linked yet.
+#[cold]
+#[inline(never)]
+unsafe fn relink<T>(block: &NodeBlock) {
+    let raw = block.as_raw();
+    for &entry in block.entries() {
+        // SAFETY: the caller's contract.
+        unsafe { header(entry_node::<T>(entry)) }
+            .word(W_LINK)
+            .store(raw, Ordering::Relaxed);
+    }
+}
+
+/// A thread-local batch under construction: every node pushed names the
+/// batch's block through word 1.
 pub(crate) struct LocalBatch<T> {
     /// Names the batch's nodes; taken from the magazine by the first push.
     block: Option<NodeBlock>,
-    refs_node: *mut SmrNode<T>,
     min_birth: u64,
     max_birth: u64,
+    _nodes: PhantomData<*mut SmrNode<T>>,
 }
 
 impl<T> Default for LocalBatch<T> {
@@ -96,9 +123,9 @@ impl<T> LocalBatch<T> {
     pub(crate) fn new() -> Self {
         Self {
             block: None,
-            refs_node: std::ptr::null_mut(),
             min_birth: u64::MAX,
             max_birth: 0,
+            _nodes: PhantomData,
         }
     }
 
@@ -127,23 +154,18 @@ impl<T> LocalBatch<T> {
         pool: &NodePool,
         mag: &mut Magazine,
     ) {
-        match &mut self.block {
-            Some(block) => {
-                // SAFETY: the caller hands over `node` exclusively; it stays
-                // live until the batch is inserted and its `NRef` crosses
-                // zero.
-                unsafe { header(node) }
-                    .word(W_LINK)
-                    .store(self.refs_node as usize, Ordering::Relaxed);
-                block.push(node as usize | NodeBlock::LIVE);
-            }
-            None => {
-                let mut block = pool.block(mag);
-                block.push(node as usize | NodeBlock::LIVE);
-                self.block = Some(block);
-                self.refs_node = node;
-            }
+        let block = self.block.get_or_insert_with(|| pool.block(mag));
+        if block.len() == block.capacity() {
+            block.reserve_total(block.len() + 1);
+            // SAFETY: the block names this thread's pushed, unlinked nodes.
+            unsafe { relink::<T>(block) };
         }
+        // SAFETY: the caller hands over `node` exclusively; it stays live
+        // until the batch is inserted and its `NRef` crosses zero.
+        unsafe { header(node) }
+            .word(W_LINK)
+            .store(block.as_raw(), Ordering::Relaxed);
+        block.push(node as usize | NodeBlock::LIVE);
         self.min_birth = self.min_birth.min(birth);
         self.max_birth = self.max_birth.max(birth);
     }
@@ -156,10 +178,9 @@ impl<T> LocalBatch<T> {
     /// Cuts the batch at `era`: this batch keeps the nodes born at or
     /// before it, and the younger ones move to a batch of their own, named
     /// in an empty block taken from `pool` through `mag`, which is
-    /// returned. Each part's first node becomes its REFS node, and every
-    /// other node's word 1 is pointed at it; both parts are ordinary
-    /// batches with their own birth range, so a slot whose access era is
-    /// `era` is entered by the older part only.
+    /// returned. Both parts are ordinary batches with their own birth
+    /// range, so a slot whose access era is `era` is entered by the older
+    /// part only.
     ///
     /// # Safety
     ///
@@ -186,61 +207,59 @@ impl<T> LocalBatch<T> {
         }
     }
 
-    /// The batch of the nodes `block` names: the first becomes REFS, every
-    /// other one's word 1 points at it, and the birth range is read back
-    /// from word 0.
+    /// The batch of the nodes `block` names: every one's word 1 is pointed
+    /// at the block, and the birth range is read back from word 0.
     ///
     /// # Safety
     ///
     /// `block` is non-empty, and its entries name pushed nodes this thread
     /// owns, each with its birth era in word 0.
     unsafe fn from_block(block: NodeBlock) -> Self {
-        let refs_node = (block.entries()[0] & !NodeBlock::LIVE) as *mut SmrNode<T>;
         let (mut min_birth, mut max_birth) = (u64::MAX, 0);
-        for (i, &entry) in block.entries().iter().enumerate() {
+        for &entry in block.entries() {
             // SAFETY: the caller's contract.
             let born = unsafe { birth::<T>(entry) };
             min_birth = min_birth.min(born);
             max_birth = max_birth.max(born);
-            if i > 0 {
-                // SAFETY: as above: a node this thread owns.
-                unsafe { header((entry & !NodeBlock::LIVE) as *mut SmrNode<T>) }
-                    .word(W_LINK)
-                    .store(refs_node as usize, Ordering::Relaxed);
-            }
         }
+        // SAFETY: as above: nodes this thread owns, none linked.
+        unsafe { relink::<T>(&block) };
         Self {
             block: Some(block),
-            refs_node,
             min_birth,
             max_birth,
+            _nodes: PhantomData,
         }
     }
 
-    /// Freezes the batch: initializes `NRef` to zero, records the batch's
-    /// `Adjs`, and hands the block to the REFS node.
+    /// Freezes the batch: grows its block to hold `reserve` entries if it
+    /// is smaller (the insertions the loop can make, so that it need not
+    /// grow once a node is linked), and initializes the block's
+    /// [`smr_core::BatchWords`]: `NRef` to zero and `Adjs` to `adjs`.
     ///
     /// Returns the frozen batch and resets this one.
     ///
     /// # Safety
     ///
     /// The batch must be non-empty.
-    pub(crate) unsafe fn finalize(&mut self, adjs: usize) -> FinalizedBatch<T> {
-        let refs = self.refs_node;
-        let block = self.block.take().expect("finalize of an empty batch");
-        // SAFETY: the batch is non-empty, so `refs` is a pushed node, which
-        // this thread still owns: nothing is inserted yet.
-        unsafe {
-            header(refs).word(W_NEXT).store(0, Ordering::Relaxed); // NRef = 0
-            header(refs).word(W_LINK).store(adjs, Ordering::Relaxed);
-            header(refs)
-                .word(W_BLOCK)
-                .store(block.as_raw(), Ordering::Relaxed);
+    pub(crate) unsafe fn finalize(&mut self, adjs: usize, reserve: usize) -> FinalizedBatch<T> {
+        let mut block = self.block.take().expect("finalize of an empty batch");
+        if block.capacity() < reserve {
+            block.reserve_total(reserve);
+            // SAFETY: nothing is inserted yet: the batch's nodes are this
+            // thread's own.
+            unsafe { relink::<T>(&block) };
         }
+        // The header link names the overflow block, and there is none yet.
+        block.set_next(0);
+        let words = block.batch();
+        words.nref.store(0, Ordering::Relaxed);
+        words.adjs.store(adjs, Ordering::Relaxed);
         let out = FinalizedBatch {
-            refs_node: refs,
             block: ManuallyDrop::new(block),
+            overflow: None,
             min_birth: self.min_birth,
+            _nodes: PhantomData,
         };
         *self = Self::new();
         out
@@ -249,25 +268,33 @@ impl<T> LocalBatch<T> {
 
 /// A frozen batch ready for insertion into the slot lists.
 pub(crate) struct FinalizedBatch<T> {
-    /// The REFS node carrying the batch's `NRef` counter (entry 0).
-    pub(crate) refs_node: *mut SmrNode<T>,
-    /// The inserting thread's view of the block the REFS node owns: it
-    /// reads insertion nodes from it and appends dummies, and must stop
-    /// with the batch's last slot contribution, after which another thread
-    /// may free it.
+    /// The inserting thread's view of the batch's block: it reads insertion
+    /// nodes from it and appends dummies, and must stop with the batch's
+    /// last slot contribution, after which another thread may free it.
     block: ManuallyDrop<NodeBlock>,
+    /// Dummies past the block's capacity, in a block the main block's
+    /// header link names; `None` while the block has room.
+    overflow: Option<ManuallyDrop<NodeBlock>>,
     /// Smallest birth era among the batch's retired nodes.
     pub(crate) min_birth: u64,
+    _nodes: PhantomData<*mut SmrNode<T>>,
 }
 
 impl<T> FinalizedBatch<T> {
-    /// Entries in the block: REFS, the retired nodes, the dummies so far.
+    /// The address of the batch's block: what every node's word 1 names,
+    /// and what [`adjust_refs`] and a handoff cell take.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.block.len()
+    pub(crate) fn raw(&self) -> usize {
+        self.block.as_raw()
     }
 
-    /// The node entry `i` names.
+    /// Nodes in the batch: the retired nodes, then the dummies so far.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.block.len() + self.overflow.as_ref().map_or(0, |o| o.len())
+    }
+
+    /// The `i`-th node of the batch.
     ///
     /// # Safety
     ///
@@ -275,16 +302,26 @@ impl<T> FinalizedBatch<T> {
     /// contribution; `i < self.len()`.
     #[inline]
     pub(crate) unsafe fn node(&self, i: usize) -> *mut SmrNode<T> {
-        (self.block.entries()[i] & !NodeBlock::LIVE) as *mut SmrNode<T>
+        let own = self.block.len();
+        entry_node(if i < own {
+            self.block.entries()[i]
+        } else {
+            self.overflow
+                .as_ref()
+                .expect("node past the batch")
+                .entries()[i - own]
+        })
     }
 
-    /// Appends the payload-less node `dummy` to the block, its live bit
-    /// clear, as one more insertion node.
+    /// Appends the payload-less node `dummy` to the batch, its live bit
+    /// clear, as one more insertion node. Past the block's capacity it goes
+    /// to the overflow block, taken from `spare` on first use, so the
+    /// block itself never moves: other threads reach `NRef` through it.
     ///
-    /// The insertion loops call this when a slot is active and the block
+    /// The insertion loops call this when a slot is active and the batch
     /// has no own node left for it: a partial batch is finalized with only
-    /// its own nodes, and a full one can meet more active slots than it was
-    /// sized for. Mutating the block is safe until the batch's last slot
+    /// its own nodes, and a full one can meet more active slots than it
+    /// has nodes. Mutating the batch is safe until its last slot
     /// contribution is in, because only the thread whose adjustment brings
     /// `NRef` to zero reads the block, to free it. On owned slots that is
     /// the final `Inserts` adjustment, and every decrement before it leaves
@@ -292,56 +329,69 @@ impl<T> FinalizedBatch<T> {
     /// and `j · Adjs ≢ 0 (mod 2^64)` for `0 < j < k`, so `NRef` cannot
     /// reach zero while a slot is still to come; the last one comes in
     /// either through the skipped slots' adjustment or through the last
-    /// insertion CAS, after every extension. A block that grows moves, so
-    /// the REFS node's word 2 is rewritten with it.
+    /// insertion CAS, after every extension.
     ///
     /// # Safety
     ///
     /// Must only be called by the inserting thread before the last slot's
     /// contribution (its insertion CAS or the final [`adjust_refs`]).
     /// `dummy` must be a fresh payload-less node this thread owns.
-    pub(crate) unsafe fn extend_with_dummy(&mut self, dummy: *mut SmrNode<T>) {
-        // SAFETY: before the last slot's contribution `NRef` cannot reach
-        // zero, so the REFS node is live; `dummy` is this thread's own.
-        unsafe {
-            header(dummy)
-                .word(W_LINK)
-                .store(self.refs_node as usize, Ordering::Relaxed);
+    pub(crate) unsafe fn extend_with_dummy(
+        &mut self,
+        dummy: *mut SmrNode<T>,
+        spare: impl FnOnce() -> NodeBlock,
+    ) {
+        let raw = self.block.as_raw();
+        // SAFETY: `dummy` is this thread's own.
+        unsafe { header(dummy) }
+            .word(W_LINK)
+            .store(raw, Ordering::Relaxed);
+        if self.block.len() < self.block.capacity() {
+            self.block.push(dummy as usize); // live bit clear
+        } else {
+            self.push_overflow(dummy as usize, spare);
         }
-        let before = self.block.as_raw();
-        self.block.push(dummy as usize); // live bit clear
-        if self.block.as_raw() != before {
-            // SAFETY: as above, the REFS node is live and ours to write.
-            unsafe { header(self.refs_node) }
-                .word(W_BLOCK)
-                .store(self.block.as_raw(), Ordering::Relaxed);
-        }
+        debug_assert_eq!(self.block.as_raw(), raw, "a published batch's block moved");
+    }
+
+    /// Appends `entry` to the overflow block. The overflow block may grow,
+    /// and so move: only the main block's header link names it, and only
+    /// the thread that frees the batch reads that link.
+    #[cold]
+    #[inline(never)]
+    fn push_overflow(&mut self, entry: usize, spare: impl FnOnce() -> NodeBlock) {
+        let overflow = self
+            .overflow
+            .get_or_insert_with(|| ManuallyDrop::new(spare()));
+        overflow.push(entry);
+        let at = overflow.as_raw();
+        self.block.set_next(at);
     }
 }
 
 /// Decrements the `NRef` of the batch `node` belongs to by one (the paper's
-/// `traverse` step, Figure 3 line 50). If the counter crosses zero the REFS
-/// node is pushed onto `reap` for deferred freeing.
+/// `traverse` step, Figure 3 line 50). If the counter crosses zero the
+/// batch's block is pushed onto `reap` for deferred freeing.
 ///
 /// # Safety
 ///
-/// `node` must be a non-REFS batch node whose batch has been finalized, and
-/// the caller must still hold a logical reference to it.
+/// `node` must be a node of a finalized batch, and the caller must still
+/// hold a logical reference to it.
 #[inline]
-pub(crate) unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<*mut SmrNode<T>>) {
+pub(crate) unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<usize>) {
     // SAFETY: the caller's logical reference keeps `node`, and so its
-    // finalized batch's REFS node, live until this decrement lands.
+    // finalized batch's block, live until this decrement lands.
     unsafe {
-        let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
-        adjust_refs(refs, 1usize.wrapping_neg(), reap);
+        let raw = header(node).word(W_LINK).load(Ordering::Acquire);
+        adjust_refs(raw, 1usize.wrapping_neg(), reap);
     }
 }
 
 /// Credits the batch `node` belongs to with one slot's completion: its own
 /// stored `Adjs` plus `href_snapshot` (the paper's `adjust(node, Adjs +
-/// Head.HRef)`, Figure 3 lines 17/39). Reading `Adjs` from the batch's REFS
-/// node — rather than a global — is what makes §4.3 adaptive resizing sound:
-/// every batch is adjusted with the slot count it was retired under.
+/// Head.HRef)`, Figure 3 lines 17/39). Reading `Adjs` from the batch's
+/// block — rather than a global — is what makes §4.3 adaptive resizing
+/// sound: every batch is adjusted with the slot count it was retired under.
 ///
 /// # Safety
 ///
@@ -350,64 +400,72 @@ pub(crate) unsafe fn decrement<T>(node: *mut SmrNode<T>, reap: &mut Vec<*mut Smr
 pub(crate) unsafe fn adjust_slot_credit<T>(
     node: *mut SmrNode<T>,
     href_snapshot: usize,
-    reap: &mut Vec<*mut SmrNode<T>>,
+    reap: &mut Vec<usize>,
 ) {
     // SAFETY: as in `decrement`: the caller's reference keeps the batch,
-    // and its REFS node, live until the adjustment lands.
+    // and its block, live until the adjustment lands.
     unsafe {
-        let refs = header(node).word(W_LINK).load(Ordering::Acquire) as *mut SmrNode<T>;
-        let adjs = header(refs).word(W_LINK).load(Ordering::Acquire);
-        adjust_refs(refs, adjs.wrapping_add(href_snapshot), reap);
+        let raw = header(node).word(W_LINK).load(Ordering::Acquire);
+        let adjs = NodeBlock::batch_at(raw).adjs.load(Ordering::Acquire);
+        adjust_refs(raw, adjs.wrapping_add(href_snapshot), reap);
     }
 }
 
-/// Adds `val` to a batch's `NRef` given its REFS node directly (the paper's
-/// `adjust(batch->FirstNode(), Empty)` / Hyaline-1 `Inserts` adjustment).
+/// Adds `val` to the `NRef` of the batch whose block is at `raw` (the
+/// paper's `adjust(batch->FirstNode(), Empty)` / Hyaline-1 `Inserts`
+/// adjustment).
 ///
 /// # Safety
 ///
-/// `refs` must be a finalized batch's REFS node.
+/// `raw` must be a finalized batch's block, on which the caller still
+/// holds the reference (or the credit) this adjustment gives.
 #[inline]
-pub(crate) unsafe fn adjust_refs<T>(
-    refs: *mut SmrNode<T>,
-    val: usize,
-    reap: &mut Vec<*mut SmrNode<T>>,
-) {
-    // SAFETY: a finalized batch's REFS node lives until its `NRef` crosses
-    // zero, which at the earliest is this adjustment.
-    let old = unsafe { header(refs) }
-        .word(W_NEXT)
+pub(crate) unsafe fn adjust_refs(raw: usize, val: usize, reap: &mut Vec<usize>) {
+    // SAFETY: a finalized batch's block lives until its `NRef` crosses
+    // zero, which at the earliest is this adjustment, and it never moves
+    // once a node of the batch is linked.
+    let old = unsafe { NodeBlock::batch_at(raw) }
+        .nref
         .fetch_add(val, Ordering::AcqRel);
     if old.wrapping_add(val) == 0 {
-        reap.push(refs);
+        reap.push(raw);
     }
 }
 
-/// Frees every node of the batch owned by `refs` through the domain's
-/// recycle pool, returning how many nodes were freed (dummies included).
-/// The batch's block goes to [`NodePool::dispose_block`]: payloads flagged
-/// live are dropped now, and the block, with the node memory it names,
-/// joins `mag` for reuse by subsequent allocations — or, with recycling
-/// disabled, the nodes go straight back to the allocator. No node is read
-/// to find the next one. This is the hyaline-family half of the common
-/// `dispose` hook, and the family's only free path.
+/// Frees every node of the batch whose block is at `raw` through the
+/// domain's recycle pool, returning how many nodes were freed (dummies
+/// included). The block, and the overflow block its header link may name,
+/// go to [`NodePool::dispose_block`]: payloads flagged live are dropped
+/// now, and each block, with the node memory it names, joins `mag` for
+/// reuse by subsequent allocations — or, with recycling disabled, the nodes
+/// go straight back to the allocator. No node is read to find the next
+/// one. This is the hyaline-family half of the common `dispose` hook, and
+/// the family's only free path.
 ///
 /// # Safety
 ///
 /// The batch's `NRef` must have crossed zero: no thread can still reference
 /// any node of the batch. `mag` must belong to `pool`.
 pub(crate) unsafe fn free_batch_into<T>(
-    refs: *mut SmrNode<T>,
+    raw: usize,
     pool: &NodePool,
     mag: &mut Magazine,
     stats: &SmrStats,
 ) -> u64 {
-    // SAFETY: `NRef` crossed zero, so the whole batch, its block included,
-    // is exclusively ours; the REFS node is still allocated.
-    let block = unsafe { NodeBlock::from_raw(header(refs).word(W_BLOCK).load(Ordering::Acquire)) };
-    // SAFETY: as above; each entry names a node of the batch, not yet
-    // freed, flagged live exactly when its payload is.
-    unsafe { pool.dispose_block::<T>(mag, stats, block) }
+    // SAFETY: `NRef` crossed zero, so the whole batch, its blocks included,
+    // is exclusively ours.
+    let mut block = unsafe { NodeBlock::from_raw(raw) };
+    let overflow = block.next();
+    let mut freed = 0;
+    if overflow != 0 {
+        block.set_next(0);
+        // SAFETY: as above; the overflow block is the batch's too, and each
+        // entry names a node of the batch, not yet freed, flagged live
+        // exactly when its payload is (never: only dummies overflow).
+        freed = unsafe { pool.dispose_block::<T>(mag, stats, NodeBlock::from_raw(overflow)) };
+    }
+    // SAFETY: as above.
+    freed + unsafe { pool.dispose_block::<T>(mag, stats, block) }
 }
 
 #[cfg(test)]
@@ -450,14 +508,31 @@ mod tests {
             batch
         }
 
+        /// Appends a fresh dummy to `fin`, taking an overflow block from
+        /// this rig's pool when the batch's block is full.
+        ///
+        /// # Safety
+        ///
+        /// [`FinalizedBatch::extend_with_dummy`]'s contract, but for the
+        /// dummy, which this makes.
+        unsafe fn dummy<T>(&mut self, fin: &mut FinalizedBatch<T>) -> *mut SmrNode<T> {
+            // SAFETY: dummy nodes carry no payload, and the batch frees it
+            // with its live bit clear.
+            let dummy = unsafe { SmrNode::<T>::alloc_dummy() }.as_ptr();
+            let (pool, mag) = (&self.pool, &mut self.mag);
+            // SAFETY: forwarded; `dummy` is fresh and ours.
+            unsafe { fin.extend_with_dummy(dummy, || pool.block(mag)) };
+            dummy
+        }
+
         /// [`free_batch_into`] this rig's pool.
         ///
         /// # Safety
         ///
         /// [`free_batch_into`]'s contract.
-        unsafe fn free<T>(&mut self, refs: *mut SmrNode<T>) -> u64 {
+        unsafe fn free<T>(&mut self, raw: usize) -> u64 {
             // SAFETY: forwarded; the magazine belongs to the pool.
-            unsafe { free_batch_into(refs, &self.pool, &mut self.mag, &self.stats) }
+            unsafe { free_batch_into::<T>(raw, &self.pool, &mut self.mag, &self.stats) }
         }
     }
 
@@ -497,6 +572,17 @@ mod tests {
         addrs
     }
 
+    /// Word 1 of every node of `fin`: the block each one names.
+    fn links<T>(fin: &FinalizedBatch<T>) -> Vec<usize> {
+        (0..fin.len())
+            .map(|i| {
+                // SAFETY: the batch is unpublished, so every node is live.
+                let link = unsafe { header(fin.node(i)) }.word(W_LINK);
+                link.load(Ordering::Relaxed)
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_chain_and_free() {
         let drops = Arc::new(AtomicU64::new(0));
@@ -505,36 +591,51 @@ mod tests {
         assert_eq!(batch.count(), 5);
         let pushed: Vec<usize> = batch.block.as_ref().unwrap().entries().to_vec();
         // SAFETY: all five pushed nodes are live and unshared.
-        let fin = unsafe { batch.finalize(0) };
+        let fin = unsafe { batch.finalize(42, 0) };
         assert_eq!(fin.min_birth, 100);
         assert!(batch.is_empty(), "finalize resets the batch");
 
-        // Entries come out in insertion order, REFS first, all live; every
-        // other node links to REFS, and REFS names the block.
+        // Entries come out in insertion order, all live; every node links
+        // to the block, whose header holds `NRef` and `Adjs`.
         assert_eq!(fin.block.entries(), pushed.as_slice());
         assert!(pushed.iter().all(|&e| e & NodeBlock::LIVE != 0));
-        // SAFETY: index 0 of a finalized, unpublished batch.
-        assert_eq!(unsafe { fin.node(0) }, fin.refs_node);
-        for i in 1..fin.len() {
-            // SAFETY: the batch is unpublished, so every node is live.
-            let link = unsafe { header(fin.node(i)) }
-                .word(W_LINK)
-                .load(Ordering::Relaxed);
-            assert_eq!(link, fin.refs_node as usize);
-        }
-        // SAFETY: as above.
-        let word2 = unsafe { header(fin.refs_node) }
-            .word(W_BLOCK)
-            .load(Ordering::Relaxed);
-        assert_eq!(word2, fin.block.as_raw());
+        assert_eq!(links(&fin), vec![fin.raw(); 5]);
+        assert_eq!(fin.block.batch().nref.load(Ordering::Relaxed), 0);
+        assert_eq!(fin.block.batch().adjs.load(Ordering::Relaxed), 42);
 
         // SAFETY: no other reference to the batch remains; freeing is final.
-        assert_eq!(unsafe { rig.free(fin.refs_node) }, 5);
+        assert_eq!(unsafe { rig.free::<Payload>(fin.raw()) }, 5);
         assert_eq!(drops.load(Ordering::Relaxed), 5);
         // The pool hands each freed node out exactly once.
         let mut freed: Vec<usize> = pushed.iter().map(|&e| e & !NodeBlock::LIVE).collect();
         freed.sort_unstable();
         assert_eq!(drain_addresses(&mut rig, &drops, 5), freed);
+    }
+
+    /// A block that grows before the batch is published moves, and takes
+    /// its nodes' links along: at a push past its capacity, and at a
+    /// finalize that reserves more room than it has.
+    #[test]
+    fn growing_before_publication_relinks_every_node() {
+        let mut rig = Rig::new::<u32>(false);
+        let mut batch = rig.batch(0..1u32, 0);
+        let cap = batch.block.as_ref().unwrap().capacity();
+        for v in 1..=cap as u32 {
+            let node = SmrNode::alloc(v);
+            // SAFETY: `node` was just allocated and is exclusively owned.
+            unsafe { batch.push(node.as_ptr(), 0, &rig.pool, &mut rig.mag) };
+        }
+        assert!(
+            batch.block.as_ref().unwrap().capacity() > cap,
+            "grew at a push"
+        );
+        let reserve = 4 * batch.block.as_ref().unwrap().capacity();
+        // SAFETY: every pushed node is live and unshared.
+        let fin = unsafe { batch.finalize(0, reserve) };
+        assert!(fin.block.capacity() >= reserve, "grew at finalize");
+        assert_eq!(links(&fin), vec![fin.raw(); cap + 1]);
+        // SAFETY: never published; freeing is final.
+        assert_eq!(unsafe { rig.free::<u32>(fin.raw()) }, cap as u64 + 1);
     }
 
     #[test]
@@ -543,21 +644,18 @@ mod tests {
         let mut rig = Rig::new::<Payload>(true);
         let mut batch = rig.batch([Payload(Arc::clone(&drops))], 1);
         // SAFETY: the pushed node is live and unshared.
-        let mut fin = unsafe { batch.finalize(0) };
+        let mut fin = unsafe { batch.finalize(0, 0) };
         for _ in 0..3 {
-            // SAFETY: dummy nodes carry no payload; alloc_dummy returns a
-            // fresh allocation.
-            let dummy = unsafe { SmrNode::<Payload>::alloc_dummy() }.as_ptr();
-            // SAFETY: the unpublished batch takes the fresh dummy over.
-            unsafe { fin.extend_with_dummy(dummy) };
-            // SAFETY: the last entry is the dummy, a live node of the batch.
+            // SAFETY: the batch is unpublished; this thread inserts it.
+            let dummy = unsafe { rig.dummy(&mut fin) };
+            // SAFETY: the last node is the dummy, a live node of the batch.
             assert_eq!(unsafe { fin.node(fin.len() - 1) }, dummy, "appended last");
-            // SAFETY: as above.
-            let link = unsafe { header(dummy) }
-                .word(W_LINK)
-                .load(Ordering::Relaxed);
-            assert_eq!(link, fin.refs_node as usize, "a dummy leads to REFS");
         }
+        assert_eq!(
+            links(&fin),
+            vec![fin.raw(); 4],
+            "a dummy links to the block"
+        );
         let entries = fin.block.entries().to_vec();
         assert_eq!(entries[0] & NodeBlock::LIVE, NodeBlock::LIVE);
         assert!(
@@ -566,7 +664,7 @@ mod tests {
         );
         assert_eq!(fin.min_birth, 1);
         // SAFETY: the batch was never published; this thread owns it outright.
-        assert_eq!(unsafe { rig.free(fin.refs_node) }, 4);
+        assert_eq!(unsafe { rig.free::<Payload>(fin.raw()) }, 4);
         assert_eq!(
             drops.load(Ordering::Relaxed),
             1,
@@ -577,25 +675,63 @@ mod tests {
         assert_eq!(drain_addresses(&mut rig, &drops, 4), freed);
     }
 
+    /// Once a node of a batch is linked, other threads reach `NRef` through
+    /// the block, so the block must not move: dummies past its capacity go
+    /// to an overflow block, and the block stays where every node's word 1
+    /// says it is.
     #[test]
     fn dummies_past_capacity_move_the_block() {
-        let mut rig = Rig::new::<u32>(false);
-        let mut batch = rig.batch([7u32], 0);
+        let drops = Arc::new(AtomicU64::new(0));
+        let mut rig = Rig::new::<Payload>(true);
+        let mut batch = rig.batch([Payload(Arc::clone(&drops))], 0);
         // SAFETY: the pushed node is live and unshared.
-        let mut fin = unsafe { batch.finalize(0) };
-        let cap = fin.block.capacity();
-        for _ in 0..cap {
-            // SAFETY: a fresh payload-less node the unpublished batch takes.
-            unsafe { fin.extend_with_dummy(SmrNode::<u32>::alloc_dummy().as_ptr()) };
+        let mut fin = unsafe { batch.finalize(0, 0) };
+        let (raw, cap) = (fin.raw(), fin.block.capacity());
+        let mut reap = Vec::new();
+        // Node 0 is linked into an owned slot, and that slot's owner leaves
+        // at once: its decrement lands before the insertion count.
+        // SAFETY: node 0 belongs to the finalized batch, which is live.
+        unsafe { decrement(fin.node(0), &mut reap) };
+        // Then the batch meets `2 · cap` more active slots.
+        let dummies = 2 * cap;
+        for _ in 0..dummies {
+            // SAFETY: the final adjustment below is still to come.
+            unsafe { rig.dummy(&mut fin) };
         }
-        assert!(fin.block.capacity() > cap, "the block grew");
-        // SAFETY: the batch is unpublished, so REFS is live.
-        let word2 = unsafe { header(fin.refs_node) }
-            .word(W_BLOCK)
-            .load(Ordering::Relaxed);
-        assert_eq!(word2, fin.block.as_raw(), "REFS names the moved block");
-        // SAFETY: never published; freeing is final.
-        assert_eq!(unsafe { rig.free(fin.refs_node) }, cap as u64 + 1);
+        assert_eq!(fin.raw(), raw, "the block did not move");
+        assert_eq!(fin.block.capacity(), cap, "nor grow");
+        assert_eq!(fin.len(), 1 + dummies);
+        assert_eq!(
+            links(&fin),
+            vec![raw; 1 + dummies],
+            "every node names the block"
+        );
+        let nodes: Vec<_> = (1..fin.len())
+            // SAFETY: every node is still live: the batch holds references.
+            .map(|i| unsafe { fin.node(i) })
+            .collect();
+        // The `Inserts` adjustment, then every other slot owner's decrement:
+        // `NRef` crosses zero exactly once, at the last.
+        // SAFETY: the batch lacks this credit, so it is live.
+        unsafe { adjust_refs(raw, 1 + dummies, &mut reap) };
+        for (i, &node) in nodes.iter().enumerate() {
+            assert!(reap.is_empty(), "crossed zero early, before decrement {i}");
+            // SAFETY: this decrement's reference keeps the batch live.
+            unsafe { decrement(node, &mut reap) };
+        }
+        assert_eq!(reap, [raw], "crossed zero exactly once");
+        let mut all: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
+        // SAFETY: the batch is still ours to read: `reap` holds it.
+        all.push(unsafe { fin.node(0) } as usize);
+        all.sort_unstable();
+        // SAFETY: NRef crossed zero and no other reference remains.
+        assert_eq!(unsafe { rig.free::<Payload>(raw) }, 1 + dummies as u64);
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "only the payload drops");
+        assert_eq!(
+            drain_addresses(&mut rig, &drops, 1 + dummies),
+            all,
+            "freeing returns every node, the overflow's included"
+        );
     }
 
     #[test]
@@ -603,23 +739,22 @@ mod tests {
         let mut rig = Rig::new::<u32>(false);
         let mut batch = rig.batch(0..3u32, 0);
         // SAFETY: all pushed nodes are live and unshared.
-        let fin = unsafe { batch.finalize(0) };
-        // SAFETY: index 1 of the finalized, unpublished batch.
+        let fin = unsafe { batch.finalize(0, 0) };
+        // SAFETY: node 1 of the finalized, unpublished batch.
         let node = unsafe { fin.node(1) };
         let mut reap = Vec::new();
         // Simulate: +5 (insert credit), then five -1 decrements.
-        // SAFETY: `refs_node` belongs to the just-finalized batch.
-        unsafe { adjust_refs(fin.refs_node, 5, &mut reap) };
+        // SAFETY: `fin` is the just-finalized batch.
+        unsafe { adjust_refs(fin.raw(), 5, &mut reap) };
         assert!(reap.is_empty());
         for i in 0..5 {
             // SAFETY: the batch stays live until the final decrement below.
             unsafe { decrement(node, &mut reap) };
             assert_eq!(reap.len(), usize::from(i == 4));
         }
-        assert_eq!(reap.len(), 1);
-        assert_eq!(reap[0], fin.refs_node);
+        assert_eq!(reap, [fin.raw()]);
         // SAFETY: NRef crossed zero and no other reference remains.
-        unsafe { rig.free(fin.refs_node) };
+        unsafe { rig.free::<u32>(fin.raw()) };
     }
 
     #[test]
@@ -630,8 +765,8 @@ mod tests {
         let mut rig = Rig::new::<u32>(false);
         let mut batch = rig.batch(0..3u32, 0);
         // SAFETY: all pushed nodes are live and unshared.
-        let fin = unsafe { batch.finalize(adjs_small) };
-        // SAFETY: index 1 of the finalized, unpublished batch.
+        let fin = unsafe { batch.finalize(adjs_small, 2) };
+        // SAFETY: node 1 of the finalized, unpublished batch.
         let node = unsafe { fin.node(1) };
         let mut reap = Vec::new();
         // One slot credited with HRef snapshot 1, then one decrement, then
@@ -646,7 +781,7 @@ mod tests {
         unsafe { adjust_slot_credit(node, 0, &mut reap) };
         assert_eq!(reap.len(), 1);
         // SAFETY: NRef crossed zero and no other reference remains.
-        unsafe { rig.free(fin.refs_node) };
+        unsafe { rig.free::<u32>(fin.raw()) };
     }
 
     #[test]
@@ -656,13 +791,13 @@ mod tests {
         let mut rig = Rig::new::<u32>(false);
         let mut batch = rig.batch(0..2u32, 0);
         // SAFETY: all pushed nodes are live and unshared.
-        let fin = unsafe { batch.finalize(0) };
+        let fin = unsafe { batch.finalize(0, 0) };
         let mut reap = Vec::new();
-        // SAFETY: `refs_node` belongs to the just-finalized, unpublished batch.
-        unsafe { adjust_refs(fin.refs_node, 0, &mut reap) };
+        // SAFETY: `fin` is the just-finalized, unpublished batch.
+        unsafe { adjust_refs(fin.raw(), 0, &mut reap) };
         assert_eq!(reap.len(), 1);
         // SAFETY: NRef is zero and this thread holds the only reference.
-        unsafe { rig.free(fin.refs_node) };
+        unsafe { rig.free::<u32>(fin.raw()) };
     }
 
     #[test]
@@ -670,8 +805,8 @@ mod tests {
         let mut rig = Rig::new::<u32>(false);
         let mut batch = rig.batch([1u32], 0);
         // SAFETY: the single pushed node is live and unshared.
-        let fin = unsafe { batch.finalize(0) };
+        let fin = unsafe { batch.finalize(0, 0) };
         // SAFETY: the batch was never published; freeing is safe and final.
-        assert_eq!(unsafe { rig.free(fin.refs_node) }, 1);
+        assert_eq!(unsafe { rig.free::<u32>(fin.raw()) }, 1);
     }
 }

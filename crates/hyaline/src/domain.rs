@@ -105,9 +105,8 @@ pub struct Domain<
     handoff_attempts: usize,
     /// `HANDOFF`: adopted entries whose handle dropped before the guarded
     /// occupancy ended. Swept opportunistically by draining handles and
-    /// finally at domain drop. REFS pointers are stored as `usize` so the
-    /// domain stays auto-`Send`/`Sync`.
-    pub(crate) orphans: Mutex<Vec<(usize, usize, usize)>>,
+    /// finally at domain drop.
+    pub(crate) orphans: Mutex<Vec<Adopted>>,
     /// `HANDOFF`: `orphans.len()`, written under its lock, so that a drain
     /// finding no orphans skips the lock altogether.
     pub(crate) orphan_count: AtomicUsize,
@@ -303,7 +302,7 @@ pub struct Handle<
     pub(crate) access_cache: u64,
     /// `HANDOFF`: displaced handoff entries this handle holds until the
     /// occupancy they guard ends.
-    pub(crate) adopted: Vec<Adopted<T>>,
+    pub(crate) adopted: Vec<Adopted>,
     pub(crate) local: Local<'d, T>,
 }
 
@@ -495,8 +494,8 @@ where
             // untouched batch immediately.
             let empty_adjs = skipped.wrapping_mul(adjs_for(k));
             // SAFETY: `NRef` lacks the skipped slots' credit until this
-            // adjustment, so the REFS node is live.
-            unsafe { adjust_refs(fin.refs_node, empty_adjs, &mut self.local.reap) };
+            // adjustment, so the batch's block is live.
+            unsafe { adjust_refs(fin.raw(), empty_adjs, &mut self.local.reap) };
         }
     }
 
@@ -526,7 +525,7 @@ where
                     // Crystalline: deposit in the slot's handoff cell. The
                     // entry holds one `NRef` reference like a list insertion
                     // but consumes no insertion node.
-                    self.hand_off(idx, fin.refs_node);
+                    self.hand_off(idx, fin.raw());
                     inserts += 1;
                     break;
                 }
@@ -555,8 +554,8 @@ where
         // Replaces REF #3#: one adjustment by the number of insertions. If
         // no slot was active, `inserts == 0` frees the batch immediately.
         // SAFETY: `NRef` cannot reach zero before this adjustment, so the
-        // REFS node is live.
-        unsafe { adjust_refs(fin.refs_node, inserts, &mut self.local.reap) };
+        // batch's block is live.
+        unsafe { adjust_refs(fin.raw(), inserts, &mut self.local.reap) };
     }
 
     /// Strictly more nodes than slots a batch can be inserted into (Section
@@ -594,7 +593,10 @@ where
             // the cut and of the insertion loop.
             fence(Ordering::SeqCst);
         }
-        // Every part is finalized against the same slot count.
+        // Every part is finalized against the same slot count, and its
+        // block reserves a node per shared slot, so the loop never grows
+        // it. Owned slots reserve nothing: a claim during the loop can add
+        // one, and dummies past the block go to an overflow block.
         let k = if SINGLE { 0 } else { self.domain.dir.k() };
         if ERAS {
             while let Some(era) = self.stale_era_inside_batch(k) {
@@ -604,7 +606,7 @@ where
                 // SAFETY: `older` is non-empty, wholly owned by this handle
                 // and unpublished.
                 unsafe {
-                    let fin = older.finalize(Self::adjs(k));
+                    let fin = older.finalize(Self::adjs(k), k);
                     self.insert(fin, k);
                 }
             }
@@ -612,7 +614,7 @@ where
         // SAFETY: the batch is non-empty and wholly owned by this handle;
         // `fin` is its own freshly finalized, unpublished batch.
         unsafe {
-            let fin = self.local.batch.finalize(Self::adjs(k));
+            let fin = self.local.batch.finalize(Self::adjs(k), k);
             self.insert(fin, k);
         }
     }

@@ -26,7 +26,7 @@
 //! | `enter` | fetch-add on `HRef`; the old `HPtr` is the handle | store the active bit | — | — | — |
 //! | `leave` | CAS loop; the last one out detaches the list | swap; traverse the detached list | shared slots: `Ack -=` nodes traversed | bump the occupancy sequence, collect the handoff cell; retry adopted and orphaned entries before freeing | — |
 //! | `retire` | every slot `0..k`; predecessors credited with the `HRef` snapshot; skipped slots' `Adjs` in one adjustment; spare dummies past the block's own nodes | every claimed slot; count the insertions; spare dummies past the block's own nodes | fence; cut the batch at each active slot's access era that lies inside its birth range and insert the parts as batches of their own, oldest first; skip slots with `access < min_birth`; shared slots: `Ack += HRef` | after `handoff_attempts` failed CASes on a slot, swap the batch into its handoff cell and count that | — |
-//! | batch size | a full batch is `max(batch_min, k + 1)`, `Adjs = 2^64 / k`; a flushed partial batch gains one dummy per entered slot beyond its own nodes | a full batch is `max(batch_min, claimed + 1)`, `Adjs = 0`; a flushed partial batch likewise | `k` read when the batch is finalized | — | — |
+//! | batch size | a full batch is `max(batch_min, k + 1)`, `Adjs = 2^64 / k`, both kept with `NRef` in the batch's block; a flushed partial batch of `n` nodes entering `a` slots gains one dummy per entered slot beyond its own nodes, `max(0, a − n)` | a full batch is `max(batch_min, claimed + 1)`, `Adjs = 0`; a flushed partial batch likewise | `k` read when the batch is finalized | — | — |
 //! | `alloc` | pool | pool | advance the clock every `era_freq`, stamp the birth era | — | certify pending protect requests before advancing the clock |
 //! | `protect` | load | load | raise the slot's access era: CAS-max on shared slots, owner store + fence on owned | — | CAS-max + fence on owned slots too; publish a request after 8 rounds |
 //! | drop | flush | flush, release the slot | — | handle: adopted entries go to the domain's orphan list; domain: release what cells and orphan list still hold | — |
@@ -281,7 +281,7 @@ mod hyaline1 {
                 let mut w = domain.handle();
                 inside.wait();
                 churn(&mut w, 7..8);
-                w.flush(); // 1 real node + one dummy per active slot (6+)
+                w.flush(); // 1 real node, linked, + one dummy per other active slot (5+)
                 flushed.wait();
             });
             assert_all_freed(domain);
@@ -568,7 +568,8 @@ mod crystalline {
     ///   concurrent inserters can starve. Crystalline bounds the attempts
     ///   ([`handoff_attempts`](smr_core::SmrConfig::handoff_attempts)) and
     ///   then *hands the batch off*: one unconditional `swap` deposits the
-    ///   batch's REFS pointer into the slot's dedicated *handoff cell*,
+    ///   address of the batch's block (which holds its `NRef`) into the
+    ///   slot's dedicated *handoff cell*,
     ///   tagged with the slot's 16-bit occupancy sequence. The cell entry
     ///   carries one `NRef` reference, exactly like a list insertion; the
     ///   slot's owner collects it at `leave`. A later retirer that displaces

@@ -19,9 +19,9 @@ pub(crate) struct Local<'d, T> {
     stats: &'d SmrStats,
     /// The batch under construction.
     pub(crate) batch: LocalBatch<T>,
-    /// REFS nodes of batches whose `NRef` crossed zero, freed by
+    /// Blocks of the batches whose `NRef` crossed zero, freed by
     /// [`Local::drain`].
-    pub(crate) reap: Vec<*mut SmrNode<T>>,
+    pub(crate) reap: Vec<usize>,
     local_stats: LocalStats,
     mag: Magazine,
     allocs: u64,
@@ -94,16 +94,17 @@ impl<'d, T> Local<'d, T> {
     fn free_reaped(&mut self) {
         let mut freed = 0;
         // `drain(..)` keeps the list's capacity for the next burst.
-        for refs in self.reap.drain(..) {
-            // SAFETY: a REFS node enters `reap` only when its batch's NRef
+        for raw in self.reap.drain(..) {
+            // SAFETY: a block enters `reap` only when its batch's NRef
             // crossed zero, so no thread can still reference the batch.
-            freed += unsafe { free_batch_into(refs, self.pool, &mut self.mag, self.stats) };
+            freed += unsafe { free_batch_into::<T>(raw, self.pool, &mut self.mag, self.stats) };
         }
         self.local_stats.on_free(self.stats, freed);
     }
 
     /// Allocates a payload-less dummy node through the recycle pool and
-    /// appends it to `fin`'s block ([`FinalizedBatch::extend_with_dummy`]),
+    /// appends it to `fin` ([`FinalizedBatch::extend_with_dummy`], which
+    /// takes an overflow block from the pool when the batch's is full),
     /// counted as allocated and retired in one step. This is the only way a
     /// dummy enters a batch (Section 2.4: a partial batch "can be
     /// immediately finalized by allocating a finite number of dummy nodes";
@@ -119,9 +120,10 @@ impl<'d, T> Local<'d, T> {
         let dummy = unsafe { self.pool.alloc_dummy::<T>(&mut self.mag, self.stats) }.as_ptr();
         self.local_stats.on_alloc(self.stats);
         self.local_stats.on_retire(self.stats);
+        let (pool, mag) = (self.pool, &mut self.mag);
         // SAFETY: the caller is the inserting thread, before the batch's last
         // slot contribution, and `dummy` is fresh and ours.
-        unsafe { fin.extend_with_dummy(dummy) };
+        unsafe { fin.extend_with_dummy(dummy, || pool.block(mag)) };
     }
 
     /// Counts one allocation; `true` on every `freq`-th, when Figure 5's
@@ -233,23 +235,22 @@ impl<'d, T> Local<'d, T> {
     }
 }
 
-/// The nodes one batch's insertions link, in order: the block's own
-/// entries except REFS (entry 0), whose `Next` word is the batch's `NRef`,
+/// The nodes one batch's insertions link, in order: the batch's own nodes,
 /// then one spare dummy per insertion past them, appended on demand. So an
-/// `n`-node batch entering `a` slots costs `max(0, a − (n − 1))` dummies,
-/// and none when no slot is active. A node a CAS linked into one slot's
+/// `n`-node batch entering `a` slots costs `max(0, a − n)` dummies, and
+/// none when no slot is active. A node a CAS linked into one slot's
 /// list is never offered again: its `Next` word is that list's link, and a
-/// second list would overwrite it. The cursor is one block index, which
+/// second list would overwrite it. The cursor is one batch index, which
 /// keeps the insertion loops' counters in registers and reads no node.
 pub(crate) struct Insertions {
-    /// Index of the entry on offer; the block's length once its own nodes
-    /// are used up.
+    /// Index of the node on offer; the batch's length once its nodes are
+    /// used up.
     next: usize,
 }
 
 impl Insertions {
     pub(crate) fn new() -> Self {
-        Self { next: 1 }
+        Self { next: 0 }
     }
 
     /// The node the next insertion attempt links. A failed CAS is offered

@@ -23,7 +23,8 @@ pub(crate) struct Slot {
     /// the deposit-time occupancy has ended.
     pub(crate) seq: AtomicU64,
     /// `HANDOFF`: the handoff cell, a [`HeadWord`](crate::head::HeadWord)-
-    /// packed (16-bit tag | 48-bit REFS pointer) entry, or 0 when empty.
+    /// packed (16-bit tag | 48-bit batch block address) entry, or 0 when
+    /// empty.
     /// Each non-empty entry holds one `NRef` reference on its batch.
     pub(crate) handoff: AtomicUsize,
     /// `HELPING`: pending request sequence (0 = no request).

@@ -48,7 +48,7 @@
 //! | `alloc` + `retire` | per claimed slot a head load, an access load if active, a CAS; one `fetch_add` on `NRef` | a `seq` load and a swap, only for a slot whose CAS failed `handoff_attempts` times | every `era_freq`-th `alloc`: a sweep of the claimed slots' `req` words before the clock advances |
 //! | `protect` | when the era moved: owner store + fence | — | CAS-max for the store; a request and its certificate after 8 rounds in one call |
 
-use smr_core::{Atomic, Shared, SmrNode};
+use smr_core::{Atomic, Shared};
 use std::sync::atomic::{fence, Ordering};
 
 use crate::batch::adjust_refs;
@@ -67,7 +67,8 @@ const EMPTY_BIT: u64 = 1 << 63;
 const SEQ_MASK: u64 = EMPTY_BIT - 1;
 
 /// Low 16 bits of the occupancy sequence used as the handoff-cell tag
-/// (packed beside the 48-bit REFS pointer, like the Hyaline head word).
+/// (packed beside the batch's 48-bit block address, like the Hyaline head
+/// word).
 const TAG_MASK: u64 = 0xffff;
 
 /// Rounds of the protect loop before a Crystalline-W owner publishes a help
@@ -77,10 +78,11 @@ pub(crate) const PROTECT_FAST_ROUNDS: usize = 8;
 /// The `NRef` delta that gives back the one reference an entry holds.
 const RELEASE: usize = 1usize.wrapping_neg();
 
-/// An adopted handoff entry: `(slot index, deposit-time tag, REFS node)`.
-/// The reference is released once the slot's occupancy sequence moves past
-/// the tag; until then the batch is conservatively kept alive.
-pub(crate) type Adopted<T> = (usize, usize, *mut SmrNode<T>);
+/// An adopted handoff entry: `(slot index, deposit-time tag, the batch's
+/// block address)`. The reference is released once the slot's occupancy
+/// sequence moves past the tag; until then the batch is conservatively
+/// kept alive.
+pub(crate) type Adopted = (usize, usize, usize);
 
 /// Releases a displaced entry's batch reference if the tag proves the
 /// occupancy it was deposited under has ended (a mismatch implies at least
@@ -93,10 +95,10 @@ pub(crate) type Adopted<T> = (usize, usize, *mut SmrNode<T>);
 ///
 /// The caller must own the entry and its one `NRef` reference: it displaced
 /// it, adopted it, or holds the orphan list's lock.
-unsafe fn release_if_ended<T>(
+unsafe fn release_if_ended(
     dir: &SlotDirectory,
-    (idx, tag, refs): Adopted<T>,
-    reap: &mut Vec<*mut SmrNode<T>>,
+    (idx, tag, batch): Adopted,
+    reap: &mut Vec<usize>,
 ) -> bool {
     let now = (dir.slot(idx).seq.load(Ordering::SeqCst) & TAG_MASK) as usize;
     if now == tag {
@@ -104,7 +106,7 @@ unsafe fn release_if_ended<T>(
     }
     // SAFETY: the entry's `NRef` reference is ours, so the batch is live
     // until this release.
-    unsafe { adjust_refs(refs, RELEASE, reap) };
+    unsafe { adjust_refs(batch, RELEASE, reap) };
     true
 }
 
@@ -147,20 +149,19 @@ where
     pub(crate) fn sweep_teardown(&self) {
         let mut local = Local::<T>::new(&self.pool, &self.stats);
         for i in 0..self.dir.k() {
-            let cell = HeadWord(self.dir.slot(i).handoff.swap(0, Ordering::Acquire));
-            let refs = cell.ptr::<SmrNode<T>>();
-            if !refs.is_null() {
+            let batch = HeadWord(self.dir.slot(i).handoff.swap(0, Ordering::Acquire)).ptr_bits();
+            if batch != 0 {
                 // SAFETY: no occupancy survives (all handles dropped), so no
                 // reader the cell entry guards can still reference the
                 // batch; releasing its reference is final and safe.
-                unsafe { adjust_refs(refs, RELEASE, &mut local.reap) };
+                unsafe { adjust_refs(batch, RELEASE, &mut local.reap) };
             }
         }
         let mut orphans = self.orphans.lock().unwrap_or_else(|p| p.into_inner());
-        for (_, _, refs_bits) in orphans.drain(..) {
+        for (_, _, batch) in orphans.drain(..) {
             // SAFETY: as above — quiescent teardown; the orphaned entry's
             // reference is the last obstacle to the batch crossing zero.
-            unsafe { adjust_refs(refs_bits as *mut SmrNode<T>, RELEASE, &mut local.reap) };
+            unsafe { adjust_refs(batch, RELEASE, &mut local.reap) };
         }
         self.orphan_count.store(0, Ordering::Relaxed);
         local.drain();
@@ -174,16 +175,16 @@ where
     T: Send + 'static,
 {
     /// The wait-free arm of `insert_owned`: one unconditional swap puts the
-    /// batch into slot `idx`'s handoff cell. The caller counts it as an
-    /// insertion.
-    pub(crate) fn hand_off(&mut self, idx: usize, refs: *mut SmrNode<T>) {
+    /// batch, by its block address, into slot `idx`'s handoff cell. The
+    /// caller counts it as an insertion.
+    pub(crate) fn hand_off(&mut self, idx: usize, batch: usize) {
         let slot = self.domain.dir.slot(idx);
         // Read the occupancy tag *after* the caller's activity check: any
         // occupant that could reference the batch is either the tagged
         // occupancy (the entry is released only once the tag moves past it)
         // or has already left (releasing is then safe regardless).
         let tag = (slot.seq.load(Ordering::SeqCst) & TAG_MASK) as usize;
-        let entry = HeadWord::pack(tag, refs as usize).0;
+        let entry = HeadWord::pack(tag, batch).0;
         let prev = HeadWord(slot.handoff.swap(entry, Ordering::AcqRel));
         self.release_or_adopt(idx, prev);
     }
@@ -195,11 +196,11 @@ where
     /// The entry is this handle's sole responsibility from the moment the
     /// swap returned it — the slot owner will never see it again.
     fn release_or_adopt(&mut self, idx: usize, prev: HeadWord) {
-        let refs = prev.ptr::<SmrNode<T>>();
-        if refs.is_null() {
+        let batch = prev.ptr_bits();
+        if batch == 0 {
             return;
         }
-        let entry = (idx, prev.refs(), refs);
+        let entry = (idx, prev.refs(), batch);
         // SAFETY: the entry holds exactly one NRef reference and we are its
         // sole owner after the displacing swap.
         if !unsafe { release_if_ended(&self.domain.dir, entry, &mut self.local.reap) } {
@@ -235,8 +236,7 @@ where
             return;
         };
         let (dir, reap) = (&self.domain.dir, &mut self.local.reap);
-        orphans.retain(|&(idx, tag, refs_bits)| {
-            let entry = (idx, tag, refs_bits as *mut SmrNode<T>);
+        orphans.retain(|&entry| {
             // SAFETY: ownership of the entry passed to the orphan list when
             // the adopting handle dropped, and we hold the list's lock.
             !unsafe { release_if_ended(dir, entry, reap) }
@@ -256,14 +256,13 @@ where
         // collect (by a retirer that saw a stale active head) becomes
         // releasable the same way.
         slot.seq.fetch_add(1, Ordering::SeqCst);
-        let cell = HeadWord(slot.handoff.swap(0, Ordering::AcqRel));
-        let refs = cell.ptr::<SmrNode<T>>();
-        if !refs.is_null() {
+        let batch = HeadWord(slot.handoff.swap(0, Ordering::AcqRel)).ptr_bits();
+        if batch != 0 {
             // SAFETY: the entry's deposit-time occupant is either this
             // handle (now leaving — by the SMR contract it no longer
             // dereferences protected pointers) or an earlier occupancy that
             // already left; releasing the cell's reference is safe.
-            unsafe { adjust_refs(refs, RELEASE, &mut self.local.reap) };
+            unsafe { adjust_refs(batch, RELEASE, &mut self.local.reap) };
         }
     }
 
@@ -279,11 +278,7 @@ where
             .orphans
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        orphans.extend(
-            self.adopted
-                .drain(..)
-                .map(|(i, tag, refs)| (i, tag, refs as usize)),
-        );
+        orphans.append(&mut self.adopted);
         self.domain
             .orphan_count
             .store(orphans.len(), Ordering::Relaxed);

@@ -7,15 +7,16 @@
 //! `waitfree` module — each introduce a new cross-thread accounting
 //! discipline:
 //!
-//! * a retirer that exhausts its CAS attempts deposits the batch's REFS
-//!   pointer into the slot's *handoff cell* with an unconditional swap,
-//!   tagged with the slot's occupancy sequence (`hand_off`, called from
-//!   the one `insert_owned` loop). The entry carries one `NRef` reference,
-//!   which the slot's owner releases at `leave` (`collect_handoff`). A
-//!   later retirer that displaces the entry must release that reference
-//!   **only** when the tag proves the deposit-time occupancy ended —
-//!   otherwise it adopts the entry and retries later (`release_or_adopt`,
-//!   `retry_adopted`, both through `release_if_ended`);
+//! * a retirer that exhausts its CAS attempts deposits the address of the
+//!   batch's block, which holds its `NRef`, into the slot's *handoff cell*
+//!   with an unconditional swap, tagged with the slot's occupancy
+//!   sequence (`hand_off`, called from the one `insert_owned` loop). The
+//!   entry carries one `NRef` reference, which the slot's owner releases
+//!   at `leave` (`collect_handoff`). A later retirer that displaces the
+//!   entry must release that reference **only** when the tag proves the
+//!   deposit-time occupancy ended — otherwise it adopts the entry and
+//!   retries later (`release_or_adopt`, `retry_adopted`, both through
+//!   `release_if_ended`);
 //! * a helper raises a stalled slot's access era (the CAS-max `touch`) and
 //!   only **then** certifies the raised era into the slot's result word
 //!   (`help_pending`); the owner consumes the certificate by *reloading*

@@ -1,9 +1,10 @@
 //! An executable model of the Hyaline algorithms at atomic-step granularity.
 //!
 //! The model tracks *batches* (the paper's reclamation unit) rather than
-//! individual nodes: a batch record carries the `NRef` counter held by the
-//! REFS node, one retirement-list link per slot (the `Next` of the batch's
-//! per-slot insertion node), and the stored `Adjs` constant (§4.3). Every
+//! individual nodes: a batch record carries the `NRef` counter and the
+//! stored `Adjs` constant (§4.3) that the batch's block holds, and one
+//! retirement-list link per slot (the `Next` of the batch's per-slot
+//! insertion node). Every
 //! transition of a thread's state machine performs exactly one atomic
 //! action — one head load, one CAS, one FAA — so the
 //! [`Explorer`](crate::Explorer) interleaves the algorithms at the same granularity the

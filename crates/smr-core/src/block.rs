@@ -4,14 +4,36 @@ use std::alloc::{alloc, dealloc, handle_alloc_error, realloc, Layout};
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ptr::NonNull;
+use std::sync::atomic::AtomicUsize;
 
 /// The block header; the entries follow it in the same allocation.
+///
+/// The owner reaches `next`, `len` and `cap` through raw field places,
+/// never through a `&mut Header`: once a batch is published, other threads
+/// update its [`BatchWords`] while the inserting thread may still append
+/// to the block.
 #[repr(C)]
 struct Header {
-    /// The next block of the chain this block is on (0 ends it).
+    /// The next block of the chain this block is on (0 ends it), or a
+    /// live batch's overflow block.
     next: usize,
     len: usize,
     cap: usize,
+    batch: BatchWords,
+}
+
+/// The two words a Hyaline batch keeps beside the nodes its block names:
+/// the reference counter `NRef` and the `Adjs` constant the batch was
+/// finalized with (Section 4.3 of the paper). Keeping them in the block
+/// rather than in one of the batch's nodes leaves every node's list link
+/// free, so every node can be linked into a slot.
+#[repr(C)]
+#[derive(Debug, Default)]
+pub struct BatchWords {
+    /// `NRef`: the batch is freed by whoever brings it across zero.
+    pub nref: AtomicUsize,
+    /// `Adjs`: what each slot the batch entered adds on completion.
+    pub adjs: AtomicUsize,
 }
 
 /// A growable array of node addresses with an intrusive chain link.
@@ -24,14 +46,14 @@ struct Header {
 /// scattered over `n` nodes, each a cache miss when another core wrote it
 /// last.
 ///
-/// A block is one allocation: a three-word header (a chain link, the
-/// length, the capacity) followed by the entries. An entry is a node
-/// address whose low bit may be [`NodeBlock::LIVE`]: set while the node
-/// holds a live payload (a retired node), clear for a payload-less dummy and
-/// for recycled memory. Blocks chain through their header link — a pool
-/// partition, the pool's list of empty blocks, a magazine's reserve and its
-/// spare blocks are such chains — so no node is ever written to link free
-/// memory.
+/// A block is one allocation: a five-word header (a chain link, the
+/// length, the capacity and a batch's [`BatchWords`]) followed by the
+/// entries. An entry is a node address whose low bit may be
+/// [`NodeBlock::LIVE`]: set while the node holds a live payload (a retired
+/// node), clear for a payload-less dummy and for recycled memory. Blocks
+/// chain through their header link — a pool partition, the pool's list of
+/// empty blocks, a magazine's reserve and its spare blocks are such chains
+/// — so no node is ever written to link free memory.
 ///
 /// Dropping a block frees the array, never the nodes it names: whoever
 /// owns the block disposes of its entries first.
@@ -69,6 +91,7 @@ impl NodeBlock {
                 next: 0,
                 len: 0,
                 cap,
+                batch: BatchWords::default(),
             })
         };
         Self(ptr)
@@ -77,18 +100,19 @@ impl NodeBlock {
     #[inline]
     fn header(&self) -> &Header {
         // SAFETY: `self` owns a live block, whose allocation starts with an
-        // initialized header.
+        // initialized header. Other threads write only its atomic words.
         unsafe { self.0.as_ref() }
     }
 
     #[inline]
-    fn header_mut(&mut self) -> &mut Header {
-        // SAFETY: as in `header`; `&mut self` makes the access exclusive.
-        unsafe { self.0.as_mut() }
+    fn set_len(&mut self, len: usize) {
+        // SAFETY: `self` owns the live block; the write goes through the
+        // field's place, so it claims no other header word.
+        unsafe { (*self.0.as_ptr()).len = len };
     }
 
     /// The first entry: `Layout::extend` puts the `usize` array right after
-    /// the 24-byte header, which is already `usize`-aligned.
+    /// the 40-byte header, which is already `usize`-aligned.
     #[inline]
     fn base(&self) -> *mut usize {
         // SAFETY: one header past the start is still inside the allocation
@@ -132,7 +156,7 @@ impl NodeBlock {
         // SAFETY: `len < cap` now, so the slot lies inside the allocation,
         // which `&mut self` owns exclusively.
         unsafe { self.base().add(len).write(entry) };
-        self.header_mut().len = len + 1;
+        self.set_len(len + 1);
     }
 
     /// Appends every entry of `entries` in order, growing the array as
@@ -149,7 +173,7 @@ impl NodeBlock {
         unsafe {
             std::ptr::copy_nonoverlapping(entries.as_ptr(), self.base().add(len), entries.len())
         };
-        self.header_mut().len = len + entries.len();
+        self.set_len(len + entries.len());
     }
 
     /// Moves every entry `moves` picks to the end of `into`, copying
@@ -168,14 +192,14 @@ impl NodeBlock {
                 kept += 1;
             }
         }
-        self.header_mut().len = kept;
+        self.set_len(kept);
     }
 
     /// Keeps only the oldest `len` entries.
     #[inline]
     pub(crate) fn truncate(&mut self, len: usize) {
         if len < self.len() {
-            self.header_mut().len = len;
+            self.set_len(len);
         }
     }
 
@@ -183,7 +207,7 @@ impl NodeBlock {
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<usize> {
         let len = self.len().checked_sub(1)?;
-        self.header_mut().len = len;
+        self.set_len(len);
         // SAFETY: entry `len` was initialized by a push and is in bounds.
         Some(unsafe { self.base().add(len).read() })
     }
@@ -191,11 +215,20 @@ impl NodeBlock {
     /// Forgets every entry (the nodes they name are the caller's concern).
     #[inline]
     pub(crate) fn clear(&mut self) {
-        self.header_mut().len = 0;
+        self.set_len(0);
     }
 
-    /// Doubles the capacity. Cold: blocks are sized for a full batch, so
-    /// only a batch that meets more slots than it was sized for grows one.
+    /// Grows the array until it holds `total` entries, if it does not yet.
+    /// Growing moves the block: its address changes.
+    #[inline]
+    pub fn reserve_total(&mut self, total: usize) {
+        while self.capacity() < total {
+            self.grow();
+        }
+    }
+
+    /// Doubles the capacity, which moves the block. Cold: blocks are sized
+    /// for a full batch, so only a batch larger than that grows one.
     #[cold]
     #[inline(never)]
     fn grow(&mut self) {
@@ -209,7 +242,8 @@ impl NodeBlock {
             handle_alloc_error(new)
         };
         self.0 = ptr;
-        self.header_mut().cap = new_cap;
+        // SAFETY: `self` owns the live block just moved to `ptr`.
+        unsafe { (*self.0.as_ptr()).cap = new_cap };
     }
 
     /// The block's address, without giving up ownership: what a header
@@ -240,15 +274,40 @@ impl NodeBlock {
         Self(unsafe { NonNull::new_unchecked(raw as *mut Header) })
     }
 
-    /// The chain link.
+    /// The header link: the next block of the chain this block is on, or,
+    /// while the block names a live batch, the batch's overflow block (0
+    /// for none).
     #[inline]
-    pub(crate) fn next(&self) -> usize {
+    pub fn next(&self) -> usize {
         self.header().next
     }
 
+    /// Sets the header link.
     #[inline]
-    pub(crate) fn set_next(&mut self, next: usize) {
-        self.header_mut().next = next;
+    pub fn set_next(&mut self, next: usize) {
+        // SAFETY: `self` owns the live block; the write goes through the
+        // field's place.
+        unsafe { (*self.0.as_ptr()).next = next };
+    }
+
+    /// The batch words of the batch this block names.
+    #[inline]
+    pub fn batch(&self) -> &BatchWords {
+        &self.header().batch
+    }
+
+    /// The batch words of the block at `raw`, for a thread that does not
+    /// own the block but holds a reference on its batch.
+    ///
+    /// # Safety
+    ///
+    /// `raw` is the [`as_raw`](NodeBlock::as_raw) address of a block that
+    /// stays allocated, and unmoved, for `'a`.
+    #[inline]
+    pub unsafe fn batch_at<'a>(raw: usize) -> &'a BatchWords {
+        // SAFETY: the caller guarantees a live block at `raw`; the reference
+        // covers only the atomic words.
+        unsafe { &(*(raw as *const Header)).batch }
     }
 }
 

@@ -17,9 +17,9 @@ use std::sync::atomic::AtomicUsize;
 ///
 /// | word | Hyaline(-1,-S,-1S) | EBR | HP | HE / IBR |
 /// |------|---------------------|-----|----|----------|
-/// | 0 | slot-list `Next` / birth era / `NRef` (REFS node) | limbo next | retired next | retired next |
-/// | 1 | `batch_link` → REFS node / `Adjs` (REFS node) | retire epoch | — | birth era |
-/// | 2 | unused / the batch's `NodeBlock` (REFS node) | — | — | retire era |
+/// | 0 | slot-list `Next` / birth era | limbo next | retired next | retired next |
+/// | 1 | `batch_link` → the batch's `NodeBlock`, which holds its `NRef` and `Adjs` | retire epoch | — | birth era |
+/// | 2 | unused | — | — | retire era |
 ///
 /// # Example
 ///

@@ -29,7 +29,7 @@
 //!   scheme's reclaim path feeds freed node memory back to `alloc` instead
 //!   of the global allocator. It moves free nodes a [`NodeBlock`] (an
 //!   array of node addresses) at a time; a Hyaline batch names its nodes
-//!   in one too.
+//!   in one too, and keeps its counters in the block's [`BatchWords`].
 //!
 //! # Example
 //!
@@ -79,7 +79,7 @@ mod smr;
 mod stats;
 pub mod typed;
 
-pub use block::NodeBlock;
+pub use block::{BatchWords, NodeBlock};
 pub use config::SmrConfig;
 pub use era::EraClock;
 pub use header::{NodeHeader, SmrNode};

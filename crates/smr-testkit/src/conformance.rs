@@ -1052,52 +1052,185 @@ pub fn partial_batch_finalized_on_drop<S: Smr<u64>>(tweak: Tweak) {
 }
 
 /// A flushed partial batch of `n` nodes pays one dummy for each entered
-/// slot past its own `n - 1` insertion nodes, and none at all with no slot
-/// entered. An era scheme also parks one handle whose access era predates
-/// the batch: that slot is skipped and costs nothing.
+/// slot past its own `n` nodes, `max(0, a − n)` for `a` entered slots,
+/// and none at all with no slot entered. An era scheme also parks one
+/// handle whose access era predates the batch: that slot is skipped and
+/// costs nothing. A handoff scheme runs again with every insertion forced
+/// through the handoff cell, which takes no node: no dummy at all.
 pub fn partial_flush_adds_one_dummy_per_entered_slot<S: Smr<u64>>(tweak: Tweak) {
-    for parked in [0usize, 1, 3] {
-        for n in [1u64, 2] {
-            // Eight slots: every handle below gets its own, round-robin on
-            // shared slots, claimed on owned ones.
-            let domain = S::with_config(tweak(SmrConfig {
-                slots: 8,
-                ..config()
-            }));
-            let link = Atomic::null();
-            let mut readers: Vec<_> = (0..parked).map(|_| domain.handle()).collect();
-            let mut stale = S::robust().then(|| domain.handle());
-            let mut writer = domain.handle();
-            for h in readers.iter_mut().chain(stale.iter_mut()) {
-                h.enter();
+    let forced_handoff: &[bool] = if S::wait_free_retire() {
+        &[false, true]
+    } else {
+        &[false]
+    };
+    for &forced in forced_handoff {
+        for parked in [0usize, 1, 3] {
+            for n in [1u64, 2] {
+                // Eight slots: every handle below gets its own, round-robin
+                // on shared slots, claimed on owned ones.
+                let mut config = tweak(SmrConfig {
+                    slots: 8,
+                    ..config()
+                });
+                if forced {
+                    config.handoff_attempts = 0;
+                }
+                let linked = if forced { 0 } else { parked };
+                assert_flush_dummies::<S>(config, parked, n, linked);
             }
-            writer.enter();
-            let nodes: Vec<_> = (0..n).map(|v| writer.alloc(v)).collect();
-            // Raise the readers' access eras past every birth era above, so
-            // the era schemes count their slots as current.
-            for h in &mut readers {
-                let _ = h.protect(0, &link);
-            }
-            writer.leave();
-            retire_all(&mut writer, nodes);
-            writer.flush();
-            let dummies = parked.saturating_sub(n as usize - 1) as u64;
-            assert_eq!(
-                domain.stats().allocated(),
-                n + dummies,
-                "{}: {parked} entered slots, {n} retired nodes",
-                S::name()
-            );
-            if parked == 0 {
-                assert_eq!(domain.stats().unreclaimed(), 0, "{}", S::name());
-            }
-            for h in readers.iter_mut().chain(stale.iter_mut()) {
-                h.leave();
-            }
-            drop((readers, stale, writer));
-            assert_all_freed(&domain);
         }
     }
+}
+
+/// A partial batch of `n` nodes that has a node for every entered slot
+/// links its own nodes only: with one, two and three slots entered and
+/// `n ≥ a`, `allocated() == n`.
+pub fn covered_slots_take_no_dummy<S: Smr<u64>>(tweak: Tweak) {
+    for parked in [1usize, 2, 3] {
+        for n in [parked as u64, parked as u64 + 2] {
+            let config = tweak(SmrConfig {
+                slots: 8,
+                ..config()
+            });
+            assert_flush_dummies::<S>(config, parked, n, parked);
+        }
+    }
+}
+
+/// Parks `parked` readers inside an operation (and, for a robust scheme,
+/// one stale handle whose access era predates the batch), flushes `n`
+/// retired nodes as one partial batch, and asserts that exactly
+/// `max(0, linked − n)` dummies were allocated: `linked` of the readers'
+/// slots take a node of the batch.
+fn assert_flush_dummies<S: Smr<u64>>(config: SmrConfig, parked: usize, n: u64, linked: usize) {
+    let domain = S::with_config(config);
+    let link = Atomic::null();
+    let mut readers: Vec<_> = (0..parked).map(|_| domain.handle()).collect();
+    let mut stale = S::robust().then(|| domain.handle());
+    let mut writer = domain.handle();
+    for h in readers.iter_mut().chain(stale.iter_mut()) {
+        h.enter();
+    }
+    writer.enter();
+    let nodes: Vec<_> = (0..n).map(|v| writer.alloc(v)).collect();
+    // Raise the readers' access eras past every birth era above, so the
+    // era schemes count their slots as current.
+    for h in &mut readers {
+        let _ = h.protect(0, &link);
+    }
+    writer.leave();
+    retire_all(&mut writer, nodes);
+    writer.flush();
+    let dummies = linked.saturating_sub(n as usize) as u64;
+    assert_eq!(
+        domain.stats().allocated(),
+        n + dummies,
+        "{}: {parked} entered slots, {linked} linked, {n} retired nodes",
+        S::name()
+    );
+    if parked == 0 {
+        assert_eq!(domain.stats().unreclaimed(), 0, "{}", S::name());
+    }
+    for h in readers.iter_mut().chain(stale.iter_mut()) {
+        h.leave();
+    }
+    drop((readers, stale, writer));
+    assert_all_freed(&domain);
+}
+
+/// The layout of the block-capacity churns: blocks of three entries
+/// (batches of `max(batch_min, slots + 1) = 3`, one-node magazines), an
+/// era clock that never moves, so one `protect` keeps a reader current,
+/// and an `Ack` threshold no slot is under, so every Hyaline-S `enter`
+/// grows the directory as far as it goes first.
+fn block_capacity_layout(tweak: Tweak) -> SmrConfig {
+    tweak(SmrConfig {
+        slots: 2,
+        batch_min: 2,
+        recycle_magazine: 1,
+        era_freq: u64::MAX,
+        ack_threshold: 0,
+        max_threads: 16,
+        ..config()
+    })
+}
+
+/// How many readers the block-capacity churns park.
+const PARKED: usize = 8;
+
+/// Eight readers stay parked, each in a slot of its own, while partial
+/// batches of 1 to 9 nodes are flushed past them: most meet more entered
+/// slots than their block holds. Each flush allocates exactly
+/// `max(0, 8 − n)` dummies, and every payload drops once.
+pub fn owned_slots_past_block_capacity<S: Smr<Tracked<u64>>>(tweak: Tweak) {
+    // The readers' and the writer's slots are claimed, so a full batch
+    // holds one node more than that.
+    past_block_capacity::<S>(block_capacity_layout(tweak), PARKED, PARKED + 2);
+}
+
+/// [`owned_slots_past_block_capacity`] on shared slots. An adaptive
+/// Hyaline-S grows its directory to 16 slots at the first `enter`, so its
+/// eight readers each get a slot of their own and a block sized for the
+/// initial two slots meets eight; a fixed directory keeps two slots, which
+/// the readers share, and its batches fill at three nodes.
+pub fn shared_slots_past_block_capacity<S: Smr<Tracked<u64>>>(tweak: Tweak) {
+    let config = block_capacity_layout(tweak);
+    let k = if config.adaptive && S::robust() {
+        config.max_threads.next_power_of_two()
+    } else {
+        config.slots
+    };
+    let target = config.batch_min.max(k + 1);
+    past_block_capacity::<S>(config, PARKED.min(k), target);
+}
+
+/// The churn of the block-capacity cases: the parked readers occupy
+/// `entered` slots, and a batch fills at `target` nodes, which is more
+/// than `entered`. So of the `n` nodes a flush retires only the last,
+/// partial batch of `n mod target` nodes can need dummies. A non-batch
+/// scheme allocates none.
+fn past_block_capacity<S: Smr<Tracked<u64>>>(config: SmrConfig, entered: usize, target: usize) {
+    let registry = DropRegistry::new();
+    {
+        let domain = S::with_config(config);
+        // Grow first: handles made afterwards start on distinct slots.
+        let mut first = domain.handle();
+        first.enter();
+        first.leave();
+        drop(first);
+        let link = Atomic::null();
+        let mut readers: Vec<_> = (0..PARKED).map(|_| domain.handle()).collect();
+        for h in &mut readers {
+            h.enter();
+            let _ = h.protect(0, &link);
+        }
+        let entered = if S::supports_trim() { entered } else { 0 };
+        let mut writer = domain.handle();
+        for n in [1u64, 2, 3, 5, 7, 8, 9, 1] {
+            let before = domain.stats().allocated();
+            let nodes: Vec<_> = (0..n).map(|v| writer.alloc(registry.track(v))).collect();
+            retire_all(&mut writer, nodes);
+            writer.flush();
+            let partial = n as usize % target;
+            let dummies = if partial == 0 {
+                0
+            } else {
+                entered.saturating_sub(partial)
+            };
+            assert_eq!(
+                domain.stats().allocated() - before,
+                n + dummies as u64,
+                "{}: {n} retired nodes past {entered} entered slots",
+                S::name()
+            );
+        }
+        for h in &mut readers {
+            h.leave();
+        }
+        drop((readers, writer));
+        assert_all_freed(&domain);
+    }
+    registry.assert_quiescent();
 }
 
 /// Every dummy is an allocation like any other: with recycling on, it is a
@@ -1245,7 +1378,7 @@ fn retire_as_one_batch<H: SmrHandle<u64>>(writer: &mut H, nodes: Vec<Shared<u64>
 }
 
 /// Takes the nodes of `groups` round-robin, one from each group in turn,
-/// so a batch's REFS node and its neighbours come from different groups.
+/// so a batch's first node and its neighbours come from different groups.
 fn interleave(groups: Vec<Vec<Shared<u64>>>) -> Vec<Shared<u64>> {
     let mut iters: Vec<_> = groups.into_iter().map(Vec::into_iter).collect();
     let mut out = Vec::new();
@@ -1270,11 +1403,10 @@ fn cut_layout(tweak: Tweak) -> SmrConfig {
 
 /// A reader whose access era `E` lies inside a batch's birth range pins
 /// only the nodes born at or before `E`. The batch is cut at `E`: the older
-/// part enters the reader's slot, with one dummy when it has no node
-/// besides its REFS node, and the younger part skips the slot and is freed
-/// at the flush. The old and young nodes are retired interleaved, so the
-/// batch's first node, its REFS node, is young in one round and old in the
-/// other.
+/// part enters the reader's slot, with one dummy only when it has no node
+/// (never: a part is not empty), and the younger part skips the slot and
+/// is freed at the flush. The old and young nodes are retired interleaved,
+/// so the batch's first node is young in one round and old in the other.
 pub fn stale_reader_pins_only_older_part<S: Smr<u64>>(tweak: Tweak) {
     for (n_old, young_first) in [(1u64, false), (3, true), (3, false)] {
         let domain = S::with_config(cut_layout(tweak));
@@ -1292,7 +1424,7 @@ pub fn stale_reader_pins_only_older_part<S: Smr<u64>>(tweak: Tweak) {
             vec![old, young]
         };
         retire_as_one_batch(&mut writer, interleave(groups));
-        let dummies = 2u64.saturating_sub(n_old);
+        let dummies = 1u64.saturating_sub(n_old);
         assert_eq!(
             domain.stats().unreclaimed(),
             n_old + dummies,
@@ -1308,9 +1440,9 @@ pub fn stale_reader_pins_only_older_part<S: Smr<u64>>(tweak: Tweak) {
 }
 
 /// Two readers parked at eras `E1 < E2` cut a batch twice. The nodes born
-/// by `E1` enter both slots (two nodes, one insertion node of their own, so
-/// one dummy), those born in `(E1, E2]` enter the second reader's slot only
-/// (two nodes, no dummy), and the rest are freed at the flush. So the
+/// by `E1` enter both slots (two nodes, one for each slot, so no dummy),
+/// those born in `(E1, E2]` enter the second reader's slot only (two
+/// nodes, no dummy), and the rest are freed at the flush. So the
 /// second reader's leave frees its part although the first reader stays
 /// parked: one cut at `E2` would have left that part in the first reader's
 /// slot too.
@@ -1331,20 +1463,10 @@ pub fn two_stale_readers_cut_at_each_era<S: Smr<u64>>(tweak: Tweak) {
     let young: Vec<_> = (0..4).map(|v| writer.alloc(20 + v)).collect();
     retire_as_one_batch(&mut writer, interleave(vec![young, middle, oldest]));
     let unreclaimed = || domain.stats().unreclaimed();
-    assert_eq!(
-        unreclaimed(),
-        (2 + 1) + 2,
-        "{}: both parts pinned",
-        S::name()
-    );
+    assert_eq!(unreclaimed(), 2 + 2, "{}: both parts pinned", S::name());
     second.leave();
     second.flush();
-    assert_eq!(
-        unreclaimed(),
-        2 + 1,
-        "{}: the middle part is free",
-        S::name()
-    );
+    assert_eq!(unreclaimed(), 2, "{}: the middle part is free", S::name());
     first.leave();
     first.flush();
     assert_eq!(unreclaimed(), 0, "{}", S::name());
@@ -1386,10 +1508,9 @@ pub fn no_cut_outside_birth_range<S: Smr<u64>>(tweak: Tweak) {
 }
 
 /// Each protected node born before a reader parks is retired in a batch of
-/// younger nodes, and only it stays (with one dummy: it is its part's REFS
-/// node, so the part has no insertion node of its own) while its batchmates
-/// are freed around it and their memory is reused by the churn that
-/// follows.
+/// younger nodes, and only it stays (with no dummy: the part's one node
+/// links it into the reader's slot) while its batchmates are freed around
+/// it and their memory is reused by the churn that follows.
 pub fn cut_batch_keeps_protected<S: Smr<Canary>>(tweak: Tweak) {
     const OLD: u64 = 8;
     let config = tweak(SmrConfig {
@@ -1457,8 +1578,8 @@ pub fn cut_batch_keeps_protected<S: Smr<Canary>>(tweak: Tweak) {
     });
     assert_eq!(
         pinned,
-        2 * OLD,
-        "{}: each protected node and its dummy stay",
+        OLD,
+        "{}: each protected node stays, alone",
         S::name()
     );
     drop(h);
@@ -1609,7 +1730,8 @@ macro_rules! conformance {
     (@tag batch $scheme:ident) => {
         $crate::conformance!(@cases $scheme; trim_reclaims_mid_operation
             partial_batch_finalized_on_drop partial_flush_adds_one_dummy_per_entered_slot
-            dummies_are_pool_traffic full_batch_freed_on_another_thread freed_at_handle_drop);
+            covered_slots_take_no_dummy dummies_are_pool_traffic
+            full_batch_freed_on_another_thread freed_at_handle_drop);
     };
     (@tag eras $scheme:ident) => {
         $crate::conformance!(@cases $scheme; stale_reader_pins_only_older_part
@@ -1622,10 +1744,12 @@ macro_rules! conformance {
     (@tag robust $scheme:ident) => {};
     (@tag seek $scheme:ident) => {};
     (@tag shared $scheme:ident) => {
-        $crate::conformance!(@cases $scheme; more_handles_than_slots);
+        $crate::conformance!(@cases $scheme; more_handles_than_slots
+            shared_slots_past_block_capacity);
     };
     (@tag registry $scheme:ident) => {
-        $crate::conformance!(@cases $scheme; registry_exhaustion_panics);
+        $crate::conformance!(@cases $scheme; registry_exhaustion_panics
+            owned_slots_past_block_capacity);
     };
     (@tag snapshots $scheme:ident) => {
         $crate::conformance!(@cases $scheme; map_bonsai);
