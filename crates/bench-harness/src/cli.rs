@@ -7,12 +7,9 @@
 //! workload scale, the reclamation layout is settable: `--slots`/`--shards`
 //! (powers of two) pin the slot budget and shard count so runs on hosts
 //! with different core counts produce comparable perf-gate keys,
-//! `--handle-churn N` makes workers return their handles to a shared pool
-//! every `N` operations, `--connections N` sets the simulated connection
-//! count of the `kv-service` sweep, `--recycle on|off` toggles node
-//! recycling (on by default), and `--max-threads N` pins the registry/pool
-//! capacity (set it below the thread count to exercise oversubscribed
-//! pooling with host-independent perf-gate keys).
+//! `--recycle on|off` toggles node recycling (on by default), and
+//! `--max-threads N` sets the registry capacity (each run makes one handle
+//! per active and stalled thread up front, so it must cover both).
 //!
 //! The paper's full-scale parameters (10 s runs, 5 trials, 50 000
 //! prefill over 100 000 keys, threads up to 144) are reachable via:
@@ -35,8 +32,7 @@ use crate::workload::OpMix;
 pub const USAGE: &str = "usage: sweep [--out FILE] [--sweeps NAME,...] \
 [--structures NAME,...|all] [--schemes NAME,...] [--mix write-intensive|read-mostly] \
 [--secs S] [--trials N] [--prefill N] [--key-range N] [--threads N,...] [--stalled N,...] \
-[--slots POW2] [--shards POW2] [--handle-churn N] \
-[--connections N] [--max-threads N] [--recycle on|off]";
+[--slots POW2] [--shards POW2] [--max-threads N] [--recycle on|off]";
 
 /// One figure `sweep` can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,21 +44,9 @@ pub enum Sweep {
     /// Hyaline's asynchronous tracking shines.
     Oversubscription,
     /// Figure 10a: unreclaimed objects over `--stalled` readers parked
-    /// inside an operation.
+    /// inside an operation, for the Hyaline variants, Crystalline-L/W and
+    /// the baselines.
     Robustness,
-    /// Task-per-core pattern: workers far outnumber the registry budget and
-    /// draw handles from a shared pool every few operations.
-    HandleChurn,
-    /// Connection-scale async service: cooperative tasks multiplex a
-    /// `Sharded<Hyaline>` hash map through a handle registry capped near
-    /// the hardware thread count.
-    KvService,
-    /// Memory-bound comparison under reader stalls: Hyaline vs the
-    /// Crystalline variants vs Epoch with one or two readers parked inside
-    /// an operation, recording the *peak* unreclaimed estimate. Robust
-    /// schemes hold the high-water mark flat; the others grow it for the
-    /// whole run.
-    StalledReader,
     /// Node recycling on vs off: the same write-intensive churn with node
     /// memory drawn from the layout-keyed recycle pool and from the global
     /// allocator, on the structures whose operations allocate per update.
@@ -74,13 +58,10 @@ pub enum Sweep {
 
 impl Sweep {
     /// Every sweep under its command-line name.
-    pub const ALL: [(&'static str, Sweep); 8] = [
+    pub const ALL: [(&'static str, Sweep); 5] = [
         ("thread-scaling", Sweep::ThreadScaling),
         ("oversubscription", Sweep::Oversubscription),
         ("robustness", Sweep::Robustness),
-        ("handle-churn", Sweep::HandleChurn),
-        ("kv-service", Sweep::KvService),
-        ("stalled-reader", Sweep::StalledReader),
         ("recycle", Sweep::Recycle),
         ("trim", Sweep::Trim),
     ];
@@ -242,8 +223,6 @@ impl SweepArgs {
             "--stalled" => self.stalled = value(flag, raw, LIST, parse_list)?,
             "--slots" => base.config.slots = value(flag, raw, POW2, parse_pow2)?,
             "--shards" => base.config.shards = value(flag, raw, POW2, parse_pow2)?,
-            "--handle-churn" => base.handle_churn = value(flag, raw, NUMBER, |r| r.parse().ok())?,
-            "--connections" => base.connections = value(flag, raw, NUMBER, |r| r.parse().ok())?,
             "--max-threads" => {
                 base.config.max_threads = value(flag, raw, "a nonzero count", parse_nonzero)?
             }
@@ -310,11 +289,9 @@ mod tests {
 
     #[test]
     fn layout_flags_set_config_and_reject_non_powers_of_two() {
-        let args = parse("--slots 64 --shards 8 --handle-churn 32 --connections 10000").unwrap();
+        let args = parse("--slots 64 --shards 8").unwrap();
         assert_eq!(args.base.config.slots, 64);
         assert_eq!(args.base.config.shards, 8);
-        assert_eq!(args.base.handle_churn, 32);
-        assert_eq!(args.base.connections, 10_000);
         let err = parse("--slots 6").unwrap_err();
         assert_eq!(err, "--slots 6: expected a power of two");
         assert!(parse("--shards 0").is_err());
@@ -331,7 +308,14 @@ mod tests {
 
     #[test]
     fn unknown_flags_and_help_are_errors_naming_them() {
-        for flag in ["--sec", "--help", "-h", "extra"] {
+        for flag in [
+            "--sec",
+            "--help",
+            "-h",
+            "extra",
+            "--handle-churn",
+            "--connections",
+        ] {
             let err = parse(&format!("{flag} 1")).unwrap_err();
             assert_eq!(err, format!("unknown flag `{flag}`"));
         }
@@ -347,7 +331,12 @@ mod tests {
         );
         let err = parse("--secs 1 --threads 1,x,8").unwrap_err();
         assert!(err.starts_with("--threads 1,x,8: expected"), "{err}");
-        for bad in ["--sweeps fig8", "--structures splay", "--schemes RCU"] {
+        for bad in [
+            "--sweeps fig8",
+            "--sweeps kv-service",
+            "--structures splay",
+            "--schemes RCU",
+        ] {
             let err = parse(bad).unwrap_err();
             assert!(err.starts_with(&format!("{bad}: expected")), "{err}");
         }

@@ -11,10 +11,10 @@
 use lockfree_ds::ConcurrentMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use smr_core::{HandlePool, Smr, SmrConfig, SmrHandle};
+use smr_core::{Smr, SmrConfig, SmrHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::workload::{Op, OpMix, OpStream};
 
@@ -45,19 +45,6 @@ pub struct BenchParams {
     /// Operations between forced `leave`/`enter` when trimming (bounds the
     /// retirement list length, as §3.3 requires).
     pub trim_window: u64,
-    /// Handle-churn workload: when nonzero, workers draw their handles from
-    /// a shared [`HandlePool`] capped at `config.max_threads` and return
-    /// them every `handle_churn` operations — the task-per-core pattern
-    /// where short-lived tasks far outnumber registry slots. `0` keeps the
-    /// classic one-handle-per-thread loop.
-    pub handle_churn: u64,
-    /// Connection-driven workload (the async `kv-service` sweep): when
-    /// nonzero, this many simulated connections multiplex over the handle
-    /// registry instead of `threads` OS workers driving it directly. `0`
-    /// keeps the classic thread-driven loop; the thread-driven driver in
-    /// this module ignores the knob, it is consumed by the sweep binary
-    /// and recorded in the results schema.
-    pub connections: u64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -76,8 +63,6 @@ impl Default for BenchParams {
             sample_every: 128,
             use_trim: false,
             trim_window: 64,
-            handle_churn: 0,
-            connections: 0,
             seed: 0x5EED,
         }
     }
@@ -90,12 +75,6 @@ pub struct RunResult {
     pub mops: f64,
     /// Average retired-but-unreclaimed objects (per sample point).
     pub avg_unreclaimed: f64,
-    /// Highest retired-but-unreclaimed estimate seen at any sample point
-    /// (maximum across trials). The stalled-reader sweep keys on this
-    /// rather than the average: a robust scheme bounds the high-water
-    /// mark even while a reader stalls inside an operation, a non-robust
-    /// one grows it for as long as the run lasts.
-    pub peak_unreclaimed: u64,
     /// Total operations executed.
     pub ops: u64,
     /// Nodes retired during the measured phase.
@@ -122,7 +101,6 @@ where
         let r = run_trial::<S, M>(params, trial as u64);
         acc.mops += r.mops;
         acc.avg_unreclaimed += r.avg_unreclaimed;
-        acc.peak_unreclaimed = acc.peak_unreclaimed.max(r.peak_unreclaimed);
         acc.ops += r.ops;
         acc.retired += r.retired;
         acc.freed += r.freed;
@@ -173,119 +151,28 @@ where
 
     let stop = AtomicBool::new(false);
     let start_barrier = Barrier::new(params.threads + params.stalled + 1);
-    // Handle-churn mode: workers take turns on a pool capped at the
-    // registry budget (minus the stalled threads' own handles), so more
-    // tasks than `max_threads` run without exhausting registry schemes.
-    let pool = (params.handle_churn > 0).then(|| {
-        let cap = params
-            .config
-            .max_threads
-            .saturating_sub(params.stalled)
-            .max(1);
-        HandlePool::new(map.domain(), cap)
-    });
     let map_ref = &map;
     let stop_ref = &stop;
     let barrier_ref = &start_barrier;
-    let pool_ref = pool.as_ref();
 
-    struct ThreadOut {
-        ops: u64,
-        sample_sum: u64,
-        samples: u64,
-        peak: u64,
-    }
-
-    // Create every direct handle up front, before any thread exists
-    // (handles are Send): a registry-exhaustion panic then propagates
-    // cleanly from here instead of stranding already-spawned threads at
-    // the start barrier forever.
-    let mut premade_workers = (0..params.threads)
-        .map(|_| (params.handle_churn == 0).then(|| map_ref.handle()))
-        .collect::<Vec<_>>()
-        .into_iter();
-    let mut premade_stalled = (0..params.stalled)
+    // Create every handle up front, before any thread exists (handles are
+    // Send): a registry-exhaustion panic then propagates cleanly from here
+    // instead of stranding already-spawned threads at the start barrier
+    // forever.
+    let mut handles = (0..params.threads + params.stalled)
         .map(|_| map_ref.handle())
         .collect::<Vec<_>>()
         .into_iter();
 
-    let (total_ops, sample_sum, samples, peak) = std::thread::scope(|scope| {
+    let (total_ops, sample_sum, samples) = std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(params.threads);
         for t in 0..params.threads {
             let params = params.clone();
-            let premade_handle = premade_workers.next().expect("one premade slot per worker");
+            let mut h = handles.next().expect("one premade handle per thread");
             workers.push(scope.spawn(move || {
                 let mut stream =
                     OpStream::new(params.mix, params.key_range, params.seed ^ trial, t as u64);
-                let mut out = ThreadOut {
-                    ops: 0,
-                    sample_sum: 0,
-                    samples: 0,
-                    peak: 0,
-                };
-                let mut one_op = |h: &mut _, out: &mut ThreadOut| {
-                    let (op, key) = stream.next_op();
-                    match op {
-                        Op::Get => {
-                            map_ref.map_get(h, key);
-                        }
-                        Op::Insert => {
-                            map_ref.map_insert(h, key, key);
-                        }
-                        Op::Remove => {
-                            map_ref.map_remove(h, key);
-                        }
-                    }
-                    out.ops += 1;
-                    if out.ops.is_multiple_of(params.sample_every) {
-                        // Load-only estimate: sampling must not introduce
-                        // shared-cache-line writes into the measured run.
-                        let est = map_ref.domain().unreclaimed_estimate();
-                        out.sample_sum += est;
-                        out.samples += 1;
-                        out.peak = out.peak.max(est);
-                    }
-                };
-                if let Some(pool) = pool_ref {
-                    // Task-per-checkout loop: each slice of `handle_churn`
-                    // operations models one short-lived task borrowing a
-                    // pooled handle and parking it again. Trim mode keeps
-                    // its semantics per slice — one reservation window,
-                    // §3.3 trims between operations, a forced leave every
-                    // `trim_window` — so the recorded `use_trim` provenance
-                    // stays truthful under churn.
-                    barrier_ref.wait();
-                    while !stop_ref.load(Ordering::Relaxed) {
-                        let mut h = pool.checkout();
-                        if params.use_trim {
-                            h.enter();
-                        }
-                        for _ in 0..params.handle_churn {
-                            if stop_ref.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if !params.use_trim {
-                                h.enter();
-                            }
-                            one_op(&mut h, &mut out);
-                            if params.use_trim {
-                                if out.ops.is_multiple_of(params.trim_window) {
-                                    h.leave();
-                                    h.enter();
-                                } else {
-                                    h.trim();
-                                }
-                            } else {
-                                h.leave();
-                            }
-                        }
-                        if params.use_trim {
-                            h.leave();
-                        }
-                    } // guard drop flushes + parks the handle
-                    return out;
-                }
-                let mut h = premade_handle.expect("direct handle premade for non-churn mode");
+                let (mut ops, mut sample_sum, mut samples) = (0u64, 0u64, 0u64);
                 barrier_ref.wait();
                 if params.use_trim {
                     h.enter();
@@ -294,11 +181,29 @@ where
                     if !params.use_trim {
                         h.enter();
                     }
-                    one_op(&mut h, &mut out);
+                    let (op, key) = stream.next_op();
+                    match op {
+                        Op::Get => {
+                            map_ref.map_get(&mut h, key);
+                        }
+                        Op::Insert => {
+                            map_ref.map_insert(&mut h, key, key);
+                        }
+                        Op::Remove => {
+                            map_ref.map_remove(&mut h, key);
+                        }
+                    }
+                    ops += 1;
+                    if ops.is_multiple_of(params.sample_every) {
+                        // Load-only estimate: sampling must not introduce
+                        // shared-cache-line writes into the measured run.
+                        sample_sum += map_ref.domain().unreclaimed_estimate();
+                        samples += 1;
+                    }
                     if params.use_trim {
                         // §3.3: trim in lieu of leave+enter, with a bounded
                         // window forcing a real leave periodically.
-                        if out.ops.is_multiple_of(params.trim_window) {
+                        if ops.is_multiple_of(params.trim_window) {
                             h.leave();
                             h.enter();
                         } else {
@@ -312,7 +217,7 @@ where
                     h.leave();
                 }
                 h.flush();
-                out
+                (ops, sample_sum, samples)
             }));
         }
         // Stalled threads: enter, run a handful of operations, then park
@@ -320,9 +225,7 @@ where
         let mut stalled = Vec::with_capacity(params.stalled);
         for t in 0..params.stalled {
             let params = params.clone();
-            let mut h = premade_stalled
-                .next()
-                .expect("one premade handle per stalled thread");
+            let mut h = handles.next().expect("one premade handle per thread");
             stalled.push(scope.spawn(move || {
                 let mut stream = OpStream::new(
                     params.mix,
@@ -348,35 +251,24 @@ where
         }
 
         barrier_ref.wait();
-        let started = Instant::now();
         #[expect(
             clippy::disallowed_methods,
             reason = "the controller thread waits out the measured interval"
         )]
         std::thread::sleep(Duration::from_secs_f64(params.secs));
         stop.store(true, Ordering::SeqCst);
-        let elapsed = started.elapsed().as_secs_f64();
 
-        let mut total_ops = 0u64;
-        let mut sample_sum = 0u64;
-        let mut samples = 0u64;
-        let mut peak = 0u64;
+        let mut totals = (0u64, 0u64, 0u64);
         for w in workers {
-            let out = w.join().expect("worker panicked");
-            total_ops += out.ops;
-            sample_sum += out.sample_sum;
-            samples += out.samples;
-            peak = peak.max(out.peak);
+            let (ops, sum, n) = w.join().expect("worker panicked");
+            totals = (totals.0 + ops, totals.1 + sum, totals.2 + n);
         }
         for s in stalled {
             s.join().expect("stalled thread panicked");
         }
-        let _ = elapsed;
-        (total_ops, sample_sum, samples, peak)
+        totals
     });
 
-    // Parked handles still buffer pool counters; dropping them publishes.
-    drop(pool);
     let stats = map.stats();
     RunResult {
         mops: total_ops as f64 / params.secs / 1e6,
@@ -385,7 +277,6 @@ where
         } else {
             sample_sum as f64 / samples as f64
         },
-        peak_unreclaimed: peak,
         ops: total_ops,
         retired: stats.retired(),
         freed: stats.freed(),
@@ -439,8 +330,6 @@ mod tests {
         let r = run_bench::<Hyaline<_>, MichaelHashMap<u64, u64, _>>(&quick_params());
         assert!(r.ops > 0, "no operations executed");
         assert!(r.mops > 0.0);
-        // The high-water mark dominates the mean by construction.
-        assert!(r.peak_unreclaimed as f64 >= r.avg_unreclaimed);
     }
 
     #[test]
@@ -489,33 +378,6 @@ mod tests {
         let mut p = quick_params();
         p.use_trim = true;
         let r = run_bench::<Hyaline<_>, MichaelHashMap<u64, u64, _>>(&p);
-        assert!(r.ops > 0);
-    }
-
-    #[test]
-    fn handle_churn_pools_more_tasks_than_registry_slots() {
-        // 8 workers over a 2-handle registry: without the pool, EBR's
-        // registry would panic on the third concurrent handle.
-        let mut p = quick_params();
-        p.threads = 8;
-        p.handle_churn = 16;
-        p.config.max_threads = 2;
-        let r = run_bench::<Ebr<_>, MichaelHashMap<u64, u64, _>>(&p);
-        assert!(r.ops > 0, "pooled workers did no work");
-        // And the pooled path reclaims: retired nodes get freed.
-        assert!(r.freed > 0, "no reclamation through pooled handles");
-    }
-
-    #[test]
-    fn handle_churn_runs_on_sharded_domains() {
-        use smr_core::Sharded;
-        let mut p = quick_params();
-        p.threads = 4;
-        p.handle_churn = 8;
-        p.config.max_threads = 2;
-        p.config.shards = 2;
-        p.config.slots = 8;
-        let r = run_bench::<Sharded<Hyaline<_>>, MichaelHashMap<u64, u64, _>>(&p);
         assert!(r.ops > 0);
     }
 }

@@ -67,7 +67,10 @@ pub fn throughput_figures(
 /// while the number of *stalled* threads (parked inside an operation)
 /// sweeps. Plots unreclaimed objects per scheme; Hyaline-S appears twice —
 /// capped at `capped_slots` slots (the paper's "ran out of slots at 57"
-/// series) and with §4.3 adaptive resizing. With a `sink`, each `(series,
+/// series) and with §4.3 adaptive resizing — and Crystalline-L and
+/// Crystalline-W, whose era filtering skips a stalled reservation, are
+/// series on the same metric, so one figure covers both papers' stalled
+/// thread experiment. With a `sink`, each `(series,
 /// stalled)` run lands there under its series name, so the capped and
 /// adaptive Hyaline-S configurations stay distinguishable, with the exact
 /// `SmrConfig` it ran under.
@@ -84,6 +87,8 @@ pub fn robustness_figure(
         "Hyaline-S",
         "Hyaline-S-adaptive",
         "Hyaline-1S",
+        "Crystalline-L",
+        "Crystalline-W",
         "Epoch",
         "IBR",
         "HE",

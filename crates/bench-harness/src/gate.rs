@@ -95,8 +95,6 @@ pub struct ComboKey {
     pub max_threads: u64,
     /// `SmrConfig`: shard count (1 = unsharded).
     pub shards: u64,
-    /// Operations per pooled-handle checkout (0 = no handle churn).
-    pub handle_churn: u64,
     /// Crystalline handoff threshold.
     pub handoff_attempts: u64,
     /// Node recycling enabled.
@@ -105,8 +103,6 @@ pub struct ComboKey {
     pub recycle_capacity: u64,
     /// Recycle-magazine capacity as configured.
     pub recycle_magazine: u64,
-    /// Simulated connections (0 = thread-driven run).
-    pub connections: u64,
 }
 
 impl ComboKey {
@@ -133,12 +129,10 @@ impl ComboKey {
             adaptive: r.adaptive,
             max_threads: r.max_threads,
             shards: r.shards,
-            handle_churn: r.handle_churn,
             handoff_attempts: r.handoff_attempts,
             recycle: r.recycle,
             recycle_capacity: r.recycle_capacity,
             recycle_magazine: r.recycle_magazine,
-            connections: r.connections,
         }
     }
 }
@@ -160,12 +154,6 @@ impl fmt::Display for ComboKey {
         // apart; the JSONL files hold the rest.
         if self.shards > 1 {
             write!(f, " shards={}", self.shards)?;
-        }
-        if self.handle_churn > 0 {
-            write!(f, " churn={}", self.handle_churn)?;
-        }
-        if self.connections > 0 {
-            write!(f, " conns={}", self.connections)?;
         }
         if self.handoff_attempts != 8 {
             write!(f, " handoff={}", self.handoff_attempts)?;
@@ -562,13 +550,15 @@ mod tests {
 
     #[test]
     fn sharded_and_churn_configs_key_separately() {
-        // A sharded run and a handle-churn run of the same scheme must not
-        // be averaged with (or compared against) the plain configuration.
+        // A sharded run and a run over a smaller handle registry (the cap
+        // that `--max-threads` sets for oversubscribed pooling) of the same
+        // scheme must not be averaged with (or compared against) the plain
+        // configuration.
         let plain = record("Hyaline", 4, 10.0, 0.0);
         let mut sharded = record("Hyaline", 4, 14.0, 0.0);
         sharded.shards = 4;
         let mut churn = record("Hyaline", 4, 6.0, 0.0);
-        churn.handle_churn = 32;
+        churn.max_threads = 2;
         let file = vec![plain, sharded.clone(), churn];
         let report = compare(&file, &file, Tolerance::default());
         assert_eq!(report.comparisons.len(), 3);

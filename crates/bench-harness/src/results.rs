@@ -86,9 +86,6 @@ pub struct BenchRecord {
     /// gate keys on the full configuration, so a sweep that sets `--shards`
     /// stamps every record it produces.
     pub shards: u64,
-    /// Operations per pooled-handle checkout (`0` = one handle per thread
-    /// for the whole run).
-    pub handle_churn: u64,
     /// Crystalline wait-free handoff threshold as configured (CAS attempts
     /// per slot before retiring through the handoff cell; other schemes
     /// ignore the knob, recorded verbatim).
@@ -100,9 +97,6 @@ pub struct BenchRecord {
     pub recycle_capacity: u64,
     /// Recycle-magazine capacity as configured (recorded verbatim).
     pub recycle_magazine: u64,
-    /// Simulated connections of an async-service run (`0` = the run was
-    /// thread-driven, not connection-driven).
-    pub connections: u64,
     /// Git revision the binary was built from, if discoverable.
     pub git_sha: Option<String>,
     /// `available_parallelism` of the measuring host.
@@ -206,12 +200,10 @@ impl BenchRecord {
             adaptive: params.config.adaptive,
             max_threads: params.config.max_threads as u64,
             shards: params.config.shards as u64,
-            handle_churn: params.handle_churn,
             handoff_attempts: params.config.handoff_attempts as u64,
             recycle: params.config.recycle,
             recycle_capacity: params.config.recycle_capacity as u64,
             recycle_magazine: params.config.recycle_magazine as u64,
-            connections: params.connections,
             git_sha: prov.git_sha.clone(),
             host_cores: prov.host_cores,
             timestamp: prov.timestamp.clone(),
@@ -254,12 +246,10 @@ impl BenchRecord {
         push_bool(&mut s, "adaptive", self.adaptive);
         push_u64(&mut s, "max_threads", self.max_threads);
         push_u64(&mut s, "shards", self.shards);
-        push_u64(&mut s, "handle_churn", self.handle_churn);
         push_u64(&mut s, "handoff_attempts", self.handoff_attempts);
         push_bool(&mut s, "recycle", self.recycle);
         push_u64(&mut s, "recycle_capacity", self.recycle_capacity);
         push_u64(&mut s, "recycle_magazine", self.recycle_magazine);
-        push_u64(&mut s, "connections", self.connections);
         match &self.git_sha {
             Some(sha) => push_str(&mut s, "git_sha", sha),
             None => push_null(&mut s, "git_sha"),
@@ -336,12 +326,10 @@ impl BenchRecord {
             adaptive: get_bool("adaptive")?,
             max_threads: get_u64("max_threads")?,
             shards: get_u64("shards")?,
-            handle_churn: get_u64("handle_churn")?,
             handoff_attempts: get_u64("handoff_attempts")?,
             recycle: get_bool("recycle")?,
             recycle_capacity: get_u64("recycle_capacity")?,
             recycle_magazine: get_u64("recycle_magazine")?,
-            connections: get_u64("connections")?,
             git_sha,
             host_cores: get_u64("host_cores")?,
             timestamp: get_str("timestamp")?,
@@ -812,7 +800,7 @@ mod tests {
         // The sample's strings hold no commas, so the commas split fields.
         let line = sample_record().encode();
         let fields: Vec<&str> = line[1..line.len() - 1].split(',').collect();
-        assert_eq!(fields.len(), 41, "one entry per `BenchRecord` field");
+        assert_eq!(fields.len(), 39, "one entry per `BenchRecord` field");
         for (i, field) in fields.iter().enumerate() {
             let name = field.split(':').next().unwrap().trim_matches('"');
             let mut rest = fields.clone();

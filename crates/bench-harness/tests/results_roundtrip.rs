@@ -97,8 +97,6 @@ proptest! {
             adaptive: flags.1,
             max_threads: counters.2 % (1 << 32),
             shards: counters.3 % (1 << 16),
-            handle_churn: counters.0 % (1 << 32),
-            connections: counters.1 ^ more_ints.0,
             handoff_attempts: counters.2 ^ more_ints.1,
             recycle: flags.0 ^ flags.1,
             recycle_capacity: counters.3 ^ more_ints.2,

@@ -601,9 +601,9 @@ mod crystalline {
     /// structure, `Sharded` adapter, `HandlePool`, and the async
     /// `TaskGuard` path work unchanged. Like Hyaline-1S they are *robust*:
     /// a stalled reader's access era goes stale and retirement skips its
-    /// slot, so the peak retired-but-unreclaimed count stays bounded under
-    /// stalls (the `stalled-reader` sweep in `bench-harness` records this
-    /// directly).
+    /// slot, so the retired-but-unreclaimed count stays bounded under
+    /// stalls (both are series of `bench-harness`'s Fig. 10a robustness
+    /// figure, `sweep --sweeps robustness`).
     ///
     /// The handoff and helping protocols are exhaustively model-checked in
     /// `interleave::crystalline`, including fault-injected variants

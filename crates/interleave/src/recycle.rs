@@ -482,11 +482,12 @@ mod tests {
     use crate::dfs::check::caught;
 
     /// Explores every reachable state of `scenario`, which must be safe.
-    fn exhaustive(scenario: &RecycleScenario) {
+    fn exhaustive(scenario: &RecycleScenario) -> Outcome {
         let outcome = explore(scenario, 1_000_000);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         assert!(outcome.complete, "exploration must be exhaustive");
         assert!(outcome.terminals > 0);
+        outcome
     }
 
     #[test]
@@ -529,6 +530,30 @@ mod tests {
             ],
             name: "recycle_spill_skew".into(),
         });
+    }
+
+    #[test]
+    fn three_magazines_share_the_block_chain() {
+        // Three magazines over three blocks: each task spills its first
+        // block before it refills again, so the second refills take from a
+        // list the others keep pushing to, and every block passes through
+        // more than one magazine. (A lone refill up front would take the
+        // whole list and leave the others nothing to race for.)
+        let program = vec![
+            RecycleOp::Refill,
+            RecycleOp::Spill,
+            RecycleOp::Refill,
+            RecycleOp::Alloc,
+            RecycleOp::Dispose,
+            RecycleOp::Spill,
+        ];
+        let scenario = RecycleScenario {
+            nodes: 3,
+            programs: vec![program; 3],
+            name: "recycle_three_magazines".into(),
+        };
+        let outcome = exhaustive(&scenario);
+        assert_eq!((outcome.states, outcome.terminals), (14_794, 144));
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   [`HandlePool::check_out`](smr_core::HandlePool::check_out) path.
 //! * [`reclaimer`]: per-shard background reclaimer tasks that flush dirty
 //!   handles off the hot path, with a panic-safe shutdown handshake.
-//! * [`kv`]: the end-to-end connection-scale KV cache demo feeding the
-//!   `kv-service` benchmark sweep.
+//!
+//! The connection loop these pieces serve is the benchmark's `kv-service`
+//! workload, built from the public items above.
 //!
 //! Nothing here sleeps or parks a thread from task context — reclaimers
 //! and connections yield cooperatively. The crate forbids clippy's
@@ -32,14 +33,12 @@
 
 pub mod executor;
 pub mod guard;
-pub mod kv;
 pub mod queue;
 pub mod reclaimer;
 pub mod sync;
 
 pub use executor::{block_on, scope, yield_now, Spawner, YieldNow};
 pub use guard::TaskGuard;
-pub use kv::{run_kv_service, KvConfig, KvReport};
 pub use queue::{DrainQueue, PushError};
 pub use reclaimer::{ReclaimRouter, ReclaimStats, ReclaimTicket, ShutdownGate};
 

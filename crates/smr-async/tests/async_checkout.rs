@@ -9,7 +9,7 @@ use std::task::{Context, Poll};
 
 use smr_async::{scope, yield_now, TaskGuard};
 use smr_baselines::Ebr;
-use smr_core::{HandlePool, Smr, SmrConfig, SmrHandle};
+use smr_core::{HandlePool, Sharded, Smr, SmrConfig, SmrHandle};
 use smr_testkit::drop_tracker::{DropRegistry, Tracked};
 
 fn config() -> SmrConfig {
@@ -22,14 +22,24 @@ fn config() -> SmrConfig {
 }
 
 /// 64 tasks funnel through a 2-slot pool on a registry-capped scheme; every
-/// allocation must be balanced by a drop once the domain goes away.
+/// allocation must be balanced by a drop once the domain goes away. The
+/// same fleet runs over a 2-shard `Sharded` domain, each task pinning its
+/// nodes to a shard by key, so pooled task guards also drive both shards.
 #[test]
 fn sixty_four_tasks_over_two_slots_balance_exactly() {
+    balance_exactly::<Ebr<Tracked<u64>>>(config());
+    balance_exactly::<Sharded<Ebr<Tracked<u64>>>>(SmrConfig {
+        shards: 2,
+        ..config()
+    });
+}
+
+fn balance_exactly<S: Smr<Tracked<u64>>>(config: SmrConfig) {
     const TASKS: u64 = 64;
     const OPS_PER_TASK: u64 = 4;
     let registry = DropRegistry::new();
     {
-        let domain: Ebr<Tracked<u64>> = Ebr::with_config(config());
+        let domain = S::with_config(config);
         let pool = HandlePool::new(&domain, 2);
         scope(2, |sp| {
             for task in 0..TASKS {
@@ -37,9 +47,11 @@ fn sixty_four_tasks_over_two_slots_balance_exactly() {
                 let registry = &registry;
                 sp.spawn(async move {
                     for op in 0..OPS_PER_TASK {
+                        let key = task * OPS_PER_TASK + op;
                         let mut guard = TaskGuard::acquire(pool).await;
                         guard.enter();
-                        let node = guard.alloc(registry.track(task * OPS_PER_TASK + op));
+                        guard.pin_shard(key);
+                        let node = guard.alloc(registry.track(key));
                         // SAFETY: freshly allocated and never published, so
                         // no other task can hold a reference.
                         unsafe { guard.retire(node) };

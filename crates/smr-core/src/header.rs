@@ -274,13 +274,14 @@ impl<T: fmt::Debug> fmt::Debug for SmrNode<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    static DROPS: AtomicU64 = AtomicU64::new(0);
-
-    struct CountsDrops(#[allow(dead_code)] u64);
+    /// Counts its drops into a counter of the test's own, so tests running
+    /// on parallel threads cannot see each other's drops.
+    struct CountsDrops(Arc<AtomicU64>);
     impl Drop for CountsDrops {
         fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::Relaxed);
+            self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -310,22 +311,29 @@ mod tests {
 
     #[test]
     fn alloc_dealloc_drops_payload_once() {
-        DROPS.store(0, Ordering::Relaxed);
-        let node = SmrNode::alloc(CountsDrops(9));
+        let drops = Arc::new(AtomicU64::new(0));
+        let node = SmrNode::alloc(CountsDrops(Arc::clone(&drops)));
         // SAFETY: allocated by `alloc` (live payload), freed once, unshared.
         unsafe { SmrNode::dealloc(node.as_ptr(), true) };
-        assert_eq!(DROPS.load(Ordering::Relaxed), 1);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn dummy_nodes_do_not_drop_payload() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = Arc::new(AtomicU64::new(0));
+        let live = SmrNode::alloc(CountsDrops(Arc::clone(&drops)));
         // SAFETY: the dummy's payload is never read, and it is freed below
         // with `drop_payload = false`.
-        let node = unsafe { SmrNode::<CountsDrops>::alloc_dummy() };
+        let dummy = unsafe { SmrNode::<CountsDrops>::alloc_dummy() };
         // SAFETY: allocated by `alloc_dummy` (no payload), freed once.
-        unsafe { SmrNode::dealloc(node.as_ptr(), false) };
-        assert_eq!(DROPS.load(Ordering::Relaxed), 0);
+        unsafe { SmrNode::dealloc(dummy.as_ptr(), false) };
+        // SAFETY: allocated by `alloc` (live payload), freed once, unshared.
+        unsafe { SmrNode::dealloc(live.as_ptr(), true) };
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            1,
+            "only the live payload drops"
+        );
     }
 
     #[test]

@@ -747,12 +747,14 @@ impl Drop for Magazine {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
-    static DROPS: AtomicU64 = AtomicU64::new(0);
-    struct CountsDrops(#[allow(dead_code)] u64);
+    /// Counts its drops into a counter of the test's own, so tests running
+    /// on parallel threads cannot see each other's drops.
+    struct CountsDrops(Arc<AtomicU64>);
     impl Drop for CountsDrops {
         fn drop(&mut self) {
-            DROPS.fetch_add(1, Ordering::Relaxed);
+            self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -791,8 +793,8 @@ mod tests {
         let pool = NodePool::for_node::<CountsDrops>(&cfg(1024, 8));
         let stats = SmrStats::new();
         let mut mag = pool.magazine();
-        DROPS.store(0, Ordering::Relaxed);
-        let node = pool.alloc(&mut mag, &stats, CountsDrops(1));
+        let drops = Arc::new(AtomicU64::new(0));
+        let node = pool.alloc(&mut mag, &stats, CountsDrops(Arc::clone(&drops)));
         let addr = node.as_ptr() as usize;
         // Dirty the header so reuse proves it is re-zeroed.
         // SAFETY: `node` was just allocated and is exclusively owned.
@@ -802,8 +804,8 @@ mod tests {
             .store(0xdead, Ordering::Relaxed);
         // SAFETY: exclusively owned, live payload.
         unsafe { pool.dispose(&mut mag, &stats, node.as_ptr(), true) };
-        assert_eq!(DROPS.load(Ordering::Relaxed), 1, "payload dropped eagerly");
-        let reused = pool.alloc(&mut mag, &stats, CountsDrops(2));
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "payload dropped eagerly");
+        let reused = pool.alloc(&mut mag, &stats, CountsDrops(Arc::clone(&drops)));
         assert_eq!(reused.as_ptr() as usize, addr, "memory reused");
         for w in 0..crate::NodeHeader::WORDS {
             assert_eq!(
@@ -819,7 +821,7 @@ mod tests {
         // SAFETY: exclusively owned, live payload.
         unsafe { pool.dispose(&mut mag, &stats, reused.as_ptr(), true) };
         pool.flush(&mut mag, &stats);
-        assert_eq!(DROPS.load(Ordering::Relaxed), 2);
+        assert_eq!(drops.load(Ordering::Relaxed), 2);
         assert_eq!(stats.pool_hits(), 1);
         assert_eq!(stats.pool_misses(), 1);
         assert_eq!(stats.recycled(), 2);
@@ -893,18 +895,18 @@ mod tests {
 
     #[test]
     fn pool_drop_frees_cached_nodes() {
-        DROPS.store(0, Ordering::Relaxed);
+        let drops = Arc::new(AtomicU64::new(0));
         let pool = NodePool::for_node::<CountsDrops>(&cfg(1024, 4));
         let stats = SmrStats::new();
         let mut mag = pool.magazine();
-        for i in 0..32 {
-            let n = pool.alloc(&mut mag, &stats, CountsDrops(i));
+        for _ in 0..32 {
+            let n = pool.alloc(&mut mag, &stats, CountsDrops(Arc::clone(&drops)));
             // SAFETY: exclusively owned, live payload.
             unsafe { pool.dispose(&mut mag, &stats, n.as_ptr(), true) };
         }
         pool.flush(&mut mag, &stats);
         assert_eq!(
-            DROPS.load(Ordering::Relaxed),
+            drops.load(Ordering::Relaxed),
             32,
             "payloads dropped at dispose"
         );
@@ -1025,61 +1027,49 @@ mod tests {
     /// partial batch's few nodes merge into the allocation block.
     #[test]
     fn dispose_block_hands_every_node_back_once() {
-        // Its own counter: the other tests share `DROPS` and reset it.
-        static BLOCK_DROPS: AtomicU64 = AtomicU64::new(0);
-        struct Counted(#[allow(dead_code)] u64);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                BLOCK_DROPS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let pool = NodePool::for_node::<Counted>(&cfg(1024, 8));
+        let drops = Arc::new(AtomicU64::new(0));
+        let counted = || CountsDrops(Arc::clone(&drops));
+        let pool = NodePool::for_node::<CountsDrops>(&cfg(1024, 8));
         let stats = SmrStats::new();
         let mut mag = pool.magazine();
         let mut block = pool.block(&mut mag);
         let mut addrs = Vec::new();
-        for i in 0..6 {
-            let node = pool.alloc(&mut mag, &stats, Counted(i));
+        for _ in 0..6 {
+            let node = pool.alloc(&mut mag, &stats, counted());
             addrs.push(node.as_ptr() as usize);
             block.push(node.as_ptr() as usize | NodeBlock::LIVE);
         }
         for _ in 0..2 {
             // SAFETY: the dummy's payload is never read; the block frees it
             // without a drop (its live bit is clear).
-            let dummy = unsafe { pool.alloc_dummy::<Counted>(&mut mag, &stats) };
+            let dummy = unsafe { pool.alloc_dummy::<CountsDrops>(&mut mag, &stats) };
             addrs.push(dummy.as_ptr() as usize);
             block.push(dummy.as_ptr() as usize);
         }
         // SAFETY: every entry is an exclusively-owned node, flagged live
         // exactly when its payload is.
-        let freed = unsafe { pool.dispose_block::<Counted>(&mut mag, &stats, block) };
+        let freed = unsafe { pool.dispose_block::<CountsDrops>(&mut mag, &stats, block) };
         assert_eq!(freed, 8);
-        assert_eq!(
-            BLOCK_DROPS.load(Ordering::Relaxed),
-            6,
-            "only live payloads drop"
-        );
+        assert_eq!(drops.load(Ordering::Relaxed), 6, "only live payloads drop");
         assert_eq!(mag.len(), 8);
         let mut reused: Vec<usize> = (0..8)
-            .map(|i| pool.alloc(&mut mag, &stats, Counted(100 + i)).as_ptr() as usize)
+            .map(|_| pool.alloc(&mut mag, &stats, counted()).as_ptr() as usize)
             .collect();
         reused.sort_unstable();
         addrs.sort_unstable();
         assert_eq!(reused, addrs, "every node comes back exactly once");
         for raw in reused {
             // SAFETY: each was just allocated above and is exclusively owned.
-            unsafe { pool.dispose(&mut mag, &stats, raw as *mut SmrNode<Counted>, true) };
+            unsafe { pool.dispose(&mut mag, &stats, raw as *mut SmrNode<CountsDrops>, true) };
         }
         // A two-node block merges into the non-empty allocation block.
         let mut small = pool.block(&mut mag);
-        for i in 0..2 {
-            small.push(
-                pool.alloc(&mut mag, &stats, Counted(200 + i)).as_ptr() as usize | NodeBlock::LIVE,
-            );
+        for _ in 0..2 {
+            small.push(pool.alloc(&mut mag, &stats, counted()).as_ptr() as usize | NodeBlock::LIVE);
         }
         let (before, spares) = (mag.len(), mag.spare_count);
         // SAFETY: as above.
-        unsafe { pool.dispose_block::<Counted>(&mut mag, &stats, small) };
+        unsafe { pool.dispose_block::<CountsDrops>(&mut mag, &stats, small) };
         assert_eq!(mag.len(), before + 2);
         assert_eq!(
             mag.spare_count,
@@ -1090,30 +1080,28 @@ mod tests {
         // newer half spills, as node-by-node disposal would do.
         assert_eq!(mag.len(), 8);
         let mut more = pool.block(&mut mag);
-        for i in 0..2 {
-            more.push(
-                pool.alloc(&mut mag, &stats, Counted(300 + i)).as_ptr() as usize | NodeBlock::LIVE,
-            );
+        for _ in 0..2 {
+            more.push(pool.alloc(&mut mag, &stats, counted()).as_ptr() as usize | NodeBlock::LIVE);
         }
         assert_eq!(mag.len(), 6);
         // SAFETY: as above.
-        unsafe { pool.dispose_block::<Counted>(&mut mag, &stats, more) };
+        unsafe { pool.dispose_block::<CountsDrops>(&mut mag, &stats, more) };
         assert_eq!(mag.len(), 8);
         let mut two = pool.block(&mut mag);
-        for i in 0..2 {
+        for _ in 0..2 {
             // Fresh nodes from the allocator, so the magazine stays full.
-            let node = SmrNode::alloc(Counted(400 + i));
+            let node = SmrNode::alloc(counted());
             two.push(node.as_ptr() as usize | NodeBlock::LIVE);
         }
         // SAFETY: as above.
-        unsafe { pool.dispose_block::<Counted>(&mut mag, &stats, two) };
+        unsafe { pool.dispose_block::<CountsDrops>(&mut mag, &stats, two) };
         assert_eq!(
             mag.len(),
             8 / 2 + 2,
             "the newer half spilled, then the block merged"
         );
         pool.flush(&mut mag, &stats);
-        assert_eq!(BLOCK_DROPS.load(Ordering::Relaxed), 20);
+        assert_eq!(drops.load(Ordering::Relaxed), 20);
         // The last two nodes came from the allocator, not the pool.
         assert_eq!(
             stats.pool_hits() + stats.pool_misses() + 2,
