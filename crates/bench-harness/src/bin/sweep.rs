@@ -16,7 +16,7 @@
 //! two record files with the `perfgate` binary. A bad command line (see
 //! [`bench_harness::cli`]) prints usage and exits 2 before any run.
 
-use bench_harness::cli::{Sweep, SweepArgs, USAGE};
+use bench_harness::cli::{host_cores, Sweep, SweepArgs, USAGE};
 use bench_harness::driver::BenchParams;
 use bench_harness::figures::{robustness_figure, throughput_figures, trim_figure};
 use bench_harness::registry::run_combo;
@@ -32,9 +32,7 @@ fn main() {
     let base = &args.base;
     let schemes: Vec<&str> = args.schemes.iter().map(String::as_str).collect();
     let mut sink = ResultSink::new(Provenance::detect(wall_clock_timestamp()));
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = host_cores();
 
     println!(
         "== sweep: {} trial(s) x {:.2}s, prefill {} of {} keys, {} -> {} ==\n",
@@ -46,19 +44,14 @@ fn main() {
         args.out.display()
     );
 
-    for sweep in &args.sweeps {
+    for &sweep in &args.sweeps {
+        // `SweepArgs::parse` checked these counts against the registry.
+        let threads = args.active_threads(sweep, cores);
         match sweep {
             Sweep::ThreadScaling | Sweep::Oversubscription => {
-                let (figure, threads) = match sweep {
-                    Sweep::ThreadScaling => ("thread-scaling", args.threads.clone()),
-                    _ => (
-                        "oversubscription",
-                        [1, 2, 4, 8].iter().map(|&m| cores * m).collect(),
-                    ),
-                };
                 for structure in &args.structures {
                     let (tput, unrec) = throughput_figures(
-                        figure,
+                        sweep.name(),
                         structure,
                         &threads,
                         base,
@@ -71,7 +64,7 @@ fn main() {
             }
             Sweep::Recycle => run_recycle_sweep(base, &mut sink),
             Sweep::Robustness => {
-                let active = cores.max(2);
+                let active = threads[0];
                 let max_stalled = args.stalled.iter().copied().max().unwrap_or(8);
                 let capped_slots = (max_stalled / 2).max(2).next_power_of_two();
                 let table =
@@ -82,7 +75,7 @@ fn main() {
                 // Fig 10b caps the slots well below the thread count (the
                 // paper's k <= 32 on 72 cores): here half the core count.
                 let capped_slots = (cores.max(2).next_power_of_two() / 2).max(2);
-                let table = trim_figure(&args.threads, capped_slots, base, Some(&mut sink));
+                let table = trim_figure(&threads, capped_slots, base, Some(&mut sink));
                 println!("{table}");
             }
         }

@@ -2,14 +2,14 @@
 //! structures, at what scale, recorded where.
 //!
 //! Parsing is strict. An unknown flag, a flag without its value, a
-//! malformed value or `--help` is an error naming it, and `sweep` prints
-//! it with [`USAGE`] and exits 2 before measuring anything. Besides the
-//! workload scale, the reclamation layout is settable: `--slots`/`--shards`
+//! malformed value (a duration that is not a positive number, an empty key
+//! range, a zero thread count) or `--help` is an error naming it, and so is
+//! a sweep whose active plus stalled threads exceed [`MAX_THREADS`]: `sweep`
+//! prints it with [`USAGE`] and exits 2 before measuring anything. Besides
+//! the workload scale, the reclamation layout is settable: `--slots`/`--shards`
 //! (powers of two) pin the slot budget and shard count so runs on hosts
-//! with different core counts produce comparable perf-gate keys,
-//! `--recycle on|off` toggles node recycling (on by default), and
-//! `--max-threads N` sets the registry capacity (each run makes one handle
-//! per active and stalled thread up front, so it must cover both).
+//! with different core counts produce comparable perf-gate keys, and
+//! `--recycle on|off` toggles node recycling (on by default).
 //!
 //! The paper's full-scale parameters (10 s runs, 5 trials, 50 000
 //! prefill over 100 000 keys, threads up to 144) are reachable via:
@@ -32,7 +32,20 @@ use crate::workload::OpMix;
 pub const USAGE: &str = "usage: sweep [--out FILE] [--sweeps NAME,...] \
 [--structures NAME,...|all] [--schemes NAME,...] [--mix write-intensive|read-mostly] \
 [--secs S] [--trials N] [--prefill N] [--key-range N] [--threads N,...] [--stalled N,...] \
-[--slots POW2] [--shards POW2] [--max-threads N] [--recycle on|off]";
+[--slots POW2] [--shards POW2] [--recycle on|off]";
+
+/// The handle registry's capacity in every run. Each run makes one handle
+/// per active and stalled thread up front, so no sweep may run more; the
+/// perf-gate keys of `benchdata/stable-baseline.jsonl` carry this value.
+pub const MAX_THREADS: usize = 512;
+
+/// The host's hardware threads, which size the sweeps' default and
+/// computed thread counts.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 /// One figure `sweep` can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +82,15 @@ impl Sweep {
     fn parse(name: &str) -> Option<Self> {
         Self::ALL.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
     }
+
+    /// The sweep's command-line name.
+    pub fn name(self) -> &'static str {
+        Self::ALL
+            .iter()
+            .find(|(_, s)| *s == self)
+            .expect("ALL names every sweep")
+            .0
+    }
 }
 
 /// A parsed `sweep` command line.
@@ -95,9 +117,9 @@ fn parse_pow2(raw: &str) -> Option<usize> {
     raw.parse().ok().filter(|v: &usize| v.is_power_of_two())
 }
 
-/// Parses a nonzero count (registry/pool capacities must not be zero).
-fn parse_nonzero(raw: &str) -> Option<usize> {
-    raw.parse().ok().filter(|v: &usize| *v > 0)
+/// Parses a run duration: a finite number of seconds above zero.
+fn parse_secs(raw: &str) -> Option<f64> {
+    raw.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
 }
 
 /// Parses an on/off toggle (`on`/`off`, `true`/`false`, `1`/`0`).
@@ -137,14 +159,13 @@ fn value<T>(
 
 impl Default for SweepArgs {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let cores = host_cores();
         // Sweep through and past the core count: the paper's oversubscribed
         // regime (threads >> cores) is where Hyaline's asynchronous tracking
-        // shines, so keep several oversubscribed points.
+        // shines, so keep several oversubscribed points the registry holds.
         let threads = vec![1, 2, cores.max(2), cores * 2, cores * 4, cores * 8]
             .into_iter()
+            .filter(|&t| t <= MAX_THREADS)
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();
@@ -162,7 +183,7 @@ impl Default for SweepArgs {
                 key_range: 2_048,
                 config: SmrConfig {
                     slots: (cores * 2).next_power_of_two(),
-                    max_threads: 512,
+                    max_threads: MAX_THREADS,
                     // The paper's 8192 assumes 10-second runs; scaled-down
                     // runs need Ack saturation (stalled-slot avoidance) to
                     // kick in correspondingly sooner.
@@ -176,13 +197,47 @@ impl Default for SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses a command line (without the program name) over the defaults.
+    /// Parses a command line (without the program name) over the defaults,
+    /// and checks that every sweep fits the registry on this host.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut parsed = Self::default();
         for pair in args.chunks(2) {
             parsed.apply(&pair[0], pair.get(1).map(String::as_str))?;
         }
+        parsed.check_threads(host_cores())?;
         Ok(parsed)
+    }
+
+    /// The active thread counts `sweep` runs on a host with `cores`
+    /// hardware threads.
+    pub fn active_threads(&self, sweep: Sweep, cores: usize) -> Vec<usize> {
+        match sweep {
+            Sweep::ThreadScaling | Sweep::Trim => self.threads.clone(),
+            Sweep::Oversubscription => [1, 2, 4, 8].iter().map(|&m| cores * m).collect(),
+            Sweep::Robustness => vec![cores.max(2)],
+            Sweep::Recycle => vec![self.base.threads],
+        }
+    }
+
+    /// An error naming the first sweep whose active plus stalled threads
+    /// exceed [`MAX_THREADS`] on a host with `cores` hardware threads.
+    fn check_threads(&self, cores: usize) -> Result<(), String> {
+        for &sweep in &self.sweeps {
+            let stalled = match sweep {
+                Sweep::Robustness => self.stalled.iter().copied().max().unwrap_or(0),
+                _ => self.base.stalled,
+            };
+            let active = self.active_threads(sweep, cores);
+            let peak = active.iter().copied().max().unwrap_or(0) + stalled;
+            if peak > MAX_THREADS {
+                return Err(format!(
+                    "{} would run {peak} threads (active plus stalled) on {cores} cores; \
+                     at most {MAX_THREADS} fit the registry",
+                    sweep.name()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Applies one flag and its value. The flag is matched before the value
@@ -215,17 +270,23 @@ impl SweepArgs {
                 let expect = "write-intensive or read-mostly";
                 base.mix = value(flag, raw, expect, OpMix::from_short_label)?
             }
-            "--secs" => base.secs = value(flag, raw, NUMBER, |r| r.parse().ok())?,
+            "--secs" => base.secs = value(flag, raw, "a positive number", parse_secs)?,
             "--trials" => base.trials = value(flag, raw, NUMBER, |r| r.parse().ok())?,
             "--prefill" => base.prefill = value(flag, raw, NUMBER, |r| r.parse().ok())?,
-            "--key-range" => base.key_range = value(flag, raw, NUMBER, |r| r.parse().ok())?,
-            "--threads" => self.threads = value(flag, raw, LIST, parse_list)?,
+            "--key-range" => {
+                base.key_range = value(flag, raw, "a nonzero count", |r| {
+                    r.parse().ok().filter(|&k: &u64| k > 0)
+                })?
+            }
+            "--threads" => {
+                let expect = "a comma-separated list of nonzero counts";
+                self.threads = value(flag, raw, expect, |r| {
+                    parse_list(r).filter(|list| !list.contains(&0))
+                })?
+            }
             "--stalled" => self.stalled = value(flag, raw, LIST, parse_list)?,
             "--slots" => base.config.slots = value(flag, raw, POW2, parse_pow2)?,
             "--shards" => base.config.shards = value(flag, raw, POW2, parse_pow2)?,
-            "--max-threads" => {
-                base.config.max_threads = value(flag, raw, "a nonzero count", parse_nonzero)?
-            }
             "--recycle" => base.config.recycle = value(flag, raw, "on or off", parse_bool)?,
             _ => return Err(format!("unknown flag `{flag}`")),
         }
@@ -270,7 +331,7 @@ mod tests {
         let args = parse(
             "--out x.jsonl --sweeps trim,robustness --structures all --schemes Hyaline,HP \
              --mix read-mostly --secs 1.5 --trials 3 --prefill 10 --key-range 20 \
-             --threads 2,4 --stalled 0,1 --max-threads 7",
+             --threads 2,4 --stalled 0,1",
         )
         .unwrap();
         assert_eq!(args.out, PathBuf::from("x.jsonl"));
@@ -284,7 +345,7 @@ mod tests {
         assert_eq!(args.base.key_range, 20);
         assert_eq!(args.threads, vec![2, 4]);
         assert_eq!(args.stalled, vec![0, 1]);
-        assert_eq!(args.base.config.max_threads, 7);
+        assert_eq!(args.base.config.max_threads, MAX_THREADS);
     }
 
     #[test]
@@ -315,6 +376,7 @@ mod tests {
             "extra",
             "--handle-churn",
             "--connections",
+            "--max-threads",
         ] {
             let err = parse(&format!("{flag} 1")).unwrap_err();
             assert_eq!(err, format!("unknown flag `{flag}`"));
@@ -346,5 +408,57 @@ mod tests {
             parse(gone).unwrap_err(),
             format!("{gone}: expected `all` or some of list, hashmap, bonsai, nmtree")
         );
+    }
+
+    #[test]
+    fn values_no_run_can_use_are_errors_naming_the_flag() {
+        for bad in ["--secs -1", "--secs nan", "--secs inf", "--secs 0"] {
+            assert_eq!(
+                parse(bad).unwrap_err(),
+                format!("{bad}: expected a positive number")
+            );
+        }
+        assert_eq!(
+            parse("--key-range 0").unwrap_err(),
+            "--key-range 0: expected a nonzero count"
+        );
+        for bad in ["--threads 0", "--threads 1,0,2"] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with(&format!("{bad}: expected")), "{err}");
+        }
+        // A stalled count of 0 is the robustness figure's baseline row.
+        assert_eq!(parse("--stalled 0,1").unwrap().stalled, vec![0, 1]);
+    }
+
+    #[test]
+    fn sweeps_past_the_registry_are_errors_naming_the_sweep() {
+        let err = parse("--threads 1,600").unwrap_err();
+        assert!(
+            err.starts_with("thread-scaling would run 600 threads"),
+            "{err}"
+        );
+        let err = parse("--sweeps trim --threads 513").unwrap_err();
+        assert!(err.starts_with("trim would run 513 threads"), "{err}");
+        assert!(SweepArgs::default().check_threads(host_cores()).is_ok());
+
+        // Robustness runs max(cores, 2) active threads beside the most
+        // stalled ones; oversubscription runs up to 8 per core.
+        let args = |sweep, stalled| SweepArgs {
+            sweeps: vec![sweep],
+            stalled: vec![0, stalled],
+            ..SweepArgs::default()
+        };
+        assert!(args(Sweep::Robustness, 510).check_threads(2).is_ok());
+        let err = args(Sweep::Robustness, 511).check_threads(2).unwrap_err();
+        assert!(err.starts_with("robustness would run 513 threads"), "{err}");
+        assert!(args(Sweep::Oversubscription, 0).check_threads(64).is_ok());
+        let err = args(Sweep::Oversubscription, 0)
+            .check_threads(65)
+            .unwrap_err();
+        assert!(
+            err.starts_with("oversubscription would run 520 threads"),
+            "{err}"
+        );
+        assert!(args(Sweep::Recycle, 600).check_threads(1024).is_ok());
     }
 }

@@ -550,10 +550,9 @@ mod tests {
 
     #[test]
     fn sharded_and_churn_configs_key_separately() {
-        // A sharded run and a run over a smaller handle registry (the cap
-        // that `--max-threads` sets for oversubscribed pooling) of the same
-        // scheme must not be averaged with (or compared against) the plain
-        // configuration.
+        // A sharded run and a run over a smaller handle registry (a
+        // record's `max_threads`) of the same scheme must not be averaged
+        // with (or compared against) the plain configuration.
         let plain = record("Hyaline", 4, 10.0, 0.0);
         let mut sharded = record("Hyaline", 4, 14.0, 0.0);
         sharded.shards = 4;

@@ -8,8 +8,7 @@
 //! * [`executor`]: a scoped multi-worker executor ([`scope`], [`block_on`],
 //!   [`yield_now`]) whose tasks may borrow the reclamation domain from the
 //!   caller's stack, mirroring [`std::thread::scope`].
-//! * [`sync`]: waker-backed [`oneshot`](sync::oneshot) and
-//!   [`Notify`](sync::Notify) primitives.
+//! * [`sync`]: a waker-backed [`oneshot`](sync::oneshot) channel.
 //! * [`queue`]: the bounded [`DrainQueue`] hand-off
 //!   between hot-path producers and async consumers.
 //! * [`guard`]: [`TaskGuard`], a task-scoped pooled

@@ -1,25 +1,15 @@
-//! Waker-backed synchronisation primitives: a oneshot channel and a
-//! [`Notify`] signal.
+//! A waker-backed oneshot channel, the one inter-task signalling tool the
+//! service layer needs: it carries a value exactly once (the reclaimer
+//! shutdown handshake returns drain statistics through it).
 //!
-//! These are the only inter-task signalling tools the service layer needs:
-//! oneshot carries a value exactly once (the reclaimer shutdown handshake
-//! returns drain statistics through it), while [`Notify`] is a bare
-//! "something happened" edge with a one-permit memory so a notification
-//! sent before anyone is waiting is not lost.
-//!
-//! Both register wakers under their internal mutex — the same lock every
-//! sender takes before waking — so there is no lost-wakeup window, the
-//! same discipline [`smr_core::HandlePool::check_out`] uses.
+//! The receiver registers its waker under the channel's mutex — the same
+//! lock the sender takes before waking — so there is no lost-wakeup window,
+//! the same discipline [`smr_core::HandlePool::check_out`] uses.
 
-use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
-
-// ---------------------------------------------------------------------------
-// Oneshot
-// ---------------------------------------------------------------------------
 
 enum OneshotState<T> {
     /// No value yet; the receiver may have parked a waker.
@@ -150,145 +140,10 @@ pub fn oneshot<T>() -> (Sender<T>, Receiver<T>) {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Notify
-// ---------------------------------------------------------------------------
-
-struct NotifyState {
-    /// One stored notification, consumed by the next waiter. Prevents the
-    /// notify-before-wait race from losing the edge.
-    permit: bool,
-    /// FIFO parked waiters, keyed so a cancelled future can deregister.
-    waiters: VecDeque<(u64, Waker)>,
-    next_key: u64,
-}
-
-/// An edge-triggered wakeup signal with a one-permit memory, in the shape
-/// of tokio's `Notify`.
-pub struct Notify {
-    state: Mutex<NotifyState>,
-}
-
-impl std::fmt::Debug for Notify {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.lock();
-        f.debug_struct("Notify")
-            .field("permit", &state.permit)
-            .field("waiters", &state.waiters.len())
-            .finish()
-    }
-}
-
-impl Default for Notify {
-    fn default() -> Self {
-        Notify::new()
-    }
-}
-
-impl Notify {
-    /// Creates a signal with no stored permit.
-    pub fn new() -> Self {
-        Notify {
-            state: Mutex::new(NotifyState {
-                permit: false,
-                waiters: VecDeque::new(),
-                next_key: 0,
-            }),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, NotifyState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Wakes the longest-waiting [`notified`](Notify::notified) future, or
-    /// stores a single permit if none is waiting.
-    pub fn notify_one(&self) {
-        let waker = {
-            let mut state = self.lock();
-            match state.waiters.pop_front() {
-                Some((_, waker)) => Some(waker),
-                None => {
-                    state.permit = true;
-                    None
-                }
-            }
-        };
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-
-    /// A future that resolves on the next [`notify_one`](Notify::notify_one)
-    /// (or immediately, if a permit is already stored).
-    pub fn notified(&self) -> Notified<'_> {
-        Notified {
-            notify: self,
-            key: None,
-        }
-    }
-}
-
-/// Future returned by [`Notify::notified`].
-#[derive(Debug)]
-pub struct Notified<'a> {
-    notify: &'a Notify,
-    /// Registration key while parked in the waiter queue.
-    key: Option<u64>,
-}
-
-impl Future for Notified<'_> {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut state = self.notify.lock();
-        // Woken by notify_one: our key was removed from the queue.
-        if let Some(key) = self.key {
-            if !state.waiters.iter().any(|(k, _)| *k == key) {
-                self.key = None;
-                return Poll::Ready(());
-            }
-            // Spurious poll while still queued: refresh the waker in place.
-            for entry in state.waiters.iter_mut() {
-                if entry.0 == key {
-                    entry.1 = cx.waker().clone();
-                }
-            }
-            return Poll::Pending;
-        }
-        if state.permit {
-            state.permit = false;
-            return Poll::Ready(());
-        }
-        let key = state.next_key;
-        state.next_key += 1;
-        state.waiters.push_back((key, cx.waker().clone()));
-        self.key = Some(key);
-        Poll::Pending
-    }
-}
-
-impl Drop for Notified<'_> {
-    fn drop(&mut self) {
-        let Some(key) = self.key else { return };
-        let mut state = self.notify.lock();
-        let before = state.waiters.len();
-        state.waiters.retain(|(k, _)| *k != key);
-        // Still queued: plain cancellation. Already dequeued: a
-        // notification was addressed to us and would be lost — pass the
-        // baton to the next waiter (or bank it as a permit).
-        if state.waiters.len() == before {
-            drop(state);
-            self.notify.notify_one();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::{block_on, scope, yield_now};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn oneshot_delivers_across_tasks() {
@@ -308,45 +163,5 @@ mod tests {
         let (tx, rx) = oneshot::<u64>();
         drop(tx);
         assert_eq!(block_on(rx), None);
-    }
-
-    #[test]
-    fn notify_permit_survives_early_notification() {
-        let notify = Notify::new();
-        notify.notify_one();
-        block_on(notify.notified()); // resolves on the stored permit
-    }
-
-    #[test]
-    fn notify_wakes_parked_waiter() {
-        let notify = Notify::new();
-        let hits = AtomicU64::new(0);
-        scope(2, |sp| {
-            let notify = &notify;
-            let hits = &hits;
-            sp.spawn(async move {
-                notify.notified().await;
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            sp.spawn(async move {
-                yield_now().await;
-                notify.notify_one();
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn cancelled_notified_passes_the_baton() {
-        let notify = Notify::new();
-        // Park a future, address a notification to it, then drop it
-        // without polling: the permit must not be lost.
-        let mut parked = Box::pin(notify.notified());
-        let noop = crate::testutil::noop_waker();
-        let mut cx = Context::from_waker(&noop);
-        assert!(parked.as_mut().poll(&mut cx).is_pending());
-        notify.notify_one(); // dequeues `parked`, wakes it
-        drop(parked); // never polled again: baton must pass on
-        block_on(notify.notified()); // resolves via the re-banked permit
     }
 }

@@ -186,31 +186,17 @@ impl<T> SmrNode<T> {
         unsafe { dealloc(node as *mut u8, Self::layout()) };
     }
 
-    /// Writes `value` into a node whose payload slot is currently
-    /// uninitialized or dropped (type-stable node reuse, as in lock-free
-    /// reference counting).
-    ///
-    /// # Safety
-    ///
-    /// The caller must exclusively own `node`, and the payload slot must not
-    /// hold a live value (it would be overwritten without being dropped).
-    #[inline]
-    pub unsafe fn write_value(node: *mut SmrNode<T>, value: T) {
-        // SAFETY: the caller owns `node` exclusively and its payload slot
-        // holds no live value.
-        unsafe { ptr::addr_of_mut!((*node).value).write(ManuallyDrop::new(value)) };
-    }
-
     /// Drops the payload in place without freeing the node's memory.
     ///
     /// # Safety
     ///
     /// The caller must exclusively own the payload, which must be live; it
-    /// must not be read again until rewritten with [`SmrNode::write_value`].
+    /// must not be read again until the node is re-initialized with a new
+    /// payload (as the recycle pool does when it hands the memory out).
     #[inline]
     pub unsafe fn drop_value_in_place(node: *mut SmrNode<T>) {
         // SAFETY: the caller owns the live payload exclusively and will not
-        // read it again before a `write_value`.
+        // read it again before the node is re-initialized.
         unsafe { ManuallyDrop::drop(&mut (*node).value) };
     }
 

@@ -1,7 +1,8 @@
 //! The workspace obeys the source rules clippy cannot express (see
 //! `smr_testkit::rules`): no `static mut`, and no `Relaxed` load cast to a
 //! raw pointer without an `// ORDERING:` justification. And every package
-//! opts into the workspace lints that the clippy gate enforces.
+//! opts into the workspace lints that the clippy gate enforces, and every
+//! example asserts what it shows.
 
 use std::path::Path;
 
@@ -60,4 +61,21 @@ fn every_package_opts_into_workspace_lints() {
         missing.is_empty(),
         "no `[lints] workspace = true` in {missing:?}"
     );
+}
+
+/// An example stays only where it self-checks a claim, so one that merely
+/// prints would fail nothing when the claim breaks.
+#[test]
+fn every_example_asserts() {
+    let dir = workspace_root().join("examples");
+    let mut examples = 0;
+    for entry in std::fs::read_dir(&dir).expect("list examples") {
+        let path = entry.expect("example file").path();
+        if path.extension().is_some_and(|ext| ext == "rs") {
+            examples += 1;
+            let src = std::fs::read_to_string(&path).expect("read an example");
+            assert!(src.contains("assert"), "{} asserts nothing", path.display());
+        }
+    }
+    assert!(examples > 0, "the scan must reach the examples");
 }
